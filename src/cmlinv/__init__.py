@@ -10,10 +10,10 @@ linvariant (the L-invariant computed two ways plus the verification
 battery), cli (JSON front end).
 """
 
-from .characters import (BernoulliCache, DirichletCharacter,
-                         char_from_kronecker, char_product,
-                         char_teichmuller_power, dirichlet_L_nonpositive,
-                         gen_bernoulli, kronecker_symbol, trivial_character)
+from .characters import (DirichletCharacter, char_from_kronecker,
+                         char_product, char_teichmuller_power,
+                         dirichlet_L_nonpositive, gen_bernoulli,
+                         kronecker_symbol, trivial_character)
 from .cmform import (CMFormSpec, HeckeRoots, ap_point_count, cm_spec,
                      cm_spec_from_curve, unit_root)
 from .kl import BranchSeries, branch_derivative, branch_series, kl_value
@@ -21,7 +21,7 @@ from .linvariant import (FGCheck, LInvariantReport, full_report, hida_ap,
                          l_invariant_analytic, l_invariant_via_alpha,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
 from .padic import (PadicContext, PadicNumber, iwasawa_log, make_context,
-                    morita_gamma, padic_exp, sqrt_unit, teichmuller)
+                    padic_exp, sqrt_unit, teichmuller)
 from .quadfield import (QuadFieldData, SplitPrimeData, pi_bar,
                         quad_field_data, quad_field_from_discriminant,
                         split_behavior)
@@ -31,7 +31,7 @@ from .sympower import (SymPowerDecomposition, SymPowerFactor, critical_integers,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliCache", "BranchSeries", "CMFormSpec", "DirichletCharacter",
+    "BranchSeries", "CMFormSpec", "DirichletCharacter",
     "FGCheck", "HeckeRoots", "LInvariantReport", "PadicContext", "PadicNumber",
     "QuadFieldData", "SplitPrimeData", "SymPowerDecomposition", "SymPowerFactor",
     "ap_point_count", "branch_derivative", "branch_series", "char_from_kronecker",
@@ -39,7 +39,7 @@ __all__ = [
     "critical_integers", "decompose", "dirichlet_L_nonpositive", "e_plus",
     "full_report", "gen_bernoulli", "hida_ap", "iwasawa_log", "kl_value",
     "kronecker_symbol", "l_invariant_analytic", "l_invariant_via_alpha",
-    "make_context", "morita_gamma", "padic_exp", "pi_bar", "quad_field_data",
+    "make_context", "padic_exp", "pi_bar", "quad_field_data",
     "quad_field_from_discriminant", "split_behavior", "sqrt_unit",
     "teichmuller", "trivial_character", "unit_root",
     "verify_ferrero_greenberg", "verify_trivial_zero_formula",

@@ -1,10 +1,15 @@
 """p-adically valued Dirichlet characters and their Bernoulli numbers.
 
-Every character in scope is a product of a quadratic Kronecker symbol
-and a power of the Teichmuller character, so each value is stored as a
-pair (sign, e) meaning sign * zeta^e, where zeta is the Teichmuller
-lift of a fixed primitive root mod p.  Pure quadratic characters need
-no p-adic context at all and stay exact.
+Every character in scope is theta_D * omega^i: the Kronecker character
+of a fundamental discriminant D (D = 1 for none) times a power of the
+Teichmuller character mod p, with i taken mod p - 1.  The closed form
+is all that is stored.  When p does not divide D the character is
+primitive of conductor |D| * (p if i else 1), its parity is
+sign(D) * (-1)^i, and its value at a unit a is the pair (sign, e)
+meaning sign * zeta^e, with sign = (D/a), e = i * ind(a) mod p - 1 and
+zeta the Teichmuller lift of a fixed primitive root mod p.  Characters
+with 2i = 0 mod p - 1 are rational-valued, need no p-adic context and
+stay exact.
 
 Generalized Bernoulli numbers B_{n,chi} = f^{n-1} sum_a chi(a) B_n(a/f)
 come out as exact Fractions for rational-valued chi and as tracked
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .padic import PadicContext, PadicNumber, teichmuller
 
@@ -34,7 +39,6 @@ __all__ = [
     "dirichlet_L_nonpositive",
     "bernoulli_number",
     "bernoulli_polynomial",
-    "BernoulliCache",
 ]
 
 
@@ -76,27 +80,18 @@ def kronecker_symbol(D: int, n: int) -> int:
     return res
 
 
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
+def _fundamental_part(n: int) -> int:
+    """The discriminant of Q(sqrt(n)) for n != 0 (1 when n is a square)."""
+    q = 2
+    while q * q <= abs(n):
+        while n % (q * q) == 0:
+            n //= q * q
+        q += 1
+    return n if n % 4 == 1 else 4 * n
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D == 0 or D == 1:
-        return False
-    if D % 4 == 1:
-        return _squarefree(D)
-    if D % 4 == 0:
-        m = D // 4
-        return m % 4 in (2, 3) and _squarefree(m)
-    return False
+    return D not in (0, 1) and _fundamental_part(D) == D
 
 
 @lru_cache(maxsize=None)
@@ -131,62 +126,54 @@ def _index_table(p: int) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _kronecker_row(D: int) -> tuple:
+    # (D/a) for a mod |D|; slot 0 holds (D/|D|), which is 0 unless D = 1
+    return tuple(kronecker_symbol(D, a or abs(D)) for a in range(abs(D)))
+
+
+@lru_cache(maxsize=None)
 def _teichmuller_generator(ctx: PadicContext) -> PadicNumber:
     return teichmuller(ctx.from_int(_primitive_root(ctx.p)))
 
 
 class DirichletCharacter:
-    """Character mod f with values sign * zeta^e, zeta a (p-1)-st root of unity.
+    """theta_D * omega^i, primitive of modulus |D| * (p if i else 1).
 
-    `teich_order` is p-1 when a Teichmuller component is present (then a
-    context is attached) and 1 for purely quadratic/trivial characters.
+    D is a fundamental discriminant or 1, and i is reduced mod p - 1,
+    so a non-zero i needs the context that names p; p must not divide D
+    then.  A character with i = 0 keeps no context.
     """
 
-    __slots__ = ("modulus", "_values", "teich_order", "context", "_conductor")
+    __slots__ = ("D", "i", "context", "modulus")
 
-    def __init__(self, modulus: int, values: dict, teich_order: int = 1,
-                 context: PadicContext | None = None, _validate: bool = True):
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        self.modulus = modulus
-        self._values = dict(values)
-        self.teich_order = teich_order
-        self.context = context
-        self._conductor = None
-        if teich_order > 1 and context is None:
+    def __init__(self, D: int = 1, i: int = 0, context: PadicContext | None = None):
+        if D != 1 and not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental discriminant")
+        if context is not None:
+            i %= context.p - 1
+        elif i:
             raise ValueError("Teichmuller components need a p-adic context")
-        if _validate:
-            self._check()
-
-    def _check(self):
-        f, q = self.modulus, self.teich_order
-        coprime = [a for a in range(1, f + 1) if gcd(a, f) == 1] if f > 1 else [1]
-        if sorted(self._values) != sorted(a % f for a in coprime):
-            raise ValueError("value table must cover exactly the residues coprime to the modulus")
-        for s, e in self._values.values():
-            if s not in (1, -1) or not 0 <= e < max(q, 1):
-                raise ValueError("malformed character value")
-        for a in coprime:
-            for b in coprime:
-                sa, ea = self._values[a % f]
-                sb, eb = self._values[b % f]
-                sc, ec = self._values[a * b % f]
-                if sc != sa * sb or ec != (ea + eb) % max(q, 1):
-                    raise ValueError("character table is not multiplicative")
+        if i and D % context.p == 0:
+            raise ValueError(f"p = {context.p} divides D = {D} under a Teichmuller component")
+        self.D = D
+        self.i = i
+        self.context = context if i else None
+        self.modulus = abs(D) * (context.p if i else 1)
 
     # --- evaluation -------------------------------------------------------
 
     def value_pair(self, a: int):
         """(sign, teich exponent) at a, or None when gcd(a, f) > 1."""
-        f = self.modulus
-        if f == 1:
-            return (1, 0)
-        a %= f
-        return self._values.get(a)
+        if gcd(a, self.modulus) != 1:
+            return None
+        s = _kronecker_row(self.D)[a % abs(self.D)]
+        if not self.i:
+            return (s, 0)
+        p = self.context.p
+        return (s, self.i * _index_table(p)[a % p] % (p - 1))
 
     def is_rational(self) -> bool:
-        q = self.teich_order
-        return all(e == 0 or 2 * e == q for _, e in self._values.values())
+        return not self.i or 2 * self.i == self.context.p - 1
 
     def value_exact(self, a: int) -> int:
         """Value in {-1, 0, 1}; only for rational-valued characters."""
@@ -196,7 +183,7 @@ class DirichletCharacter:
         s, e = pair
         if e == 0:
             return s
-        if 2 * e == self.teich_order:
+        if 2 * e == self.context.p - 1:
             return -s
         raise ValueError("character is not rational-valued at this argument")
 
@@ -214,150 +201,49 @@ class DirichletCharacter:
         return -out if s < 0 else out
 
     def parity(self) -> int:
-        """chi(-1)."""
-        return self.value_exact(self.modulus - 1) if self.modulus > 1 else 1
+        """chi(-1) = sign(D) * (-1)^i."""
+        return (-1 if self.D < 0 else 1) * (-1) ** self.i
 
     def is_odd(self) -> bool:
         return self.parity() == -1
 
     def is_trivial(self) -> bool:
-        return all(s == 1 and e == 0 for s, e in self._values.values())
-
-    # --- conductor / primitivity -------------------------------------------
+        return self.D == 1 and not self.i
 
     def conductor(self) -> int:
-        if self._conductor is not None:
-            return self._conductor
-        f = self.modulus
-        best = f
-        for d in _divisors(f):
-            if d >= best:
-                continue
-            # trivial on the kernel of (Z/f)* -> (Z/d)* ?
-            if all(self._values[a] == (1, 0)
-                   for a in self._values if a % d == 1 % d):
-                best = d
-        self._conductor = best
-        return best
-
-    def primitive(self) -> "DirichletCharacter":
-        """The primitive character inducing this one."""
-        d = self.conductor()
-        if d == self.modulus:
-            return self
-        f = self.modulus
-        vals = {}
-        for b in (range(1, d + 1) if d > 1 else [1]):
-            if gcd(b, d) != 1:
-                continue
-            a = b
-            while gcd(a, f) != 1:
-                a += d
-            vals[b % d] = self._values[a % f]
-        return DirichletCharacter(d, vals, self.teich_order, self.context,
-                                  _validate=False)
-
-    # --- products -----------------------------------------------------------
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        return char_product(self, other)
-
-    def inverse(self) -> "DirichletCharacter":
-        q = max(self.teich_order, 1)
-        vals = {a: (s, (-e) % q) for a, (s, e) in self._values.items()}
-        return DirichletCharacter(self.modulus, vals, self.teich_order,
-                                  self.context, _validate=False)
+        return self.modulus
 
     def power(self, e: int) -> "DirichletCharacter":
-        """chi^e, conductor-reduced."""
-        if e == 0:
-            return trivial_character()
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = char_product(out, base)
-        return out.primitive() if out.modulus == self.modulus else out
-
-    def cache_key(self) -> str:
-        """Canonical id for cache files; rational-valued characters only."""
-        if not self.is_rational():
-            raise ValueError("cache keys exist only for rational-valued characters")
-        f = self.modulus
-        sig = "".join("+" if self.value_exact(a) > 0 else "-"
-                      for a in range(1, f + 1) if gcd(a, f) == 1)
-        return f"m{f}:{sig}"
+        """chi^e = theta_D^(e mod 2) * omega^(i e)."""
+        return DirichletCharacter(self.D if e % 2 else 1, self.i * e, self.context)
 
     def __repr__(self):
-        kind = "trivial" if self.is_trivial() else \
-            ("quadratic" if self.is_rational() else f"order|{2 * self.teich_order}")
-        return f"DirichletCharacter(mod {self.modulus}, conductor {self.conductor()}, {kind})"
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+        p = f", p={self.context.p}" if self.i else ""
+        return f"DirichletCharacter(D={self.D}, i={self.i}{p})"
 
 
 def trivial_character() -> DirichletCharacter:
-    return DirichletCharacter(1, {0: (1, 0)}, 1, None, _validate=False)
+    return DirichletCharacter()
 
 
 def char_from_kronecker(D: int) -> DirichletCharacter:
     """Quadratic character a -> (D/a) mod |D|, for a fundamental discriminant."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    f = abs(D)
-    vals = {}
-    for a in range(1, f + 1):
-        if gcd(a, f) != 1:
-            continue
-        s = kronecker_symbol(D, a)
-        if s == 0:
-            raise ArithmeticError("Kronecker symbol vanished on a coprime residue")
-        vals[a % f] = (s, 0)
-    return DirichletCharacter(f, vals, 1, None, _validate=False)
+    return DirichletCharacter(D)
 
 
 def char_teichmuller_power(i: int, ctx: PadicContext) -> DirichletCharacter:
     """omega^i as a character mod p; i = 0 collapses to the trivial character mod 1."""
-    p = ctx.p
-    i %= p - 1
-    if i == 0:
-        return trivial_character()
-    ind = _index_table(p)
-    vals = {a: (1, i * ind[a] % (p - 1)) for a in range(1, p)}
-    return DirichletCharacter(p, vals, p - 1, ctx, _validate=False)
+    return DirichletCharacter(1, i, ctx)
 
 
 def char_product(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    """Pointwise product on the lcm modulus, conductor-reduced."""
-    ctx = chi1.context or chi2.context
+    """theta_{D1 D2 / square} * omega^(i1 + i2), the primitive product."""
     if chi1.context and chi2.context and chi1.context.p != chi2.context.p:
         raise ValueError("cannot multiply characters over different primes")
-    q = max(chi1.teich_order, chi2.teich_order)
-    if chi1.teich_order > 1 and chi2.teich_order > 1 and chi1.teich_order != chi2.teich_order:
-        raise ValueError("incompatible Teichmuller orders")
-    f = lcm(chi1.modulus, chi2.modulus)
-    vals = {}
-    for a in range(1, f + 1):
-        if gcd(a, f) != 1:
-            continue
-        s1, e1 = chi1.value_pair(a)
-        s2, e2 = chi2.value_pair(a)
-        vals[a % f] = (s1 * s2, (e1 + e2) % q)
-    prod = DirichletCharacter(f, vals, q, ctx, _validate=False)
-    prim = prod.primitive()
-    # drop an unused Teichmuller tag so pure quadratics stay context-free
-    if prim.teich_order > 1 and all(e == 0 for _, e in prim._values.values()):
-        return DirichletCharacter(prim.modulus, prim._values, 1, None, _validate=False)
-    return prim
+    return DirichletCharacter(_fundamental_part(chi1.D * chi2.D), chi1.i + chi2.i,
+                              chi1.context or chi2.context)
 
 
 # --- Bernoulli machinery ------------------------------------------------------
@@ -387,77 +273,23 @@ def _bernoulli_poly_at(n: int, x: Fraction) -> Fraction:
     return acc
 
 
-class BernoulliCache:
-    """Text-file cache of exact B_{n,chi} for rational-valued characters.
-
-    Line format (tab separated): n, character cache key, value as
-    "numerator/denominator".  Round-trips are bit-exact.
-    """
-
-    VERSION = "bnchi-cache v1"
-
-    def __init__(self):
-        self._store: dict[tuple[int, str], Fraction] = {}
-
-    def get(self, n: int, key: str):
-        return self._store.get((n, key))
-
-    def put(self, n: int, key: str, value: Fraction):
-        self._store[(n, key)] = Fraction(value)
-
-    def __len__(self):
-        return len(self._store)
-
-    def save(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.VERSION + "\n")
-            for (n, key) in sorted(self._store):
-                v = self._store[(n, key)]
-                fh.write(f"{n}\t{key}\t{v.numerator}/{v.denominator}\n")
-
-    @classmethod
-    def load(cls, path) -> "BernoulliCache":
-        cache = cls()
-        with open(path, encoding="ascii") as fh:
-            header = fh.readline().rstrip("\n")
-            if header != cls.VERSION:
-                raise ValueError(f"unsupported cache version: {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                ns, key, frac = line.rstrip("\n").split("\t")
-                num, den = frac.split("/")
-                cache._store[(int(ns), key)] = Fraction(int(num), int(den))
-        return cache
-
-
 def gen_bernoulli(n: int, chi: DirichletCharacter,
-                  ctx: PadicContext | None = None,
-                  cache: BernoulliCache | None = None):
+                  ctx: PadicContext | None = None):
     """Generalized Bernoulli number B_{n,chi}.
 
     Exact Fraction for rational-valued chi, tracked PadicNumber otherwise
-    (the character values force a context).  Uses the modulus of chi as f,
-    which matches the primitive L-series only when chi is primitive --
-    callers wanting interpolation data reduce first.
+    (the character values force a context).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
     if chi.is_rational():
-        key = chi.cache_key()
-        if cache is not None:
-            hit = cache.get(n, key)
-            if hit is not None:
-                return hit
         acc = Fraction(0)
         for a in (range(1, f + 1) if f > 1 else [1]):
             if gcd(a, f) != 1:
                 continue
             acc += chi.value_exact(a) * _bernoulli_poly_at(n, Fraction(a, f))
         acc *= Fraction(f) ** (n - 1)
-        if cache is not None:
-            cache.put(n, key, acc)
         return acc
     ctx = ctx or chi.context
     acc = ctx.zero()

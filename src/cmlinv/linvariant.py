@@ -60,18 +60,6 @@ class LInvariantReport:
     agreement_valuation: float | None = None
     fg_check: FGCheck | None = None
 
-    @property
-    def greenberg_l_invariant(self) -> PadicNumber:
-        """Greenberg's arithmetic reading at s = 1: an alias of the analytic
-        value, realized through the proved identity chain rather than an
-        independent Galois-cohomology computation."""
-        return self.l_at_1
-
-    @property
-    def gross_regulator(self) -> PadicNumber:
-        """The regulator reading of the same constant; alias of l_at_1."""
-        return self.l_at_1
-
 
 def l_invariant_analytic(F: QuadFieldData, p: int, ctx: PadicContext,
                          conjugate_lift: bool = False) -> LInvariantReport:

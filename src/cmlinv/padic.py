@@ -9,8 +9,8 @@ relative precision, and series (log, exp) inherit the per-term losses
 from the division operators they use.
 
 Special functions: Teichmuller lift, the Iwasawa branch of log_p
-(log_p(p) = 0), the p-adic exponential on pZ_p, Morita's p-adic Gamma
-function, and square roots of units (Hensel).
+(log_p(p) = 0), the p-adic exponential on pZ_p, and square roots of
+units (Hensel).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "teichmuller",
     "iwasawa_log",
     "padic_exp",
-    "morita_gamma",
     "sqrt_unit",
 ]
 
@@ -375,11 +374,6 @@ class PadicNumber:
 
     __hash__ = None
 
-    def equal_to_precision(self, other, k: int) -> bool:
-        """True when self - other lies in p^k Z_p at the tracked precision."""
-        d = self - self._coerce(other)
-        return d.min_valuation() >= k
-
     def __repr__(self):
         p = self.context.p
         if self.is_exact_zero():
@@ -482,47 +476,6 @@ def _factorial_valuation(n: int, p: int) -> int:
         v += n // q
         q *= p
     return v
-
-
-def morita_gamma(x: PadicNumber, digits: int | None = None,
-                 cost_ceiling: int | None = None) -> PadicNumber:
-    """Morita's p-adic Gamma at x in Z_p.
-
-    On integers n >= 0 this is (-1)^n times the product of the positive
-    j < n prime to p; general x is evaluated at an integer approximant
-    congruent to x mod p^digits, which is legitimate because
-    Gamma_p(x) = Gamma_p(y) mod p^k whenever x = y mod p^k.  The direct
-    product costs about p^digits multiplications, so `digits` is capped
-    by `cost_ceiling` (default p^6 multiplications).
-    """
-    ctx = x.context
-    p = ctx.p
-    if not x.is_zero() and x.valuation() < 0:
-        raise ValueError("morita_gamma requires x in Z_p")
-    ceiling = cost_ceiling if cost_ceiling is not None else p**6
-    max_digits = 0
-    while p ** (max_digits + 1) <= ceiling:
-        max_digits += 1
-    if digits is None:
-        digits = min(ctx.N, max_digits)
-    if digits < 1 or p**digits > ceiling:
-        raise ValueError(
-            f"requested {digits} digits needs ~p^{digits} multiplications, "
-            f"over the cost ceiling {ceiling}")
-    digits = min(digits, ctx.N, int(x.abs_prec) if x.abs_prec != _INF else digits)
-    if digits < 1:
-        raise ValueError("input knows fewer than one digit")
-    n = x.residue(digits)
-    m = p**digits
-    acc = 1
-    for j in range(1, n):
-        if j % p:
-            acc = acc * j % m
-    if n % 2:
-        acc = -acc % m
-    if acc % p == 0:  # cannot happen: the product is a unit
-        raise ArithmeticError("morita_gamma produced a non-unit")
-    return PadicNumber(ctx, 0, acc, digits)
 
 
 def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:

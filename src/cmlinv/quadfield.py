@@ -14,9 +14,10 @@ coordinate pairs but leaves the logged value unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
-from .characters import char_from_kronecker, kronecker_symbol
+from .characters import (char_from_kronecker, is_fundamental_discriminant,
+                         kronecker_symbol)
 from .padic import PadicContext, PadicNumber, iwasawa_log, sqrt_unit
 
 __all__ = [
@@ -27,18 +28,8 @@ __all__ = [
     "split_behavior",
     "pi_bar",
     "reduced_forms",
-    "class_number_by_reduction",
     "primitive_norm_representations",
 ]
-
-
-def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -73,49 +64,11 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
-    # classical reduction loop for positive definite forms
-    while True:
-        if c < a or (c == a and b < 0):
-            a, b, c = c, -b, a
-            continue
-        if b > a or b <= -a:
-            r = (a - b) // (2 * a)
-            b2 = b + 2 * r * a
-            c = a * r * r + b * r + c
-            b = b2
-            continue
-        break
-    if b < 0 and (-b == a or a == c):
-        b = -b
-    return (a, b, c)
-
-
-def class_number_by_reduction(D: int) -> int:
-    """Independent h(D): reduce every small form and count distinct classes.
-
-    Enumerates all (a, b, c) with a <= sqrt(|D|/3) and |b| <= 2a, runs the
-    reduction algorithm on each, and counts canonical representatives.
-    """
-    seen = set()
-    for a in range(1, isqrt(-D // 3) + 2):
-        for b in range(-2 * a, 2 * a + 1):
-            if (b * b - D) % (4 * a):
-                continue
-            c = (b * b - D) // (4 * a)
-            if c <= 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            seen.add(_reduce_form(a, b, c))
-    return len(seen)
-
-
 def quad_field_data(d: int) -> QuadFieldData:
     """Invariants of Q(sqrt(-d)) for squarefree d > 0."""
-    if d < 1 or not _squarefree(d):
-        raise ValueError(f"d must be a squarefree positive integer, got {d}")
     D = -d if d % 4 == 3 else -4 * d
+    if d < 1 or not is_fundamental_discriminant(D):
+        raise ValueError(f"d must be a squarefree positive integer, got {d}")
     h = len(reduced_forms(D))
     w = 6 if D == -3 else 4 if D == -4 else 2
     return QuadFieldData(d=d, D=D, h=h, w=w)
@@ -123,7 +76,6 @@ def quad_field_data(d: int) -> QuadFieldData:
 
 def quad_field_from_discriminant(D: int) -> QuadFieldData:
     """Same data keyed by a fundamental discriminant D < 0."""
-    from .characters import is_fundamental_discriminant
     if D >= 0 or not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a negative fundamental discriminant")
     d = -D if D % 4 == 1 else -D // 4

@@ -1,22 +1,57 @@
 """Dirichlet characters, generalized Bernoulli numbers, archimedean L-values."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from cmlinv.characters import (BernoulliCache, DirichletCharacter,
-                               bernoulli_number, char_from_kronecker,
-                               char_product, char_teichmuller_power,
-                               dirichlet_L_nonpositive, gen_bernoulli,
-                               is_fundamental_discriminant, kronecker_symbol,
-                               trivial_character)
+from cmlinv.characters import (DirichletCharacter, bernoulli_number,
+                               char_from_kronecker, char_product,
+                               char_teichmuller_power, dirichlet_L_nonpositive,
+                               gen_bernoulli, is_fundamental_discriminant,
+                               kronecker_symbol, trivial_character)
 from cmlinv.padic import make_context
 from cmlinv.quadfield import quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
 
 FUNDAMENTAL = [D for D in range(-3, -201, -1) if is_fundamental_discriminant(D)]
+
+
+def _jacobi(D: int, a: int) -> int:
+    """Kronecker symbol (D/a), a >= 1, by the binary reciprocity algorithm."""
+    if a % 2 == 0 and D % 2 == 0:
+        return 0
+    t = 1
+    while a % 2 == 0:
+        a //= 2
+        if D % 8 in (3, 5):
+            t = -t
+    x = D % a
+    while x:
+        while x % 2 == 0:
+            x //= 2
+            if a % 8 in (3, 5):
+                t = -t
+        x, a = a, x
+        if x % 4 == 3 and a % 4 == 3:
+            t = -t
+        x %= a
+    return t if a == 1 else 0
+
+
+def _raw_value(D: int, i: int, p: int, N: int, a: int) -> int:
+    """(D/a) * teichmuller(a)^i mod p^N from a pow tower; 0 off the units."""
+    P = p**N
+    t = a % P
+    for _ in range(N + 1):
+        t = pow(t, p, P)
+    return _jacobi(D, a) * pow(t, i, P) % P
+
+
+# (D, p, i) with i = (p - 1)/2 among them; D = 1 is the pure Teichmuller power
+RAW_CASES = [(-4, 5, 1), (-4, 5, 2), (-3, 7, 2), (-3, 7, 3), (-8, 5, 3),
+             (5, 7, 3), (-7, 11, 4), (-4, 13, 6), (1, 7, 1), (12, 5, 0)]
 
 
 # --- Kronecker symbol -----------------------------------------------------------
@@ -101,8 +136,13 @@ def test_omega_is_odd():
 # --- products and conductors --------------------------------------------------------
 
 def test_char_times_inverse_is_trivial():
-    chi = char_teichmuller_power(1, CTX5)
-    assert char_product(chi, chi.inverse()).is_trivial()
+    ctx7 = make_context(7, 8)
+    for chi in (char_teichmuller_power(1, CTX5),
+                char_product(char_from_kronecker(-4), char_teichmuller_power(3, ctx7)),
+                char_from_kronecker(-8), trivial_character()):
+        prod = char_product(chi, chi.power(-1))
+        assert prod.is_trivial() and prod.modulus == 1
+        assert all(prod.value_pair(a) == (1, 0) for a in range(1, 30))
 
 
 def test_quadratic_squares_to_trivial():
@@ -119,15 +159,54 @@ def test_theta_times_omega():
 
 
 def test_conductor_reduction_idempotent_and_value_preserving():
-    th = char_from_kronecker(-4)
-    om = char_teichmuller_power(1, CTX5)
-    for chi in (th, om, char_product(th, om), trivial_character()):
-        prim = chi.primitive()
-        assert prim.primitive().modulus == prim.modulus
-        assert prim.conductor() == chi.conductor()
-        for a in range(1, 41):
-            if gcd(a, chi.modulus) == 1 and gcd(a, prim.modulus) == 1:
-                assert chi.value_pair(a) == prim.value_pair(a)
+    # values and conductor of theta_D omega^i against the raw formula: the
+    # conductor is the least d | f with chi trivial on units = 1 mod d
+    for D, p, i in RAW_CASES:
+        N = 6
+        ctx = make_context(p, N)
+        chi = char_product(DirichletCharacter(D), char_teichmuller_power(i, ctx))
+        f = chi.modulus
+        raw = {a: _raw_value(D, i, p, N, a) for a in range(1, f + 1)}
+        for a in range(1, f + 1):
+            if gcd(a, f) > 1:
+                assert chi.value_pair(a) is None and raw[a] == 0, (D, p, i, a)
+            else:
+                got = chi.value_padic(a, ctx)
+                assert (got - ctx.from_int(raw[a])).min_valuation() >= N, (D, p, i, a)
+                assert chi.value_pair(a + f) == chi.value_pair(a)
+        units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
+        cond = min(d for d in range(1, f + 1) if f % d == 0
+                   and all(raw[a] == 1 for a in units if a % d == 1 % d))
+        assert chi.conductor() == cond == f, (D, p, i)
+        assert chi.parity() * raw[f - 1] % p**N == 1
+        assert chi.is_rational() == (2 * i % (p - 1) == 0)
+        # reducing an already primitive character changes nothing
+        for again in (chi.power(1), char_product(chi, trivial_character())):
+            assert (again.D, again.i, again.modulus) == (chi.D, chi.i, chi.modulus)
+
+
+@pytest.mark.parametrize("D1, D2, D", [(-4, -8, 8), (-4, -3, 12), (-3, -3, 1),
+                                       (-4, 5, -20), (-8, 8, -4), (-7, -8, 56),
+                                       (12, -3, -4), (-24, -4, 24)])
+def test_quadratic_product_rule(D1, D2, D):
+    prod = char_product(char_from_kronecker(D1), char_from_kronecker(D2))
+    assert (prod.D, prod.modulus, prod.context) == (D, abs(D), None)
+    for a in range(1, 4 * abs(D1 * D2)):
+        if gcd(a, D1 * D2) == 1:
+            assert prod.value_exact(a) == _jacobi(D1, a) * _jacobi(D2, a), a
+
+
+def test_constructor_rejections():
+    with pytest.raises(ValueError):
+        DirichletCharacter(-12)  # not fundamental
+    with pytest.raises(ValueError):
+        DirichletCharacter(-4, 1)  # a Teichmuller power needs a context
+    with pytest.raises(ValueError):
+        DirichletCharacter(-20, 1, CTX5)  # p | D under a Teichmuller power
+    with pytest.raises(ValueError):
+        char_product(char_from_kronecker(5), char_teichmuller_power(1, CTX5))
+    # i = 4 = 0 mod p - 1 leaves no Teichmuller component, so p | D is fine
+    assert DirichletCharacter(-20, 4, CTX5).modulus == 20
 
 
 def test_power_method():
@@ -181,13 +260,17 @@ def test_padic_path_parity_vanishing():
 
 
 def test_imprimitive_euler_factor_relation():
-    # extending theta_{-4} to modulus 12 multiplies B_n by (1 - theta(3) 3^(n-1))
+    # extending theta_{-4} to modulus 12 multiplies B_n by (1 - theta(3) 3^(n-1));
+    # the mod-12 sum 12^(n-1) sum_a theta(a) B_n(a/12) is done by hand here
     th = char_from_kronecker(-4)
-    vals = {a % 12: th.value_pair(a) for a in range(1, 13) if gcd(a, 12) == 1}
-    th12 = DirichletCharacter(12, vals, 1, None)
     for n in (1, 3, 5):
-        lhs = gen_bernoulli(n, th12)
-        rhs = gen_bernoulli(n, th) * (1 - th.value_exact(3) * Fraction(3) ** (n - 1))
+        lhs = Fraction(0)
+        for a in (1, 5, 7, 11):
+            x = Fraction(a, 12)
+            b_n = sum(comb(n, j) * bernoulli_number(j) * x ** (n - j) for j in range(n + 1))
+            lhs += (1 if a % 4 == 1 else -1) * b_n
+        lhs *= Fraction(12) ** (n - 1)
+        rhs = gen_bernoulli(n, th) * (1 + Fraction(3) ** (n - 1))  # theta(3) = -1
         assert lhs == rhs
 
 
@@ -236,29 +319,3 @@ def test_l_zero_equals_class_number_formula():
 def test_l_rejects_positive_argument():
     with pytest.raises(ValueError):
         dirichlet_L_nonpositive(1, char_from_kronecker(-4))
-
-
-# --- cache file -------------------------------------------------------------------
-
-def test_bernoulli_cache_roundtrip(tmp_path):
-    cache = BernoulliCache()
-    th = char_from_kronecker(-4)
-    for n in (1, 3, 5, 7):
-        gen_bernoulli(n, th, cache=cache)
-    big = gen_bernoulli(31, th, cache=cache)
-    path = tmp_path / "bnchi.txt"
-    cache.save(path)
-    loaded = BernoulliCache.load(path)
-    assert len(loaded) == len(cache) == 5
-    key = th.cache_key()
-    assert loaded.get(31, key) == big
-    assert all(loaded.get(n, key) == cache.get(n, key) for n in (1, 3, 5, 7, 31))
-    # cached value is served back bit-exactly through gen_bernoulli
-    assert gen_bernoulli(31, th, cache=loaded) == big
-
-
-def test_cache_version_gate(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("something-else v9\n")
-    with pytest.raises(ValueError):
-        BernoulliCache.load(path)

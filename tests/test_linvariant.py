@@ -66,12 +66,6 @@ def test_full_report_agreement():
     assert rep.l_via_alpha is not None
 
 
-def test_arithmetic_readings_alias_the_analytic_value():
-    rep = full_report(_spec(), target=6)
-    assert rep.greenberg_l_invariant is rep.l_at_1
-    assert rep.gross_regulator is rep.l_at_1
-
-
 # --- the family exponential -----------------------------------------------------
 
 def test_hida_at_one():

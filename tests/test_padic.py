@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (PadicNumber, iwasawa_log, make_context, morita_gamma,
-                          padic_exp, sqrt_unit, teichmuller)
+from cmlinv.padic import (PadicNumber, iwasawa_log, make_context, padic_exp,
+                          sqrt_unit, teichmuller)
 
 CTX5 = make_context(5, 32)
-CTX7 = make_context(7, 24)
 
 
 # --- context gates -----------------------------------------------------------
@@ -213,37 +212,6 @@ def test_exp_rejects_small_valuation():
 def test_exp_log_roundtrip_random(t):
     x = CTX5.from_int(1 + 5 * t)
     assert (padic_exp(iwasawa_log(x)) - x).min_valuation() >= 31
-
-
-# --- Morita Gamma ---------------------------------------------------------------
-
-def test_gamma_small_integers():
-    assert morita_gamma(CTX5.zero()) == 1
-    assert morita_gamma(CTX5.one()) == -1
-    assert morita_gamma(CTX5.from_int(5)) == -24
-
-
-def test_gamma_functional_equation_on_integers():
-    # Gamma(x+1) = -x Gamma(x) for unit x, and -Gamma(x) when p | x
-    for n in range(0, 30):
-        g = morita_gamma(CTX7.from_int(n), digits=4)
-        g1 = morita_gamma(CTX7.from_int(n + 1), digits=4)
-        factor = -n if n % 7 else -1
-        assert (g1 - factor * g).min_valuation() >= 4
-
-
-def test_gamma_cost_ceiling():
-    with pytest.raises(ValueError):
-        morita_gamma(CTX5.one(), digits=10)  # 5^10 multiplications > 5^6 default
-    big = morita_gamma(CTX5.from_int(3), digits=8, cost_ceiling=5**9)
-    assert big.abs_prec == 8
-
-
-def test_gamma_lipschitz_congruence():
-    # x = y mod p^3 forces Gamma(x) = Gamma(y) mod p^3
-    a = morita_gamma(CTX5.from_int(7), digits=3)
-    b = morita_gamma(CTX5.from_int(7 + 125), digits=3)
-    assert (a - b).min_valuation() >= 3
 
 
 # --- square roots ----------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Field invariants, class numbers two ways, and the split-prime package."""
 
+from math import gcd, isqrt
+
 import pytest
 
 from cmlinv.characters import is_fundamental_discriminant
 from cmlinv.padic import iwasawa_log, make_context
-from cmlinv.quadfield import (class_number_by_reduction, pi_bar,
-                              primitive_norm_representations, quad_field_data,
-                              quad_field_from_discriminant, reduced_forms,
-                              split_behavior)
+from cmlinv.quadfield import (pi_bar, primitive_norm_representations,
+                              quad_field_data, quad_field_from_discriminant,
+                              reduced_forms, split_behavior)
 
 CTX5 = make_context(5, 24)
 
@@ -38,9 +39,51 @@ def test_known_class_numbers():
 
 
 def test_rejects_non_squarefree():
-    for d in (4, 8, 9, 12, 18):
-        with pytest.raises(ValueError):
-            quad_field_data(d)
+    # the gate is the fundamental-discriminant test; trial division is the oracle
+    for d in range(1, 200):
+        if any(d % (q * q) == 0 for q in range(2, isqrt(d) + 1)):
+            with pytest.raises(ValueError):
+                quad_field_data(d)
+        else:
+            assert quad_field_data(d).d == d
+
+
+def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
+    # classical reduction loop for positive definite forms
+    while True:
+        if c < a or (c == a and b < 0):
+            a, b, c = c, -b, a
+            continue
+        if b > a or b <= -a:
+            r = (a - b) // (2 * a)
+            b2 = b + 2 * r * a
+            c = a * r * r + b * r + c
+            b = b2
+            continue
+        break
+    if b < 0 and (-b == a or a == c):
+        b = -b
+    return (a, b, c)
+
+
+def class_number_by_reduction(D: int) -> int:
+    """Independent h(D): reduce every small form and count distinct classes.
+
+    Enumerates all (a, b, c) with a <= sqrt(|D|/3) and |b| <= 2a, runs the
+    reduction algorithm on each, and counts canonical representatives.
+    """
+    seen = set()
+    for a in range(1, isqrt(-D // 3) + 2):
+        for b in range(-2 * a, 2 * a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c <= 0:
+                continue
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            seen.add(_reduce_form(a, b, c))
+    return len(seen)
 
 
 def test_class_number_against_reduction_oracle():
