@@ -14,9 +14,11 @@ Branch bookkeeping for an odd quadratic theta of conductor prime to p
     branch i = 0:  L_{p,0}(s, theta) = L_p^KL(s, theta*omega)
     branch i = 1:  L_{p,1}(s, theta) = L_p^KL(1-s, theta*omega)
 
-so both branches read the single function g(s) = L_p^KL(s, theta*omega),
-and L_{p,0}(s) = L_{p,1}(1-s) holds by construction of the table; the
-series machinery below still verifies it numerically.  The trivial
+so both branches read the single function g(s) = L_p^KL(s, theta*omega).
+One `KLFunction` table holds g per (D, p, n_cert, J), and a branch series
+is a view of it: an expansion point plus a sign flip, so
+L_{p,0}(s) = L_{p,1}(1-s) holds by construction; AC-7 compares the
+truncated Taylor route against the Newton route of that table.  The trivial
 character's branch has a pseudo-measure pole and is never evaluated;
 no trivial zero occurs there.
 
@@ -35,12 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import (DirichletCharacter, char_product,
                          char_teichmuller_power, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, iwasawa_log, padic_exp
+from .padic import PadicContext, PadicNumber, iwasawa_log, ordp, padic_exp
 
-__all__ = ["BranchSeries", "kl_value", "branch_series", "branch_derivative"]
+__all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
+           "branch_derivative"]
 
 
 def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
@@ -65,21 +69,90 @@ def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
     return -(euler * Bp) / n
 
 
-def _node_u(p: int, n: int) -> Fraction:
-    # u_n = (1+p)^(1-n) - 1, exact
-    return Fraction(1, (1 + p) ** (n - 1)) - 1
+def _u(ctx: PadicContext, s: int) -> PadicNumber:
+    # u = (1+p)^s - 1 for an integer s; its valuation is 1 + ord_p(s), so
+    # N + 1 + ord_p(s) digits of (1+p)^s fix every digit the context keeps
+    if s == 0:
+        return ctx.zero()
+    p = ctx.p
+    return ctx.from_int(pow(1 + p, s, p ** (ctx.N + 1 + ordp(s, p))) - 1)
 
 
 def _series_mul(a: list, b: list, order: int, zero):
     out = [zero] * order
-    for i, ai in enumerate(a):
-        if i >= order:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            out[i + j] = out[i + j] + ai * bj
+    for i in range(order):
+        for j in range(order - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
     return out
+
+
+@dataclass(frozen=True)
+class KLFunction:
+    """g(s) = L_p(s, theta*omega) in Newton form on the nodes u_n, n = 1..J.
+
+    Built, checked for p-integrality and validated on the held-out nodes
+    J+1..2J once per (D, p, n_cert, J) by `_kl_function`; every branch
+    series reads it.
+    """
+
+    ctx: PadicContext
+    chi: DirichletCharacter
+    nodes: tuple
+    newton: tuple
+    log1p: PadicNumber
+
+    def node_value(self, n: int) -> PadicNumber:
+        """Exact g(1-n) = L_p(1-n, theta*omega), n >= 1."""
+        return kl_value(n, self.chi, self.ctx)
+
+    def value(self, s) -> PadicNumber:
+        """g(s) at s in Z_p via the Newton form, whose truncation error on
+        Z_p has valuation >= the node count J."""
+        ctx = self.ctx
+        if isinstance(s, int):
+            u = _u(ctx, s)
+        else:
+            s = ctx.convert(s)
+            if not s.is_zero() and s.valuation() < 0:
+                raise ValueError("evaluation point must lie in Z_p")
+            u = padic_exp(s * self.log1p) - 1
+        acc = self.newton[-1]
+        for r in range(len(self.newton) - 2, -1, -1):
+            acc = acc * (u - self.nodes[r]) + self.newton[r]
+        return acc.truncate_abs(len(self.nodes))
+
+
+_TABLES = 16  # holds one command's tables: `cmlinv acceptance` reads 11
+
+
+@lru_cache(maxsize=_TABLES)
+def _kl_function(D: int, p: int, n_cert: int, J: int) -> KLFunction:
+    # internal precision: n_cert + J for the certificate, plus the
+    # divided-difference losses (about J + 2J/(p-1) digits), plus slack
+    work = PadicContext(p, n_cert + 2 * J + 2 * ((J // (p - 1)) + 1) + 8)
+    chi = DirichletCharacter(D, 1, work)
+    nodes = tuple(_u(work, 1 - n) for n in range(1, J + 1))
+    row = [kl_value(n, chi, work) for n in range(1, J + 1)]
+
+    # divided-difference table; keep the top diagonal
+    newton = [row[0]]
+    for r in range(1, J):
+        row = [(row[l + 1] - row[l]) / (nodes[l + r] - nodes[l])
+               for l in range(J - r)]
+        newton.append(row[0])
+    for r, c in enumerate(newton):
+        if not c.is_zero() and c.valuation() < 0:
+            raise ArithmeticError(
+                f"divided difference {r} is not p-integral; normalization broken")
+
+    g = KLFunction(work, chi, nodes, tuple(newton),
+                   iwasawa_log(work.from_int(1 + p)))
+    for n in range(J + 1, 2 * J + 1):
+        resid = (g.value(1 - n) - g.node_value(n)).min_valuation()
+        if resid < n_cert:
+            raise ArithmeticError(
+                f"held-out node {n} reproduced only to {resid} digits (need {n_cert})")
+    return g
 
 
 @dataclass
@@ -87,8 +160,7 @@ class BranchSeries:
     """Certified expansion of a branch of the p-adic L-function.
 
     coefficients[j] multiplies (s - s0)^j; each is certified to absolute
-    precision n_cert, and `evaluate` uses the stored Newton form, whose
-    truncation error on Z_p has valuation >= the node count J.
+    precision n_cert.  The branch is a view of g: branch 1 reads g(1-s).
     """
 
     branch: int
@@ -97,14 +169,8 @@ class BranchSeries:
     coefficients: list
     n_cert: int
     nodes_used: int
-    _ctx: PadicContext = field(repr=False)
+    g: KLFunction = field(repr=False)
     _flip: bool = field(repr=False)
-    _nodes: list = field(repr=False)
-    _newton: list = field(repr=False)
-    _log1p: PadicNumber = field(repr=False)
-
-    def derivative(self) -> PadicNumber:
-        return self.coefficients[1]
 
     def series_value(self, s) -> PadicNumber:
         """Partial sum of the certified series at s.
@@ -124,28 +190,9 @@ class BranchSeries:
         tail = order if t.is_zero() else order * t.valuation()
         return acc.truncate_abs(min(acc.abs_prec, tail, self.n_cert))
 
-    def _newton_eval(self, u: PadicNumber) -> PadicNumber:
-        acc = self._newton[-1]
-        for r in range(len(self._newton) - 2, -1, -1):
-            acc = acc * (u - self._nodes[r]) + self._newton[r]
-        return acc
-
     def evaluate(self, s) -> PadicNumber:
         """Value at s in Z_p via the Newton form (not the truncated series)."""
-        ctx = self._ctx
-        p = ctx.p
-        s_eff = (1 - s) if self._flip else s
-        if isinstance(s_eff, int):
-            u = ctx.from_rational(Fraction(1 + p) ** s_eff - 1)
-        else:
-            s_eff = ctx.convert(s_eff)
-            if not s_eff.is_zero() and s_eff.valuation() < 0:
-                raise ValueError("evaluation point must lie in Z_p")
-            u = padic_exp(s_eff * self._log1p) - 1
-        out = self._newton_eval(u)
-        if out.is_exact_zero():
-            return out
-        return out.truncate_abs(min(out.abs_prec, self.nodes_used))
+        return self.g.value(1 - s if self._flip else s)
 
 
 def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
@@ -170,62 +217,31 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
         raise ValueError("theta must have conductor prime to p")
     if n_cert > ctx.N:
         raise ValueError("cannot certify more digits than the context carries")
-    p = ctx.p
     J = n_cert + order
     if J > node_budget:
         raise ValueError(
             f"(order={order}, n_cert={n_cert}) needs J={J} nodes, over the budget {node_budget}")
 
-    # internal precision: n_cert + J for the certificate, plus the
-    # divided-difference losses (about J + 2J/(p-1) digits), plus slack
-    n_work = n_cert + 2 * J + 2 * ((J // (p - 1)) + 1) + 8
-    work = PadicContext(p, n_work)
-    chi_kl = char_product(theta, char_teichmuller_power(1, work))
-
-    nodes = [work.from_rational(_node_u(p, n)) for n in range(1, J + 1)]
-    values = [kl_value(n, chi_kl, work) for n in range(1, J + 1)]
-
-    # divided-difference table; keep the top diagonal
-    newton = [values[0]]
-    row = values
-    for r in range(1, J):
-        row = [(row[l + 1] - row[l]) / (nodes[l + r] - nodes[l])
-               for l in range(J - r)]
-        newton.append(row[0])
-    for r, c in enumerate(newton):
-        if not c.is_zero() and c.valuation() < 0:
-            raise ArithmeticError(
-                f"divided difference {r} is not p-integral; normalization broken")
-
+    g = _kl_function(theta.D, ctx.p, n_cert, J)
+    work = g.ctx
     # base point: branch 1 reads g(1-s), so expand g at 1-s0 and flip signs
     flip = (i == 1)
-    sb = (1 - s0) if flip else s0
-    u0 = work.from_rational(Fraction(1 + p) ** sb - 1)
+    u0 = _u(work, 1 - s0 if flip else s0)
 
-    # Newton form -> polynomial in (u - u0)
-    poly = [newton[J - 1]]
-    for r in range(J - 2, -1, -1):
-        shift = u0 - nodes[r]
-        extended = [work.zero()] * (len(poly) + 1)
-        for j, cj in enumerate(poly):
-            extended[j + 1] = extended[j + 1] + cj
-            extended[j] = extended[j] + cj * shift
-        extended[0] = extended[0] + newton[r]
-        poly = extended
-
-    # compose with u - u0 = (1+u0)(exp(L t) - 1), t = s - s0
-    L = iwasawa_log(work.from_int(1 + p))
-    X = [work.zero()] * order
+    # Horner on the Newton form with u - u0 = X(t) = (1+u0)(exp(L t) - 1)
+    # as a series in t = s - s0, truncated to `order` terms
+    zero = work.zero()
+    X = [zero] * order
     term = work.one()
     fact = 1
     for r in range(1, order):
-        term = term * L
+        term = term * g.log1p
         fact *= r
         X[r] = (1 + u0) * term / fact
-    series = [poly[-1]] + [work.zero()] * (order - 1)
-    for j in range(len(poly) - 2, -1, -1):
-        series = _series_mul(series, X, order, work.zero())
-        series[0] = series[0] + poly[j]
+    series = [g.newton[-1]] + [zero] * (order - 1)
+    for r in range(J - 2, -1, -1):
+        series = _series_mul(series, [u0 - g.nodes[r]] + X[1:], order, zero)
+        series[0] = series[0] + g.newton[r]
     if flip:
         series = [(-c if j % 2 else c) for j, c in enumerate(series)]
 
@@ -239,20 +255,8 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
                 f"increase the node budget or lower n_cert")
         coeffs.append(ctx.convert(c.truncate_abs(n_cert)))
 
-    out = BranchSeries(branch=i, character=theta, s0=s0, coefficients=coeffs,
-                       n_cert=n_cert, nodes_used=J, _ctx=work, _flip=flip,
-                       _nodes=nodes, _newton=newton, _log1p=L)
-
-    # hold-out validation on J fresh nodes
-    for n in range(J + 1, 2 * J + 1):
-        expected = kl_value(n, chi_kl, work)
-        s_at = n if flip else (1 - n)
-        got = out.evaluate(s_at)
-        if (got - expected).min_valuation() < n_cert:
-            raise ArithmeticError(
-                f"held-out node {n} reproduced only to "
-                f"{(got - expected).min_valuation()} digits (need {n_cert})")
-    return out
+    return BranchSeries(branch=i, character=theta, s0=s0, coefficients=coeffs,
+                        n_cert=n_cert, nodes_used=J, g=g, _flip=flip)
 
 
 def branch_derivative(i: int, theta: DirichletCharacter, s0: int,

@@ -408,6 +408,19 @@ def _unit_from_int(ctx: PadicContext, u: int, rel: int) -> PadicNumber:
     return PadicNumber(ctx, 0, u % ctx.p**rel, rel)
 
 
+def _log_terms(v: int, target: int, p: int) -> int:
+    # terms of log(1+z), ord_p(z) = v >= 1, that reach p^target: term r has
+    # valuation r*v - ord_p(r) >= r*v - floor(log_p r), which never decreases
+    # in r, so every term past the returned count lies above the target
+    n, e = target, 0  # e = floor(log_p(n + 1))
+    while True:
+        while p ** (e + 1) <= n + 1:
+            e += 1
+        if n * v - e > target:
+            return n
+        n += 1
+
+
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """Iwasawa branch of log_p: log_p(p) = 0 and roots of unity map to 0.
 
@@ -427,11 +440,7 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
         # <u> = 1 at the known precision
         return PadicNumber(ctx, None, 0, z.abs_prec)
     target = z.abs_prec
-    # r*ord(z) - log_p(r) is increasing in r, so all terms past n_terms are
-    # below the target precision
-    n_terms = target
-    while n_terms * z.valuation() - math.log(n_terms + 1, p) <= target:
-        n_terms += 1
+    n_terms = _log_terms(z.valuation(), target, p)
     acc = ctx.inexact_zero(target)
     zpow = z
     for r in range(1, n_terms + 1):

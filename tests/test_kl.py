@@ -1,19 +1,24 @@
 """Interpolation values and certified branch series."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from cmlinv.characters import (bernoulli_number, char_from_kronecker,
                                char_product, char_teichmuller_power,
-                               kronecker_symbol)
-from cmlinv.kl import branch_derivative, branch_series, kl_value
+                               is_fundamental_discriminant, kronecker_symbol)
+from cmlinv.kl import _kl_function, _u, branch_derivative, branch_series, kl_value
 from cmlinv.padic import make_context
 from cmlinv.quadfield import pi_bar, quad_field_data
 
 CTX5 = make_context(5, 16)
 THETA4 = char_from_kronecker(-4)
 THETA3 = char_from_kronecker(-3)
+
+
+def _digits(x):
+    return (x.min_valuation(), x.digits(), x.abs_prec)
 
 
 def _theta_omega(ctx):
@@ -115,11 +120,50 @@ def test_derivative_d3_p7():
 
 def test_series_reproduces_extra_nodes():
     bs = branch_series(0, THETA4, 0, 3, CTX5, n_cert=8)
-    work = bs._ctx
-    chi = char_product(THETA4, char_teichmuller_power(1, work))
     for n in range(25, 28):
         got = bs.evaluate(1 - n)
-        assert (got - kl_value(n, chi, work)).min_valuation() >= 8, n
+        assert (got - bs.g.node_value(n)).min_valuation() >= 8, n
+
+
+def test_u_at_integers_matches_exact_rational():
+    for ctx in (CTX5, make_context(7, 23)):
+        for s in range(-60, 61):
+            oracle = ctx.from_rational(Fraction(1 + ctx.p) ** s - 1)
+            assert _digits(_u(ctx, s)) == _digits(oracle), (ctx, s)
+    assert _u(CTX5, 0).is_exact_zero()
+
+
+def test_evaluate_at_huge_integer_is_cheap():
+    bs = branch_series(0, THETA4, 0, 2, CTX5, n_cert=8)
+    t0 = time.perf_counter()
+    got = bs.evaluate(10**12)
+    assert time.perf_counter() - t0 < 1
+    # the p-adic route exp(s log(1+p)) reaches the same certified digits
+    assert (got - bs.evaluate(CTX5.from_int(10**12))).min_valuation() >= 8
+
+
+def test_certificate_audit_independent_tables():
+    # J = 8 and J = 12 tables differ in nodes and working precision, so
+    # agreement on c0 and c1 audits the n_cert certificate and n_work slack
+    pairs = [(D, p) for D in range(-3, -25, -1) if is_fundamental_discriminant(D)
+             for p in (5, 7) if D % p]
+    assert len(pairs) == 17
+    for D, p in pairs:
+        ctx = make_context(p, 8)
+        theta = char_from_kronecker(D)
+        short = branch_series(0, theta, 0, 2, ctx, n_cert=6)
+        long = branch_series(0, theta, 0, 6, ctx, n_cert=6)
+        for j in (0, 1):
+            assert (short.coefficients[j] - long.coefficients[j]).min_valuation() >= 6, \
+                (D, p, j)
+        hits = _kl_function.cache_info().hits
+        cached = branch_series(0, theta, 0, 2, ctx, n_cert=6)
+        assert _kl_function.cache_info().hits == hits + 1 and cached.g is short.g
+        _kl_function.cache_clear()
+        fresh = branch_series(0, theta, 0, 2, ctx, n_cert=6)
+        assert fresh.g is not short.g
+        assert list(map(_digits, cached.coefficients)) == \
+            list(map(_digits, fresh.coefficients)), (D, p)
 
 
 def test_series_value_matches_newton_on_pzp():

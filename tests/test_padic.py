@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (PadicNumber, iwasawa_log, make_context, padic_exp,
-                          sqrt_unit, teichmuller)
+from cmlinv.padic import (PadicNumber, _log_terms, iwasawa_log, make_context,
+                          ordp, padic_exp, sqrt_unit, teichmuller)
 
 CTX5 = make_context(5, 32)
 
@@ -175,6 +175,16 @@ def test_log_kills_teichmuller_factor(a):
     t = teichmuller(CTX5.from_int(3))
     x = CTX5.from_int(a)
     assert iwasawa_log(t * x) == iwasawa_log(x)
+
+
+def test_log_term_count_covers_every_dropped_term():
+    # every term r past the count has valuation r*v - ord_p(r) above the target
+    for p in (3, 5, 7, 13):
+        for v in (1, 2, 3, 7):
+            for target in range(0, 80, 3):
+                n = _log_terms(v, target, p)
+                assert all(r * v - ordp(r, p) > target
+                           for r in range(n + 1, n + 2 * p**3)), (p, v, target)
 
 
 def test_log_rejects_zero():
