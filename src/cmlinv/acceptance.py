@@ -18,7 +18,7 @@ from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series
 from .linvariant import (full_report, l_invariant_analytic,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
-from .padic import iwasawa_log, make_context
+from .padic import iwasawa_log, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_from_discriminant
 from .sympower import critical_integers, trivial_zero_locations
 
@@ -57,7 +57,7 @@ def ac1_ferrero_greenberg():
         ctx = make_context(p, 12)
         F = quad_field_from_discriminant(D)
         chk = verify_ferrero_greenberg(F, p, ctx, target=TARGET)
-        detail[f"D={D},p={p}"] = {"residual_valuation": chk.residual_valuation,
+        detail[f"D={D},p={p}"] = {"residual_valuation": json_valuation(chk.residual_valuation),
                                   "passed": chk.passed}
         ok = ok and chk.passed
     return "AC-1 derivative identity (interpolation vs norm-equation path)", ok, detail
@@ -96,7 +96,7 @@ def ac3_unit_root_identity():
                  - (spec.weight - 1) * sp.log_pibar / spec.field.h).min_valuation()
         good = resid >= TARGET
         detail[f"p={p},k=2"] = {"a_p": ap_point_count(CURVE, p),
-                                "residual_valuation": resid, "passed": good}
+                                "residual_valuation": json_valuation(resid), "passed": good}
         ok = ok and good
         # weight-3 form synthesized from the squared Hecke roots
         ap3 = roots.alpha**2 + roots.beta**2
@@ -105,7 +105,7 @@ def ac3_unit_root_identity():
         resid3 = (iwasawa_log(roots3.alpha)
                   - (spec3.weight - 1) * sp.log_pibar / spec.field.h).min_valuation()
         good3 = resid3 >= TARGET
-        detail[f"p={p},k=3"] = {"residual_valuation": resid3, "passed": good3}
+        detail[f"p={p},k=3"] = {"residual_valuation": json_valuation(resid3), "passed": good3}
         ok = ok and good3
     return "AC-3 unit-root log identity (point counts + synthetic weight 3)", ok, detail
 
@@ -123,7 +123,8 @@ def ac4_interpolation_oracle():
         residuals = [(bs.evaluate(1 - n) - bs.g.node_value(n)).min_valuation()
                      for n in range(start, start + 5)]
         good = all(r >= TARGET for r in residuals)
-        detail[f"D={D},p={p}"] = {"held_out_residuals": residuals, "passed": good}
+        detail[f"D={D},p={p}"] = {"held_out_residuals": list(map(json_valuation, residuals)),
+                                  "passed": good}
         ok = ok and good
     return "AC-4 interpolation oracle at held-out nodes", ok, detail
 
@@ -199,7 +200,7 @@ def ac7_sign_branch_structure():
     ok = exact_neg and all(r >= TARGET for r in residuals)
     return ("AC-7 sign and branch symmetry",
             ok, {"l0_plus_l1_exactly_zero": exact_neg,
-                 "symmetry_residuals": residuals})
+                 "symmetry_residuals": list(map(json_valuation, residuals))})
 
 
 @_timed
@@ -229,14 +230,14 @@ def ac8_embedding_swap():
         spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
         rep = full_report(spec, target=TARGET, conjugate_lift=True)
         good = rep.fg_check.passed and rep.agreement_valuation >= TARGET
-        detail[f"curve,p={p}"] = {"agreement_valuation": rep.agreement_valuation,
-                                  "passed": good}
+        detail[f"curve,p={p}"] = {
+            "agreement_valuation": json_valuation(rep.agreement_valuation), "passed": good}
         ok = ok and good
     ctx = make_context(5, 12)
     spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
     for i in (0, 1):
         r = verify_trivial_zero_formula(spec, 2, i, target=TARGET, conjugate_lift=True)
-        detail[f"formula,i={i}"] = {"residual_valuation": r.residual_valuation,
+        detail[f"formula,i={i}"] = {"residual_valuation": json_valuation(r.residual_valuation),
                                     "passed": r.passed}
         ok = ok and r.passed
     return "AC-8 embedding-swap invariance", ok, detail

@@ -12,18 +12,25 @@ with 2i = 0 mod p - 1 are rational-valued, need no p-adic context and
 stay exact.
 
 Generalized Bernoulli numbers B_{n,chi} = f^{n-1} sum_a chi(a) B_n(a/f)
-come out as exact Fractions for rational-valued chi and as tracked
-p-adic numbers otherwise; L(a, chi) at integers a <= 0 is
--B_{1-a,chi}/(1-a).  Note the sign convention this fixes for the
-trivial character: B_{1,1} = B_1(1) = +1/2 (the Bernoulli numbers
-themselves follow B_1 = -1/2).
+(Washington, GTM 83, Prop. 4.1) are computed as
+sum_j C(n,j) B_j f^{j-1} sum_a chi(a) a^{n-j}: one pass over the units
+a mod f sums the integer powers a^k per class chi(a) = +-zeta^e, and each
+class total W_e is an exact Fraction.  For rational-valued chi the result
+is W_0, exact; otherwise it is sum_e zeta^e W_e as a tracked p-adic number
+whose only truncations are the Teichmuller powers and one from_rational
+per class, so it agrees with the termwise sum over a on every digit that
+sum carries and never has a lower absolute precision.  L(a, chi) at
+integers a <= 0 is -B_{1-a,chi}/(1-a).  The trivial character has
+B_{1,1} = B_1(1) = +1/2, while B_1 = -1/2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from itertools import accumulate, repeat
+from math import comb, gcd, lcm
+from operator import add, mul
 
 from .padic import PadicContext, PadicNumber, teichmuller
 
@@ -38,7 +45,6 @@ __all__ = [
     "gen_bernoulli",
     "dirichlet_L_nonpositive",
     "bernoulli_number",
-    "bernoulli_polynomial",
 ]
 
 
@@ -260,19 +266,6 @@ def bernoulli_number(n: int) -> Fraction:
     return -s / (n + 1)
 
 
-@lru_cache(maxsize=None)
-def bernoulli_polynomial(n: int) -> tuple:
-    """Coefficients of B_n(x), highest degree first."""
-    return tuple(comb(n, j) * bernoulli_number(j) for j in range(n + 1))
-
-
-def _bernoulli_poly_at(n: int, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in bernoulli_polynomial(n):
-        acc = acc * x + c
-    return acc
-
-
 def gen_bernoulli(n: int, chi: DirichletCharacter,
                   ctx: PadicContext | None = None):
     """Generalized Bernoulli number B_{n,chi}.
@@ -283,23 +276,28 @@ def gen_bernoulli(n: int, chi: DirichletCharacter,
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
-    if chi.is_rational():
-        acc = Fraction(0)
-        for a in (range(1, f + 1) if f > 1 else [1]):
-            if gcd(a, f) != 1:
-                continue
-            acc += chi.value_exact(a) * _bernoulli_poly_at(n, Fraction(a, f))
-        acc *= Fraction(f) ** (n - 1)
-        return acc
-    ctx = ctx or chi.context
-    acc = ctx.zero()
-    scale = Fraction(f) ** (n - 1)
+    half = chi.context.p // 2 if chi.i else 1  # zeta^half = -1
+    # one pass over the units a mod f: S[e][k] sums chi(a) zeta^-e a^k over
+    # the a with chi(a) = +-zeta^e, 0 <= e < half
+    S = {}
     for a in range(1, f + 1):
-        if gcd(a, f) != 1:
+        pair = chi.value_pair(a)
+        if pair is None:
             continue
-        acc = acc + chi.value_padic(a, ctx) * ctx.from_rational(
-            scale * _bernoulli_poly_at(n, Fraction(a, f)))
-    return acc
+        flip, e = divmod(pair[1], half)
+        powers = accumulate(repeat(a, n), mul, initial=-pair[0] if flip else pair[0])
+        row = S.get(e)
+        S[e] = list(powers) if row is None else list(map(add, row, powers))
+    # W_e = sum_j C(n,j) B_j f^(j-1) S[e][n-j], in integers over a common denominator
+    coeffs = [comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1) for j in range(n + 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    W = {e: Fraction(sum(map(mul, ints, reversed(row))), den) for e, row in S.items()}
+    if chi.is_rational():
+        return W[0]  # every value is +-1, so every unit lands in class 0
+    ctx = ctx or chi.context
+    zeta = _teichmuller_generator(ctx)
+    return sum((zeta**e * ctx.from_rational(w) for e, w in W.items()), ctx.zero())
 
 
 def dirichlet_L_nonpositive(a: int, chi: DirichletCharacter,

@@ -19,7 +19,7 @@ from .cmform import ap_point_count, cm_spec_from_curve, unit_root
 from .kl import branch_series
 from .linvariant import (full_report, verify_ferrero_greenberg,
                          verify_trivial_zero_formula)
-from .padic import PadicNumber, make_context
+from .padic import PadicNumber, json_valuation, make_context
 from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import critical_integers, decompose, trivial_zero_locations
@@ -29,14 +29,14 @@ __all__ = ["main"]
 
 def encode_padic(x: PadicNumber) -> dict:
     if x.is_zero():
-        return {"valuation": None if x.is_exact_zero() else x.abs_prec,
+        return {"valuation": json_valuation(x.abs_prec),
                 "digits": [], "precision": 0}
     return {"valuation": x.valuation(), "digits": x.digits(),
             "precision": x.rel_prec}
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -161,7 +161,7 @@ def cmd_verify_fg(args) -> int:
         "D": F.D, "p": args.p, "target": chk.target,
         "lhs_branch_derivative": encode_padic(chk.lhs),
         "rhs_scaled_log_pibar": encode_padic(chk.rhs),
-        "residual_valuation": chk.residual_valuation,
+        "residual_valuation": json_valuation(chk.residual_valuation),
         "result": "PASS" if chk.passed else "FAIL",
     }
     _emit(payload, args.out)
@@ -188,8 +188,8 @@ def cmd_linvariant(args) -> int:
         "l_at_1": encode_padic(rep.l_at_1),
         "l_at_0": encode_padic(rep.l_at_0),
         "l_via_alpha": encode_padic(rep.l_via_alpha),
-        "agreement_valuation": rep.agreement_valuation,
-        "fg_residual_valuation": rep.fg_check.residual_valuation,
+        "agreement_valuation": json_valuation(rep.agreement_valuation),
+        "fg_residual_valuation": json_valuation(rep.fg_check.residual_valuation),
     }
     if args.n % 2 == 0 and (args.n // 2) % 2 == 1:
         formulas = {}
@@ -197,7 +197,7 @@ def cmd_linvariant(args) -> int:
             r = verify_trivial_zero_formula(spec, args.n, i, target=args.prec,
                                             conjugate_lift=args.conjugate_lift)
             formulas[str(i)] = {
-                "residual_valuation": r.residual_valuation,
+                "residual_valuation": json_valuation(r.residual_valuation),
                 "e_plus": encode_padic(r.e_plus_value),
                 "archimedean_value": str(r.archimedean_value),
                 "modular_symbols": list(r.modular_symbols),

@@ -65,8 +65,7 @@ def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
             return ctx.from_rational(-euler * B / n)
         return -(ctx.from_rational(euler) * B) / n
     euler = ctx.one() - chi_n.value_padic(ctx.p, ctx) * ctx.from_int(ctx.p) ** (n - 1)
-    Bp = B if isinstance(B, PadicNumber) else ctx.from_rational(B)
-    return -(euler * Bp) / n
+    return -(euler * B) / n
 
 
 def _u(ctx: PadicContext, s: int) -> PadicNumber:

@@ -26,6 +26,7 @@ __all__ = [
     "iwasawa_log",
     "padic_exp",
     "sqrt_unit",
+    "json_valuation",
 ]
 
 _INF = math.inf
@@ -64,6 +65,11 @@ def ordp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def json_valuation(v):
+    """A valuation as JSON carries it: math.inf, that of an exact zero, is null."""
+    return None if v == _INF else v
 
 
 class PadicContext:

@@ -14,6 +14,7 @@ coordinate pairs but leaves the logged value unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .characters import (char_from_kronecker, is_fundamental_discriminant,
@@ -137,6 +138,10 @@ def primitive_norm_representations(F: QuadFieldData, p: int,
         y += 1
 
 
+_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 20
+
+
+@lru_cache(maxsize=_SPLIT_PRIMES)
 def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
            conjugate_lift: bool = False,
            representation: tuple[int, int] | None = None) -> SplitPrimeData:

@@ -1,7 +1,8 @@
 """Dirichlet characters, generalized Bernoulli numbers, archimedean L-values."""
 
 from fractions import Fraction
-from math import comb, gcd
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -10,7 +11,7 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_teichmuller_power, dirichlet_L_nonpositive,
                                gen_bernoulli, is_fundamental_discriminant,
                                kronecker_symbol, trivial_character)
-from cmlinv.padic import make_context
+from cmlinv.padic import make_context, ordp
 from cmlinv.quadfield import quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -40,13 +41,66 @@ def _jacobi(D: int, a: int) -> int:
     return t if a == 1 else 0
 
 
+@lru_cache(maxsize=None)
+def _teichmuller_table(p: int, N: int) -> tuple:
+    """teichmuller(r) mod p^N for r = 0..p-1 from pow towers."""
+    P = p**N
+    out = []
+    for t in range(p):
+        for _ in range(N + 1):
+            t = pow(t, p, P)
+        out.append(t)
+    return tuple(out)
+
+
 def _raw_value(D: int, i: int, p: int, N: int, a: int) -> int:
     """(D/a) * teichmuller(a)^i mod p^N from a pow tower; 0 off the units."""
     P = p**N
-    t = a % P
-    for _ in range(N + 1):
-        t = pow(t, p, P)
-    return _jacobi(D, a) * pow(t, i, P) % P
+    return _jacobi(D, a) * pow(_teichmuller_table(p, N)[a % p], i, P) % P
+
+
+@lru_cache(maxsize=None)
+def _character_row(D: int, i: int, p: int, N: int, f: int) -> dict:
+    """_raw_value at the units a mod f."""
+    return {a: _raw_value(D, i, p, N, a) for a in range(1, f + 1) if gcd(a, f) == 1}
+
+
+@lru_cache(maxsize=None)
+def _horner_row(f: int, n: int):
+    """f^(n-1) B_n(a/f) for the units a mod f as (den, {a: numerator}).
+
+    B_n(x) is evaluated by Horner on its coefficients C(n, j) B_j, one
+    Fraction loop per unit a: the textbook definition of B_{n,chi}.
+    """
+    scale = Fraction(f) ** (n - 1)
+    coeffs = [comb(n, j) * bernoulli_number(j) for j in range(n + 1)]
+    row = {}
+    for a in range(1, f + 1):
+        if gcd(a, f) == 1:
+            x, acc = Fraction(a, f), Fraction(0)
+            for c in coeffs:
+                acc = acc * x + c
+            row[a] = scale * acc
+    den = lcm(*(q.denominator for q in row.values()))
+    return den, {a: q.numerator * (den // q.denominator) for a, q in row.items()}
+
+
+def _gen_bernoulli_oracle(n: int, D: int, i: int, p: int, N: int):
+    """B_{n, theta_D omega^i} = f^(n-1) sum_a chi(a) B_n(a/f), term by term.
+
+    chi(a) is the reciprocity Kronecker symbol times a pow-tower Teichmuller
+    power mod p^N.  Returns the exact Fraction when chi is rational-valued
+    (2i = 0 mod p - 1); otherwise (V, A) with V a rational congruent to
+    B_{n,chi} mod p^A, where A = N + min_a ord_p(f^(n-1) B_n(a/f)) is the
+    absolute precision of the p-adic sum of those terms at N digits each.
+    """
+    f = abs(D) * (p if i else 1)
+    den, row = _horner_row(f, n)
+    chi = _character_row(D, i, p, N, f)
+    if 2 * i % (p - 1) == 0:
+        return Fraction(sum(num if chi[a] == 1 else -num for a, num in row.items()), den)
+    m = min(ordp(num, p) for num in row.values() if num) - ordp(den, p)
+    return Fraction(sum(chi[a] * num for a, num in row.items()), den), N + m
 
 
 # (D, p, i) with i = (p - 1)/2 among them; D = 1 is the pure Teichmuller power
@@ -295,6 +349,54 @@ def test_padic_path_against_raw_integer_oracle():
         acc_den *= term.denominator
     expected = CTX5.from_rational(Fraction(acc_num, acc_den))
     assert (got - expected).min_valuation() >= 30
+
+
+ORACLE_DS = [1] + [D for D in range(-43, 0) if is_fundamental_discriminant(D)]
+
+
+def _check_against_oracle(n: int, chi: DirichletCharacter, p: int, N: int):
+    got = gen_bernoulli(n, chi, make_context(p, N))
+    want = _gen_bernoulli_oracle(n, chi.D, chi.i, p, N)
+    if isinstance(want, Fraction):
+        assert isinstance(got, Fraction) and got == want, (n, chi)
+        return
+    V, A = want
+    assert got.abs_prec >= A, (n, chi)
+    assert (got - got.context.from_rational(V)).min_valuation() >= A, (n, chi)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_gen_bernoulli_against_horner_oracle(p):
+    N = 12
+    ctx = make_context(p, N)
+    for D in ORACLE_DS:
+        for i in range(p - 1):
+            if i == 0 or D % p:
+                for n in range(1, 9):
+                    _check_against_oracle(n, DirichletCharacter(D, i, ctx), p, N)
+
+
+def test_gen_bernoulli_oracle_named_cases():
+    N = 12
+    # f = 1: the trivial character, B_{n,1} = B_n(1) (p is immaterial at i = 0)
+    for n in range(1, 9):
+        assert gen_bernoulli(n, trivial_character()) == _gen_bernoulli_oracle(n, 1, 0, 3, N)
+    for p in (3, 5, 7, 13):
+        ctx = make_context(p, N)
+        for D in (-3, -4, -7, -40):
+            if D % p == 0:
+                continue
+            # i = (p - 1)/2: quadratic, exact, of modulus |D| p
+            chi = DirichletCharacter(D, (p - 1) // 2, ctx)
+            assert chi.is_rational() and chi.modulus == abs(D) * p
+            for n in range(1, 9):
+                _check_against_oracle(n, chi, p, N)
+            # n = 1 mod p - 1: kl_value's theta*omega^(1-n) drops to conductor |D|
+            for n in range(1, 9, p - 1):
+                chi_n = char_product(DirichletCharacter(D, 1, ctx),
+                                     char_teichmuller_power(-n, ctx))
+                assert chi_n.modulus == abs(D) and chi_n.is_rational()
+                _check_against_oracle(n, chi_n, p, N)
 
 
 def test_gen_bernoulli_rejects_n_zero():

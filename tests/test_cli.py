@@ -165,3 +165,30 @@ def test_non_split_configuration_exits_two(capsys):
 def test_missing_field_spec_exits_two(capsys):
     code = main(["verify-fg", "--p", "5"])
     assert code == 2
+
+
+def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeypatch):
+    import math
+
+    import cmlinv.cli as cli_mod
+    from cmlinv.linvariant import FGCheck
+    from cmlinv.padic import json_valuation
+
+    assert json.loads(json.dumps({"v": json_valuation(math.inf)})) == {"v": None}
+    assert json_valuation(7) == 7
+    with pytest.raises(ValueError):
+        cli_mod._emit({"x": float("inf")}, None)
+
+    def exact_fg(F, p, ctx, target=6, conjugate_lift=False):
+        z = ctx.zero()
+        return FGCheck(lhs=z, rhs=z, residual_valuation=math.inf,
+                       target=target, passed=True)
+
+    monkeypatch.setattr(cli_mod, "verify_ferrero_greenberg", exact_fg)
+    code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "5")
+    assert code == 0
+    assert json.loads(out)["residual_valuation"] is None
+
+    monkeypatch.setattr(cli_mod, "critical_integers", lambda n, k: [math.inf])
+    code, out = run_cli(capsys, "critical", "--n", "4", "--k", "4")
+    assert code == 2 and out == ""

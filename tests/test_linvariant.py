@@ -10,7 +10,7 @@ from cmlinv.linvariant import (full_report, hida_ap, l_invariant_analytic,
                                l_invariant_via_alpha, verify_ferrero_greenberg,
                                verify_trivial_zero_formula)
 from cmlinv.padic import iwasawa_log, make_context
-from cmlinv.quadfield import pi_bar, quad_field_data
+from cmlinv.quadfield import pi_bar, quad_field_data, quad_field_from_discriminant
 
 CURVE = (0, -1, 0)
 
@@ -134,7 +134,7 @@ def test_fg_sweep_all_split_pairs():
     # every split (D, p) with |D| <= 40, p <= 13: the identity holds at
     # the full certified precision, whatever the class number
     from cmlinv.characters import is_fundamental_discriminant
-    from cmlinv.quadfield import quad_field_from_discriminant, split_behavior
+    from cmlinv.quadfield import split_behavior
     checked = 0
     for D in range(-3, -41, -1):
         if not is_fundamental_discriminant(D):
@@ -147,6 +147,21 @@ def test_fg_sweep_all_split_pairs():
             assert chk.passed and chk.residual_valuation >= 10, (D, p)
             checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize("D, p, lhs", [
+    (-4, 5, "2672815856568735235078*5^1 + O(5^32)"),
+    (-3, 7, "96074083241731727870477443*7^1 + O(7^32)"),
+    (-39, 5, "2167092036852944021384*5^1 + O(5^32)"),
+    (-40, 13, "16982797670185897189314356149024444*13^1 + O(13^32)"),
+])
+def test_fg_heaviest_derivatives_pinned(D, p, lhs):
+    # the 32-digit branch derivatives of the costliest fg-grid benchmark
+    # items, digit for digit
+    chk = verify_ferrero_greenberg(quad_field_from_discriminant(D), p,
+                                   make_context(p, 32), target=32)
+    assert repr(chk.lhs) == lhs
+    assert chk.passed
 
 
 def test_fg_residual_scales_with_context():
@@ -198,3 +213,21 @@ def test_invariance_under_conjugate_lift():
     a = full_report(_spec(), target=6, conjugate_lift=False)
     b = full_report(_spec(), target=6, conjugate_lift=True)
     assert (a.l_at_1 - b.l_at_1).is_zero()
+
+
+def test_pi_bar_built_once_per_report():
+    # full_report reaches pi_bar twice and each formula check once more;
+    # all of them share one cached build, equal to a fresh one
+    spec = _spec()
+    pi_bar.cache_clear()
+    full_report(spec, target=6)
+    for i in (0, 1):
+        verify_trivial_zero_formula(spec, 2, i)
+    assert pi_bar.cache_info().misses == 1
+    cached = pi_bar(spec.field, 5, spec.context, conjugate_lift=False)
+    fresh = pi_bar.__wrapped__(spec.field, 5, spec.context, conjugate_lift=False)
+    assert cached.pibar_coords == fresh.pibar_coords
+    assert cached.pi_coords == fresh.pi_coords
+    for name in ("sqrt_disc", "pibar_unit", "log_pibar"):
+        a, b = getattr(cached, name), getattr(fresh, name)
+        assert repr(a) == repr(b) and a.abs_prec == b.abs_prec, name
