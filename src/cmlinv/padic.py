@@ -10,7 +10,8 @@ from the division operators they use.
 
 Special functions: Teichmuller lift, the Iwasawa branch of log_p
 (log_p(p) = 0), the p-adic exponential on pZ_p, and square roots of
-units (Hensel).
+units.  Both roots start mod p (Tonelli-Shanks for the square root)
+and are Newton-lifted, doubling the correct digits each step.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "iwasawa_log",
     "padic_exp",
     "sqrt_unit",
+    "sqrt_mod_prime",
+    "hensel_lift",
     "json_valuation",
 ]
 
@@ -396,22 +399,16 @@ def teichmuller(a: PadicNumber) -> PadicNumber:
     """Teichmuller lift: the (p-1)-st root of unity congruent to a mod p.
 
     Requires a unit; the result is exact, so it carries full context
-    precision.  Computed by iterating x -> x^p, which converges one digit
-    per step.
+    precision.  Computed by Newton's method on x^(p-1) = 1 from the
+    residue mod p, which doubles the number of correct digits each step.
     """
     if a.is_zero() or not a.is_unit():
         raise ValueError("teichmuller requires a p-adic unit")
     ctx = a.context
     p, N = ctx.p, ctx.N
-    m = p**N
-    x = a.unit_int() % m
-    for _ in range(N):
-        x = pow(x, p, m)
+    x = hensel_lift(lambda x, m: pow(x, p - 1, m) - 1,
+                    lambda x, m: (p - 1) * pow(x, p - 2, m), a.unit_int() % p, p, N)
     return PadicNumber(ctx, 0, x, N)
-
-
-def _unit_from_int(ctx: PadicContext, u: int, rel: int) -> PadicNumber:
-    return PadicNumber(ctx, 0, u % ctx.p**rel, rel)
 
 
 def _log_terms(v: int, target: int, p: int) -> int:
@@ -438,8 +435,7 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
         raise ValueError("iwasawa_log of zero")
     ctx = x.context
     p = ctx.p
-    rel = x.rel_prec
-    u = _unit_from_int(ctx, x.unit_int(), rel)
+    u = PadicNumber(ctx, 0, x.unit_int(), x.rel_prec)
     omega = teichmuller(u)
     z = u / omega - 1
     if z.is_zero():
@@ -493,6 +489,34 @@ def _factorial_valuation(n: int, p: int) -> int:
     return v
 
 
+def hensel_lift(f, df, x: int, p: int, k: int) -> int:
+    """Lift a simple root x of f mod p to p^k by Newton steps; f, df are called as (x, m)."""
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        x = (x - f(x, m) * pow(df(x, m), -1, m)) % m
+    return x % p**k
+
+
+def sqrt_mod_prime(a: int, p: int) -> int:
+    """Least positive square root of a mod an odd prime p (Tonelli-Shanks), or ValueError."""
+    if p < 3 or not _is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    a %= p
+    if a == 0 or pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * q, q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        x, c, t, s = x * b % p, b * b % p, t * b * b % p, i
+    return min(x, p - x)
+
+
 def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
     """Square root of a unit by Hensel lifting (odd p).
 
@@ -504,23 +528,12 @@ def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
     ctx = a.context
     p = ctx.p
     rel = a.rel_prec
-    m = p**rel
-    a0 = a.unit_int() % p
-    roots = [t for t in range(1, p) if t * t % p == a0]
-    if not roots:
-        raise ValueError(f"{a0} is not a square mod {p}")
-    r0 = min(roots)
-    if residue is not None:
-        if residue % p not in roots:
-            raise ValueError(f"{residue} mod {p} is not a square root class")
-        r0 = residue % p
     au = a.unit_int()
-    x = r0
-    k = 1
-    while k < rel:
-        k = min(2 * k, rel)
-        mm = p**k
-        x = (x - (x * x - au) * pow(2 * x, -1, mm)) % mm
-    if (x * x - au) % m:
+    if residue is None:
+        residue = sqrt_mod_prime(au, p)
+    elif (residue * residue - au) % p:
+        raise ValueError(f"{residue} mod {p} is not a square root class")
+    x = hensel_lift(lambda x, m: x * x - au, lambda x, m: 2 * x, residue % p, p, rel)
+    if (x * x - au) % p**rel:
         raise ArithmeticError("Hensel lift failed")
     return PadicNumber(ctx, 0, x, rel)

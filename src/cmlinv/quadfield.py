@@ -3,12 +3,16 @@
 Class numbers come from enumerating reduced binary quadratic forms
 (a, b, c) with b^2 - 4ac = D, |b| <= a <= c, and b >= 0 when |b| = a or
 a = c.  For a split odd prime p, `pi_bar` solves the norm equation
-(x^2 - D y^2)/4 = p^h and returns the conjugate whose image under the
-fixed embedding into Q_p is a unit, together with the Iwasawa log of
-that image.  The embedding sends sqrt(D) to the Hensel lift whose
-residue mod p is the least positive square root of D mod p; the
-`conjugate_lift` flag selects the other embedding, which swaps the two
-coordinate pairs but leaves the logged value unchanged.
+(x^2 - D y^2)/4 = p^h with no search: it Hensel-lifts sqrt(D) mod p to
+p^h and runs Cornacchia's reduction (Cohen, GTM 138, Alg. 1.5.3) in
+O(h log p) steps, which lands on the primitive solution x, y >= 0 with
+the least y over all unit associates and conjugates.  It returns the
+conjugate whose image under the fixed embedding into Q_p is a unit,
+together with the Iwasawa log of that image.  The embedding sends
+sqrt(D) to the Hensel lift whose residue mod p is the least positive
+square root of D mod p; the `conjugate_lift` flag selects the other
+embedding, which swaps the two coordinate pairs but leaves the logged
+value unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from math import isqrt
 
 from .characters import (char_from_kronecker, is_fundamental_discriminant,
                          kronecker_symbol)
-from .padic import PadicContext, PadicNumber, iwasawa_log, sqrt_unit
+from .padic import (PadicContext, PadicNumber, hensel_lift, iwasawa_log,
+                    sqrt_mod_prime, sqrt_unit)
 
 __all__ = [
     "QuadFieldData",
@@ -29,7 +34,6 @@ __all__ = [
     "split_behavior",
     "pi_bar",
     "reduced_forms",
-    "primitive_norm_representations",
 ]
 
 
@@ -115,72 +119,58 @@ class SplitPrimeData:
         return (self.sqrt_disc * y + x) / 2
 
 
-def primitive_norm_representations(F: QuadFieldData, p: int,
-                                   max_count: int | None = None):
-    """Primitive (x, y), x, y >= 0, with (x^2 - D y^2)/4 = p^h.
-
-    Rejects pairs with p | x and p | y, which are exactly the generators
-    of mixed ideals.  Yields in order of increasing y.
-    """
-    D, h = F.D, F.h
-    target = 4 * p**h
-    found = 0
-    y = 0
-    while target + D * y * y >= 0:
-        t = target + D * y * y
-        x = isqrt(t)
-        if x * x == t and (x - y * D) % 2 == 0:
-            if not (x % p == 0 and y % p == 0):
-                yield (x, y)
-                found += 1
-                if max_count is not None and found >= max_count:
-                    return
-        y += 1
+def _norm_solution(F: QuadFieldData, p: int, r0: int) -> tuple[int, int]:
+    # Cornacchia on x^2 + |D| y^2 = 4 p^h from r^2 = D mod 4 p^h, r = r0 mod p.
+    # The Euclidean remainders of (2 p^h, r) are the relative minima of the
+    # lattice x = r y mod 2 p^h, which holds every unit associate of one
+    # prime's generator; so the first remainder below 2 p^(h/2) is the
+    # primitive solution with the least |y|, and conjugates share its |y|
+    D, q = F.D, p**F.h
+    r = hensel_lift(lambda x, m: x * x - D, lambda x, m: 2 * x, r0, p, F.h)
+    a, b, bound = 2 * q, r + q * ((r - D) % 2), isqrt(4 * q)
+    while b > bound:
+        a, b = b, a % b
+    return b, isqrt((4 * q - b * b) // -D)
 
 
-_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 20
+_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 16
 
 
-@lru_cache(maxsize=_SPLIT_PRIMES)
 def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
            conjugate_lift: bool = False,
            representation: tuple[int, int] | None = None) -> SplitPrimeData:
     """Generator data for the h-th power of the conjugate prime above p.
 
-    Needs p split in F.  Any primitive norm representation gives the same
-    log_pibar because generators differ by roots of unity, which the
-    Iwasawa log kills; pass `representation` to check that explicitly.
+    Needs p split in F.  Solves the norm equation (a Hensel lift, then
+    Cornacchia) and keeps the primitive solution x, y >= 0 with the least
+    y.  Any primitive representation gives the same log_pibar because
+    generators differ by roots of unity, which the Iwasawa log kills; pass
+    `representation` to check that explicitly.  Cached on the argument
+    values, however they are passed.
     """
+    return _split_prime_data(F, p, ctx, conjugate_lift, representation)
+
+
+@lru_cache(maxsize=_SPLIT_PRIMES)
+def _split_prime_data(F, p, ctx, conjugate_lift, representation) -> SplitPrimeData:
     if ctx.p != p:
         raise ValueError("context prime and p disagree")
     if split_behavior(F, p) != "split":
         raise ValueError(f"p = {p} does not split in Q(sqrt({F.D}))")
     D, h = F.D, F.h
-    r0 = min(t for t in range(1, p) if (t * t - D) % p == 0)
-    if conjugate_lift:
-        r0 = p - r0
-    w = sqrt_unit(ctx.from_int(D), residue=r0)
-    if representation is None:
-        rep = next(primitive_norm_representations(F, p, max_count=1), None)
-        if rep is None:
-            raise ArithmeticError(
-                f"no primitive representation of 4*{p}^{h} found; "
-                "this cannot happen for split p")
-    else:
-        x, y = representation
-        if (x * x - D * y * y) != 4 * p**h or (x - y * D) % 2:
-            raise ValueError("not a valid norm representation")
-        if x % p == 0 and y % p == 0:
-            raise ValueError("representation is not primitive")
-        rep = representation
-    x, y = rep
+    r0 = sqrt_mod_prime(D, p)
+    w = sqrt_unit(ctx.from_int(D), residue=p - r0 if conjugate_lift else r0)
+    # a found representation passes the same checks as a given one
+    x, y = _norm_solution(F, p, r0) if representation is None else representation
+    if (x * x - D * y * y) != 4 * p**h or (x - y * D) % 2:
+        raise ValueError("not a valid norm representation")
+    if x % p == 0 and y % p == 0:
+        raise ValueError("representation is not primitive")
     plus = (w * y + x) / 2
     minus = (w * (-y) + x) / 2
-    plus_unit = (not plus.is_zero()) and plus.valuation() == 0
-    minus_unit = (not minus.is_zero()) and minus.valuation() == 0
-    if plus_unit == minus_unit:
+    if plus.is_unit() == minus.is_unit():
         raise ArithmeticError("exactly one conjugate must be a unit")
-    if plus_unit:
+    if plus.is_unit():
         pibar_coords, pi_coords, pibar_img = (x, y), (x, -y), plus
     else:
         pibar_coords, pi_coords, pibar_img = (x, -y), (x, y), minus

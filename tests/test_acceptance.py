@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from cmlinv.acceptance import CRITERIA
+from cmlinv.acceptance import CRITERIA, run_all
+from cmlinv.quadfield import _split_prime_data
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -22,3 +23,11 @@ def test_criterion(criterion):
     print(line)
     sys.stderr.write(line + "\n")
     assert result.passed, json.dumps(result.detail, sort_keys=True, default=str)
+
+
+def test_acceptance_builds_each_split_prime_once():
+    # AC-3 omits conjugate_lift and l_invariant_analytic passes it by
+    # keyword: both spellings of a key share one build
+    _split_prime_data.cache_clear()
+    run_all()
+    assert _split_prime_data.cache_info().misses == 16

@@ -10,7 +10,8 @@ from cmlinv.linvariant import (full_report, hida_ap, l_invariant_analytic,
                                l_invariant_via_alpha, verify_ferrero_greenberg,
                                verify_trivial_zero_formula)
 from cmlinv.padic import iwasawa_log, make_context
-from cmlinv.quadfield import pi_bar, quad_field_data, quad_field_from_discriminant
+from cmlinv.quadfield import (_split_prime_data, pi_bar, quad_field_data,
+                              quad_field_from_discriminant)
 
 CURVE = (0, -1, 0)
 
@@ -219,13 +220,13 @@ def test_pi_bar_built_once_per_report():
     # full_report reaches pi_bar twice and each formula check once more;
     # all of them share one cached build, equal to a fresh one
     spec = _spec()
-    pi_bar.cache_clear()
+    _split_prime_data.cache_clear()
     full_report(spec, target=6)
     for i in (0, 1):
         verify_trivial_zero_formula(spec, 2, i)
-    assert pi_bar.cache_info().misses == 1
+    assert _split_prime_data.cache_info().misses == 1
     cached = pi_bar(spec.field, 5, spec.context, conjugate_lift=False)
-    fresh = pi_bar.__wrapped__(spec.field, 5, spec.context, conjugate_lift=False)
+    fresh = _split_prime_data.__wrapped__(spec.field, 5, spec.context, False, None)
     assert cached.pibar_coords == fresh.pibar_coords
     assert cached.pi_coords == fresh.pi_coords
     for name in ("sqrt_disc", "pibar_unit", "log_pibar"):

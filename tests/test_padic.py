@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (PadicNumber, _log_terms, iwasawa_log, make_context,
-                          ordp, padic_exp, sqrt_unit, teichmuller)
+from cmlinv.padic import (PadicNumber, _is_prime, _log_terms, hensel_lift,
+                          iwasawa_log, make_context, ordp, padic_exp,
+                          sqrt_mod_prime, sqrt_unit, teichmuller)
 
 CTX5 = make_context(5, 32)
 
@@ -137,6 +138,32 @@ def test_teichmuller_root_of_unity_and_congruence(a):
     assert t.residue(1) == a % 5
 
 
+def _teichmuller_oracle(a: int, p: int, N: int) -> int:
+    # x -> x^p converges to the lift one digit per step
+    m = p**N
+    x = a % m
+    for _ in range(N):
+        x = pow(x, p, m)
+    return x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 97])
+def test_teichmuller_newton_matches_power_iteration(p):
+    for N in (1, 2, 3, 17, 64, 512):
+        ctx = make_context(p, N)
+        for a in sorted({2, p - 1, (p + 1) // 2, 2 + 3 * p}):
+            t = teichmuller(ctx.from_int(a))
+            assert t.unit_int() == _teichmuller_oracle(a, p, N), (p, N, a)
+            assert t.abs_prec == N
+
+
+def test_teichmuller_is_a_root_of_unity_at_512_digits():
+    for p, a in ((3, 2), (29, 2), (97, 5)):
+        ctx = make_context(p, 512)
+        t = teichmuller(ctx.from_int(a))
+        assert pow(t.unit_int(), p - 1, p**512) == 1
+
+
 # --- Iwasawa log -------------------------------------------------------------
 
 def test_log_of_p_is_zero():
@@ -241,3 +268,61 @@ def test_sqrt_unit_residue_selection():
 def test_sqrt_unit_rejects_non_squares():
     with pytest.raises(ValueError):
         sqrt_unit(CTX5.from_int(2))  # 2 is not a QR mod 5
+
+
+def test_sqrt_unit_rejects_wrong_residue_class():
+    for residue in (2, 3, 5, 7):  # roots of -4 mod 5 are 1 and 4
+        with pytest.raises(ValueError):
+            sqrt_unit(CTX5.from_int(-4), residue=residue)
+
+
+def _least_roots(p: int, wanted) -> dict:
+    # the linear scan: least positive t with t^2 = a mod p, for each wanted a
+    roots = {}
+    for t in range(1, p):
+        a = t * t % p
+        if a in wanted:
+            roots.setdefault(a, t)
+    return roots
+
+
+def test_sqrt_mod_prime_matches_linear_scan():
+    for p in range(3, 200):
+        if not _is_prime(p):
+            continue
+        roots = _least_roots(p, range(p))
+        for a in range(-p, 2 * p):
+            if a % p in roots:
+                assert sqrt_mod_prime(a, p) == roots[a % p], (a, p)
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod_prime(a, p)
+
+
+def test_sqrt_mod_prime_above_a_million():
+    p = 1000033  # p = 1 mod 16, so Tonelli-Shanks takes several rounds
+    assert _is_prime(p) and (p - 1) % 16 == 0
+    residues = {*range(400), *range(p - 400, p), 10**6, 123456}
+    roots = _least_roots(p, residues)
+    for a in residues:
+        if a in roots:
+            assert sqrt_mod_prime(a, p) == roots[a], a
+        else:
+            with pytest.raises(ValueError):
+                sqrt_mod_prime(a, p)
+
+
+def test_hensel_lift_square_roots_and_roots_of_unity():
+    for p, a, k in ((5, -4, 1), (5, -4, 30), (3, -23, 41), (29, -647, 23)):
+        for r0 in (sqrt_mod_prime(a, p), p - sqrt_mod_prime(a, p)):
+            x = hensel_lift(lambda x, m: x * x - a, lambda x, m: 2 * x, r0, p, k)
+            assert 0 <= x < p**k and x % p == r0
+            assert (x * x - a) % p**k == 0
+    x = hensel_lift(lambda x, m: x**4 - 1, lambda x, m: 4 * x**3, 2, 5, 2)
+    assert x == 7  # the Teichmuller lift of 2 mod 25
+
+
+def test_sqrt_mod_prime_rejects_composite_moduli():
+    for n in (1, 2, 9, 15, 561):
+        with pytest.raises(ValueError):
+            sqrt_mod_prime(4, n)

@@ -1,14 +1,15 @@
 """Field invariants, class numbers two ways, and the split-prime package."""
 
+import time
 from math import gcd, isqrt
 
 import pytest
 
 from cmlinv.characters import is_fundamental_discriminant
-from cmlinv.padic import iwasawa_log, make_context
-from cmlinv.quadfield import (pi_bar, primitive_norm_representations,
-                              quad_field_data, quad_field_from_discriminant,
-                              reduced_forms, split_behavior)
+from cmlinv.padic import _is_prime, iwasawa_log, make_context, sqrt_mod_prime
+from cmlinv.quadfield import (_norm_solution, pi_bar, quad_field_data,
+                              quad_field_from_discriminant, reduced_forms,
+                              split_behavior)
 
 CTX5 = make_context(5, 24)
 
@@ -112,6 +113,97 @@ def test_split_behavior_table():
 
 
 # --- pi_bar ----------------------------------------------------------------------
+
+def primitive_norm_representations(F, p, max_count=None):
+    """Brute-force oracle: primitive (x, y), x, y >= 0, (x^2 - D y^2)/4 = p^h.
+
+    Tries every y up to sqrt(4 p^h / |D|), so it is exponential in h.
+    Rejects pairs with p | x and p | y, which are exactly the generators
+    of mixed ideals.  Yields in order of increasing y.
+    """
+    D, h = F.D, F.h
+    target = 4 * p**h
+    found = 0
+    y = 0
+    while target + D * y * y >= 0:
+        t = target + D * y * y
+        x = isqrt(t)
+        if x * x == t and (x - y * D) % 2 == 0:
+            if not (x % p == 0 and y % p == 0):
+                yield (x, y)
+                found += 1
+                if max_count is not None and found >= max_count:
+                    return
+        y += 1
+
+
+def test_norm_solution_matches_search_oracle():
+    # every fundamental -400 < D < 0 and split p < 60 with p^h <= 10^12: the
+    # solver's choice is the search's first hit, fed through the same pi_bar
+    pairs = 0
+    for D in range(-3, -400, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        F = quad_field_from_discriminant(D)
+        for p in range(3, 60):
+            if not _is_prime(p) or split_behavior(F, p) != "split" or p**F.h > 10**12:
+                continue
+            ctx = make_context(p, 2)
+            rep = next(primitive_norm_representations(F, p, max_count=1))
+            got = pi_bar(F, p, ctx)
+            want = pi_bar(F, p, ctx, representation=rep)
+            assert (got.pibar_coords, got.pi_coords) == \
+                (want.pibar_coords, want.pi_coords), (D, p)
+            pairs += 1
+    assert pairs == 738
+
+
+def test_norm_solution_least_y_with_extra_units():
+    # Q(sqrt(-3)) and Q(i) have six and four units: the solver's output must
+    # be the least-y associate from either square root of D mod p
+    for D in (-3, -4):
+        F = quad_field_from_discriminant(D)
+        for p in range(5, 3000):
+            if not _is_prime(p) or split_behavior(F, p) != "split":
+                continue
+            want = next(primitive_norm_representations(F, p, max_count=1))
+            r0 = sqrt_mod_prime(D, p)
+            assert _norm_solution(F, p, r0) == _norm_solution(F, p, p - r0) == want, (D, p)
+
+
+# pibar_coords of every (D, p) of the benchmark's seed-0 field-twoway items
+FIELD_TWOWAY_PIBAR = {
+    (-4, 5): (4, -1), (-4, 13): (6, 2), (-4, 17): (8, 1), (-4, 29): (10, 2),
+    (-23, 3): (4, -2), (-23, 13): (74, 12), (-23, 29): (282, 28),
+    (-71, 3): (92, 2), (-71, 5): (558, 4), (-71, 19): (10316, -6990),
+    (-71, 29): (37194, 30860),
+    (-167, 3): (596, -46), (-167, 7): (88888, -222),
+    (-167, 11): (572988, -69770), (-167, 19): (2490068, 1659234),
+    (-167, 29): (219778854, -1729100),
+}
+
+
+@pytest.mark.parametrize("D,p", sorted(FIELD_TWOWAY_PIBAR))
+def test_pibar_coords_pinned(D, p):
+    sp = pi_bar(quad_field_from_discriminant(D), p, make_context(p, 4))
+    x, y = FIELD_TWOWAY_PIBAR[D, p]
+    assert sp.pibar_coords == (x, y)
+    assert sp.pi_coords == (x, -y)
+
+
+def test_large_class_number_norm_equation():
+    # the search needs about 2 p^(h/2) / sqrt(|D|) steps here: 10^16 and 10^9
+    for D, p, h in ((-647, 29, 23), (-1151, 3, 41)):
+        F = quad_field_from_discriminant(D)
+        assert F.h == h
+        t0 = time.perf_counter()
+        sp = pi_bar(F, p, make_context(p, 64))
+        assert time.perf_counter() - t0 < 1.0, (D, p)
+        x, y = sp.pibar_coords
+        assert x * x - D * y * y == 4 * p**h
+        assert not (x % p == 0 and y % p == 0)
+        assert sp.pibar_unit.valuation() == 0
+        assert sp.embed(sp.pi_coords).valuation() == h
 
 def test_pibar_gaussian_at_five_default_lift():
     sp = pi_bar(quad_field_data(1), 5, CTX5)
