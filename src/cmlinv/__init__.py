@@ -17,7 +17,7 @@ from .characters import (DirichletCharacter, char_from_kronecker,
 from .cmform import (CMFormSpec, HeckeRoots, ap_point_count, cm_spec,
                      cm_spec_from_curve, unit_root)
 from .kl import BranchSeries, branch_derivative, branch_series, kl_value
-from .linvariant import (FGCheck, LInvariantReport, full_report, hida_ap,
+from .linvariant import (FGCheck, LInvariantReport, full_report,
                          l_invariant_analytic, l_invariant_via_alpha,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
 from .padic import (PadicContext, PadicNumber, iwasawa_log, make_context,
@@ -37,7 +37,7 @@ __all__ = [
     "ap_point_count", "branch_derivative", "branch_series", "char_from_kronecker",
     "char_product", "char_teichmuller_power", "cm_spec", "cm_spec_from_curve",
     "critical_integers", "decompose", "dirichlet_L_nonpositive", "e_plus",
-    "full_report", "gen_bernoulli", "hida_ap", "iwasawa_log", "kl_value",
+    "full_report", "gen_bernoulli", "iwasawa_log", "kl_value",
     "kronecker_symbol", "l_invariant_analytic", "l_invariant_via_alpha",
     "make_context", "padic_exp", "pi_bar", "quad_field_data",
     "quad_field_from_discriminant", "split_behavior", "sqrt_unit",

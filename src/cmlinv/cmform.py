@@ -4,7 +4,7 @@ For weight-2 desk examples a_p comes from counting points on a CM curve
 over F_p; higher-weight data is synthesized from Hecke-root powers by
 the symmetric-power layer.  The unit root alpha_p of
 x^2 - a_p x + psi(p) p^(k-1) is obtained by Hensel lifting from
-x = a_p mod p, and beta_p = psi(p) p^(k-1) / alpha_p.
+x = a_p mod p in integers, and beta_p = psi(p) p^(k-1) / alpha_p.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import DirichletCharacter, trivial_character
-from .padic import PadicContext, PadicNumber
+from .padic import PadicContext, PadicNumber, hensel_lift
 from .quadfield import QuadFieldData, quad_field_data, split_behavior
 
 __all__ = [
@@ -119,16 +119,20 @@ class HeckeRoots:
 
 
 def unit_root(spec: CMFormSpec) -> HeckeRoots:
-    """Hecke roots; alpha found by Hensel lifting from alpha = a_p mod p."""
+    """Hecke roots; alpha found by Hensel lifting from alpha = a_p mod p.
+
+    alpha is the root of x^2 - a_p x + c mod p^R, R = a_p.rel_prec and
+    c = psi(p) p^(k-1), lifted in integers; it is simple because
+    f'(alpha) = alpha - beta is a unit.  beta = c / alpha.
+    """
     ctx = spec.context
     p = ctx.p
     c = spec.nebentypus.value_padic(p, ctx) * ctx.from_int(p) ** (spec.weight - 1)
-    ap = spec.ap
-    x = ctx.from_int(ap.residue(1))
-    # Newton for f(x) = x^2 - a_p x + c; f'(alpha) = alpha - beta is a unit
-    for _ in range(ctx.N.bit_length() + 2):
-        fx = x * x - ap * x + c
-        x = x - fx / (2 * x - ap)
-    if not (x * x - ap * x + c).is_zero():
+    R = spec.ap.rel_prec
+    a, c_int = spec.ap.unit_int(), c.residue(R)
+    x = hensel_lift(lambda x, m: x * x - a * x + c_int, lambda x, m: 2 * x - a,
+                    a % p, p, R)
+    if (x * x - a * x + c_int) % p**R:
         raise ArithmeticError("Hensel lift for the unit root failed")
-    return HeckeRoots(alpha=x, beta=c / x)
+    alpha = PadicNumber(ctx, 0, x, R)
+    return HeckeRoots(alpha=alpha, beta=c / alpha)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .characters import dirichlet_L_nonpositive
 from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
-from .padic import PadicContext, PadicNumber, iwasawa_log, padic_exp
+from .padic import PadicContext, PadicNumber, iwasawa_log
 from .quadfield import QuadFieldData, SplitPrimeData, pi_bar
 from .sympower import e_plus, trivial_zero_locations
 
@@ -35,7 +35,6 @@ __all__ = [
     "TrivialZeroFormulaReport",
     "l_invariant_analytic",
     "l_invariant_via_alpha",
-    "hida_ap",
     "verify_ferrero_greenberg",
     "verify_trivial_zero_formula",
     "full_report",
@@ -73,24 +72,6 @@ def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
     """-2 log_p(alpha_p)/(k - 1) from the Hecke unit root."""
     roots = unit_root(spec)
     return -2 * iwasawa_log(roots.alpha) / (spec.weight - 1)
-
-
-def hida_ap(s, F: QuadFieldData, p: int, ctx: PadicContext,
-            conjugate_lift: bool = False) -> PadicNumber:
-    """The weight-family Frobenius interpolation exp_p((s-1) log_p(pibar)/h).
-
-    The root-of-unity prefactor of the family is dropped: every identity
-    this artifact verifies is log-level, and the Iwasawa log kills it.
-    log_p(pibar) lies in pZ_p, so the exponential always converges on Z_p.
-    """
-    sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
-    s = ctx.convert(s) if not isinstance(s, PadicNumber) else s
-    if not s.is_zero() and s.valuation() < 0:
-        raise ValueError("s must lie in Z_p")
-    exponent = (s - 1) * sp.log_pibar / F.h
-    if not exponent.is_zero() and exponent.valuation() < 1:
-        raise ArithmeticError("exponential argument escaped pZ_p")
-    return padic_exp(exponent)
 
 
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,

@@ -5,13 +5,14 @@ p^v * u with the unit u kept modulo p^r; r is the relative precision
 and v + r the absolute precision.  Arithmetic never reports more
 precision than the operands justify: addition works at the minimum
 absolute precision, multiplication and division at the minimum
-relative precision, and series (log, exp) inherit the per-term losses
-from the division operators they use.
+relative precision, and the exp series inherits the per-term losses
+from the division operators it uses.
 
 Special functions: Teichmuller lift, the Iwasawa branch of log_p
-(log_p(p) = 0), the p-adic exponential on pZ_p, and square roots of
-units.  Both roots start mod p (Tonelli-Shanks for the square root)
-and are Newton-lifted, doubling the correct digits each step.
+(log_p(p) = 0; an integer series after argument reduction, with the
+precision stated up front), the p-adic exponential on pZ_p, and square
+roots of units.  Both roots start mod p (Tonelli-Shanks for the square
+root) and are Newton-lifted, doubling the correct digits each step.
 """
 
 from __future__ import annotations
@@ -411,48 +412,70 @@ def teichmuller(a: PadicNumber) -> PadicNumber:
     return PadicNumber(ctx, 0, x, N)
 
 
+def _floor_log(n: int, p: int) -> int:
+    """floor(log_p n) for n >= 1, in integers."""
+    e = 0
+    while p ** (e + 1) <= n:
+        e += 1
+    return e
+
+
 def _log_terms(v: int, target: int, p: int) -> int:
     # terms of log(1+z), ord_p(z) = v >= 1, that reach p^target: term r has
     # valuation r*v - ord_p(r) >= r*v - floor(log_p r), which never decreases
     # in r, so every term past the returned count lies above the target
-    n, e = target, 0  # e = floor(log_p(n + 1))
-    while True:
-        while p ** (e + 1) <= n + 1:
-            e += 1
-        if n * v - e > target:
-            return n
+    n = target // v  # every count up to here falls short: n*v <= target
+    while n * v - _floor_log(n + 1, p) <= target:
         n += 1
+    return n
+
+
+def _log_reduction(T: int, p: int) -> tuple[int, int, int]:
+    # (k, n, e) for log<u> mod p^T: w = u^((p-1) p^k) - 1 has ord_p(w) >= k+1,
+    # n terms of log(1+w) reach p^(T+k), and term r <= n loses
+    # ord_p(r) <= floor(log_p n) = e digits to its division by r
+    k = math.isqrt(T // 2)
+    n = _log_terms(k + 1, T + k - 1, p)
+    return k, n, _floor_log(n, p)
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """Iwasawa branch of log_p: log_p(p) = 0 and roots of unity map to 0.
 
-    Writes x = p^v * omega(u) * <u> and returns the convergent series
-    log(<u>).  Dividing the n-th series term by n costs ord_p(n) digits;
-    that loss is visible in the result's precision.
+    Writes x = p^v * omega(u) * <u> and returns log(<u>) to absolute
+    precision T = x.rel_prec, the precision of u; the value is an inexact
+    zero O(p^T) when <u> = 1 to that precision.  The series runs in
+    integers after argument reduction: with k = isqrt(T // 2),
+    w = u^((p-1) p^k) - 1 (the power p - 1 kills omega(u)) has
+    ord_p(w) >= k + 1 and is known mod p^(T+k), and
+
+        log<u> = log(1 + w) / ((p-1) p^k),   log(1 + w) = sum (-1)^(r+1) w^r / r.
+
+    Bounds: term r has valuation r(k+1) - ord_p(r) >= r(k+1) - floor(log_p r),
+    so n = _log_terms(k+1, T+k-1, p) terms give log(1 + w) mod p^(T+k);
+    and for r <= n, ord_p(r) <= e = floor(log_p n), so w^r taken mod
+    p^(T+k+e) and divided exactly by the p-part of r is still known mod
+    p^(T+k).  Only the prime-to-p part of r is inverted.
     """
     if x.is_zero():
         raise ValueError("iwasawa_log of zero")
     ctx = x.context
-    p = ctx.p
-    u = PadicNumber(ctx, 0, x.unit_int(), x.rel_prec)
-    omega = teichmuller(u)
-    z = u / omega - 1
-    if z.is_zero():
-        # <u> = 1 at the known precision
-        return PadicNumber(ctx, None, 0, z.abs_prec)
-    target = z.abs_prec
-    n_terms = _log_terms(z.valuation(), target, p)
-    acc = ctx.inexact_zero(target)
-    zpow = z
-    for r in range(1, n_terms + 1):
-        term = zpow / r
-        if r % 2 == 0:
-            term = -term
-        acc = acc + term
-        if r < n_terms:
-            zpow = zpow * z
-    return acc
+    p, T = ctx.p, x.rel_prec
+    k, n, e = _log_reduction(T, p)
+    m = p ** (T + k)
+    work = m * p**e
+    w = pow(x.unit_int(), (p - 1) * p**k, work) - 1
+    acc, wr = 0, w
+    for r in range(1, n + 1):
+        j = ordp(r, p)
+        term = wr // p**j * pow(r // p**j, -1, m)
+        acc += term if r % 2 else -term
+        wr = wr * w % work
+    acc = acc % m // p**k * pow(p - 1, -1, p**T) % p**T
+    if acc == 0:
+        return PadicNumber(ctx, None, 0, T)
+    v = ordp(acc, p)
+    return PadicNumber(ctx, v, acc // p**v, T)
 
 
 def padic_exp(x: PadicNumber) -> PadicNumber:

@@ -32,7 +32,6 @@ __all__ = [
     "critical_integers",
     "trivial_zero_locations",
     "e_plus",
-    "inspect_interpolation_factors",
 ]
 
 
@@ -75,23 +74,6 @@ class SymPowerDecomposition:
             if f.kind == "dirichlet":
                 return f
         return None
-
-    def frobenius_eigenvalues(self) -> list[PadicNumber]:
-        """Multiset of Frobenius eigenvalues at p implied by the factor list.
-
-        The twist's value at p is already folded into alpha/beta, so each
-        modular factor contributes alpha * p^(-shift) and beta * p^(-shift).
-        """
-        ctx = self.spec.context
-        out = []
-        for f in self.factors:
-            if f.kind == "dirichlet":
-                out.append(f.character.value_padic(ctx.p, ctx))
-            else:
-                scale = ctx.from_int(ctx.p) ** (-f.shift)
-                out.append(f.alpha * scale)
-                out.append(f.beta * scale)
-        return out
 
 
 def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
@@ -200,45 +182,6 @@ def _order_one_certificate(spec, theta, i, s, n_cert) -> TrivialZeroCertificate:
         raise ArithmeticError("predicted order-1 zero has a vanishing derivative")
     return TrivialZeroCertificate(branch=i, s=s, order=1, c0=c0, c1=c1,
                                   n_cert=bs.n_cert)
-
-
-def inspect_interpolation_factors(spec: CMFormSpec, n: int):
-    """Direct inspection: which near-central (branch, point) pairs have a
-    vanishing Dirichlet interpolation factor and no vanishing modular factor.
-
-    Independent of the trivial-zero predicate: computes the factors
-    themselves.  The trivial character contributes no zero because at
-    a = 0 or 1 criticality forces an odd twist, killing chi^(-1)(p).
-    """
-    dec = decompose(spec, n)
-    ctx = spec.context
-    p = ctx.p
-    out = []
-    dirichlet = dec.dirichlet_factor()
-    if dirichlet is None:
-        return out
-    theta_m = dirichlet.character
-    for (i, a) in ((0, 0), (1, 1)):
-        if theta_m.is_trivial():
-            # criticality at a = 0, 1 for the trivial character needs an odd
-            # twist chi, and then chi^(-1)(p) = 0 keeps the factor at 1
-            continue
-        # Dirichlet factor (1 - p^(-a) theta(p)) at a <= 0, (1 - p^(a-1) theta(p)) at a >= 1
-        tp = theta_m.value_exact(p)
-        euler = 1 - tp * p**(-a) if a <= 0 else 1 - tp * p**(a - 1)
-        if euler != 0:
-            continue
-        modular_vanishes = False
-        for f in dec.factors:
-            if f.kind != "modular":
-                continue
-            f1 = 1 - ctx.from_int(p) ** (a + f.shift - 1) / f.alpha
-            f2 = 1 - ctx.from_int(p) ** (-a - f.shift) * f.beta
-            if f1.is_zero() or f2.is_zero():
-                modular_vanishes = True
-        if not modular_vanishes:
-            out.append((i, a))
-    return out
 
 
 def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:

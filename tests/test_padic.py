@@ -1,16 +1,22 @@
 """Exact Q_p arithmetic: constructors, special functions, precision model."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (PadicNumber, _is_prime, _log_terms, hensel_lift,
-                          iwasawa_log, make_context, ordp, padic_exp,
-                          sqrt_mod_prime, sqrt_unit, teichmuller)
+from cmlinv.padic import (PadicNumber, _is_prime, _log_reduction, _log_terms,
+                          hensel_lift, iwasawa_log, make_context, ordp,
+                          padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
+from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
+
+# sha256 of repr(log_pibar) for Q(sqrt(-167)), h = 11, at p = 29 and 1024 digits
+LOG_PIBAR_167_29_SHA256 = "67d8fcf0e404b59fdcee1ce41f3cd6344d93b167983b96cbf0cd71d749d349d9"
 
 
 # --- context gates -----------------------------------------------------------
@@ -212,6 +218,77 @@ def test_log_term_count_covers_every_dropped_term():
                 n = _log_terms(v, target, p)
                 assert all(r * v - ordp(r, p) > target
                            for r in range(n + 1, n + 2 * p**3)), (p, v, target)
+
+
+def test_log_reduction_bounds_cover_every_term():
+    # log(1 + w), ord_p(w) >= k + 1, is summed mod p^(T+k): every dropped term
+    # lies at or above p^(T+k), and every kept term r loses ord_p(r) <= e
+    # digits, so w^r mod p^(T+k+e) divided by r is still known mod p^(T+k)
+    for p in (3, 5, 7, 13):
+        for T in (*range(1, 40), 64, 100, 128, 257, 512, 1024):
+            k, n, e = _log_reduction(T, p)
+            assert all(r * (k + 1) - ordp(r, p) >= T + k
+                       for r in range(n + 1, n + 2 * p**3)), (p, T)
+            assert all(ordp(r, p) <= e for r in range(1, n + 1)), (p, T)
+    # the reduction is what keeps the series short: 32 terms at 512 digits
+    assert _log_reduction(512, 29)[:2] == (16, 32)
+
+
+def _iwasawa_log_oracle(x: PadicNumber) -> PadicNumber:
+    # the PadicNumber series: divide u by its Teichmuller lift (which the
+    # integer kernel never computes) and sum log(1 + z) termwise, each
+    # division by r tracked
+    ctx = x.context
+    p = ctx.p
+    u = PadicNumber(ctx, 0, x.unit_int(), x.rel_prec)
+    z = u / teichmuller(u) - 1
+    if z.is_zero():
+        return PadicNumber(ctx, None, 0, z.abs_prec)
+    v, target = z.valuation(), z.abs_prec
+    acc = ctx.inexact_zero(target)
+    r, zpow = 1, z
+    while True:
+        e = 0  # floor(log_p r)
+        while p ** (e + 1) <= r:
+            e += 1
+        if r * v - e > target:  # this term and every later one lie above the target
+            return acc
+        term = zpow / r
+        acc = acc + (term if r % 2 else -term)
+        r, zpow = r + 1, zpow * z
+
+
+def _same(got: PadicNumber, want: PadicNumber) -> bool:
+    return (repr(got) == repr(want) and got.abs_prec == want.abs_prec
+            and got.is_zero() == want.is_zero()
+            and got.min_valuation() == want.min_valuation())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97])
+def test_iwasawa_log_matches_series_oracle(p):
+    rng = random.Random(p)
+    for N in (1, 2, 3, 8, 17, 64, 512):
+        ctx = make_context(p, N)
+        omega = teichmuller(ctx.from_int(2)).unit_int()
+        for T in sorted({1, min(2, N), max(N // 2, 1), N}):
+            named = {1: True, p - 1: False, omega: True, 1 + p: False,
+                     1 + p ** (N - 1): False}
+            units = [*named, *(rng.randrange(1, p**T) * p + rng.randrange(1, p)
+                               for _ in range(2))]
+            for u in units:
+                want = _iwasawa_log_oracle(PadicNumber(ctx, 0, u, T))
+                if named.get(u):  # a root of unity: O(p^T)
+                    assert want.is_zero() and want.abs_prec == T, (N, T, u)
+                for v in range(-2, 4):
+                    got = iwasawa_log(PadicNumber(ctx, v, u, v + T))
+                    assert _same(got, want), (N, T, u, v, got, want)
+
+
+def test_log_pibar_pinned_at_1024_digits():
+    sp = pi_bar(quad_field_from_discriminant(-167), 29, make_context(29, 1024))
+    lp = sp.log_pibar
+    assert (lp.valuation(), lp.abs_prec) == (1, 1024)
+    assert hashlib.sha256(repr(lp).encode()).hexdigest() == LOG_PIBAR_167_29_SHA256
 
 
 def test_log_rejects_zero():
