@@ -195,7 +195,7 @@ def ac7_sign_branch_structure():
     for t in (1, 2, 3):
         s = 5 * t
         lhs = bs0.series_value(s)       # truncated Taylor route
-        rhs = bs1.evaluate(1 - s)       # Newton-form route
+        rhs = bs1.evaluate(1 - s)       # closed-form route
         residuals.append((lhs - rhs).min_valuation())
     ok = exact_neg and all(r >= TARGET for r in residuals)
     return ("AC-7 sign and branch symmetry",

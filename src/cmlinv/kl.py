@@ -15,22 +15,48 @@ Branch bookkeeping for an odd quadratic theta of conductor prime to p
     branch i = 1:  L_{p,1}(s, theta) = L_p^KL(1-s, theta*omega)
 
 so both branches read the single function g(s) = L_p^KL(s, theta*omega).
-One `KLFunction` table holds g per (D, p, n_cert, J), and a branch series
-is a view of it: an expansion point plus a sign flip, so
-L_{p,0}(s) = L_{p,1}(1-s) holds by construction; AC-7 compares the
-truncated Taylor route against the Newton route of that table.  The trivial
-character's branch has a pseudo-measure pole and is never evaluated;
-no trivial zero occurs there.
+One `KLFunction` holds g per (D, p, n_cert, J), and a branch series is a
+view of it: an expansion point plus a sign flip, so L_{p,0}(s) =
+L_{p,1}(1-s) holds by construction.  The trivial character's branch has
+a pseudo-measure pole and is never evaluated; no trivial zero occurs there.
 
-Reconstruction.  g(s) = f(u) with u = (1+p)^s - 1 and f a power series
-with p-integral coefficients (Iwasawa), so Newton divided differences
-of f at the nodes u_n = (1+p)^(1-n) - 1, n = 1..J, computed from exact
-interpolation values, recover f with coefficient-j truncation error of
-valuation >= J - j (the omitted remainder is a p-integral multiple of
-prod (u - u_n), and every u - u_n has valuation >= 1 on pZ_p).  Taking
-J >= N_cert + T certifies T series coefficients to N_cert digits.  The
-series in s - s0 comes from composing with
-u - u0 = (1 + u0)(exp_p((s - s0) log_p(1+p)) - 1).
+Closed form (Washington, GTM 83, Thm 5.11).  With chi = theta*omega,
+F = |D| p and A the a in [1, F] prime to F,
+
+    g(s) = (1/F) (1/(s-1)) sum_{a in A} chi(a) <a>^(1-s) sum_j C(1-s, j) (F/a)^j B_j.
+
+Around an integer s0, with t = s - s0, chi(a) <a>^(1-s0) = w_a =
+theta(a) a^(1-s0) omega(a)^s0 and <a>^(-t) = exp(-t log_p a), so
+H(s0 + t) = F (s - 1) g(s) has the Taylor coefficients
+
+    h_m = sum_j sum_{i+k=m} K_{j,i} (-1)^k P_{j,k} / k!,
+    K_{j,i} = B_j F^j [t^i] C(1-s0-t, j),  P_{j,k} = sum_{a in A} w_a a^(-j) (log_p a)^k.
+
+One pass over A gives every P_{j,k} for k < K (log_p a by additivity
+from `iwasawa_log` at the primes), all in integers mod p^M.  Then
+g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 = sum chi(a)
+= 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of the log;
+otherwise g_0 = h_0 / (F (s0-1)) and g_m = (h_m - F g_{m-1}) / (F (s0-1)),
+with K = order.
+
+Bounds (`_closed_form_bounds`).  v(F) = 1, j! [t^i] C(1-s0-t, j) is an
+integer, v(j!) <= floor((j-1)/(p-1)), and v(B_j) >= -1 with equality
+only where (p-1) | j (von Staudt-Clausen), so for j >= 1
+
+    v(K_{j,i}) >= kappa(j) = j - [(p-1) | j] - floor((j-1)/(p-1))
+               >= j - 1 - floor((j-1)/(p-1)),
+
+and kappa never decreases in j (it stays put only where (p-1) | j).
+v(log_p a) >= 1 makes P_{j,k} a multiple of p^k, so P_{j,k} / k! is an
+exact division that costs v(k!) digits.  For g_m mod p^n, H is needed
+mod p^T with T = n + 1 + order * v(s0 - 1) (the 1/F digit and the
+divisions by s0 - 1; at s0 = 1 only the 1/F digit): every term with
+kappa(j) >= T is dropped, and P is summed mod p^M, M = T + v((K-1)!).
+
+Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly, an exact
+zero when p splits.  Each table compares its closed-form constant term
+with that value, through the Bernoulli numbers of `characters`, which
+share no code with the sum, and keeps the exact value.
 """
 
 from __future__ import annotations
@@ -38,10 +64,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
+from operator import mul
 
-from .characters import (DirichletCharacter, char_product,
+from .characters import (DirichletCharacter, bernoulli_number, char_product,
                          char_teichmuller_power, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, iwasawa_log, ordp, padic_exp
+from .padic import PadicContext, PadicNumber, iwasawa_log, ordp
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
            "branch_derivative"]
@@ -68,57 +96,149 @@ def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
     return -(euler * B) / n
 
 
-def _u(ctx: PadicContext, s: int) -> PadicNumber:
-    # u = (1+p)^s - 1 for an integer s; its valuation is 1 + ord_p(s), so
-    # N + 1 + ord_p(s) digits of (1+p)^s fix every digit the context keeps
-    if s == 0:
-        return ctx.zero()
-    p = ctx.p
-    return ctx.from_int(pow(1 + p, s, p ** (ctx.N + 1 + ordp(s, p))) - 1)
+def _closed_form_bounds(T: int, K: int, p: int) -> tuple[int, int]:
+    # (M, n_j) for H mod p^T from K powers of log_p: every j >= n_j has
+    # kappa(j) >= T, and P_{j,k} summed mod p^M, M = T + v((K-1)!), still
+    # gives P_{j,k} / k! mod p^T for every k < K
+    n_j = 1
+    while n_j - (n_j % (p - 1) == 0) - (n_j - 1) // (p - 1) < T:
+        n_j += 1
+    return T + sum(ordp(k, p) for k in range(2, K)), n_j
 
 
-def _series_mul(a: list, b: list, order: int, zero):
-    out = [zero] * order
-    for i in range(order):
-        for j in range(order - i):
-            out[i + j] = out[i + j] + a[i] * b[j]
-    return out
+def _logs(units: list, p: int, M: int) -> list:
+    # log_p a mod p^M for each unit a (ascending, from 1): iwasawa_log at the
+    # primes, additivity elsewhere; every factor of a unit is a smaller unit
+    ctx, m = PadicContext(p, M), p**M
+    top = units[-1] + 1
+    spf = list(range(top))
+    for q in range(2, isqrt(top - 1) + 1):
+        if spf[q] == q:
+            for n in range(q * q, top, q):
+                if spf[n] == n:
+                    spf[n] = q
+    log = {1: 0}
+    for a in units[1:]:
+        q = spf[a]
+        log[a] = ((log[q] + log[a // q]) % m if q < a
+                  else iwasawa_log(ctx.from_int(a)).residue(M))
+    return [log[a] for a in units]
+
+
+def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
+    """The first `order` Taylor coefficients of g at the integer s0, each mod p^n."""
+    F = abs(D) * p
+    d = s0 - 1
+    v = ordp(d, p) if d else 0
+    K = order + (d == 0)
+    T = n + 1 + order * v
+    M, n_j = _closed_form_bounds(T, K, p)
+    m, mT = p**M, p**T
+
+    theta = DirichletCharacter(D)
+    units = [a for a in range(1, F) if a % p and theta.value_exact(a)]
+    e = s0 % (p - 1)
+    omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
+    col = [theta.value_exact(a) * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
+    inverses = [pow(a, -1, m) for a in units]
+    lam = [None]  # lam[k] = (log_p a)^k over the units, k >= 1
+    if K > 1:
+        lam.append(_logs(units, p, M))
+        for k in range(2, K):
+            lam.append([x * y % m for x, y in zip(lam[-1], lam[1])])
+    # (-1)^k / k! as (its p-power, divided out exactly; the rest inverted mod p^T)
+    fact, facts = 1, []
+    for k in range(K):
+        fact *= k or 1
+        w = ordp(fact, p)
+        facts.append((p**w, (-1) ** k * pow(fact // p**w, -1, mT)))
+
+    h = [0] * K
+    c = [1] + [0] * (K - 1)  # j! C(1-s0-t, j) in t, truncated to K terms
+    fact = 1
+    for j in range(n_j):
+        if j:
+            col = [x * y % m for x, y in zip(col, inverses)]
+            c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % m for i in range(K)]
+            fact *= j
+        b = bernoulli_number(j)
+        if not b:
+            continue
+        r = b * F**j / fact  # p-integral: v >= kappa(j)
+        r = r.numerator * pow(r.denominator, -1, m)
+        row = [r * x % m for x in c]
+        for k in range(K):
+            P = sum(col) if k == 0 else sum(map(mul, col, lam[k]))
+            div, inv = facts[k]
+            Pk = P % m // div * inv
+            for i in range(K - k):
+                h[i + k] += row[i] * Pk
+    h = [x % mT for x in h]
+
+    # divide by F = |D| p: exactly by the p-power, by inverting the rest
+    if d == 0:
+        if h[0]:
+            raise ArithmeticError("the pole of g at s = 1 does not cancel")
+        inv = pow(abs(D), -1, mT)
+        g = [x // p * inv for x in h[1:]]
+    else:
+        inv, q = pow(abs(D) * (d // p**v), -1, mT), p ** (1 + v)
+        g, prev = [], 0
+        for x in h:
+            prev = (x - F * prev) % mT // q * inv % mT
+            g.append(prev)
+    return [x % p**n for x in g]
+
+
+def _from_residue(ctx: PadicContext, r: int, n: int) -> PadicNumber:
+    # r mod p^n as a p-adic number known to absolute precision n
+    return ctx.from_int(r).truncate_abs(n) if r else ctx.inexact_zero(n)
 
 
 @dataclass(frozen=True)
 class KLFunction:
-    """g(s) = L_p(s, theta*omega) in Newton form on the nodes u_n, n = 1..J.
+    """g(s) = L_p(s, theta*omega) for one (D, p, n_cert, J).
 
-    Built, checked for p-integrality and validated on the held-out nodes
-    J+1..2J once per (D, p, n_cert, J) by `_kl_function`; every branch
-    series reads it.
+    Holds the certified Taylor coefficients at s = 0, built and checked
+    once per key by `_kl_function`, and evaluates the closed form
+    anywhere else; every branch series reads it.  ctx carries J digits.
     """
 
     ctx: PadicContext
     chi: DirichletCharacter
-    nodes: tuple
-    newton: tuple
-    log1p: PadicNumber
+    n_cert: int
+    at0: tuple
 
     def node_value(self, n: int) -> PadicNumber:
-        """Exact g(1-n) = L_p(1-n, theta*omega), n >= 1."""
-        return kl_value(n, self.chi, self.ctx)
+        """Exact g(1-n) = L_p(1-n, theta*omega), n >= 1, to at least J digits.
+
+        kl_value at N digits carries N - 1 - ord_p(n) of them: one goes to
+        the f^(-1) term of B_{n,chi_n}, ord_p(n) to the division by n.
+        """
+        p = self.ctx.p
+        return kl_value(n, self.chi, PadicContext(p, self.ctx.N + 1 + ordp(n, p)))
+
+    def taylor(self, s0: int) -> tuple:
+        """J - n_cert Taylor coefficients of g at s0 in {0, 1}, certified to n_cert digits."""
+        if s0 == 0:
+            return self.at0
+        n = self.n_cert
+        return tuple(_from_residue(self.ctx, r, n) for r in
+                     _closed_form(self.chi.D, self.ctx.p, s0, len(self.at0), n))
 
     def value(self, s) -> PadicNumber:
-        """g(s) at s in Z_p via the Newton form, whose truncation error on
-        Z_p has valuation >= the node count J."""
+        """g(s) at s in Z_p from the closed form, truncated to J digits."""
         ctx = self.ctx
+        J = ctx.N
         if isinstance(s, int):
-            u = _u(ctx, s)
-        else:
-            s = ctx.convert(s)
-            if not s.is_zero() and s.valuation() < 0:
-                raise ValueError("evaluation point must lie in Z_p")
-            u = padic_exp(s * self.log1p) - 1
-        acc = self.newton[-1]
-        for r in range(len(self.newton) - 2, -1, -1):
-            acc = acc * (u - self.nodes[r]) + self.newton[r]
-        return acc.truncate_abs(len(self.nodes))
+            return _from_residue(ctx, _closed_form(self.chi.D, ctx.p, s, 1, J)[0], J)
+        s = ctx.convert(s)
+        if not s.is_zero() and s.valuation() < 0:
+            raise ValueError("evaluation point must lie in Z_p")
+        # g(s) = f((1+p)^s - 1) with f p-integral (Iwasawa), so s mod p^A
+        # fixes g(s) mod p^(A+1)
+        A = min(s.abs_prec, J)
+        return self.value(s.residue(A)).truncate_abs(A + 1)
 
 
 _TABLES = 16  # holds one command's tables: `cmlinv acceptance` reads 11
@@ -126,32 +246,15 @@ _TABLES = 16  # holds one command's tables: `cmlinv acceptance` reads 11
 
 @lru_cache(maxsize=_TABLES)
 def _kl_function(D: int, p: int, n_cert: int, J: int) -> KLFunction:
-    # internal precision: n_cert + J for the certificate, plus the
-    # divided-difference losses (about J + 2J/(p-1) digits), plus slack
-    work = PadicContext(p, n_cert + 2 * J + 2 * ((J // (p - 1)) + 1) + 8)
-    chi = DirichletCharacter(D, 1, work)
-    nodes = tuple(_u(work, 1 - n) for n in range(1, J + 1))
-    row = [kl_value(n, chi, work) for n in range(1, J + 1)]
-
-    # divided-difference table; keep the top diagonal
-    newton = [row[0]]
-    for r in range(1, J):
-        row = [(row[l + 1] - row[l]) / (nodes[l + r] - nodes[l])
-               for l in range(J - r)]
-        newton.append(row[0])
-    for r, c in enumerate(newton):
-        if not c.is_zero() and c.valuation() < 0:
-            raise ArithmeticError(
-                f"divided difference {r} is not p-integral; normalization broken")
-
-    g = KLFunction(work, chi, nodes, tuple(newton),
-                   iwasawa_log(work.from_int(1 + p)))
-    for n in range(J + 1, 2 * J + 1):
-        resid = (g.value(1 - n) - g.node_value(n)).min_valuation()
-        if resid < n_cert:
-            raise ArithmeticError(
-                f"held-out node {n} reproduced only to {resid} digits (need {n_cert})")
-    return g
+    ctx = PadicContext(p, J)
+    chi = DirichletCharacter(D, 1, ctx)
+    closed = _closed_form(D, p, 0, J - n_cert, n_cert)
+    c0 = kl_value(1, chi, ctx)
+    if (c0 - closed[0]).min_valuation() < n_cert:
+        raise ArithmeticError(
+            f"closed form g(0) = {closed[0]} disagrees with the exact {c0} mod p^{n_cert}")
+    at0 = (c0.truncate_abs(n_cert), *(_from_residue(ctx, r, n_cert) for r in closed[1:]))
+    return KLFunction(ctx, chi, n_cert, at0)
 
 
 @dataclass
@@ -175,8 +278,8 @@ class BranchSeries:
         """Partial sum of the certified series at s.
 
         Meaningful when s - s0 lies in pZ_p, where the dropped tail has
-        valuation >= the series order; complements `evaluate`, which uses
-        the Newton form instead of the truncated coefficients.
+        valuation >= the series order; complements `evaluate`, which sums
+        the closed form at s instead of the truncated coefficients.
         """
         ctx = self.coefficients[0].context
         t = ctx.convert(s) - self.s0
@@ -190,7 +293,7 @@ class BranchSeries:
         return acc.truncate_abs(min(acc.abs_prec, tail, self.n_cert))
 
     def evaluate(self, s) -> PadicNumber:
-        """Value at s in Z_p via the Newton form (not the truncated series)."""
+        """Value at s in Z_p from the closed form (not the truncated series)."""
         return self.g.value(1 - s if self._flip else s)
 
 
@@ -199,10 +302,9 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
                   node_budget: int = 40) -> BranchSeries:
     """Series of L_{p,i}(s, theta) around s0 in {0, 1}, certified to n_cert digits.
 
-    Requires theta odd, quadratic, of conductor prime to p, and i in {0, 1}.
-    Uses J = n_cert + order interpolation nodes plus J held-out nodes for
-    validation; raises if that exceeds `node_budget` or if the certificate
-    cannot be met.
+    Requires theta odd, quadratic, of conductor prime to p, i in {0, 1}
+    and n_cert >= 1.  J = n_cert + order is the precision `evaluate`
+    reports; raises if it exceeds `node_budget`.
     """
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
@@ -210,6 +312,8 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
         raise ValueError("expansion point must be 0 or 1")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if n_cert < 1:
+        raise ValueError("n_cert must be >= 1")
     if not theta.is_odd() or not theta.is_rational() or theta.is_trivial():
         raise ValueError("theta must be an odd quadratic character")
     if theta.conductor() % ctx.p == 0:
@@ -222,38 +326,10 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
             f"(order={order}, n_cert={n_cert}) needs J={J} nodes, over the budget {node_budget}")
 
     g = _kl_function(theta.D, ctx.p, n_cert, J)
-    work = g.ctx
-    # base point: branch 1 reads g(1-s), so expand g at 1-s0 and flip signs
+    # branch 1 reads g(1-s), so expand g at 1-s0 and flip the odd coefficients
     flip = (i == 1)
-    u0 = _u(work, 1 - s0 if flip else s0)
-
-    # Horner on the Newton form with u - u0 = X(t) = (1+u0)(exp(L t) - 1)
-    # as a series in t = s - s0, truncated to `order` terms
-    zero = work.zero()
-    X = [zero] * order
-    term = work.one()
-    fact = 1
-    for r in range(1, order):
-        term = term * g.log1p
-        fact *= r
-        X[r] = (1 + u0) * term / fact
-    series = [g.newton[-1]] + [zero] * (order - 1)
-    for r in range(J - 2, -1, -1):
-        series = _series_mul(series, [u0 - g.nodes[r]] + X[1:], order, zero)
-        series[0] = series[0] + g.newton[r]
-    if flip:
-        series = [(-c if j % 2 else c) for j, c in enumerate(series)]
-
-    # certification: coefficient j carries truncation error of valuation >= J - j
-    coeffs = []
-    for j, c in enumerate(series):
-        cert_j = min(c.abs_prec, J - j)
-        if cert_j < n_cert:
-            raise ValueError(
-                f"coefficient {j} certified only to {cert_j} digits; "
-                f"increase the node budget or lower n_cert")
-        coeffs.append(ctx.convert(c.truncate_abs(n_cert)))
-
+    series = g.taylor(1 - s0 if flip else s0)
+    coeffs = [ctx.convert(-c if flip and j % 2 else c) for j, c in enumerate(series)]
     return BranchSeries(branch=i, character=theta, s0=s0, coefficients=coeffs,
                         n_cert=n_cert, nodes_used=J, g=g, _flip=flip)
 

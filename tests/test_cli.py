@@ -167,6 +167,13 @@ def test_missing_field_spec_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("prec", ["0", "-3"])
+def test_klp_rejects_prec_below_one(capsys, prec):
+    code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0",
+                        "--at", "0", "--prec", prec)
+    assert code == 2 and out == ""
+
+
 def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeypatch):
     import math
 

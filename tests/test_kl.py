@@ -1,15 +1,22 @@
 """Interpolation values and certified branch series."""
 
+import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmlinv.characters import (bernoulli_number, char_from_kronecker,
-                               char_product, char_teichmuller_power,
-                               is_fundamental_discriminant, kronecker_symbol)
-from cmlinv.kl import _kl_function, _u, branch_derivative, branch_series, kl_value
-from cmlinv.padic import make_context
+from cmlinv.characters import (DirichletCharacter, bernoulli_number,
+                               char_from_kronecker, char_product,
+                               char_teichmuller_power, is_fundamental_discriminant,
+                               kronecker_symbol)
+from cmlinv.kl import (_closed_form_bounds, _kl_function, branch_derivative,
+                       branch_series, kl_value)
+from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
+                          padic_exp)
 from cmlinv.quadfield import pi_bar, quad_field_data
 
 CTX5 = make_context(5, 16)
@@ -23,6 +30,85 @@ def _digits(x):
 
 def _theta_omega(ctx):
     return char_product(char_from_kronecker(-4), char_teichmuller_power(1, ctx))
+
+
+# --- the Newton route, kept as an oracle ---------------------------------------
+#
+# g(s) = f(u), u = (1+p)^s - 1, f a power series with p-integral coefficients
+# (Iwasawa), so Newton divided differences of f at the nodes
+# u_n = (1+p)^(1-n) - 1, n = 1..J, computed from exact interpolation values,
+# recover f with coefficient-j truncation error of valuation >= J - j.  It
+# shares only kl_value with the closed form in `cmlinv.kl`.
+
+def _u(ctx, s):
+    # u = (1+p)^s - 1 for an integer s; its valuation is 1 + ord_p(s), so
+    # N + 1 + ord_p(s) digits of (1+p)^s fix every digit the context keeps
+    if s == 0:
+        return ctx.zero()
+    p = ctx.p
+    return ctx.from_int(pow(1 + p, s, p ** (ctx.N + 1 + ordp(s, p))) - 1)
+
+
+def _series_mul(a, b, order, zero):
+    out = [zero] * order
+    for i in range(order):
+        for j in range(order - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def _oracle_value(table, s):
+    # the Newton form at s in Z_p, truncated to the node count J
+    work, nodes, newton, log1p = table
+    if isinstance(s, int):
+        u = _u(work, s)
+    else:
+        s = work.convert(s)
+        u = padic_exp(s * log1p) - 1
+    acc = newton[-1]
+    for r in range(len(newton) - 2, -1, -1):
+        acc = acc * (u - nodes[r]) + newton[r]
+    return acc.truncate_abs(len(nodes))
+
+
+@lru_cache(maxsize=None)
+def _newton_oracle(D, p, n_cert, J):
+    # divided differences with hand-tuned slack, the p-integrality check and
+    # the held-out nodes J+1..2J; returns (work, nodes, newton, log1p)
+    work = PadicContext(p, n_cert + 2 * J + 2 * ((J // (p - 1)) + 1) + 8)
+    chi = DirichletCharacter(D, 1, work)
+    nodes = tuple(_u(work, 1 - n) for n in range(1, J + 1))
+    row = [kl_value(n, chi, work) for n in range(1, J + 1)]
+    newton = [row[0]]
+    for r in range(1, J):
+        row = [(row[l + 1] - row[l]) / (nodes[l + r] - nodes[l])
+               for l in range(J - r)]
+        newton.append(row[0])
+    assert all(c.is_zero() or c.valuation() >= 0 for c in newton), (D, p, J)
+    table = (work, nodes, tuple(newton), iwasawa_log(work.from_int(1 + p)))
+    for n in range(J + 1, 2 * J + 1):
+        resid = (_oracle_value(table, 1 - n) - kl_value(n, chi, work)).min_valuation()
+        assert resid >= n_cert, (D, p, J, n)
+    return table
+
+
+def _oracle_series(table, point, order):
+    # Horner on the Newton form with u - u0 = (1+u0)(exp(L t) - 1) as a
+    # series in t = s - point, truncated to `order` terms
+    work, nodes, newton, log1p = table
+    u0 = _u(work, point)
+    zero = work.zero()
+    X = [zero] * order
+    term, fact = work.one(), 1
+    for r in range(1, order):
+        term = term * log1p
+        fact *= r
+        X[r] = (1 + u0) * term / fact
+    series = [newton[-1]] + [zero] * (order - 1)
+    for r in range(len(nodes) - 2, -1, -1):
+        series = _series_mul(series, [u0 - nodes[r]] + X[1:], order, zero)
+        series[0] = series[0] + newton[r]
+    return series
 
 
 # --- interpolation values ----------------------------------------------------
@@ -88,7 +174,7 @@ def test_branch_one_trivial_zero_at_one():
 
 def test_expansion_away_from_the_zero():
     # branch 0 around s0 = 1 and branch 1 around s0 = 0 both read g near 1,
-    # exercising the nonzero-base-point shift of the Newton form
+    # where the pole of the closed form's 1/(s-1) cancels
     b0 = branch_series(0, THETA4, 1, 3, CTX5, n_cert=8)
     b1 = branch_series(1, THETA4, 0, 3, CTX5, n_cert=8)
     assert not b0.coefficients[0].is_zero()
@@ -143,8 +229,8 @@ def test_evaluate_at_huge_integer_is_cheap():
 
 
 def test_certificate_audit_independent_tables():
-    # J = 8 and J = 12 tables differ in nodes and working precision, so
-    # agreement on c0 and c1 audits the n_cert certificate and n_work slack
+    # J = 8 and J = 12 tables differ in order, term count and working
+    # precision, so agreement on c0 and c1 audits the n_cert certificate
     pairs = [(D, p) for D in range(-3, -25, -1) if is_fundamental_discriminant(D)
              for p in (5, 7) if D % p]
     assert len(pairs) == 17
@@ -211,3 +297,79 @@ def test_rejects_bad_branch_and_point():
         branch_series(2, THETA4, 0, 2, CTX5)
     with pytest.raises(ValueError):
         branch_series(0, THETA4, 2, 2, CTX5)
+
+
+def test_rejects_n_cert_below_one():
+    before = _kl_function.cache_info()
+    for n_cert in (0, -3):
+        with pytest.raises(ValueError, match="n_cert"):
+            branch_series(0, THETA4, 0, 4, CTX5, n_cert=n_cert)
+    after = _kl_function.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)  # no table built
+
+
+# --- closed form against the Newton oracle ---------------------------------------
+
+_PAIRS = [(D, p) for D in range(-3, -61, -1) if is_fundamental_discriminant(D)
+          for p in (3, 5, 7, 11, 13) if D % p]
+
+
+@given(st.sampled_from(_PAIRS), st.integers(1, 16), st.integers(1, 8),
+       st.sampled_from((0, 1)), st.sampled_from((0, 1)), st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_closed_form_matches_newton_oracle(pair, n_cert, order, i, s0, s):
+    D, p = pair
+    J = n_cert + order
+    ctx = make_context(p, n_cert + 4)
+    bs = branch_series(i, char_from_kronecker(D), s0, order, ctx, n_cert=n_cert)
+    table = _newton_oracle(D, p, n_cert, J)
+    series = _oracle_series(table, 1 - s0 if i else s0, order)
+    for j, (c, o) in enumerate(zip(bs.coefficients, series)):
+        want = (-o if i and j % 2 else o).truncate_abs(n_cert)
+        assert c.is_exact_zero() == want.is_exact_zero(), j
+        assert c.is_exact_zero() or c.abs_prec == n_cert, j
+        assert (c - want).min_valuation() >= n_cert, j
+    # integers (1 reads the expansion at 1), 10**12 and a p-adic point
+    for x in (s, 0, 1, 10**12, ctx.from_rational(Fraction(s, 1 + p * (s * s + 1)))):
+        got = bs.evaluate(x)
+        want = _oracle_value(table, 1 - x if i else x)
+        if isinstance(x, int):
+            assert got.abs_prec >= J, x
+        assert (got - want).min_valuation() >= min(got.abs_prec, want.abs_prec), x
+
+
+def _v(q, p):
+    return ordp(q.numerator, p) - ordp(q.denominator, p) if q else None
+
+
+def test_closed_form_bounds_cover_every_term():
+    # H mod p^T is summed mod p^M: every dropped term j >= n_j has
+    # v(K_{j,i}) >= T, every kept K_{j,i} is p-integral, and every kept
+    # P_{j,k}/k! loses v(k!) <= M - T digits; v(F^j) = j for every F = |D| p
+    for p in (3, 5, 7, 13):
+        n_cut = {K: _closed_form_bounds(129, K, p)[1] for K in range(1, 10)}
+        top = max(n_cut.values()) + 2 * p
+        sharp = 0  # cases where the last kept term lies below p^T
+        for s0 in (0, 1, 2, -24):
+            # vals[j][i] = v(B_j p^j [t^i] C(1-s0-t, j)), None for a zero term
+            vals, c, fact = [], [Fraction(1)] + [Fraction(0)] * 8, 1
+            for j in range(top):
+                if j:
+                    c = [(1 - s0 - (j - 1)) * c[i] - (c[i - 1] if i else 0) for i in range(9)]
+                    fact *= j
+                vals.append([_v(bernoulli_number(j) * p**j * x / fact, p) for x in c])
+            for K in range(1, 10):
+                for n_cert in (*range(1, 40), 64, 100, 128):
+                    T = n_cert + 1
+                    M, n_j = _closed_form_bounds(T, K, p)
+                    assert all(ordp(math.factorial(k), p) <= M - T
+                               for k in range(1, K)), (p, K, T)
+                    kept = [v for row in vals[:n_j] for v in row[:K] if v is not None]
+                    assert min(kept, default=0) >= 0, (p, s0, K, T)
+                    dropped = [v for row in vals[n_j:n_j + 2 * p] for v in row[:K]
+                               if v is not None]
+                    assert min(dropped, default=T) >= T, (p, s0, K, T)
+                    last = [v for v in vals[n_j - 1][:K] if v is not None]
+                    sharp += min(last, default=T) < T
+        # the cut is sharp: one term fewer would lose a digit somewhere
+        assert sharp, p
