@@ -21,7 +21,9 @@ whose only truncations are the Teichmuller powers and one from_rational
 per class, so it agrees with the termwise sum over a on every digit that
 sum carries and never has a lower absolute precision.  L(a, chi) at
 integers a <= 0 is -B_{1-a,chi}/(1-a).  The trivial character has
-B_{1,1} = B_1(1) = +1/2, while B_1 = -1/2.
+B_{1,1} = B_1(1) = +1/2, while B_1 = -1/2.  B_n itself is read from a
+table built from the integer tangent numbers (Brent and Harvey, "Fast
+computation of Bernoulli, tangent and secant numbers", 2011).
 """
 
 from __future__ import annotations
@@ -255,15 +257,37 @@ def char_product(chi1: DirichletCharacter, chi2: DirichletCharacter) -> Dirichle
 # --- Bernoulli machinery ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _bernoulli_table(n: int) -> tuple:
+    # B_0..B_n from the tangent numbers T_1..T_m, m = n // 2, by Brent and
+    # Harvey's in-place recurrence (O(m^2) integer multiply-adds), then
+    # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); B_odd = 0 past B_1
+    m = n // 2
+    t = [1] * m  # t[i] = T_(i+1)
+    for i in range(1, m):
+        t[i] = i * t[i - 1]
+    for k in range(1, m):
+        for i in range(k, m):
+            t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+    table = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, m + 1):
+        q = 4**k
+        table += [Fraction((-1) ** (k - 1) * 2 * k * t[k - 1], q * (q - 1)), Fraction(0)]
+    return tuple(table[:n + 1])
+
+
+_bernoulli = _bernoulli_table(1)  # B_0..B_n built so far; only ever grows
+
+
 def bernoulli_number(n: int) -> Fraction:
     """B_n, first convention (B_1 = -1/2)."""
-    if n == 0:
-        return Fraction(1)
-    s = Fraction(0)
-    for j in range(n):
-        s += comb(n + 1, j) * bernoulli_number(j)
-    return -s / (n + 1)
+    global _bernoulli
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = _bernoulli
+    if n >= len(table):
+        # at least double, so the rebuilds cost O(n^2) steps in all
+        table = _bernoulli = _bernoulli_table(max(n, 2 * len(table)))
+    return table[n]
 
 
 def gen_bernoulli(n: int, chi: DirichletCharacter,

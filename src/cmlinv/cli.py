@@ -1,11 +1,11 @@
 """Command-line front end: deterministic JSON out, verification exit codes.
 
 Exit codes: 0 all checks pass (or nothing to check), 1 a verification
-failed, 2 configuration errors.  Every p-adic number is emitted as
-{"valuation": v, "digits": [d_0...], "precision": r} meaning
-p^v * sum d_i p^i with r known digits; zeros carry empty digits with
-"precision" 0, valuation = the proven lower bound (null when the zero is
-exact).
+failed, 2 configuration errors or an --out file that cannot be written.
+Every p-adic number is emitted as {"valuation": v, "digits": [d_0...],
+"precision": r} meaning p^v * sum d_i p^i with r known digits; zeros
+carry empty digits with "precision" 0, valuation = the proven lower
+bound (null when the zero is exact).
 """
 
 from __future__ import annotations
@@ -169,6 +169,8 @@ def cmd_verify_fg(args) -> int:
 
 
 def cmd_linvariant(args) -> int:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     ctx = make_context(args.p, max(args.prec + 4, 16))
     if args.D is not None:
         field = quad_field_from_discriminant(args.D)
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -32,8 +32,10 @@ H(s0 + t) = F (s - 1) g(s) has the Taylor coefficients
     h_m = sum_j sum_{i+k=m} K_{j,i} (-1)^k P_{j,k} / k!,
     K_{j,i} = B_j F^j [t^i] C(1-s0-t, j),  P_{j,k} = sum_{a in A} w_a a^(-j) (log_p a)^k.
 
-One pass over A gives every P_{j,k} for k < K (log_p a by additivity
-from `iwasawa_log` at the primes), all in integers mod p^M.  Then
+One pass over A gives every P_{j,k} for k < K, all in integers mod p^M:
+log_p a comes by additivity from the integer series of `iwasawa_log` at
+the primes, and the odd j > 1 are skipped, since B_j = 0 there, so the
+column w_a a^(-j) steps by a^(-2) from j = 2 on.  Then
 g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 = sum chi(a)
 = 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of the log;
 otherwise g_0 = h_0 / (F (s0-1)) and g_m = (h_m - F g_{m-1}) / (F (s0-1)),
@@ -69,7 +71,7 @@ from operator import mul
 
 from .characters import (DirichletCharacter, bernoulli_number, char_product,
                          char_teichmuller_power, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, iwasawa_log, ordp
+from .padic import PadicContext, PadicNumber, _log_units, ordp
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
            "branch_derivative"]
@@ -107,9 +109,10 @@ def _closed_form_bounds(T: int, K: int, p: int) -> tuple[int, int]:
 
 
 def _logs(units: list, p: int, M: int) -> list:
-    # log_p a mod p^M for each unit a (ascending, from 1): iwasawa_log at the
-    # primes, additivity elsewhere; every factor of a unit is a smaller unit
-    ctx, m = PadicContext(p, M), p**M
+    # log_p a mod p^M for each unit a (ascending, from 1): the integer kernel
+    # of iwasawa_log at the primes, additivity elsewhere; every factor of a
+    # unit is a smaller unit
+    m = p**M
     top = units[-1] + 1
     spf = list(range(top))
     for q in range(2, isqrt(top - 1) + 1):
@@ -117,11 +120,13 @@ def _logs(units: list, p: int, M: int) -> list:
             for n in range(q * q, top, q):
                 if spf[n] == n:
                     spf[n] = q
-    log = {1: 0}
+    primes = [a for a in units[1:] if spf[a] == a]
+    log = dict(zip(primes, _log_units(primes, p, M)))
+    log[1] = 0
     for a in units[1:]:
         q = spf[a]
-        log[a] = ((log[q] + log[a // q]) % m if q < a
-                  else iwasawa_log(ctx.from_int(a)).residue(M))
+        if q < a:
+            log[a] = (log[q] + log[a // q]) % m
     return [log[a] for a in units]
 
 
@@ -136,10 +141,11 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     m, mT = p**M, p**T
 
     theta = DirichletCharacter(D)
-    units = [a for a in range(1, F) if a % p and theta.value_exact(a)]
+    signs = [theta.value_exact(a) if a % p else 0 for a in range(F)]
+    units = [a for a in range(1, F) if signs[a]]
     e = s0 % (p - 1)
     omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
-    col = [theta.value_exact(a) * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
+    col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
     inverses = [pow(a, -1, m) for a in units]
     lam = [None]  # lam[k] = (log_p a)^k over the units, k >= 1
     if K > 1:
@@ -155,16 +161,18 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
 
     h = [0] * K
     c = [1] + [0] * (K - 1)  # j! C(1-s0-t, j) in t, truncated to K terms
-    fact = 1
+    fact, step = 1, inverses
     for j in range(n_j):
         if j:
-            col = [x * y % m for x, y in zip(col, inverses)]
             c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % m for i in range(K)]
             fact *= j
-        b = bernoulli_number(j)
-        if not b:
-            continue
-        r = b * F**j / fact  # p-integral: v >= kappa(j)
+        if j > 1 and j % 2:
+            continue  # B_j = 0
+        if j == 4:
+            step = [x * x % m for x in inverses]
+        if j:
+            col = [x * y % m for x, y in zip(col, step)]  # w_a a^(-j)
+        r = bernoulli_number(j) * F**j / fact  # p-integral: v >= kappa(j)
         r = r.numerator * pow(r.denominator, -1, m)
         row = [r * x % m for x in c]
         for k in range(K):

@@ -74,10 +74,17 @@ def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
     return -2 * iwasawa_log(roots.alpha) / (spec.weight - 1)
 
 
+def _check_target(target: int) -> None:
+    # a residual compared to p^0 or below passes whatever the values are
+    if target < 1:
+        raise ValueError("target must be >= 1")
+
+
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
                              target: int = 6,
                              conjugate_lift: bool = False) -> FGCheck:
     """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target."""
+    _check_target(target)
     if target > ctx.N:
         raise ValueError("target precision exceeds the context")
     sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
@@ -122,6 +129,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
 
     Requires a genuine trivial zero (n = 2m, m odd, i in {0,1}).
     """
+    _check_target(target)
     report = trivial_zero_locations(spec, n)
     if (i, i) not in report.locations:
         raise ValueError(f"no trivial zero at branch {i} for n = {n}")
@@ -154,6 +162,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
 def full_report(spec: CMFormSpec, target: int = 6,
                 conjugate_lift: bool = False) -> LInvariantReport:
     """Analytic and unit-root L-invariants with their agreement valuation."""
+    _check_target(target)
     ctx = spec.context
     base = l_invariant_analytic(spec.field, ctx.p, ctx,
                                 conjugate_lift=conjugate_lift)

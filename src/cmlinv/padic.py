@@ -439,6 +439,31 @@ def _log_reduction(T: int, p: int) -> tuple[int, int, int]:
     return k, n, _floor_log(n, p)
 
 
+def _log_units(units, p: int, T: int) -> list:
+    # log<u> mod p^T in [0, p^T) for each integer u prime to p: the series
+    # of `iwasawa_log`, whose docstring proves its bounds, with the
+    # coefficients 1/r shared by every unit
+    k, n, e = _log_reduction(T, p)
+    m = p ** (T + k)
+    work = m * p**e
+    coeffs = []  # (p-part of r, +-(rest of r)^-1 mod p^(T+k))
+    for r in range(1, n + 1):
+        j = ordp(r, p)
+        inv = pow(r // p**j, -1, m)
+        coeffs.append((p**j, inv if r % 2 else -inv))
+    E, pk, mT = (p - 1) * p**k, p**k, p**T
+    unscale = pow(p - 1, -1, mT)
+    logs = []
+    for u in units:
+        w = pow(u, E, work) - 1
+        acc, wr = 0, w
+        for d, c in coeffs:
+            acc += wr // d * c
+            wr = wr * w % work
+        logs.append(acc % m // pk * unscale % mT)
+    return logs
+
+
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """Iwasawa branch of log_p: log_p(p) = 0 and roots of unity map to 0.
 
@@ -461,17 +486,7 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
         raise ValueError("iwasawa_log of zero")
     ctx = x.context
     p, T = ctx.p, x.rel_prec
-    k, n, e = _log_reduction(T, p)
-    m = p ** (T + k)
-    work = m * p**e
-    w = pow(x.unit_int(), (p - 1) * p**k, work) - 1
-    acc, wr = 0, w
-    for r in range(1, n + 1):
-        j = ordp(r, p)
-        term = wr // p**j * pow(r // p**j, -1, m)
-        acc += term if r % 2 else -term
-        wr = wr * w % work
-    acc = acc % m // p**k * pow(p - 1, -1, p**T) % p**T
+    acc = _log_units((x.unit_int(),), p, T)[0]
     if acc == 0:
         return PadicNumber(ctx, None, 0, T)
     v = ordp(acc, p)
@@ -491,9 +506,12 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
     p = ctx.p
     v = x.valuation()
     target = min(x.abs_prec, ctx.N)
-    # term r has valuation r*v - ord(r!) >= r*(v - 1/(p-1)), increasing in r
+    # term r has valuation r*v - ord(r!) >= r*v - (r-1)/(p-1), a bound that
+    # increases in r, so every term past the first r where it reaches the
+    # target can go; r*v - ord(r!) itself does not increase (p = 3, v = 1:
+    # 16 at r = 26, 14 at r = 27)
     n_terms = 1
-    while n_terms * v - _factorial_valuation(n_terms, p) <= target:
+    while (n_terms + 1) * (v * (p - 1) - 1) + 1 < target * (p - 1):
         n_terms += 1
     acc = ctx.one()
     term = ctx.one()
@@ -501,15 +519,6 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
         term = term * x / r
         acc = acc + term
     return acc.truncate_abs(target)
-
-
-def _factorial_valuation(n: int, p: int) -> int:
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
 
 
 def hensel_lift(f, df, x: int, p: int, k: int) -> int:

@@ -6,6 +6,7 @@ from math import comb, gcd, lcm
 
 import pytest
 
+from cmlinv import characters
 from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, dirichlet_L_nonpositive,
@@ -73,7 +74,7 @@ def _horner_row(f: int, n: int):
     Fraction loop per unit a: the textbook definition of B_{n,chi}.
     """
     scale = Fraction(f) ** (n - 1)
-    coeffs = [comb(n, j) * bernoulli_number(j) for j in range(n + 1)]
+    coeffs = [comb(n, j) * _bernoulli_oracle(j) for j in range(n + 1)]
     row = {}
     for a in range(1, f + 1):
         if gcd(a, f) == 1:
@@ -278,6 +279,41 @@ def test_bernoulli_numbers_first_convention():
     assert bernoulli_number(1) == Fraction(-1, 2)
     assert bernoulli_number(2) == Fraction(1, 6)
     assert bernoulli_number(12) == Fraction(-691, 2730)
+    with pytest.raises(ValueError):
+        bernoulli_number(-1)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_oracle(n: int) -> Fraction:
+    """B_n from sum_{j <= n} C(n+1, j) B_j = 0, in Fractions: O(n^2) additions."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, j) * _bernoulli_oracle(j) for j in range(n)) / (n + 1)
+
+
+@pytest.mark.parametrize("order", ["large_first", "small_first"])
+def test_bernoulli_numbers_match_recurrence_oracle(monkeypatch, order):
+    # from a table of B_0 alone: B_300 first reads every smaller B_n from
+    # the table it built; ascending order makes the table grow
+    builds = []
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    build = characters._bernoulli_table
+    monkeypatch.setattr(characters, "_bernoulli_table", counted)
+    monkeypatch.setattr(characters, "_bernoulli", (Fraction(1),))
+    ns = [300, *range(300)] if order == "large_first" else range(301)
+    got = {n: bernoulli_number(n) for n in ns}
+    assert all(got[n] == _bernoulli_oracle(n) for n in range(301))
+    if order == "large_first":
+        assert builds == [300]
+    else:
+        # each rebuild at least doubles and none passes twice the largest n,
+        # so together they cost O(300^2) steps
+        assert all(b >= 2 * a for a, b in zip(builds, builds[1:]))
+        assert builds[-1] <= 600
 
 
 def test_b1_for_small_kronecker_characters():
@@ -321,7 +357,7 @@ def test_imprimitive_euler_factor_relation():
         lhs = Fraction(0)
         for a in (1, 5, 7, 11):
             x = Fraction(a, 12)
-            b_n = sum(comb(n, j) * bernoulli_number(j) * x ** (n - j) for j in range(n + 1))
+            b_n = sum(comb(n, j) * _bernoulli_oracle(j) * x ** (n - j) for j in range(n + 1))
             lhs += (1 if a % 4 == 1 else -1) * b_n
         lhs *= Fraction(12) ** (n - 1)
         rhs = gen_bernoulli(n, th) * (1 + Fraction(3) ** (n - 1))  # theta(3) = -1

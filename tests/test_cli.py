@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, golden files, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -172,6 +173,35 @@ def test_klp_rejects_prec_below_one(capsys, prec):
     code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0",
                         "--at", "0", "--prec", prec)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("bad", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("verify-fg", "--D", "-4", "--p", "13", "--prec"),
+    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--prec"),
+    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n"),
+])
+def test_vacuous_verification_rejected(capsys, argv, bad):
+    # a residual compared to p^0 or below, or no symmetric power, would
+    # pass whatever was computed
+    code, out = run_cli(capsys, *argv, bad)
+    assert code == 2 and out == ""
+
+
+def test_out_into_missing_directory_exits_two(capsys, tmp_path):
+    code = main(["verify-fg", "--D", "-4", "--p", "5",
+                 "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_fg_256_digits_pinned(capsys):
+    # the golden fixtures stop at 16 digits; this pins the whole payload at 256
+    code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "256")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a7c93bb5c419951a14de61609ca28dff66a4e39a978e64b9c853561d201212a2")
 
 
 def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeypatch):

@@ -13,8 +13,8 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, is_fundamental_discriminant,
                                kronecker_symbol)
-from cmlinv.kl import (_closed_form_bounds, _kl_function, branch_derivative,
-                       branch_series, kl_value)
+from cmlinv.kl import (_closed_form_bounds, _kl_function, _logs,
+                       branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
                           padic_exp)
 from cmlinv.quadfield import pi_bar, quad_field_data
@@ -373,3 +373,13 @@ def test_closed_form_bounds_cover_every_term():
                     sharp += min(last, default=T) < T
         # the cut is sharp: one term fewer would lose a digit somewhere
         assert sharp, p
+
+
+@pytest.mark.parametrize("D, p, M", [(-4, 5, 1), (-3, 7, 12), (-39, 5, 40), (-40, 13, 33)])
+def test_logs_match_iwasawa_log(D, p, M):
+    # additivity over the prime factors, the primes' logs batched, against
+    # one iwasawa_log per unit
+    theta = DirichletCharacter(D)
+    units = [a for a in range(1, abs(D) * p) if a % p and theta.value_exact(a)]
+    ctx = PadicContext(p, M)
+    assert _logs(units, p, M) == [iwasawa_log(ctx.from_int(a)).residue(M) for a in units]

@@ -223,6 +223,23 @@ def test_formula_rejects_non_exceptional():
         verify_trivial_zero_formula(_spec(), 2, 2)
 
 
+@pytest.mark.parametrize("target", [0, -3])
+def test_target_below_one_rejected_before_any_work(monkeypatch, target):
+    import cmlinv.linvariant as lin
+
+    def no_field_work(*args, **kwargs):
+        raise AssertionError("an L-invariant was computed")
+
+    monkeypatch.setattr(lin, "pi_bar", no_field_work)
+    spec = _spec()
+    checks = [lambda: verify_ferrero_greenberg(spec.field, 5, spec.context, target=target),
+              lambda: verify_trivial_zero_formula(spec, 2, 0, target=target),
+              lambda: full_report(spec, target=target)]
+    for check in checks:
+        with pytest.raises(ValueError, match="target"):
+            check()
+
+
 def test_invariance_under_conjugate_lift():
     for conj in (False, True):
         rep = full_report(_spec(), target=6, conjugate_lift=conj)

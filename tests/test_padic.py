@@ -1,6 +1,7 @@
 """Exact Q_p arithmetic: constructors, special functions, precision model."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -314,6 +315,22 @@ def test_exp_additivity_and_squaring_oracle():
     e1 = padic_exp(five)
     e2 = padic_exp(half_arg) ** 2
     assert (e1 - e2).min_valuation() >= 30
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_exp_keeps_every_term_below_the_target(p):
+    # r v - ord(r!) does not increase in r (p = 3, v = 1: 16 at r = 26, 14 at
+    # r = 27), so a term count cut where it first passes the target drops
+    # terms that still count; the oracle sums 4N + 8 terms in Fractions,
+    # past which every term lies above p^(2N)
+    for N in range(1, 41):
+        ctx = make_context(p, N)
+        for a in (1, 2, p + 1):
+            x = p * a
+            want = sum(Fraction(x**r, math.factorial(r)) for r in range(4 * N + 8))
+            got = padic_exp(ctx.from_int(x))
+            assert got.abs_prec == N
+            assert (got - ctx.from_rational(want)).min_valuation() >= N, (N, a)
 
 
 def test_exp_rejects_small_valuation():
