@@ -23,8 +23,8 @@ from math import isqrt
 
 from .characters import (char_from_kronecker, is_fundamental_discriminant,
                          kronecker_symbol)
-from .padic import (PadicContext, PadicNumber, hensel_lift, iwasawa_log,
-                    sqrt_mod_prime, sqrt_unit)
+from .padic import (PadicContext, PadicNumber, _is_prime, hensel_lift,
+                    iwasawa_log, sqrt_mod_prime, sqrt_unit)
 
 __all__ = [
     "QuadFieldData",
@@ -88,9 +88,9 @@ def quad_field_from_discriminant(D: int) -> QuadFieldData:
 
 
 def split_behavior(F: QuadFieldData, p: int) -> str:
-    """'split', 'inert', or 'ramified'; p = 2 handled through (D/2)."""
-    if p < 2:
-        raise ValueError("p must be a prime")
+    """'split', 'inert', or 'ramified' at a prime p; p = 2 handled through (D/2)."""
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     s = kronecker_symbol(F.D, p)
     return "split" if s == 1 else "inert" if s == -1 else "ramified"
 

@@ -143,6 +143,12 @@ def test_bad_prime_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("D, p", [("-4", "15"), ("-3", "9")])
+def test_quadfield_composite_p_exits_two(capsys, D, p):
+    code, out = run_cli(capsys, "quadfield", "--D", D, "--p", p)
+    assert code == 2 and out == ""
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     import cmlinv.cli as cli_mod
     from cmlinv.linvariant import FGCheck

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (PadicNumber, _is_prime, _log_reduction, _log_terms,
-                          hensel_lift, iwasawa_log, make_context, ordp,
-                          padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
+from cmlinv.padic import (_GCD_INVERSE_BITS, PadicNumber, _inverse, _is_prime,
+                          _log_reduction, _log_terms, hensel_lift, iwasawa_log,
+                          make_context, ordp, padic_exp, sqrt_mod_prime,
+                          sqrt_unit, teichmuller)
 from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -80,6 +81,58 @@ def test_negative_powers():
     y = x**-2
     assert y * x * x == 1
     assert y.valuation() == -2
+
+
+def test_inverse_matches_pow_on_both_sides_of_the_cutoff():
+    rng = random.Random(9)
+    for p in (3, 29, 97):
+        for k in (1, 2, 13, 17, 64, 512):
+            m = p**k
+            bits = {m.bit_length() + 8, _GCD_INVERSE_BITS + 1, _GCD_INVERSE_BITS, 8, 2}
+            us = [2, p - 1, m + 2, *(rng.getrandbits(b) | 1 for b in sorted(bits))]
+            for u in us:
+                if u % p:
+                    assert _inverse(u, p, k) == pow(u, -1, m), (p, k, u)
+    # both branches run: a reduced unit of 64 bits and one of 65 bits
+    m = 29**512
+    for b in (_GCD_INVERSE_BITS, _GCD_INVERSE_BITS + 1):
+        u = (1 << (b - 1)) + 1
+        assert u % 29 and u.bit_length() == b
+        assert _inverse(u, 29, 512) * u % m == 1
+
+
+def _quotient_oracle(x: PadicNumber, y: PadicNumber) -> str:
+    # repr of x / y for units known to finite precision, by pow(u, -1, m)
+    p, rel = x.context.p, min(x.rel_prec, y.rel_prec)
+    m = p**rel
+    v = x.valuation() - y.valuation()
+    return repr(PadicNumber(x.context, v, x.unit_int() * pow(y.unit_int(), -1, m) % m, v + rel))
+
+
+def _negative_power_oracle(x: PadicNumber, e: int) -> str:
+    m = x.context.p ** x.rel_prec
+    v = x.valuation() * e
+    return repr(PadicNumber(x.context, v, pow(pow(x.unit_int(), -1, m), -e, m),
+                            v + x.rel_prec))
+
+
+@pytest.mark.parametrize("p", [5, 29])
+def test_division_and_negative_powers_match_pow_oracle(p):
+    rng = random.Random(p)
+    ctx = make_context(p, 512)
+
+    def value(rel):
+        # a full-size unit, one below the gcd cutoff, or 2
+        u = rng.choice([rng.randrange(1, p**rel), rng.getrandbits(40), 2])
+        v = rng.randrange(-3, 4)
+        return PadicNumber(ctx, v, u if u % p else u + 1, v + rel)
+
+    for _ in range(60):
+        x, y = value(rng.randrange(1, 513)), value(rng.randrange(1, 513))
+        assert repr(x / y) == _quotient_oracle(x, y)
+        assert repr(x / 7) == _quotient_oracle(x, ctx.from_int(7))
+        e = -rng.randrange(1, 5)
+        assert repr(y**e) == _negative_power_oracle(y, e)
 
 
 def test_min_valuation_of_inexact_zero():
@@ -223,16 +276,22 @@ def test_log_term_count_covers_every_dropped_term():
 
 def test_log_reduction_bounds_cover_every_term():
     # log(1 + w), ord_p(w) >= k + 1, is summed mod p^(T+k): every dropped term
-    # lies at or above p^(T+k), and every kept term r loses ord_p(r) <= e
-    # digits, so w^r mod p^(T+k+e) divided by r is still known mod p^(T+k)
-    for p in (3, 5, 7, 13):
+    # lies at or above p^(T+k), and every kept term r has ord_p(r) <= e =
+    # ord_p(lcm(1..n)), so the scaled coefficients lcm(1..n)/r are integers
+    for p in (3, 5, 7, 13, 29, 97):
         for T in (*range(1, 40), 64, 100, 128, 257, 512, 1024):
             k, n, e = _log_reduction(T, p)
-            assert all(r * (k + 1) - ordp(r, p) >= T + k
-                       for r in range(n + 1, n + 2 * p**3)), (p, T)
+            # every r in (n, n + 2 p^3): past n + p only multiples of p can
+            # fall below r = n + 1, so the others are skipped
+            dropped = [*range(n + 1, n + p + 1), *range(p * (n // p + 1), n + 2 * p**3, p)]
+            assert all(r * (k + 1) - ordp(r, p) >= T + k for r in dropped), (p, T)
             assert all(ordp(r, p) <= e for r in range(1, n + 1)), (p, T)
-    # the reduction is what keeps the series short: 32 terms at 512 digits
-    assert _log_reduction(512, 29)[:2] == (16, 32)
+            # Horner stops below r = n: term n vanishes mod p^(T+k+e) too
+            assert n * (k + 1) >= T + k + e, (p, T)
+    # k follows p as well as T: at 512 digits of 29, 7 log2(29) ~ 34 squarings
+    # and a 65-term series of shrinking operands, against 78 squarings and 32
+    # full-size terms at k = isqrt(T // 2) = 16
+    assert _log_reduction(512, 29)[:2] == (7, 65)
 
 
 def _iwasawa_log_oracle(x: PadicNumber) -> PadicNumber:
@@ -268,7 +327,7 @@ def _same(got: PadicNumber, want: PadicNumber) -> bool:
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97])
 def test_iwasawa_log_matches_series_oracle(p):
     rng = random.Random(p)
-    for N in (1, 2, 3, 8, 17, 64, 512):
+    for N in (1, 2, 3, 8, 17, 64, 512, *((1024,) if p == 29 else ())):
         ctx = make_context(p, N)
         omega = teichmuller(ctx.from_int(2)).unit_int()
         for T in sorted({1, min(2, N), max(N // 2, 1), N}):
@@ -404,6 +463,47 @@ def test_sqrt_mod_prime_above_a_million():
         else:
             with pytest.raises(ValueError):
                 sqrt_mod_prime(a, p)
+
+
+def _hensel_lift_oracle(f, df, x: int, p: int, k: int) -> int:
+    # one modular inverse of f'(x) per Newton step, each from scratch
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        x = (x - f(x, m) * pow(df(x, m), -1, m)) % m
+    return x % p**k
+
+
+def _lift_problems(p: int):
+    # (f, df, root mod p): square roots, a Hecke unit root of
+    # x^2 - a x + p (weight 2), and Teichmuller lifts
+    for a in (4 + 7 * p, 2):
+        if pow(a, (p - 1) // 2, p) == 1:
+            r0 = sqrt_mod_prime(a, p)
+            for r in (r0, p - r0):
+                yield (lambda x, m, a=a: x * x - a), (lambda x, m: 2 * x), r
+    for a in (1, p - 1, 2 + 11 * p):
+        yield (lambda x, m, a=a: x * x - a * x + p), (lambda x, m, a=a: 2 * x - a), a % p
+    for a in (2, p - 1):
+        yield (lambda x, m: pow(x, p - 1, m) - 1,
+               lambda x, m: (p - 1) * pow(x, p - 2, m), a)
+
+
+@pytest.mark.parametrize("p", [3, 5, 29, 97])
+def test_hensel_lift_matches_inverse_per_step_oracle(p):
+    for k in (1, 2, 17, 512):
+        for f, df, r in _lift_problems(p):
+            want = _hensel_lift_oracle(f, df, r, p, k)
+            assert hensel_lift(f, df, r, p, k) == want, (p, k, r)
+            assert f(want, p**k) % p**k == 0
+
+
+def test_hensel_lift_to_one_digit_inverts_nothing():
+    def df(x, m):
+        raise AssertionError("f' evaluated for a lift to p^1")
+    for k in (0, 1):
+        assert hensel_lift(lambda x, m: x * x - 2, df, 10, 7, k) == 10 % 7**k
 
 
 def test_hensel_lift_square_roots_and_roots_of_unity():
