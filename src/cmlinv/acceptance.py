@@ -9,7 +9,7 @@ CLI prints and the pytest results cannot drift apart.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
@@ -30,12 +30,10 @@ CURVE_PRIMES = (5, 13, 17, 29)
 TARGET = 6
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: dict
-    seconds: float
+class CriterionResult(namedtuple("CriterionResult", "name passed detail seconds")):
+    """One criterion's verdict, its JSON-ready detail dict and its wall time."""
+
+    __slots__ = ()
 
 
 def _timed(fn):

@@ -9,7 +9,7 @@ x = a_p mod p in integers, and beta_p = psi(p) p^(k-1) / alpha_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import DirichletCharacter, trivial_character
 from .padic import PadicContext, PadicNumber, hensel_lift
@@ -61,16 +61,10 @@ def ap_point_count(curve: tuple[int, ...], p: int) -> int:
     return -total
 
 
-@dataclass(frozen=True)
-class CMFormSpec:
+class CMFormSpec(namedtuple("CMFormSpec", "field weight nebentypus ap level context")):
     """(F, k, psi, a_p, N): a p-ordinary CM eigenform's local data at p."""
 
-    field: QuadFieldData
-    weight: int
-    nebentypus: DirichletCharacter
-    ap: PadicNumber
-    level: int
-    context: PadicContext
+    __slots__ = ()
 
     @property
     def p(self) -> int:
@@ -110,12 +104,10 @@ def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
     return cm_spec(F, 2, trivial_character(), ap, level, ctx)
 
 
-@dataclass(frozen=True)
-class HeckeRoots:
+class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):
     """Unit root alpha and non-unit root beta of x^2 - a_p x + psi(p) p^(k-1)."""
 
-    alpha: PadicNumber
-    beta: PadicNumber
+    __slots__ = ()
 
 
 def unit_root(spec: CMFormSpec) -> HeckeRoots:

@@ -63,7 +63,7 @@ share no code with the sum, and keeps the exact value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -203,8 +203,7 @@ def _from_residue(ctx: PadicContext, r: int, n: int) -> PadicNumber:
     return ctx.from_int(r).truncate_abs(n) if r else ctx.inexact_zero(n)
 
 
-@dataclass(frozen=True)
-class KLFunction:
+class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
     """g(s) = L_p(s, theta*omega) for one (D, p, n_cert, J).
 
     Holds the certified Taylor coefficients at s = 0, built and checked
@@ -212,10 +211,7 @@ class KLFunction:
     anywhere else; every branch series reads it.  ctx carries J digits.
     """
 
-    ctx: PadicContext
-    chi: DirichletCharacter
-    n_cert: int
-    at0: tuple
+    __slots__ = ()
 
     def node_value(self, n: int) -> PadicNumber:
         """Exact g(1-n) = L_p(1-n, theta*omega), n >= 1, to at least J digits.
@@ -265,22 +261,15 @@ def _kl_function(D: int, p: int, n_cert: int, J: int) -> KLFunction:
     return KLFunction(ctx, chi, n_cert, at0)
 
 
-@dataclass
-class BranchSeries:
+class BranchSeries(namedtuple(
+        "BranchSeries", "branch character s0 coefficients n_cert nodes_used g flip")):
     """Certified expansion of a branch of the p-adic L-function.
 
     coefficients[j] multiplies (s - s0)^j; each is certified to absolute
     precision n_cert.  The branch is a view of g: branch 1 reads g(1-s).
     """
 
-    branch: int
-    character: DirichletCharacter
-    s0: int
-    coefficients: list
-    n_cert: int
-    nodes_used: int
-    g: KLFunction = field(repr=False)
-    _flip: bool = field(repr=False)
+    __slots__ = ()
 
     def series_value(self, s) -> PadicNumber:
         """Partial sum of the certified series at s.
@@ -302,7 +291,7 @@ class BranchSeries:
 
     def evaluate(self, s) -> PadicNumber:
         """Value at s in Z_p from the closed form (not the truncated series)."""
-        return self.g.value(1 - s if self._flip else s)
+        return self.g.value(1 - s if self.flip else s)
 
 
 def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
@@ -339,7 +328,7 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
     series = g.taylor(1 - s0 if flip else s0)
     coeffs = [ctx.convert(-c if flip and j % 2 else c) for j, c in enumerate(series)]
     return BranchSeries(branch=i, character=theta, s0=s0, coefficients=coeffs,
-                        n_cert=n_cert, nodes_used=J, g=g, _flip=flip)
+                        n_cert=n_cert, nodes_used=J, g=g, flip=flip)
 
 
 def branch_derivative(i: int, theta: DirichletCharacter, s0: int,

@@ -19,14 +19,15 @@ factors symbolically through the non-vanishing interpolation product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import dirichlet_L_nonpositive
 from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
 from .padic import PadicContext, PadicNumber, iwasawa_log
-from .quadfield import QuadFieldData, SplitPrimeData, pi_bar
+from .quadfield import QuadFieldData, pi_bar
 from .sympower import e_plus, trivial_zero_locations
 
 __all__ = [
@@ -50,14 +51,17 @@ class FGCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class LInvariantReport:
-    l_at_1: PadicNumber
-    l_at_0: PadicNumber
-    split_data: SplitPrimeData = field(repr=False)
-    l_via_alpha: PadicNumber | None = None
-    agreement_valuation: float | None = None
-    fg_check: FGCheck | None = None
+class LInvariantReport(namedtuple(
+        "LInvariantReport",
+        "l_at_1 l_at_0 split_data l_via_alpha agreement_valuation fg_check",
+        defaults=(None, None, None))):
+    """The L-invariant at s = 1 and at s = 0, with the split-prime package.
+
+    `full_report` also fills in the unit-root value, its agreement
+    valuation and the FGCheck; `l_invariant_analytic` leaves them None.
+    """
+
+    __slots__ = ()
 
 
 def l_invariant_analytic(F: QuadFieldData, p: int, ctx: PadicContext,
@@ -97,8 +101,10 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
                    target=target, passed=resid >= target)
 
 
-@dataclass(frozen=True)
-class TrivialZeroFormulaReport:
+class TrivialZeroFormulaReport(namedtuple(
+        "TrivialZeroFormulaReport",
+        "n branch location l_invariant derivative archimedean_value e_plus_value "
+        "modular_symbols functional_equation_note residual_valuation target passed")):
     """Certificate for the derivative identity at one trivial zero.
 
     The Dirichlet core is numeric: derivative of branch i at s = i equals
@@ -108,18 +114,7 @@ class TrivialZeroFormulaReport:
     product decomposition dictates.
     """
 
-    n: int
-    branch: int
-    location: tuple[int, int]
-    l_invariant: PadicNumber
-    derivative: PadicNumber
-    archimedean_value: Fraction
-    e_plus_value: PadicNumber
-    modular_symbols: tuple[str, ...]
-    functional_equation_note: str | None
-    residual_valuation: float
-    target: int
-    passed: bool
+    __slots__ = ()
 
 
 def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,

@@ -17,7 +17,7 @@ value unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -27,6 +27,7 @@ from .padic import (PadicContext, PadicNumber, _is_prime, hensel_lift,
                     iwasawa_log, sqrt_mod_prime, sqrt_unit)
 
 __all__ = [
+    "MAX_ABS_DISCRIMINANT",
     "QuadFieldData",
     "SplitPrimeData",
     "quad_field_data",
@@ -37,14 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadFieldData:
+class QuadFieldData(namedtuple("QuadFieldData", "d D h w")):
     """Q(sqrt(-d)): fundamental discriminant D < 0, class number h, unit count w."""
 
-    d: int
-    D: int
-    h: int
-    w: int
+    __slots__ = ()
 
     def character(self):
         """The odd quadratic character attached to the field."""
@@ -69,9 +66,22 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return out
 
 
+# The largest |D| a field may have.  `reduced_forms` takes about |D|/3 steps
+# and the squarefree test about sqrt|D|: with Python 3.11 on a 2-vCPU VM,
+# a field with D = -999995 (h = 480) takes 0.04 s and D = -9999995 0.4 s.
+MAX_ABS_DISCRIMINANT = 10**6
+
+
+def _check_ceiling(D: int) -> None:
+    # before any trial division, which a 200-digit D would never leave
+    if -D > MAX_ABS_DISCRIMINANT:
+        raise ValueError(f"|D| must be at most {MAX_ABS_DISCRIMINANT}")
+
+
 def quad_field_data(d: int) -> QuadFieldData:
-    """Invariants of Q(sqrt(-d)) for squarefree d > 0."""
+    """Invariants of Q(sqrt(-d)) for squarefree d > 0 with |D| <= MAX_ABS_DISCRIMINANT."""
     D = -d if d % 4 == 3 else -4 * d
+    _check_ceiling(D)
     if d < 1 or not is_fundamental_discriminant(D):
         raise ValueError(f"d must be a squarefree positive integer, got {d}")
     h = len(reduced_forms(D))
@@ -81,6 +91,7 @@ def quad_field_data(d: int) -> QuadFieldData:
 
 def quad_field_from_discriminant(D: int) -> QuadFieldData:
     """Same data keyed by a fundamental discriminant D < 0."""
+    _check_ceiling(D)
     if D >= 0 or not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a negative fundamental discriminant")
     d = -D if D % 4 == 1 else -D // 4
@@ -95,23 +106,18 @@ def split_behavior(F: QuadFieldData, p: int) -> str:
     return "split" if s == 1 else "inert" if s == -1 else "ramified"
 
 
-@dataclass(frozen=True)
-class SplitPrimeData:
+class SplitPrimeData(namedtuple(
+        "SplitPrimeData",
+        "p h sqrt_disc pi_coords pibar_coords pibar_unit log_pibar conjugate_lift")):
     """The split-prime package at p.
 
     Coordinates (x, y) encode (x + y*sqrt(D))/2; pibar_coords is the
     conjugate whose embedding image is a unit and generates the h-th power
-    of the prime missed by the embedding.
+    of the prime missed by the embedding.  sqrt_disc, pibar_unit and
+    log_pibar are PadicNumbers; the coordinates are integer pairs.
     """
 
-    p: int
-    h: int
-    sqrt_disc: PadicNumber
-    pi_coords: tuple[int, int]
-    pibar_coords: tuple[int, int]
-    pibar_unit: PadicNumber
-    log_pibar: PadicNumber
-    conjugate_lift: bool
+    __slots__ = ()
 
     def embed(self, coords: tuple[int, int]) -> PadicNumber:
         """Image of (x + y*sqrt(D))/2 under the fixed embedding."""

@@ -16,9 +16,9 @@ factors only (odd Hecke-character powers), so no trivial zero occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .characters import DirichletCharacter, char_product, trivial_character
+from .characters import char_product, trivial_character
 from .cmform import CMFormSpec, unit_root
 from .kl import branch_series
 from .padic import PadicNumber
@@ -35,24 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymPowerFactor:
+class SymPowerFactor(namedtuple(
+        "SymPowerFactor", "kind character eta_power weight shift twist alpha beta",
+        defaults=(None,) * 7)):
     """One factor of the decomposed symmetric power.
 
     kind is "dirichlet" (then only `character` is set) or "modular" (then
     the Hecke-character power r determines the weight r(k-1) + 1, and the
     cyclotomic shift, twist character, and Hecke roots of the twisted form
-    are stored explicitly).
+    are stored explicitly).  Unset fields are None.
     """
 
-    kind: str
-    character: DirichletCharacter | None = None
-    eta_power: int | None = None
-    weight: int | None = None
-    shift: int | None = None
-    twist: DirichletCharacter | None = None
-    alpha: PadicNumber | None = None
-    beta: PadicNumber | None = None
+    __slots__ = ()
 
     @property
     def j(self) -> int:
@@ -62,12 +56,10 @@ class SymPowerFactor:
         return self.eta_power // 2
 
 
-@dataclass(frozen=True)
-class SymPowerDecomposition:
-    n: int
-    m: int
-    spec: CMFormSpec
-    factors: tuple[SymPowerFactor, ...]
+class SymPowerDecomposition(namedtuple("SymPowerDecomposition", "n m spec factors")):
+    """The factors (a tuple of SymPowerFactor) of the n-th power, n = 2m or 2m + 1."""
+
+    __slots__ = ()
 
     def dirichlet_factor(self) -> SymPowerFactor | None:
         for f in self.factors:
@@ -136,21 +128,18 @@ def critical_integers(n: int, k: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class TrivialZeroCertificate:
-    branch: int
-    s: int
-    order: int
-    c0: PadicNumber
-    c1: PadicNumber
-    n_cert: int
+class TrivialZeroCertificate(namedtuple(
+        "TrivialZeroCertificate", "branch s order c0 c1 n_cert")):
+    """Series coefficients c0 = 0 and c1 != 0 mod p^n_cert of branch `branch` at s."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrivialZeroReport:
-    n: int
-    locations: tuple[tuple[int, int], ...]
-    certificates: tuple[TrivialZeroCertificate, ...] = ()
+class TrivialZeroReport(namedtuple(
+        "TrivialZeroReport", "n locations certificates", defaults=((),))):
+    """The (branch, s) trivial zeroes of the n-th power, with any certificates."""
+
+    __slots__ = ()
 
 
 def trivial_zero_locations(spec: CMFormSpec, n: int,

@@ -149,6 +149,11 @@ def test_quadfield_composite_p_exits_two(capsys, D, p):
     assert code == 2 and out == ""
 
 
+def test_discriminant_over_the_ceiling_exits_two(capsys):
+    code, out = run_cli(capsys, "quadfield", "--D", "-" + "9" * 199 + "5")
+    assert code == 2 and out == ""
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     import cmlinv.cli as cli_mod
     from cmlinv.linvariant import FGCheck

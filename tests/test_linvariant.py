@@ -1,17 +1,24 @@
 """L-invariants two ways, the family exponential, and the verification battery."""
 
+import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import cmlinv
+from cmlinv.acceptance import ac6_critical_containment
 from cmlinv.characters import char_from_kronecker
 from cmlinv.cmform import cm_spec, cm_spec_from_curve, unit_root
+from cmlinv.kl import branch_series
 from cmlinv.linvariant import (full_report, l_invariant_analytic,
                                l_invariant_via_alpha, verify_ferrero_greenberg,
                                verify_trivial_zero_formula)
 from cmlinv.padic import PadicNumber, iwasawa_log, make_context, padic_exp
 from cmlinv.quadfield import (_split_prime_data, pi_bar, quad_field_data,
                               quad_field_from_discriminant)
+from cmlinv.sympower import decompose, trivial_zero_locations
 
 CURVE = (0, -1, 0)
 
@@ -266,3 +273,52 @@ def test_pi_bar_built_once_per_report():
     for name in ("sqrt_disc", "pibar_unit", "log_pibar"):
         a, b = getattr(cached, name), getattr(fresh, name)
         assert repr(a) == repr(b) and a.abs_prec == b.abs_prec, name
+
+
+# --- the records ----------------------------------------------------------------
+
+def _records():
+    # one instance of every record type, built the way the program builds it
+    spec = _spec()
+    rep = full_report(spec, target=6)
+    dec = decompose(spec, 2)
+    zeros = trivial_zero_locations(spec, 2, with_certificates=True)
+    bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
+    return [spec.field, rep.split_data, spec, unit_root(spec), bs.g, bs,
+            dec.factors[0], dec, zeros.certificates[0], zeros, rep, rep.fg_check,
+            verify_trivial_zero_formula(spec, 2, 0), ac6_critical_containment()]
+
+
+def test_records_are_immutable():
+    records = _records()
+    assert len({type(r) for r in records}) == len(records) == 14
+    for rec in records:
+        names = getattr(rec, "_fields", None) or [f.name for f in dataclasses.fields(rec)]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            rec.note = None  # no instance dict to take a new attribute
+
+
+def test_fgcheck_is_the_only_dataclass():
+    # every other record is a named tuple, whose class is far cheaper to
+    # build at import; FGCheck must support dataclasses.replace (below)
+    found = set()
+    for info in pkgutil.iter_modules(cmlinv.__path__):
+        mod = importlib.import_module(f"cmlinv.{info.name}")
+        found |= {obj.__name__ for obj in vars(mod).values()
+                  if isinstance(obj, type) and obj.__module__ == mod.__name__
+                  and dataclasses.is_dataclass(obj)}
+    assert found == {"FGCheck"}
+
+
+def test_fgcheck_supports_dataclasses_replace():
+    # the benchmark's self-test flips a digit of a real check this way
+    ctx = make_context(5, 8)
+    chk = verify_ferrero_greenberg(quad_field_data(1), 5, ctx)
+    lhs = chk.lhs + ctx.from_int(5) ** (chk.lhs.valuation() + 3)
+    flipped = dataclasses.replace(chk, lhs=lhs)
+    assert flipped.lhs is lhs and flipped is not chk
+    assert (flipped.rhs, flipped.residual_valuation, flipped.target, flipped.passed) == \
+        (chk.rhs, chk.residual_valuation, chk.target, chk.passed)

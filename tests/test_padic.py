@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (_GCD_INVERSE_BITS, PadicNumber, _inverse, _is_prime,
-                          _log_reduction, _log_terms, hensel_lift, iwasawa_log,
-                          make_context, ordp, padic_exp, sqrt_mod_prime,
-                          sqrt_unit, teichmuller)
+from cmlinv.padic import (_GCD_INVERSE_BITS, PadicNumber, _base_p_digits,
+                          _inverse, _is_prime, _log_reduction, _log_terms,
+                          hensel_lift, iwasawa_log, make_context, ordp,
+                          padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
 from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -52,6 +52,28 @@ def test_valuation_and_digits():
     assert x.valuation() == 2
     assert x.digits()[0] == 2
     assert x.residue(3) == 50 % 125
+
+
+def _digits_oracle(u: int, p: int, n: int) -> list[int]:
+    # one divmod by p per digit, as `digits` did before it split at squarings
+    out = []
+    for _ in range(n):
+        u, d = divmod(u, p)
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 29, 97])
+def test_digits_match_per_digit_oracle(p):
+    rng = random.Random(p)
+    lengths = {0, 1} | {2**j + e for j in range(1, 12) for e in (-1, 0, 1)}
+    for n in sorted(lengths):
+        u = rng.randrange(p**n)
+        assert _base_p_digits(u, p, n) == _digits_oracle(u, p, n), (p, n)
+        if n:
+            u += u % p == 0
+            x = PadicNumber(make_context(p, n), 0, u, n)
+            assert x.digits() == _digits_oracle(u, p, n), (p, n)
 
 
 def test_addition_cancellation_gives_inexact_zero():

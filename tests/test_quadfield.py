@@ -7,9 +7,10 @@ import pytest
 
 from cmlinv.characters import is_fundamental_discriminant
 from cmlinv.padic import _is_prime, iwasawa_log, make_context, sqrt_mod_prime
-from cmlinv.quadfield import (_norm_solution, pi_bar, quad_field_data,
-                              quad_field_from_discriminant, reduced_forms,
-                              split_behavior)
+from cmlinv.quadfield import (MAX_ABS_DISCRIMINANT, QuadFieldData,
+                              _norm_solution, _split_prime_data, pi_bar,
+                              quad_field_data, quad_field_from_discriminant,
+                              reduced_forms, split_behavior)
 
 CTX5 = make_context(5, 24)
 
@@ -47,6 +48,25 @@ def test_rejects_non_squarefree():
                 quad_field_data(d)
         else:
             assert quad_field_data(d).d == d
+
+
+def test_discriminant_over_the_ceiling_rejected_fast():
+    # 200 digits: trial division for the squarefree test would never end
+    D = -int("9" * 199 + "5")
+    for build, arg in ((quad_field_from_discriminant, D), (quad_field_data, -D)):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="at most"):
+            build(arg)
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ValueError, match="at most"):
+        quad_field_from_discriminant(-(MAX_ABS_DISCRIMINANT + 3))
+
+
+def test_discriminant_just_below_the_ceiling_passes():
+    D = -(MAX_ABS_DISCRIMINANT - 5)
+    assert is_fundamental_discriminant(D)
+    F = quad_field_from_discriminant(D)
+    assert (F.d, F.D, F.w) == (-D, D, 2) and F.h > 0
 
 
 def _reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -211,6 +231,19 @@ def test_large_class_number_norm_equation():
         assert not (x % p == 0 and y % p == 0)
         assert sp.pibar_unit.valuation() == 0
         assert sp.embed(sp.pi_coords).valuation() == h
+
+
+def test_equal_fields_share_one_split_prime_build():
+    # the cache key hashes the field by value: two equal fields built
+    # apart find one entry, so pi_bar is built once
+    a, b = quad_field_data(1), QuadFieldData(d=1, D=-4, h=1, w=4)
+    assert a == b and hash(a) == hash(b) and a is not b
+    _split_prime_data.cache_clear()
+    first = pi_bar(a, 5, CTX5)
+    assert pi_bar(b, 5, CTX5) is first
+    info = _split_prime_data.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
 
 def test_pibar_gaussian_at_five_default_lift():
     sp = pi_bar(quad_field_data(1), 5, CTX5)
