@@ -32,14 +32,19 @@ H(s0 + t) = F (s - 1) g(s) has the Taylor coefficients
     h_m = sum_j sum_{i+k=m} K_{j,i} (-1)^k P_{j,k} / k!,
     K_{j,i} = B_j F^j [t^i] C(1-s0-t, j),  P_{j,k} = sum_{a in A} w_a a^(-j) (log_p a)^k.
 
-One pass over A gives every P_{j,k} for k < K, all in integers mod p^M:
-log_p a comes by additivity from the integer series of `iwasawa_log` at
-the primes, and the odd j > 1 are skipped, since B_j = 0 there, so the
-column w_a a^(-j) steps by a^(-2) from j = 2 on.  Then
-g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 = sum chi(a)
-= 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of the log;
-otherwise g_0 = h_0 / (F (s0-1)) and g_m = (h_m - F g_{m-1}) / (F (s0-1)),
-with K = order.
+One pass over A gives every P_{j,k} for k < K, all in integers: theta(a)
+is read from the Kronecker row of D, log_p a comes by additivity from the
+integer series of `iwasawa_log` at the primes, and the odd j > 1 are
+skipped, since B_j = 0 there, so the column w_a a^(-j) steps by a^(-2)
+from j = 2 on.  The factor B_j F^j / j! is formed mod p^T without
+rationals: |D|^j is carried along, the p-free part of j! is inverted one
+factor j / p^v(j) at a time, and the p-power j - v(j!) - [(p-1) | j] is
+counted exactly, the denominator of B_j having one factor p exactly when
+(p-1) | j (von Staudt-Clausen; B_j itself comes from the exact table).
+Then g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 =
+sum chi(a) = 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of
+the log; otherwise g_0 = h_0 / (F (s0-1)) and
+g_m = (h_m - F g_{m-1}) / (F (s0-1)), with K = order.
 
 Bounds (`_closed_form_bounds`).  v(F) = 1, j! [t^i] C(1-s0-t, j) is an
 integer, v(j!) <= floor((j-1)/(p-1)), and v(B_j) >= -1 with equality
@@ -55,6 +60,17 @@ mod p^T with T = n + 1 + order * v(s0 - 1) (the 1/F digit and the
 divisions by s0 - 1; at s0 = 1 only the 1/F digit): every term with
 kappa(j) >= T is dropped, and P is summed mod p^M, M = T + v((K-1)!).
 
+Working modulus in j.  The integer K_{j,i} mod p^T is a multiple of
+p^kappa(j), so K_{j,i} P_{j,k} / k! mod p^T needs P_{j,k} / k! only mod
+p^(T - kappa(j)), hence P_{j,k} only mod p^(M - kappa(j)): M - T >= v(k!)
+digits go to the division, and M - kappa(j) > M - T >= v(k!) keeps P a
+multiple of p^v(k!), so the division stays exact.  Since kappa(j) < T
+for every kept j, M - kappa(j) >= 1.  The column, the step a^(-2) and
+the log powers enter P only, so they are kept mod p^Mc for some
+Mc >= M - kappa(j), and re-reduced to Mc = M - kappa(j) whenever that
+modulus has fallen by a quarter: the products shrink with j, at the
+cost of one reduction pass per quarter.
+
 Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly, an exact
 zero when p splits.  Each table compares its closed-form constant term
 with that value, through the Bernoulli numbers of `characters`, which
@@ -69,8 +85,8 @@ from functools import lru_cache
 from math import isqrt
 from operator import mul
 
-from .characters import (DirichletCharacter, bernoulli_number, char_product,
-                         char_teichmuller_power, gen_bernoulli)
+from .characters import (DirichletCharacter, _kronecker_row, bernoulli_number,
+                         char_product, char_teichmuller_power, gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _log_units, ordp
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
@@ -98,12 +114,17 @@ def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
     return -(euler * B) / n
 
 
+def _kappa(j: int, p: int) -> int:
+    # kappa(j) <= v(K_{j,i}) for every i (kappa(0) = 0: K_{0,i} is an integer)
+    return j - (j % (p - 1) == 0) - (j - 1) // (p - 1) if j else 0
+
+
 def _closed_form_bounds(T: int, K: int, p: int) -> tuple[int, int]:
     # (M, n_j) for H mod p^T from K powers of log_p: every j >= n_j has
     # kappa(j) >= T, and P_{j,k} summed mod p^M, M = T + v((K-1)!), still
     # gives P_{j,k} / k! mod p^T for every k < K
     n_j = 1
-    while n_j - (n_j % (p - 1) == 0) - (n_j - 1) // (p - 1) < T:
+    while _kappa(n_j, p) < T:
         n_j += 1
     return T + sum(ordp(k, p) for k in range(2, K)), n_j
 
@@ -132,7 +153,8 @@ def _logs(units: list, p: int, M: int) -> list:
 
 def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     """The first `order` Taylor coefficients of g at the integer s0, each mod p^n."""
-    F = abs(D) * p
+    A = abs(D)
+    F = A * p
     d = s0 - 1
     v = ordp(d, p) if d else 0
     K = order + (d == 0)
@@ -140,8 +162,8 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     M, n_j = _closed_form_bounds(T, K, p)
     m, mT = p**M, p**T
 
-    theta = DirichletCharacter(D)
-    signs = [theta.value_exact(a) if a % p else 0 for a in range(F)]
+    theta = _kronecker_row(D)  # theta(a) for a mod |D|, 0 off the units
+    signs = [theta[a % A] if a % p else 0 for a in range(F)]
     units = [a for a in range(1, F) if signs[a]]
     e = s0 % (p - 1)
     omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
@@ -161,24 +183,40 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
 
     h = [0] * K
     c = [1] + [0] * (K - 1)  # j! C(1-s0-t, j) in t, truncated to K terms
-    fact, step = 1, inverses
+    # A^j, v(j!) and the inverse of j!/p^v(j!), all mod p^T
+    Aj, vfact, inv_fact = 1, 0, 1
+    # col, step and lam are kept mod p^Mc, Mc >= M - kappa(j)
+    Mc, mc, step = M, m, inverses
     for j in range(n_j):
         if j:
-            c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % m for i in range(K)]
-            fact *= j
+            c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % mT for i in range(K)]
+            Aj = Aj * A % mT
+            w = ordp(j, p)
+            vfact += w
+            inv_fact = inv_fact * pow(j // p**w, -1, mT) % mT
         if j > 1 and j % 2:
             continue  # B_j = 0
+        Mj = M - _kappa(j, p)
+        if 4 * Mj <= 3 * Mc:  # fallen by a quarter: re-reduce
+            Mc, mc = Mj, p**Mj
+            col, step = [x % mc for x in col], [x % mc for x in step]
+            lam = [None, *([x % mc for x in lk] for lk in lam[1:])]
         if j == 4:
-            step = [x * x % m for x in inverses]
+            step = [x * x % mc for x in inverses]
         if j:
-            col = [x * y % m for x, y in zip(col, step)]  # w_a a^(-j)
-        r = bernoulli_number(j) * F**j / fact  # p-integral: v >= kappa(j)
-        r = r.numerator * pow(r.denominator, -1, m)
-        row = [r * x % m for x in c]
+            col = [x * y % mc for x, y in zip(col, step)]  # w_a a^(-j)
+        # B_j F^j / j! = p^u N A^j / (Q/p^[(p-1)|j] * j!/p^v(j!)), B_j = N/Q:
+        # by von Staudt-Clausen p divides Q exactly when (p-1) | j, j >= 1
+        B = bernoulli_number(j)
+        wq = 1 if j and j % (p - 1) == 0 else 0
+        u = j - vfact - wq  # >= kappa(j)
+        r = (B.numerator * Aj * pow(p, u, mT) * pow(B.denominator // p**wq, -1, mT)
+             * inv_fact % mT)
+        row = [r * x % mT for x in c]
         for k in range(K):
             P = sum(col) if k == 0 else sum(map(mul, col, lam[k]))
             div, inv = facts[k]
-            Pk = P % m // div * inv
+            Pk = P % mc // div * inv
             for i in range(K - k):
                 h[i + k] += row[i] * Pk
     h = [x % mT for x in h]
@@ -187,10 +225,10 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     if d == 0:
         if h[0]:
             raise ArithmeticError("the pole of g at s = 1 does not cancel")
-        inv = pow(abs(D), -1, mT)
+        inv = pow(A, -1, mT)
         g = [x // p * inv for x in h[1:]]
     else:
-        inv, q = pow(abs(D) * (d // p**v), -1, mT), p ** (1 + v)
+        inv, q = pow(A * (d // p**v), -1, mT), p ** (1 + v)
         g, prev = [], 0
         for x in h:
             prev = (x - F * prev) % mT // q * inv % mT

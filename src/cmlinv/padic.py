@@ -452,37 +452,50 @@ def _log_terms(v: int, target: int, p: int) -> int:
     return n
 
 
-def _log_reduction(T: int, p: int) -> tuple[int, int, int]:
-    # (k, n, e) for log<u> mod p^T: w = u^((p-1) p^k) - 1 has ord_p(w) >= k+1,
-    # n terms of log(1+w) reach p^(T+k), and e = floor(log_p n) = ord_p(lcm(1..n));
-    # k balances the k log2(p) squarings of the power against the T/k terms
-    k = max(1, math.isqrt(T // (2 * p.bit_length())))
+def _log_reduction(T: int, p: int) -> tuple[int, int, int, int]:
+    # (k, n, e, s) for log<u> mod p^T: w = u^((p-1) p^k) - 1 has ord_p(w) >= k+1,
+    # n terms of log(1+w) reach p^(T+k), e = floor(log_p n) = ord_p(lcm(1..n)),
+    # and the series is summed in blocks of s terms; `iwasawa_log` derives k and s
+    b = p.bit_length()
+    k = 1
+    while (k + 1) ** 3 * b * b <= 4 * T:
+        k += 1
     n = _log_terms(k + 1, T + k - 1, p)
-    return k, n, _floor_log(n, p)
+    e = _floor_log(n, p)
+    return k, n, e, max(1, math.isqrt((T + k + e - 1) // (k + 1) // 2))
 
 
 def _log_units(units, p: int, T: int) -> list:
     # log<u> mod p^T in [0, p^T) for each integer u prime to p: the series
-    # of `iwasawa_log`, whose docstring proves its bounds, summed by Horner
-    # with the coefficients +-L/r and the moduli shared by every unit
-    k, n, e = _log_reduction(T, p)
+    # of `iwasawa_log`, whose docstring proves its bounds, summed by blocks of
+    # s terms, with the coefficients +-L/r and the moduli shared by every unit
+    k, n, e, s = _log_reduction(T, p)
     q, M = p ** (k + 1), T + k + e
     top = (M - 1) // (k + 1)  # < n; later terms vanish mod p^M
+    nb = top // s + 1  # block b holds the terms r = bs .. bs+s-1
+    d = q**s
+    mods = [p**M]  # mods[b] = p^(M - bs(k+1)), the modulus of block b
+    for _ in range(nb - 1):
+        mods.append(mods[-1] // d)
     L = math.lcm(*range(1, n + 1))
-    mods = [p**M]  # mods[r] = p^(M - r(k+1))
-    for _ in range(top):
-        mods.append(mods[-1] // q)
-    coeffs = [0] + [L // r if r % 2 else -(L // r) for r in range(1, top + 1)]
+    c = [0] + [L // r if r % 2 else -(L // r) for r in range(1, top + 1)]
+    c += [0] * (nb * s - top - 1)
+    lows, cols = c[::s], [c[i::s] for i in range(1, s)]  # c_(bs), then c_(bs+i) by b
     E, shift = (p - 1) * p**k, p ** (k + e)
     scale = _inverse(L // p**e * (p - 1), p, T)
-    mT = p**T
+    m0, mT = mods[0], p**T
     logs = []
     for u in units:
-        w1 = (pow(u, E, mods[0]) - 1) // q  # w = q w1 mod p^M, so w1 mod p^(M-k-1)
-        ws = [w1 := w1 % m for m in mods[1:]]  # ws[r] = w1 mod mods[r+1]
-        acc = coeffs[top]
-        for r in range(top - 1, -1, -1):
-            acc = coeffs[r] + q * (ws[r] * acc % mods[r + 1])
+        y = w = pow(u, E, m0) - 1
+        hs = lows  # becomes hs[b] = sum_(i<s) c_(bs+i) w^i, one power of w at a time
+        for col in cols:
+            hs = [h + a * y for h, a in zip(hs, col)]
+            y = y * w % m0
+        x = y // d  # w^s = q^s w1^s mod p^M, so w1^s mod mods[1]
+        xs = [x := x % m for m in mods[1:]]  # xs[b] = w1^s mod mods[b+1]
+        acc = hs[-1]
+        for b in range(nb - 2, -1, -1):
+            acc = hs[b] + d * (xs[b] * acc % mods[b + 1])
         logs.append(acc // shift * scale % mT)
     return logs
 
@@ -499,26 +512,44 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
 
         log<u> = log(1 + w) / ((p-1) p^k),   log(1 + w) = sum (-1)^(r+1) w^r / r.
 
-    Choice of k: the power costs about k log2(p) squarings and the series
-    about T/k terms, so k = max(1, isqrt(T // (2 bitlen(p)))), in integers.
-
     Bounds: term r has valuation r(k+1) - ord_p(r) >= r(k+1) - floor(log_p r),
     so n = _log_terms(k+1, T+k-1, p) terms give log(1 + w) mod p^(T+k).
     The sum is scaled by L = lcm(1..n), whose p-part is p^e with
     e = floor(log_p n) >= ord_p(r) for r <= n: then the coefficients
-    (-1)^(r+1) L/r are small integers, and S = sum_{r<=n} (-1)^(r+1) (L/r) w^r
+    c_r = (-1)^(r+1) L/r are small integers, and S = sum_{r<=n} c_r w^r
     is L log(1 + w) mod p^M, M = T + k + e.  L log(1 + w) lies in
     p^(e+k+1) Z_p, so S mod p^M divides exactly by p^(k+e), leaving
     (L/p^e) log(1 + w) / p^k mod p^T; one multiplication by
-    ((L/p^e)(p-1))^-1 mod p^T gives log<u>.
-
-    Horner precision: write w = p^(k+1) w1 and H_r = c_r + p^(k+1) w1 H_(r+1)
-    (H_n = c_n, c_0 = 0), so S = H_0.  Only H_r mod p^(M - r(k+1)) reaches
-    S mod p^M, because H_r enters S multiplied by p^(r(k+1)) w1^r; so step r
-    multiplies w1 mod p^(M-(r+1)(k+1)) by H_(r+1) mod the same modulus, and
-    the operands shrink by k + 1 digits per term.  Terms with
-    r(k+1) >= M vanish mod p^M and are not summed; r = n is one of them,
+    ((L/p^e)(p-1))^-1 mod p^T gives log<u>.  Terms with r(k+1) >= M vanish
+    mod p^M and are not summed: only r <= top = (M-1) // (k+1), and top < n,
     since n is the first count with n(k+1) - floor(log_p(n+1)) >= T + k.
+
+    Block precision (rectangular splitting, Brent-Zimmermann, Modern
+    Computer Arithmetic, 4.4.3).  Cut the terms r <= top into nb =
+    top // s + 1 blocks of s, with c_0 = 0 and c_r = 0 for r > top, and
+    write w = q w1, q = p^(k+1).  Block b sums h_b = sum_{i<s} c_(bs+i) w^i,
+    small multiples of the powers w^i, which are computed once per unit;
+    Horner then runs over the blocks in w^s:
+
+        A_(nb-1) = h_(nb-1),   A_b = h_b + w^s A_(b+1),   S = A_0.
+
+    A_b enters S multiplied by w^(bs), which lies in p^(bs(k+1)) Z, so only
+    A_b mod p^(M_b), M_b = M - bs(k+1), reaches S mod p^M.  Since w^s =
+    q^s w1^s, w^s A_(b+1) mod p^(M_b) is q^s times w1^s A_(b+1) mod
+    p^(M_(b+1)): each step multiplies by w1^s reduced mod p^(M_(b+1)) and
+    reduces the product there, a modulus that shrinks by s(k+1) digits per
+    block (with s = 1 the sums h_b are the bare coefficients, and this is
+    Horner term by term at shrinking precision).  M_(nb-1) >= M - top(k+1) >= 1,
+    so every block keeps a digit.  The final A_0 is S plus a multiple of
+    p^M, which the division by p^(k+e) turns into a multiple of p^T.
+
+    Choice of k and s, in integers: the power costs about (k+1) log2(p)
+    squarings at M digits, the blocks s - 1 products for the powers of w
+    and nb - 1 for Horner, about 2 sqrt(T/(k+1)) in all; balancing the two
+    gives (k+1)^3 ~ T / log2(p)^2.  So k is the largest k >= 1 with
+    (k+1)^3 bitlen(p)^2 <= 4T, and s = max(1, isqrt(top // 2)): below
+    top = 8 this is s = 1, where the few products are too small to repay
+    a split.
     """
     if x.is_zero():
         raise ValueError("iwasawa_log of zero")

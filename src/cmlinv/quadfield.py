@@ -23,8 +23,8 @@ from math import isqrt
 
 from .characters import (char_from_kronecker, is_fundamental_discriminant,
                          kronecker_symbol)
-from .padic import (PadicContext, PadicNumber, _is_prime, hensel_lift,
-                    iwasawa_log, sqrt_mod_prime, sqrt_unit)
+from .padic import (PadicContext, _is_prime, hensel_lift, iwasawa_log,
+                    sqrt_mod_prime, sqrt_unit)
 
 __all__ = [
     "MAX_ABS_DISCRIMINANT",
@@ -118,11 +118,6 @@ class SplitPrimeData(namedtuple(
     """
 
     __slots__ = ()
-
-    def embed(self, coords: tuple[int, int]) -> PadicNumber:
-        """Image of (x + y*sqrt(D))/2 under the fixed embedding."""
-        x, y = coords
-        return (self.sqrt_disc * y + x) / 2
 
 
 def _norm_solution(F: QuadFieldData, p: int, r0: int) -> tuple[int, int]:

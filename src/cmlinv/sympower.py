@@ -61,12 +61,6 @@ class SymPowerDecomposition(namedtuple("SymPowerDecomposition", "n m spec factor
 
     __slots__ = ()
 
-    def dirichlet_factor(self) -> SymPowerFactor | None:
-        for f in self.factors:
-            if f.kind == "dirichlet":
-                return f
-        return None
-
 
 def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
     """Factor list of the weight-0-normalized n-th symmetric power."""

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,14 @@ def test_quadfield_composite_p_exits_two(capsys, D, p):
 
 def test_discriminant_over_the_ceiling_exits_two(capsys):
     code, out = run_cli(capsys, "quadfield", "--D", "-" + "9" * 199 + "5")
+    assert code == 2 and out == ""
+
+
+def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "cmform", "--p", "1000000007", "--curve", "0,-1,0",
+                        "--prec", "4")
+    assert time.perf_counter() - t0 < 0.1
     assert code == 2 and out == ""
 
 

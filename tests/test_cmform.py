@@ -2,14 +2,15 @@
 
 import importlib
 import sys
+import time
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from cmlinv.characters import char_from_kronecker, trivial_character
-from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
-                           curve_discriminant, unit_root)
+from cmlinv.cmform import (MAX_POINT_COUNT_PRIME, ap_point_count, cm_spec,
+                           cm_spec_from_curve, curve_discriminant, unit_root)
 from cmlinv.padic import PadicNumber, iwasawa_log, make_context
 from cmlinv.quadfield import pi_bar, quad_field_data, quad_field_from_discriminant
 
@@ -62,6 +63,25 @@ def test_bad_reduction_rejected():
     assert curve_discriminant((0, 0, 1)) % 3 == 0
     with pytest.raises(ValueError):
         ap_point_count((0, 0, 1), 3)
+
+
+@pytest.mark.parametrize("p", [10**9 + 7, MAX_POINT_COUNT_PRIME + 3, 15, 1000001])
+def test_point_count_rejects_p_over_the_ceiling_or_composite(p):
+    # 10^9 + 7 is prime and 10^6 + 3 too: past the ceiling; 15 and
+    # 1000001 = 101 * 9901 are composite
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        ap_point_count(CURVE, p)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_point_count_just_below_the_ceiling():
+    # 999961 = 1 mod 4 is the largest such prime below 10^6, where
+    # y^2 = x^3 - x has ordinary reduction and an even a_p
+    p = 999961
+    assert p <= MAX_POINT_COUNT_PRIME
+    ap = ap_point_count(CURVE, p)
+    assert ap % 2 == 0 and 0 < abs(ap) <= 2 * isqrt(p) + 1
 
 
 def test_two_coefficient_curve_form():

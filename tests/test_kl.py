@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, is_fundamental_discriminant,
                                kronecker_symbol)
-from cmlinv.kl import (_closed_form_bounds, _kl_function, _logs,
-                       branch_derivative, branch_series, kl_value)
+from cmlinv.kl import (_closed_form, _closed_form_bounds, _kappa, _kl_function,
+                       _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
                           padic_exp)
 from cmlinv.quadfield import pi_bar, quad_field_data
@@ -338,17 +339,107 @@ def test_closed_form_matches_newton_oracle(pair, n_cert, order, i, s0, s):
         assert (got - want).min_valuation() >= min(got.abs_prec, want.abs_prec), x
 
 
+def _closed_form_at_full_modulus(D, p, s0, order, n):
+    # the closed form with every column mod p^M and B_j F^j / j! as an exact
+    # Fraction inverted mod p^M; theta(a) from the character itself
+    F = abs(D) * p
+    d = s0 - 1
+    v = ordp(d, p) if d else 0
+    K = order + (d == 0)
+    T = n + 1 + order * v
+    M, n_j = _closed_form_bounds(T, K, p)
+    m, mT = p**M, p**T
+    theta = DirichletCharacter(D)
+    signs = [theta.value_exact(a) if a % p else 0 for a in range(F)]
+    units = [a for a in range(1, F) if signs[a]]
+    e = s0 % (p - 1)
+    omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
+    col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
+    inverses = [pow(a, -1, m) for a in units]
+    lam = [None]
+    if K > 1:
+        lam.append(_logs(units, p, M))
+        for k in range(2, K):
+            lam.append([x * y % m for x, y in zip(lam[-1], lam[1])])
+    fact, facts = 1, []
+    for k in range(K):
+        fact *= k or 1
+        w = ordp(fact, p)
+        facts.append((p**w, (-1) ** k * pow(fact // p**w, -1, mT)))
+    h = [0] * K
+    c = [1] + [0] * (K - 1)
+    fact, step = 1, inverses
+    for j in range(n_j):
+        if j:
+            c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % m for i in range(K)]
+            fact *= j
+        if j > 1 and j % 2:
+            continue
+        if j == 4:
+            step = [x * x % m for x in inverses]
+        if j:
+            col = [x * y % m for x, y in zip(col, step)]
+        r = bernoulli_number(j) * F**j / fact
+        r = r.numerator * pow(r.denominator, -1, m)
+        row = [r * x % m for x in c]
+        for k in range(K):
+            P = sum(col) if k == 0 else sum(map(mul, col, lam[k]))
+            div, inv = facts[k]
+            Pk = P % m // div * inv
+            for i in range(K - k):
+                h[i + k] += row[i] * Pk
+    h = [x % mT for x in h]
+    if d == 0:
+        assert h[0] == 0
+        inv = pow(abs(D), -1, mT)
+        g = [x // p * inv for x in h[1:]]
+    else:
+        inv, q = pow(abs(D) * (d // p**v), -1, mT), p ** (1 + v)
+        g, prev = [], 0
+        for x in h:
+            prev = (x - F * prev) % mT // q * inv % mT
+            g.append(prev)
+    return [x % p**n for x in g]
+
+
+_CF_PAIRS = [(-3, 5), (-3, 7), (-4, 5), (-4, 13), (-7, 3), (-7, 11), (-8, 3), (-11, 5),
+             (-15, 7), (-20, 3), (-23, 13), (-24, 5), (-39, 5), (-40, 13), (-163, 41)]
+
+
+@pytest.mark.parametrize("D, p", _CF_PAIRS)
+def test_closed_form_matches_full_modulus_oracle(D, p):
+    # 15 pairs x 5 expansion points x 6 orders = 450 keys, the precision
+    # stepping through 1..20 (1..3 for the 6480 units of (-163, 41))
+    keys = [(s0, order) for s0 in (0, 1, 2, -3, 7) for order in (1, 2, 3, 4, 6, 8)]
+    for i, (s0, order) in enumerate(keys):
+        n = 1 + (i * 7) % (3 if p == 41 else 20)
+        assert (_closed_form(D, p, s0, order, n)
+                == _closed_form_at_full_modulus(D, p, s0, order, n)), (s0, order, n)
+
+
 def _v(q, p):
     return ordp(q.numerator, p) - ordp(q.denominator, p) if q else None
 
 
 def test_closed_form_bounds_cover_every_term():
     # H mod p^T is summed mod p^M: every dropped term j >= n_j has
-    # v(K_{j,i}) >= T, every kept K_{j,i} is p-integral, and every kept
-    # P_{j,k}/k! loses v(k!) <= M - T digits; v(F^j) = j for every F = |D| p
+    # v(K_{j,i}) >= T, every kept K_{j,i} has v >= kappa(j) >= 0, and every
+    # kept P_{j,k}/k! loses v(k!) <= M - T digits; v(F^j) = j for every
+    # F = |D| p.  So P_{j,k} mod p^(M - kappa(j)) gives P_{j,k}/k! mod
+    # p^(T - kappa(j)), all that K_{j,i} P_{j,k}/k! mod p^T needs
     for p in (3, 5, 7, 13):
         n_cut = {K: _closed_form_bounds(129, K, p)[1] for K in range(1, 10)}
         top = max(n_cut.values()) + 2 * p
+        # B_j p^j / j! carries p^(j - v(j!) - [(p-1) | j]) times the p-part
+        # of the numerator of B_j: the count the sum uses is exact
+        fact = 1
+        for j in range(top):
+            fact *= j or 1
+            b = bernoulli_number(j)
+            if b:
+                u = j - ordp(fact, p) - (j > 0 and j % (p - 1) == 0)
+                assert _v(b * p**j / fact, p) == u + ordp(b.numerator, p), (p, j)
+                assert u >= _kappa(j, p), (p, j)
         sharp = 0  # cases where the last kept term lies below p^T
         for s0 in (0, 1, 2, -24):
             # vals[j][i] = v(B_j p^j [t^i] C(1-s0-t, j)), None for a zero term
@@ -358,12 +449,15 @@ def test_closed_form_bounds_cover_every_term():
                     c = [(1 - s0 - (j - 1)) * c[i] - (c[i - 1] if i else 0) for i in range(9)]
                     fact *= j
                 vals.append([_v(bernoulli_number(j) * p**j * x / fact, p) for x in c])
+            for j, row in enumerate(vals):
+                assert all(v >= _kappa(j, p) for v in row if v is not None), (p, s0, j)
             for K in range(1, 10):
                 for n_cert in (*range(1, 40), 64, 100, 128):
                     T = n_cert + 1
                     M, n_j = _closed_form_bounds(T, K, p)
                     assert all(ordp(math.factorial(k), p) <= M - T
                                for k in range(1, K)), (p, K, T)
+                    assert all(_kappa(j, p) < T for j in range(n_j)), (p, K, T)
                     kept = [v for row in vals[:n_j] for v in row[:K] if v is not None]
                     assert min(kept, default=0) >= 0, (p, s0, K, T)
                     dropped = [v for row in vals[n_j:n_j + 2 * p] for v in row[:K]

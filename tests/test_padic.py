@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlinv.padic import (_GCD_INVERSE_BITS, PadicNumber, _base_p_digits,
-                          _inverse, _is_prime, _log_reduction, _log_terms,
-                          hensel_lift, iwasawa_log, make_context, ordp,
-                          padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
+                          _floor_log, _inverse, _is_prime, _log_reduction,
+                          _log_terms, _log_units, hensel_lift, iwasawa_log,
+                          make_context, ordp, padic_exp, sqrt_mod_prime,
+                          sqrt_unit, teichmuller)
 from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -302,18 +303,78 @@ def test_log_reduction_bounds_cover_every_term():
     # ord_p(lcm(1..n)), so the scaled coefficients lcm(1..n)/r are integers
     for p in (3, 5, 7, 13, 29, 97):
         for T in (*range(1, 40), 64, 100, 128, 257, 512, 1024):
-            k, n, e = _log_reduction(T, p)
+            k, n, e, s = _log_reduction(T, p)
             # every r in (n, n + 2 p^3): past n + p only multiples of p can
             # fall below r = n + 1, so the others are skipped
             dropped = [*range(n + 1, n + p + 1), *range(p * (n // p + 1), n + 2 * p**3, p)]
             assert all(r * (k + 1) - ordp(r, p) >= T + k for r in dropped), (p, T)
             assert all(ordp(r, p) <= e for r in range(1, n + 1)), (p, T)
-            # Horner stops below r = n: term n vanishes mod p^(T+k+e) too
-            assert n * (k + 1) >= T + k + e, (p, T)
-    # k follows p as well as T: at 512 digits of 29, 7 log2(29) ~ 34 squarings
-    # and a 65-term series of shrinking operands, against 78 squarings and 32
-    # full-size terms at k = isqrt(T // 2) = 16
-    assert _log_reduction(512, 29)[:2] == (7, 65)
+            # the sum stops at top < n: every term past it vanishes mod p^M
+            M = T + k + e
+            top = (M - 1) // (k + 1)
+            assert top < n and (top + 1) * (k + 1) >= M, (p, T)
+            # blocks of s terms cover r = 0..top, and the last block's modulus
+            # p^(M - (nb-1)s(k+1)) still keeps a digit
+            nb = top // s + 1
+            assert (nb - 1) * s <= top < nb * s, (p, T)
+            assert M - (nb - 1) * s * (k + 1) >= 1, (p, T)
+    # k follows p as well as T: at 512 digits of 29, 5 log2(29) ~ 24 squarings
+    # and a 104-term series in blocks of 7, against 78 squarings and 32
+    # full-size terms at k = isqrt(T // 2) = 16, or 39 squarings and 65
+    # shrinking Horner steps at the earlier k = 7
+    assert _log_reduction(512, 29)[:2] == (4, 104)
+
+
+def _log_reduction_horner(T: int, p: int) -> tuple[int, int, int]:
+    # the (k, n, e) of the plain Horner sum: k = max(1, isqrt(T // (2 bitlen(p))))
+    k = max(1, math.isqrt(T // (2 * p.bit_length())))
+    n = _log_terms(k + 1, T + k - 1, p)
+    return k, n, _floor_log(n, p)
+
+
+def _log_units_horner(units, p: int, T: int) -> list:
+    # the same scaled series, summed term by term by Horner at shrinking
+    # precision: H_r = c_r + p^(k+1) w1 H_(r+1) mod p^(M - r(k+1))
+    k, n, e = _log_reduction_horner(T, p)
+    q, M = p ** (k + 1), T + k + e
+    top = (M - 1) // (k + 1)
+    L = math.lcm(*range(1, n + 1))
+    mods = [p ** (M - r * (k + 1)) for r in range(top + 1)]
+    coeffs = [0] + [L // r if r % 2 else -(L // r) for r in range(1, top + 1)]
+    scale = _inverse(L // p**e * (p - 1), p, T)
+    logs = []
+    for u in units:
+        w1 = (pow(u, (p - 1) * p**k, mods[0]) - 1) // q
+        acc = coeffs[top]
+        for r in range(top - 1, -1, -1):
+            acc = coeffs[r] + q * (w1 % mods[r + 1] * acc % mods[r + 1])
+        logs.append(acc // p ** (k + e) * scale % p**T)
+    return logs
+
+
+def test_log_units_match_horner_oracle():
+    # 7 primes x 45 precisions x 8 units, among them 1, p - 1 (roots of
+    # unity, log 0) and 1 + p^(T-1), whose log has valuation T - 1
+    rng = random.Random(11)
+    for p in (3, 5, 7, 11, 13, 29, 97):
+        for T in (*range(1, 41), 64, 128, 257, 512, 1024):
+            units = [1, p - 1, 1 + p ** (T - 1),
+                     *(rng.randrange(p**T) // p * p + rng.randrange(1, p) for _ in range(5))]
+            assert _log_units(units, p, T) == _log_units_horner(units, p, T), (p, T)
+
+
+def test_short_series_does_no_more_work_than_horner():
+    # below 65 digits the split sum does no more products than the plain
+    # Horner sum: the squarings of the power plus the s - 1 powers of w
+    # and nb - 1 block steps, against one Horner step per term
+    for p in (5, 7, 11, 13, 17, 29, 97, 1009):
+        for T in range(1, 65):
+            k, n, e, s = _log_reduction(T, p)
+            top = (T + k + e - 1) // (k + 1)
+            split = ((p - 1) * p**k).bit_length() + s - 1 + top // s
+            ko, no, eo = _log_reduction_horner(T, p)
+            horner = ((p - 1) * p**ko).bit_length() + (T + ko + eo - 1) // (ko + 1)
+            assert split <= horner, (p, T)
 
 
 def _iwasawa_log_oracle(x: PadicNumber) -> PadicNumber:

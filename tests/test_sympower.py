@@ -12,6 +12,11 @@ from cmlinv.sympower import (critical_integers, decompose, e_plus,
 CURVE = (0, -1, 0)
 
 
+def dirichlet_factor(dec):
+    """The factor of kind "dirichlet" in a decomposition, or None (odd n)."""
+    return next((f for f in dec.factors if f.kind == "dirichlet"), None)
+
+
 def frobenius_eigenvalues(dec):
     """Multiset of Frobenius eigenvalues at p implied by the factor list.
 
@@ -42,7 +47,7 @@ def inspect_interpolation_factors(spec, n):
     ctx = spec.context
     p = ctx.p
     out = []
-    dirichlet = dec.dirichlet_factor()
+    dirichlet = dirichlet_factor(dec)
     if dirichlet is None:
         return out
     theta_m = dirichlet.character
@@ -79,7 +84,7 @@ def test_sym2_factor_list():
     spec = _spec5()
     dec = decompose(spec, 2)
     assert dec.m == 1 and len(dec.factors) == 2
-    dirichlet = dec.dirichlet_factor()
+    dirichlet = dirichlet_factor(dec)
     assert dirichlet.character.conductor() == 4 and dirichlet.character.is_odd()
     mod = [f for f in dec.factors if f.kind == "modular"][0]
     assert mod.weight == 3 and mod.shift == 1 and mod.j == 1
@@ -90,8 +95,8 @@ def test_sym2_factor_list():
 
 def test_odd_power_has_no_dirichlet_factor():
     spec = _spec5()
-    assert decompose(spec, 3).dirichlet_factor() is None
-    assert decompose(spec, 7).dirichlet_factor() is None
+    assert dirichlet_factor(decompose(spec, 3)) is None
+    assert dirichlet_factor(decompose(spec, 7)) is None
 
 
 def test_even_power_factor_count():
@@ -103,12 +108,12 @@ def test_even_power_factor_count():
 
 def test_m_three_keeps_theta():
     dec = decompose(_spec5(), 6)
-    assert dec.dirichlet_factor().character.is_odd()
+    assert dirichlet_factor(dec).character.is_odd()
 
 
 def test_m_even_dirichlet_factor_trivial():
     dec = decompose(_spec5(), 4)
-    assert dec.dirichlet_factor().character.is_trivial()
+    assert dirichlet_factor(dec).character.is_trivial()
 
 
 def test_frobenius_eigenvalue_oracle():
