@@ -15,7 +15,7 @@ import json
 import sys
 
 from .acceptance import run_all
-from .cmform import ap_point_count, cm_spec_from_curve, unit_root
+from .cmform import _curve_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series
 from .linvariant import (full_report, verify_ferrero_greenberg,
                          verify_trivial_zero_formula)
@@ -77,11 +77,11 @@ def cmd_quadfield(args) -> int:
 
 def cmd_cmform(args) -> int:
     ctx = make_context(args.p, args.prec)
-    spec = cm_spec_from_curve(args.curve, args.d, args.level, ctx)
+    ap, spec = _curve_spec(args.curve, args.d, args.level, ctx)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
-        "a_p": ap_point_count(args.curve, args.p),
+        "a_p": ap,
         "alpha": encode_padic(roots.alpha),
         "beta": encode_padic(roots.beta),
     }
@@ -171,6 +171,8 @@ def cmd_verify_fg(args) -> int:
 def cmd_linvariant(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
+    if args.k != 2:
+        raise ValueError("curve-derived specs have weight 2; use --k 2")
     ctx = make_context(args.p, max(args.prec + 4, 16))
     if args.D is not None:
         field = quad_field_from_discriminant(args.D)
@@ -178,8 +180,6 @@ def cmd_linvariant(args) -> int:
             raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
         args = argparse.Namespace(**{**vars(args), "d": field.d})
     spec = cm_spec_from_curve(args.curve, args.d, args.level, ctx)
-    if args.k != spec.weight:
-        raise ValueError("curve-derived specs have weight 2; use --k 2")
     rep = full_report(spec, target=args.prec, conjugate_lift=args.conjugate_lift)
     checks = {
         "fg_identity": rep.fg_check.passed,

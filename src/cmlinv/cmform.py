@@ -112,9 +112,14 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
                        ctx: PadicContext) -> CMFormSpec:
     """Weight-2, trivial-nebentypus spec with a_p counted on the given curve."""
+    return _curve_spec(curve, d, level, ctx)[1]
+
+
+def _curve_spec(curve, d, level, ctx) -> tuple[int, CMFormSpec]:
+    # the counted a_p as an integer, with the spec built on it
     F = quad_field_data(d)
     ap = ap_point_count(curve, ctx.p)
-    return cm_spec(F, 2, trivial_character(), ap, level, ctx)
+    return ap, cm_spec(F, 2, trivial_character(), ap, level, ctx)
 
 
 class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):
@@ -132,12 +137,12 @@ def unit_root(spec: CMFormSpec) -> HeckeRoots:
     """
     ctx = spec.context
     p = ctx.p
-    c = spec.nebentypus.value_padic(p, ctx) * ctx.from_int(p) ** (spec.weight - 1)
+    c = spec.nebentypus.value_padic(p, ctx) * p ** (spec.weight - 1)
     R = spec.ap.rel_prec
     a, c_int = spec.ap.unit_int(), c.residue(R)
     x = hensel_lift(lambda x, m: x * x - a * x + c_int, lambda x, m: 2 * x - a,
                     a % p, p, R)
-    if (x * x - a * x + c_int) % p**R:
+    if (x * x - a * x + c_int) % ctx._modulus(R):
         raise ArithmeticError("Hensel lift for the unit root failed")
     alpha = PadicNumber(ctx, 0, x, R)
     return HeckeRoots(alpha=alpha, beta=c / alpha)

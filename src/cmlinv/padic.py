@@ -6,7 +6,8 @@ and v + r the absolute precision.  Arithmetic never reports more
 precision than the operands justify: addition works at the minimum
 absolute precision, multiplication and division at the minimum
 relative precision, and the exp series inherits the per-term losses
-from the division operators it uses.
+from the division operators it uses.  An int operand is an exact
+integer kept to the context's N digits, as `from_int` gives it.
 
 Special functions: Teichmuller lift, the Iwasawa branch of log_p
 (log_p(p) = 0; an integer series after argument reduction, with the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "PadicContext",
@@ -64,11 +66,16 @@ def ordp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("ord_p(0) is infinite")
+    return _split_p(n, p)[0]
+
+
+def _split_p(n: int, p: int) -> tuple[int, int]:
+    # (v, n / p^v) with v = ord_p(n), for a nonzero integer n
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    return v, n
 
 
 def json_valuation(v):
@@ -106,9 +113,13 @@ def _base_p_digits(u: int, p: int, n: int, squares=None) -> list[int]:
 
 
 class PadicContext:
-    """A fixed odd prime p and a working precision of N p-adic digits."""
+    """A fixed odd prime p and a working precision of N p-adic digits.
 
-    __slots__ = ("p", "N")
+    `pN` = p^N, the modulus of a unit kept to the full N digits, is
+    computed once here, so arithmetic at full precision never recomputes it.
+    """
+
+    __slots__ = ("p", "N", "pN")
 
     def __init__(self, p: int, N: int = 32):
         if not isinstance(p, int) or p < 3 or not _is_prime(p):
@@ -117,6 +128,7 @@ class PadicContext:
             raise ValueError(f"precision N must be a positive integer, got {N}")
         self.p = p
         self.N = N
+        self.pN = p**N
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.N})"
@@ -127,35 +139,47 @@ class PadicContext:
     def __hash__(self):
         return hash((self.p, self.N))
 
+    def _modulus(self, rel: int) -> int:
+        # p^rel, read off the context at the full N digits
+        return self.pN if rel == self.N else self.p**rel
+
+    def _int_parts(self, n: int) -> tuple:
+        # (valuation, unit, abs_prec) of the exact integer n, kept to N digits.
+        # The unit is n / p^v itself unless that reaches p^N: every operator
+        # reduces it, and a small signed unit such as -2 keeps a product or a
+        # quotient linear in the size of the other operand
+        if n == 0:
+            return None, 0, _INF
+        v, n = _split_p(n, self.p)
+        if not -self.pN < n < self.pN:
+            n %= self.pN
+        return v, n, v + self.N
+
     # --- element factories ---------------------------------------------
 
     def zero(self) -> "PadicNumber":
-        return PadicNumber(self, None, 0, _INF)
+        return _number(self, None, 0, _INF)
 
     def inexact_zero(self, abs_prec: int) -> "PadicNumber":
         return PadicNumber(self, None, 0, abs_prec)
 
     def one(self) -> "PadicNumber":
-        return self.from_int(1)
+        return _number(self, 0, 1, self.N)
 
     def from_int(self, n: int) -> "PadicNumber":
-        if n == 0:
+        v, u, a = self._int_parts(n)
+        if v is None:
             return self.zero()
-        v = ordp(n, self.p)
-        u = (n // self.p**v) % self.p**self.N
-        return PadicNumber(self, v, u, v + self.N)
+        return _number(self, v, u if u > 0 else u + self.pN, a)
 
     def from_rational(self, q) -> "PadicNumber":
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        num, den = q.numerator, q.denominator
-        vn = ordp(num, self.p)
-        vd = ordp(den, self.p)
-        v = vn - vd
-        m = self.p**self.N
-        u = (num // self.p**vn) * pow(den // self.p**vd, -1, m) % m
-        return PadicNumber(self, v, u, v + self.N)
+        vn, num = _split_p(q.numerator, self.p)
+        vd, den = _split_p(q.denominator, self.p)
+        v, m = vn - vd, self.pN
+        return _number(self, v, num * pow(den, -1, m) % m, v + self.N)
 
     def convert(self, x) -> "PadicNumber":
         if isinstance(x, PadicNumber):
@@ -202,7 +226,7 @@ class PadicNumber:
                 self._abs = abs_prec
                 return
             rel = min(rel, context.N)
-            unit %= context.p**rel
+            unit %= context._modulus(rel)
             if unit == 0 or unit % context.p == 0:
                 raise ValueError("unit part must be coprime to p")
             self._val = val
@@ -261,7 +285,8 @@ class PadicNumber:
             return 0
         if self._val < 0:
             raise ValueError("residue undefined at negative valuation")
-        return self._unit * self.context.p**self._val % self.context.p**k
+        ctx = self.context
+        return self._unit * ctx.p**self._val % ctx._modulus(k)
 
     def digits(self) -> list[int]:
         """Base-p digits of the unit part, length rel_prec (empty for zero)."""
@@ -287,97 +312,73 @@ class PadicNumber:
         return PadicNumber(self.context, self._val, self._unit, k)
 
     # --- arithmetic --------------------------------------------------------
+    #
+    # Each binary operator reads its other operand as (valuation, unit,
+    # abs_prec) parts and runs one body, `_sum`, `_product` or `_quotient`,
+    # on the parts of both sides.  An int operand is read exactly as
+    # ctx.from_int gives it, with no PadicNumber built.
 
-    def _coerce(self, other):
+    def _parts(self) -> tuple:
+        return self._val, self._unit, self._abs
+
+    def _operand(self, other):
+        # the other operand's parts, or None for a type Q_p does not take in
         if isinstance(other, PadicNumber):
             if other.context.p != self.context.p:
                 raise ValueError("cannot mix p-adic numbers for different primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.context.convert(other)
+            return other._val, other._unit, other._abs
+        if isinstance(other, int):
+            return self.context._int_parts(other)
+        if isinstance(other, Fraction):
+            return self.context.from_rational(other)._parts()
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        ctx, p = self.context, self.context.p
-        a = min(self._abs, o._abs)
-        if self.is_zero() and o.is_zero():
-            return PadicNumber(ctx, None, 0, a)
-        if self.is_zero():
-            return PadicNumber(ctx, o._val, o._unit, a) if o._val is not None and o._val < a \
-                else PadicNumber(ctx, None, 0, a)
-        if o.is_zero():
-            return PadicNumber(ctx, self._val, self._unit, a) if self._val < a \
-                else PadicNumber(ctx, None, 0, a)
-        m = min(self._val, o._val)
-        k = a - m
-        if k <= 0:
-            return PadicNumber(ctx, None, 0, a)
-        s = (self._unit * p ** (self._val - m) + o._unit * p ** (o._val - m)) % p**k
-        if s == 0:
-            return PadicNumber(ctx, None, 0, a)
-        w = ordp(s, p)
-        return PadicNumber(ctx, m + w, s // p**w, a)
+        return _sum(self.context, self._parts(), o)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self._val is None:
             return self
-        return PadicNumber(self.context, self._val,
-                           -self._unit % self.context.p**self.rel_prec, self._abs)
+        return _number(self.context, self._val,
+                       -self._unit % self.context._modulus(self.rel_prec), self._abs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        v, u, a = o
+        return _sum(self.context, self._parts(), (v, -u, a))
 
     def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        ctx = self.context
-        if self.is_exact_zero() or o.is_exact_zero():
-            return ctx.zero()
-        if self.is_zero() or o.is_zero():
-            # O(p^A) * (p^v * unit) = O(p^(A+v)); O(p^A) * O(p^B) = O(p^(A+B))
-            a = self._abs if self._val is None else self._val
-            b = o._abs if o._val is None else o._val
-            return PadicNumber(ctx, None, 0, a + b)
-        v = self._val + o._val
-        rel = min(self.rel_prec, o.rel_prec)
-        u = self._unit * o._unit % ctx.p**rel
-        return PadicNumber(ctx, v, u, v + rel)
+        return _sum(self.context, (self._val, -self._unit, self._abs), o)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return _product(self.context, self._parts(), o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        ctx = self.context
-        if o.is_zero():
-            raise ZeroDivisionError("division by (inexact) zero")
-        if self.is_exact_zero():
-            return ctx.zero()
-        if self.is_zero():
-            return PadicNumber(ctx, None, 0, self._abs - o._val)
-        v = self._val - o._val
-        rel = min(self.rel_prec, o.rel_prec)
-        u = self._unit * _inverse(o._unit, ctx.p, rel) % ctx.p**rel
-        return PadicNumber(ctx, v, u, v + rel)
+        return _quotient(self.context, self._parts(), o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(self.context, o, self._parts())
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -392,17 +393,15 @@ class PadicNumber:
                 return ctx.zero()
             return PadicNumber(ctx, None, 0, self._abs * e)
         rel = self.rel_prec
-        m = ctx.p**rel
-        u = pow(self._unit if e > 0 else _inverse(self._unit, ctx.p, rel), abs(e), m)
+        m = ctx._modulus(rel)
+        u = pow(self._unit if e > 0 else _inverse(self._unit, ctx.p, rel, m), abs(e), m)
         v = self._val * e
-        return PadicNumber(ctx, v, u, v + rel)
+        return _number(ctx, v, u, v + rel)
 
     def __eq__(self, other):
         """Equality at the shared precision."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).is_zero()
+        d = self.__sub__(other)
+        return d if d is NotImplemented else d.is_zero()
 
     __hash__ = None
 
@@ -413,6 +412,61 @@ class PadicNumber:
         if self.is_zero():
             return f"O({p}^{self._abs})"
         return f"{self._unit}*{p}^{self._val} + O({p}^{self._abs})"
+
+
+def _number(ctx, val, unit, abs_prec) -> PadicNumber:
+    # a PadicNumber from parts already in normal form: an exact zero, or a
+    # unit in [1, p^r) prime to p with 1 <= r = abs_prec - val <= N
+    x = object.__new__(PadicNumber)
+    x.context, x._val, x._unit, x._abs = ctx, val, unit, abs_prec
+    return x
+
+
+def _sum(ctx, x, y) -> PadicNumber:
+    # x + y on (valuation, unit, abs_prec) parts: at the lesser abs_prec
+    (xv, xu, xa), (yv, yu, ya) = x, y
+    a = min(xa, ya)
+    if xv is None or yv is None:
+        v, u = (yv, yu) if xv is None else (xv, xu)
+        if v is None or v >= a:
+            return PadicNumber(ctx, None, 0, a)
+        return PadicNumber(ctx, v, u, a)
+    p = ctx.p
+    m = min(xv, yv)
+    k = a - m
+    if k <= 0:
+        return PadicNumber(ctx, None, 0, a)
+    s = (xu * p ** (xv - m) + yu * p ** (yv - m)) % ctx._modulus(k)
+    if s == 0:
+        return PadicNumber(ctx, None, 0, a)
+    w, s = _split_p(s, p)
+    return PadicNumber(ctx, m + w, s, a)
+
+
+def _product(ctx, x, y) -> PadicNumber:
+    # x * y on parts: at the lesser relative precision
+    (xv, xu, xa), (yv, yu, ya) = x, y
+    if xv is None or yv is None:
+        if xa == _INF and xv is None or ya == _INF and yv is None:
+            return ctx.zero()
+        # O(p^A) * (p^v * unit) = O(p^(A+v)); O(p^A) * O(p^B) = O(p^(A+B))
+        return PadicNumber(ctx, None, 0, (xa if xv is None else xv) + (ya if yv is None else yv))
+    v = xv + yv
+    rel = min(xa - xv, ya - yv)
+    return _number(ctx, v, xu * yu % ctx._modulus(rel), v + rel)
+
+
+def _quotient(ctx, x, y) -> PadicNumber:
+    # x / y on parts: at the lesser relative precision
+    (xv, xu, xa), (yv, yu, ya) = x, y
+    if yv is None:
+        raise ZeroDivisionError("division by (inexact) zero")
+    if xv is None:
+        return ctx.zero() if xa == _INF else PadicNumber(ctx, None, 0, xa - yv)
+    v = xv - yv
+    rel = min(xa - xv, ya - yv)
+    m = ctx._modulus(rel)
+    return _number(ctx, v, _divide(xu, yu, ctx.p, rel, m), v + rel)
 
 
 # --- special functions ------------------------------------------------------
@@ -465,25 +519,41 @@ def _log_reduction(T: int, p: int) -> tuple[int, int, int, int]:
     return k, n, e, max(1, math.isqrt((T + k + e - 1) // (k + 1) // 2))
 
 
-def _log_units(units, p: int, T: int) -> list:
-    # log<u> mod p^T in [0, p^T) for each integer u prime to p: the series
-    # of `iwasawa_log`, whose docstring proves its bounds, summed by blocks of
-    # s terms, with the coefficients +-L/r and the moduli shared by every unit
+# The two L-invariant routes share the plan at their (p, N), and the plans
+# a command reuses fit: `cmlinv acceptance` asks for 19 keys and gets the
+# same 20 hits from 16 slots as from an unbounded cache.  A plan at 512
+# digits of 29 holds about 10 KB, one at 16384 digits about 0.6 MB.
+_LOG_PLANS = 16
+
+
+@lru_cache(maxsize=_LOG_PLANS)
+def _log_plan(p: int, T: int) -> tuple:
+    # what `_log_units` needs at (p, T) before it sees a unit, a pure function
+    # of (p, T): (E, mods, d, lows, cols, shift, scale, p^T) in the notation
+    # of the `iwasawa_log` docstring.  It holds no log value
     k, n, e, s = _log_reduction(T, p)
-    q, M = p ** (k + 1), T + k + e
+    M = T + k + e
     top = (M - 1) // (k + 1)  # < n; later terms vanish mod p^M
     nb = top // s + 1  # block b holds the terms r = bs .. bs+s-1
-    d = q**s
+    d = p ** ((k + 1) * s)
     mods = [p**M]  # mods[b] = p^(M - bs(k+1)), the modulus of block b
     for _ in range(nb - 1):
         mods.append(mods[-1] // d)
     L = math.lcm(*range(1, n + 1))
     c = [0] + [L // r if r % 2 else -(L // r) for r in range(1, top + 1)]
     c += [0] * (nb * s - top - 1)
-    lows, cols = c[::s], [c[i::s] for i in range(1, s)]  # c_(bs), then c_(bs+i) by b
-    E, shift = (p - 1) * p**k, p ** (k + e)
+    lows = tuple(c[::s])  # c_(bs), then c_(bs+i) by b
+    cols = tuple(tuple(c[i::s]) for i in range(1, s))
     scale = _inverse(L // p**e * (p - 1), p, T)
-    m0, mT = mods[0], p**T
+    return (p - 1) * p**k, tuple(mods), d, lows, cols, p ** (k + e), scale, p**T
+
+
+def _log_units(units, p: int, T: int) -> list:
+    # log<u> mod p^T in [0, p^T) for each integer u prime to p: the series
+    # of `iwasawa_log`, whose docstring proves its bounds, summed by blocks of
+    # s terms, with the coefficients +-L/r and the moduli read from the plan
+    E, mods, d, lows, cols, shift, scale, mT = _log_plan(p, T)
+    m0, nb = mods[0], len(mods)
     logs = []
     for u in units:
         y = w = pow(u, E, m0) - 1
@@ -550,6 +620,14 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     (k+1)^3 bitlen(p)^2 <= 4T, and s = max(1, isqrt(top // 2)): below
     top = 8 this is s = 1, where the few products are too small to repay
     a split.
+
+    Plan.  All of the above but the unit -- E = (p-1) p^k, the block
+    moduli p^(M_b), the coefficient columns, q^s, the shift p^(k+e), the
+    scale ((L/p^e)(p-1))^-1 mod p^T and p^T -- is a pure function of
+    (p, T).  `_log_plan(p, T)` builds it once, and an lru_cache of
+    _LOG_PLANS entries keeps it, so the two L-invariant routes at one
+    (p, N) build one plan between them.  The cache holds no log value:
+    each call still sums its own series.
     """
     if x.is_zero():
         raise ValueError("iwasawa_log of zero")
@@ -558,8 +636,8 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     acc = _log_units((x.unit_int(),), p, T)[0]
     if acc == 0:
         return PadicNumber(ctx, None, 0, T)
-    v = ordp(acc, p)
-    return PadicNumber(ctx, v, acc // p**v, T)
+    v, u = _split_p(acc, p)
+    return PadicNumber(ctx, v, u, T)
 
 
 def padic_exp(x: PadicNumber) -> PadicNumber:
@@ -601,24 +679,50 @@ def _ladder(k: int) -> list[int]:
 
 
 # Below this many bits pow(u, -1, p^k) wins: its extended gcd takes about
-# as many steps as u has bits, each linear in p^k.  Timed with Python 3.11
-# on a 2-vCPU VM at p = 29: mod 29^528, pow takes 2 us for an 8-bit u,
-# 15 us at 64 bits and 26 us at 128 bits, Newton 13-20 us; a full-size u
-# takes 0.99 ms by pow and 0.10 ms by Newton.
+# as many steps as u has bits, each linear in p^k.  The bits counted are
+# those of min(u, p^k - u), since a small negative unit such as -3 is
+# stored as p^k - 3 and its gcd is as short as that of 3.  Timed with
+# Python 3.11 on a 2-vCPU VM at p = 29: mod 29^528, pow takes 2 us for an
+# 8-bit u and 3-5 us for p^k - 3 (78-115 us by Newton), 15 us at 64 bits
+# and 26 us at 128 bits, Newton 13-20 us; a full-size u takes 0.99 ms by
+# pow and 0.10 ms by Newton.  A divisor this small also divides exactly
+# (`_divide`): 3 us for u / 7 with a full-size u, against 30 us for the
+# product with 7^-1 and its reduction.
 _GCD_INVERSE_BITS = 64
+_SMALL = 1 << _GCD_INVERSE_BITS
 
 
-def _inverse(u: int, p: int, k: int) -> int:
-    """u^-1 mod p^k for u prime to p: Newton's y <- y(2 - u y), doubling the digits."""
-    m = p**k
+def _inverse(u: int, p: int, k: int, m: int | None = None) -> int:
+    """u^-1 mod p^k for u prime to p: Newton's y <- y(2 - u y), doubling the digits.
+
+    m is p^k when the caller has it at hand.
+    """
+    if m is None:
+        m = p**k
     u %= m
-    if u.bit_length() <= _GCD_INVERSE_BITS:
+    if min(u, m - u) < _SMALL:
         return pow(u, -1, m)
     y = pow(u % p, -1, p)
     for j in _ladder(k):
-        mj = p**j
+        mj = m if j == k else p**j
         y = y * (2 - u * y % mj) % mj
     return y
+
+
+def _divide(u: int, d: int, p: int, k: int, m: int) -> int:
+    # u / d mod m = p^k in [0, m), for d prime to p.  A d with |d| or m - d
+    # below 2^_GCD_INVERSE_BITS (an int operand such as 2, -2 or h) divides
+    # exactly: with j = -u m^-1 mod |d|, u + j m is a multiple of |d|, and
+    # (u + j m) / |d| is u / |d| mod m, for the cost of a pass over u
+    if not -_SMALL < d < _SMALL:
+        d %= m
+        if m - d < _SMALL:
+            d -= m
+    if -_SMALL < d < _SMALL:
+        a = abs(d)
+        q = (u + (-u % a) * pow(m, -1, a) % a * m) // a
+        return (q if d > 0 else -q) % m
+    return u * _inverse(d, p, k, m) % m
 
 
 def hensel_lift(f, df, x: int, p: int, k: int) -> int:
@@ -678,6 +782,6 @@ def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
     elif (residue * residue - au) % p:
         raise ValueError(f"{residue} mod {p} is not a square root class")
     x = hensel_lift(lambda x, m: x * x - au, lambda x, m: 2 * x, residue % p, p, rel)
-    if (x * x - au) % p**rel:
+    if (x * x - au) % ctx._modulus(rel):
         raise ArithmeticError("Hensel lift failed")
     return PadicNumber(ctx, 0, x, rel)

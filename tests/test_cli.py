@@ -163,6 +163,34 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     assert code == 2 and out == ""
 
 
+def _count_point_counts(monkeypatch) -> list:
+    # every call of ap_point_count, through cmform or any name the CLI binds
+    import cmlinv.cli as cli_mod
+    import cmlinv.cmform as cmform_mod
+    calls, real = [], cmform_mod.ap_point_count
+
+    def counted(curve, p):
+        calls.append((curve, p))
+        return real(curve, p)
+    monkeypatch.setattr(cmform_mod, "ap_point_count", counted)
+    monkeypatch.setattr(cli_mod, "ap_point_count", counted, raising=False)
+    return calls
+
+
+def test_cmform_counts_the_points_once(capsys, monkeypatch):
+    calls = _count_point_counts(monkeypatch)
+    code, out = run_cli(capsys, "cmform", "--p", "5", "--curve", "0,-1,0", "--prec", "8")
+    assert code == 0 and calls == [((0, -1, 0), 5)]
+    assert out == (FIXTURES / "cmform_p5.json").read_text(encoding="ascii")
+
+
+def test_linvariant_rejects_the_weight_before_counting_points(capsys, monkeypatch):
+    calls = _count_point_counts(monkeypatch)
+    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0",
+                        "--n", "2", "--k", "3")
+    assert code == 2 and out == "" and calls == []
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     import cmlinv.cli as cli_mod
     from cmlinv.linvariant import FGCheck

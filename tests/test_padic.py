@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv.padic import (_GCD_INVERSE_BITS, PadicNumber, _base_p_digits,
-                          _floor_log, _inverse, _is_prime, _log_reduction,
-                          _log_terms, _log_units, hensel_lift, iwasawa_log,
-                          make_context, ordp, padic_exp, sqrt_mod_prime,
-                          sqrt_unit, teichmuller)
-from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
+from cmlinv.cmform import cm_spec_from_curve
+from cmlinv.linvariant import l_invariant_analytic, l_invariant_via_alpha
+from cmlinv.padic import (_GCD_INVERSE_BITS, _LOG_PLANS, PadicNumber,
+                          _base_p_digits, _floor_log, _inverse, _is_prime,
+                          _log_plan, _log_reduction, _log_terms, _log_units,
+                          hensel_lift, iwasawa_log, make_context, ordp,
+                          padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
+from cmlinv.quadfield import (_split_prime_data, pi_bar,
+                              quad_field_from_discriminant)
 
 CTX5 = make_context(5, 32)
 
@@ -124,6 +127,18 @@ def test_inverse_matches_pow_on_both_sides_of_the_cutoff():
         assert _inverse(u, 29, 512) * u % m == 1
 
 
+def test_inverse_of_small_signed_units():
+    # the method is chosen on min(u, p^k - u): -3 is stored as p^k - 3 and
+    # takes the gcd as 3 does; a full-size unit takes Newton
+    for p in (5, 29):
+        for k in (1, 2, 17, 528):
+            m = p**k
+            full = m // 3 | 1 if (m // 3 | 1) % p else m // 3 + 2
+            for u in (1, -1, 3, -3, m - 3, m + 3, full, -full):
+                assert _inverse(u, p, k) == pow(u, -1, m), (p, k, u)
+                assert _inverse(u, p, k, m) == pow(u, -1, m), (p, k, u)
+
+
 def _quotient_oracle(x: PadicNumber, y: PadicNumber) -> str:
     # repr of x / y for units known to finite precision, by pow(u, -1, m)
     p, rel = x.context.p, min(x.rel_prec, y.rel_prec)
@@ -153,7 +168,10 @@ def test_division_and_negative_powers_match_pow_oracle(p):
     for _ in range(60):
         x, y = value(rng.randrange(1, 513)), value(rng.randrange(1, 513))
         assert repr(x / y) == _quotient_oracle(x, y)
-        assert repr(x / 7) == _quotient_oracle(x, ctx.from_int(7))
+        # small divisors of either sign divide exactly; the others invert
+        for n in (7, -2, -7 * p, 2**64 - 1, -(2**64 - 1), 2**64 + 1, p**600 + 2):
+            assert repr(x / n) == _quotient_oracle(x, ctx.from_int(n)), n
+            assert repr(x / ctx.from_int(n)) == _quotient_oracle(x, ctx.from_int(n)), n
         e = -rng.randrange(1, 5)
         assert repr(y**e) == _negative_power_oracle(y, e)
 
@@ -184,6 +202,70 @@ def test_addition_respects_absolute_precision(a, b):
     s = x + y
     assert s.abs_prec <= min(x.abs_prec, y.abs_prec)
     assert s == a + b
+
+
+# contexts for the scalar-operand test: a short one, where ints past p^N are
+# cheap to draw, and one at full size, where the small-divisor path runs
+SCALAR_CTXS = (make_context(5, 6), make_context(29, 64))
+X_STATES = ("exact zero", "inexact zero", "unit", "v < 0", "v > 0")
+
+
+@st.composite
+def padic_and_scalar(draw):
+    ctx = draw(st.sampled_from(SCALAR_CTXS))
+    p, N = ctx.p, ctx.N
+    state = draw(st.sampled_from(X_STATES))
+    if state == "exact zero":
+        x = ctx.zero()
+    elif state == "inexact zero":
+        x = ctx.inexact_zero(draw(st.integers(-3, N + 3)))
+    else:
+        v = {"unit": 0, "v < 0": draw(st.integers(-4, -1)),
+             "v > 0": draw(st.integers(1, 4))}[state]
+        rel = draw(st.integers(1, N))
+        u = draw(st.integers(1, p**rel - 1).filter(lambda u: u % p))
+        x = PadicNumber(ctx, v, u, v + rel)
+    n = draw(st.one_of(
+        st.sampled_from([0, 1, -1, p, -p, p**N, p**N - 1, -(p**N) + 1, p ** (N + 2)]),
+        st.integers(-10**6, 10**6).map(lambda k: k * p),  # multiples of p
+        st.integers(max_value=-1),
+        st.integers(p**N, p ** (N + 3))))
+    return x, n
+
+
+def _outcome(op):
+    # repr, abs_prec and rel_prec of the result, or the exception type
+    try:
+        z = op()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return repr(z), z.abs_prec, z.rel_prec
+
+
+@given(padic_and_scalar())
+@settings(max_examples=300, deadline=None)
+def test_int_operands_match_the_from_int_route(xn):
+    x, n = xn
+    m = x.context.from_int(n)
+    for name, op, via in (
+            ("x*n", lambda: x * n, lambda: x * m), ("n*x", lambda: n * x, lambda: m * x),
+            ("x/n", lambda: x / n, lambda: x / m), ("n/x", lambda: n / x, lambda: m / x),
+            ("x+n", lambda: x + n, lambda: x + m), ("n+x", lambda: n + x, lambda: m + x),
+            ("x-n", lambda: x - n, lambda: x - m), ("n-x", lambda: n - x, lambda: m - x)):
+        assert _outcome(op) == _outcome(via), (name, x, n)
+
+
+def test_division_by_int_zero_raises():
+    for x in (CTX5.from_int(3), CTX5.zero(), CTX5.inexact_zero(4)):
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+
+
+def test_from_int_keeps_n_digits_of_an_exact_int():
+    for n in (1, -1, 3 * 5**40, -(5**33) - 2):
+        x = CTX5.from_int(n)
+        v = ordp(n, 5)
+        assert (x.valuation(), x.rel_prec, x.unit_int()) == (v, 32, n // 5**v % 5**32)
 
 
 # --- Teichmuller -------------------------------------------------------------
@@ -361,6 +443,45 @@ def test_log_units_match_horner_oracle():
             units = [1, p - 1, 1 + p ** (T - 1),
                      *(rng.randrange(p**T) // p * p + rng.randrange(1, p) for _ in range(5))]
             assert _log_units(units, p, T) == _log_units_horner(units, p, T), (p, T)
+
+
+def test_log_plan_cold_and_warm_match_horner_oracle():
+    rng = random.Random(12)
+    for p, T in ((3, 40), (5, 64), (29, 64), (13, 512)):
+        units = [1, p - 1, *(rng.randrange(p**T) // p * p + rng.randrange(1, p)
+                             for _ in range(3))]
+        want = _log_units_horner(units, p, T)
+        _log_plan.cache_clear()
+        assert _log_units(units, p, T) == want, (p, T)  # cold
+        assert _log_plan.cache_info().misses == 1
+        assert _log_units(units, p, T) == want, (p, T)  # warm
+        assert [_log_units([u], p, T)[0] for u in units] == want, (p, T)
+        assert _log_plan.cache_info().misses == 1
+
+
+def test_both_l_invariant_routes_share_one_log_plan():
+    ctx = make_context(5, 64)
+    spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
+    _split_prime_data.cache_clear()
+    _log_plan.cache_clear()
+    l_invariant_analytic(spec.field, 5, ctx)
+    l_invariant_via_alpha(spec)
+    info = _log_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_log_plan_holds_no_log_value():
+    # two units at one (p, T) through one plan: two logs, each the oracle's
+    ctx = make_context(29, 64)
+    a, b = ctx.from_int(2), ctx.from_int(3)
+    la, lb = iwasawa_log(a), iwasawa_log(b)
+    assert repr(la) != repr(lb)
+    assert _same(la, _iwasawa_log_oracle(a)) and _same(lb, _iwasawa_log_oracle(b))
+
+
+def test_log_plan_cache_is_bounded():
+    assert _log_plan.cache_info().maxsize == _LOG_PLANS
+    assert 0 < _LOG_PLANS <= 64
 
 
 def test_short_series_does_no_more_work_than_horner():
