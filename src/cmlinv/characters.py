@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add, mul
 
 from .padic import PadicContext, PadicNumber, teichmuller
@@ -133,10 +133,35 @@ def _index_table(p: int) -> dict:
     return tab
 
 
+def _smallest_prime_factors(top: int) -> list:
+    # spf[a] = the least prime factor of a for 2 <= a < top (spf[a] = a for
+    # a < 2): sieving with every q from isqrt(top - 1) down to 2 leaves the
+    # least q | a with q^2 <= a, which is prime, and leaves primes untouched
+    spf = list(range(top))
+    for q in range(isqrt(top - 1), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, top, q))
+    return spf
+
+
 @lru_cache(maxsize=None)
 def _kronecker_row(D: int) -> tuple:
-    # (D/a) for a mod |D|; slot 0 holds (D/|D|), which is 0 unless D = 1
-    return tuple(kronecker_symbol(D, a or abs(D)) for a in range(abs(D)))
+    # (D/a) for a mod |D|; slot 0 holds (D/|D|), which is 0 unless D = 1.
+    # (D/a) is completely multiplicative in a >= 1, so one symbol per prime
+    # q < |D| gives the rest over the least prime factors
+    m = abs(D)
+    if m == 1:
+        return (1,)
+    spf = _smallest_prime_factors(m)
+    row = [0, 1] + [0] * (m - 2)
+    for a in range(2, m):
+        q = spf[a]
+        if q < a:
+            row[a] = row[q] * row[a // q]
+        elif a == 2:
+            row[a] = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+        else:
+            row[a] = _legendre(D, a)
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -300,18 +325,28 @@ def gen_bernoulli(n: int, chi: DirichletCharacter,
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
-    half = chi.context.p // 2 if chi.i else 1  # zeta^half = -1
-    # one pass over the units a mod f: S[e][k] sums chi(a) zeta^-e a^k over
-    # the a with chi(a) = +-zeta^e, 0 <= e < half
-    S = {}
-    for a in range(1, f + 1):
-        pair = chi.value_pair(a)
-        if pair is None:
-            continue
-        flip, e = divmod(pair[1], half)
-        powers = accumulate(repeat(a, n), mul, initial=-pair[0] if flip else pair[0])
-        row = S.get(e)
-        S[e] = list(powers) if row is None else list(map(add, row, powers))
+    # S[e][k] sums chi(a) zeta^-e a^k over the units a mod f with
+    # chi(a) = +-zeta^e, 0 <= e < half
+    if chi.i:
+        half = chi.context.p // 2  # zeta^half = -1
+        S = {}
+        for a in range(1, f + 1):
+            pair = chi.value_pair(a)
+            if pair is None:
+                continue
+            flip, e = divmod(pair[1], half)
+            powers = accumulate(repeat(a, n), mul, initial=-pair[0] if flip else pair[0])
+            row = S.get(e)
+            S[e] = list(powers) if row is None else list(map(add, row, powers))
+    else:
+        # theta_D alone: the values are the Kronecker row (a = f sits in
+        # slot 0), all in class e = 0
+        row = _kronecker_row(chi.D)
+        units = list(zip(range(1, f + 1), row[1:] + row[:1]))
+        plus = [a for a, s in units if s == 1]
+        minus = [a for a, s in units if s == -1]
+        S = {0: [sum(map(pow, plus, repeat(k))) - sum(map(pow, minus, repeat(k)))
+                 for k in range(n + 1)]}
     # W_e = sum_j C(n,j) B_j f^(j-1) S[e][n-j], in integers over a common denominator
     coeffs = [comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1) for j in range(n + 1)]
     den = lcm(*(c.denominator for c in coeffs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .acceptance import run_all
@@ -24,7 +25,7 @@ from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import critical_integers, decompose, trivial_zero_locations
 
-__all__ = ["main"]
+__all__ = ["main", "console_entry"]
 
 
 def encode_padic(x: PadicNumber) -> dict:
@@ -229,97 +230,99 @@ def cmd_acceptance(args) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_P = _arg("--p", type=int, required=True, help="odd prime of the p-adic context")
+_PREC = _arg("--prec", type=int, default=8,
+             help="certified digits / residual target (default 8)")
+_OUT = _arg("--out", type=str, default=None,
+            help="also write the JSON payload to this file")
+_LIFT = _arg("--conjugate-lift", action="store_true", dest="conjugate_lift",
+             help="use the opposite Hensel lift of sqrt(D)")
+_CURVE = (_arg("--curve", type=_curve_arg, required=True,
+               help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6"),
+          _arg("--d", type=int, default=1,
+               help="squarefree d with CM field Q(sqrt(-d)) (default 1)"),
+          _arg("--level", type=int, default=32,
+               help="prime-to-p level tag (default 32, the desk curve)"))
+_FIELD = (_arg("--D", type=int, default=None, help="fundamental discriminant (< 0)"),
+          _arg("--d", type=int, default=None, help="squarefree d for Q(sqrt(-d))"))
+
+# name -> (help, arguments in the order --help lists them, handler)
+_COMMANDS = {
+    "quadfield": ("field invariants and the split-prime package",
+                  (_arg("--p", type=int, required=False,
+                        help="odd prime of the p-adic context"),
+                   _PREC, _OUT, _LIFT, *_FIELD),
+                  cmd_quadfield),
+    "cmform": ("a_p by point counting plus Hecke roots",
+               (_P, _PREC, _OUT, *_CURVE),
+               cmd_cmform),
+    "decompose": ("symmetric-power factor list",
+                  (_P, _PREC, _OUT, *_CURVE,
+                   _arg("--n", type=int, required=True, help="symmetric power")),
+                  cmd_decompose),
+    "critical": ("critical integers C_{n,k}",
+                 (_arg("--n", type=int, required=True), _arg("--k", type=int, required=True),
+                  _arg("--out", type=str, default=None)),
+                 cmd_critical),
+    "trivial-zeros": ("trivial-zero locations and certificates",
+                      (_P, _PREC, _OUT, *_CURVE, _arg("--n", type=int, required=True),
+                       _arg("--certificates", action="store_true",
+                            help="attach order-1 certificates (c0, c1)")),
+                      cmd_trivial_zeros),
+    "klp": ("certified branch series of the p-adic L-function",
+            (_P, _PREC, _OUT, *_FIELD,
+             _arg("--branch", type=int, required=True, choices=(0, 1)),
+             _arg("--at", type=int, required=True, choices=(0, 1),
+                  help="expansion point s0"),
+             _arg("--order", type=int, default=4),
+             _arg("--nodes", type=int, default=40, help="node budget J")),
+            cmd_klp),
+    "verify-fg": ("derivative identity at the trivial zero",
+                  (_P, _PREC, _OUT, _LIFT, *_FIELD),
+                  cmd_verify_fg),
+    "linvariant": ("full L-invariant report with PASS/FAIL",
+                   (_P, _PREC, _OUT, _LIFT, *_CURVE,
+                    _arg("--D", type=int, default=None,
+                         help="fundamental discriminant of the CM field (alternative to --d)"),
+                    _arg("--n", type=int, default=2, help="symmetric power (default 2)"),
+                    _arg("--k", type=int, default=2, help="weight (curve specs: 2)")),
+                   cmd_linvariant),
+    "acceptance": ("run the whole acceptance battery",
+                   (_arg("--out", type=str, default=None),),
+                   cmd_acceptance),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: only the subparser of the command argv names,
+    or all of them when argv[0] names none (help, usage errors)."""
     top = argparse.ArgumentParser(
         prog="cmlinv",
         description="exact p-adic verification of CM symmetric-power "
                     "trivial-zero and L-invariant identities")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(sp, p_required=True, curve=False, field=False, level=False,
-               lift=False):
-        sp.add_argument("--p", type=int, required=p_required,
-                        help="odd prime of the p-adic context")
-        sp.add_argument("--prec", type=int, default=8,
-                        help="certified digits / residual target (default 8)")
-        sp.add_argument("--out", type=str, default=None,
-                        help="also write the JSON payload to this file")
-        if lift:
-            sp.add_argument("--conjugate-lift", action="store_true",
-                            dest="conjugate_lift",
-                            help="use the opposite Hensel lift of sqrt(D)")
-        if curve:
-            sp.add_argument("--curve", type=_curve_arg, required=True,
-                            help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6")
-            sp.add_argument("--d", type=int, default=1,
-                            help="squarefree d with CM field Q(sqrt(-d)) (default 1)")
-        if field:
-            sp.add_argument("--D", type=int, default=None,
-                            help="fundamental discriminant (< 0)")
-            if not curve:
-                sp.add_argument("--d", type=int, default=None,
-                                help="squarefree d for Q(sqrt(-d))")
-        if level:
-            sp.add_argument("--level", type=int, default=32,
-                            help="prime-to-p level tag (default 32, the desk curve)")
-
-    sp = sub.add_parser("quadfield", help="field invariants and the split-prime package")
-    common(sp, p_required=False, field=True, lift=True)
-    sp.set_defaults(fn=cmd_quadfield)
-
-    sp = sub.add_parser("cmform", help="a_p by point counting plus Hecke roots")
-    common(sp, curve=True, level=True)
-    sp.set_defaults(fn=cmd_cmform)
-
-    sp = sub.add_parser("decompose", help="symmetric-power factor list")
-    common(sp, curve=True, level=True)
-    sp.add_argument("--n", type=int, required=True, help="symmetric power")
-    sp.set_defaults(fn=cmd_decompose)
-
-    sp = sub.add_parser("critical", help="critical integers C_{n,k}")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(fn=cmd_critical)
-
-    sp = sub.add_parser("trivial-zeros", help="trivial-zero locations and certificates")
-    common(sp, curve=True, level=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--certificates", action="store_true",
-                    help="attach order-1 certificates (c0, c1)")
-    sp.set_defaults(fn=cmd_trivial_zeros)
-
-    sp = sub.add_parser("klp", help="certified branch series of the p-adic L-function")
-    common(sp, field=True)
-    sp.add_argument("--branch", type=int, required=True, choices=(0, 1))
-    sp.add_argument("--at", type=int, required=True, choices=(0, 1),
-                    help="expansion point s0")
-    sp.add_argument("--order", type=int, default=4)
-    sp.add_argument("--nodes", type=int, default=40, help="node budget J")
-    sp.set_defaults(fn=cmd_klp)
-
-    sp = sub.add_parser("verify-fg", help="derivative identity at the trivial zero")
-    common(sp, field=True, lift=True)
-    sp.set_defaults(fn=cmd_verify_fg)
-
-    sp = sub.add_parser("linvariant", help="full L-invariant report with PASS/FAIL")
-    common(sp, curve=True, level=True, lift=True)
-    sp.add_argument("--D", type=int, default=None,
-                    help="fundamental discriminant of the CM field (alternative to --d)")
-    sp.add_argument("--n", type=int, default=2, help="symmetric power (default 2)")
-    sp.add_argument("--k", type=int, default=2, help="weight (curve specs: 2)")
-    sp.set_defaults(fn=cmd_linvariant)
-
-    sp = sub.add_parser("acceptance", help="run the whole acceptance battery")
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(fn=cmd_acceptance)
-
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # a usage line printed for an error after one subparser was built still
+    # lists every command; the metavar would rename the argument in the
+    # errors only a full build reports ("invalid choice", "required")
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_, arguments, fn = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(fn=fn)
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; never ends the process."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
@@ -327,5 +330,27 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_entry() -> None:
+    """Process entry of `python -m cmlinv.cli` and the `cmlinv` script.
+
+    Runs `main()`, flushes stdout and stderr, and ends the process with
+    `os._exit`, so no time goes to tearing the interpreter down once the
+    output is out.  A host process's `atexit` handlers (coverage, for
+    instance) do not run; cmlinv registers none, and `--out` is closed
+    before `main()` returns.  An argparse exit (usage error, `--help`), a
+    KeyboardInterrupt, an uncaught exception or a failed flush takes the
+    normal interpreter exit, with the output and exit code that
+    `sys.exit(main())` gives.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed
+                stream.flush()
+    except OSError:  # e.g. a broken pipe: let the interpreter report it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -71,10 +71,12 @@ Mc >= M - kappa(j), and re-reduced to Mc = M - kappa(j) whenever that
 modulus has fallen by a quarter: the products shrink with j, at the
 cost of one reduction pass per quarter.
 
-Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly, an exact
-zero when p splits.  Each table compares its closed-form constant term
-with that value, through the Bernoulli numbers of `characters`, which
-share no code with the sum, and keeps the exact value.
+Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly.  Each table
+compares its closed-form constant term with that value and keeps the
+exact value.  When p splits, the Euler factor 1 - theta(p) is an exact 0,
+so `kl_value` returns the exact zero without computing B_{1,theta}; when
+p is inert, B_{1,theta} comes from the Bernoulli numbers of
+`characters`, which share no code with the sum.
 """
 
 from __future__ import annotations
@@ -82,11 +84,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from operator import mul
 
-from .characters import (DirichletCharacter, _kronecker_row, bernoulli_number,
-                         char_product, char_teichmuller_power, gen_bernoulli)
+from .characters import (DirichletCharacter, _kronecker_row, _smallest_prime_factors,
+                         bernoulli_number, char_product, char_teichmuller_power,
+                         gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _log_units, ordp
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
@@ -100,18 +102,16 @@ def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
     if chi.parity() != 1:
         raise ValueError("branch characters of the Kubota-Leopoldt function are even")
     chi_n = char_product(chi, char_teichmuller_power(-n, ctx))
+    # chi_n(p) is exact: 0 when omega divides chi_n (p divides its
+    # conductor), else theta(p); so is the Euler factor, and at a trivial
+    # zero it is an exact 0 that B_{n,chi_n} cannot change
+    euler = 1 - chi_n.value_exact(ctx.p) * Fraction(ctx.p) ** (n - 1)
+    if not euler:
+        return ctx.zero()
     B = gen_bernoulli(n, chi_n, ctx)
-    pair = chi_n.value_pair(ctx.p)
-    if pair is None or chi_n.is_rational():
-        # chi_n(p) is exact (0 when p divides the conductor), so a trivial
-        # zero's vanishing factor is an exact rational 0
-        at_p = 0 if pair is None else chi_n.value_exact(ctx.p)
-        euler = Fraction(1) - at_p * Fraction(ctx.p) ** (n - 1)
-        if isinstance(B, Fraction):
-            return ctx.from_rational(-euler * B / n)
-        return -(ctx.from_rational(euler) * B) / n
-    euler = ctx.one() - chi_n.value_padic(ctx.p, ctx) * ctx.from_int(ctx.p) ** (n - 1)
-    return -(euler * B) / n
+    if isinstance(B, Fraction):
+        return ctx.from_rational(-euler * B / n)
+    return -(ctx.from_rational(euler) * B) / n
 
 
 def _kappa(j: int, p: int) -> int:
@@ -134,13 +134,7 @@ def _logs(units: list, p: int, M: int) -> list:
     # of iwasawa_log at the primes, additivity elsewhere; every factor of a
     # unit is a smaller unit
     m = p**M
-    top = units[-1] + 1
-    spf = list(range(top))
-    for q in range(2, isqrt(top - 1) + 1):
-        if spf[q] == q:
-            for n in range(q * q, top, q):
-                if spf[n] == n:
-                    spf[n] = q
+    spf = _smallest_prime_factors(units[-1] + 1)
     primes = [a for a in units[1:] if spf[a] == a]
     log = dict(zip(primes, _log_units(primes, p, M)))
     log[1] = 0

@@ -149,6 +149,16 @@ def test_kronecker_multiplicative_in_denominator():
                     kronecker_symbol(D, m) * kronecker_symbol(D, n)
 
 
+def test_kronecker_row_matches_the_symbol():
+    # the row is built from one symbol per prime by complete multiplicativity;
+    # __wrapped__ leaves the cache as the other tests find it
+    for D in range(-2000, 2001):
+        if D == 1 or is_fundamental_discriminant(D):
+            m = abs(D)
+            want = tuple(kronecker_symbol(D, a or m) for a in range(m))
+            assert characters._kronecker_row.__wrapped__(D) == want, D
+
+
 def test_positive_discriminant_parity_convention():
     # chi(-1) = -1 exactly when D < 0
     assert char_from_kronecker(5).parity() == 1
@@ -433,6 +443,15 @@ def test_gen_bernoulli_oracle_named_cases():
                                      char_teichmuller_power(-n, ctx))
                 assert chi_n.modulus == abs(D) and chi_n.is_rational()
                 _check_against_oracle(n, chi_n, p, N)
+
+
+def test_rational_path_against_per_residue_sum():
+    # chi = theta_D reads the Kronecker row; D = 1 (f = 1) counts a = 1
+    for D in range(-300, 301):
+        if D == 1 or is_fundamental_discriminant(D):
+            chi = DirichletCharacter(D)
+            for n in range(1, 7):
+                assert gen_bernoulli(n, chi) == _gen_bernoulli_oracle(n, D, 0, 3, 12), (n, D)
 
 
 def test_gen_bernoulli_rejects_n_zero():

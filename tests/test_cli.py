@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from cmlinv.cli import main
+from cmlinv.cli import _COMMANDS, _build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -277,3 +281,80 @@ def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeyp
     monkeypatch.setattr(cli_mod, "critical_integers", lambda n, k: [math.inf])
     code, out = run_cli(capsys, "critical", "--n", "4", "--k", "4")
     assert code == 2 and out == ""
+
+
+# --- the process entry: `python -m cmlinv.cli` ends with os._exit after a flush ---
+
+def run_process(*argv):
+    # stdout block-buffered, as in a plain shell, so a lost flush shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "cmlinv.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--n", "4", "--k", "4"],
+    # over 64 KB: the flush before the hard exit crosses a pipe buffer
+    ["cmform", "--p", "29", "--curve", "0,-1,0", "--prec", "32768"],
+])
+def test_process_stdout_equals_main(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    proc = run_process(*argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode("ascii")
+    if argv[0] == "cmform":
+        assert len(proc.stdout) > 65536
+
+
+def test_process_error_exits_two_with_empty_stdout():
+    proc = run_process("verify-fg", "--D", "-4", "--p", "7")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+
+
+def test_process_unknown_flag_prints_the_full_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["critical", "--n", "4", "--k", "4", "--frobnicate"]
+    proc = run_process(*argv)
+    with pytest.raises(SystemExit) as exc:
+        _build_parser([]).parse_args(argv)
+    full = capsys.readouterr().err
+    assert proc.returncode == exc.value.code == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode("ascii") == full
+    assert "usage: cmlinv" in full and "unrecognized arguments: --frobnicate" in full
+
+
+def test_process_out_file_equals_stdout(tmp_path):
+    target = tmp_path / "payload.json"
+    proc = run_process("critical", "--n", "2", "--k", "5", "--out", str(target))
+    assert proc.returncode == 0
+    assert target.read_bytes() == proc.stdout != b""
+
+
+def test_main_returns_the_exit_code(capsys):
+    code = main(["critical", "--n", "4", "--k", "4"])
+    assert type(code) is int and code == 0
+    assert main(["verify-fg", "--D", "-4", "--p", "7"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["--p", "5", "critical"],
+    *([name, "--help"] for name in _COMMANDS),
+    *([name, "--frobnicate"] for name in _COMMANDS),
+    ["critical", "--n", "4", "--k", "4", "extra"],
+])
+def test_help_and_usage_match_the_full_parser(capsys, argv):
+    # main builds only the subparser argv[0] names; what argparse prints
+    # must not tell
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    got_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as want:
+        _build_parser([]).parse_args(argv)
+    want_out = capsys.readouterr()
+    assert got.value.code == want.value.code
+    assert (got_out.out, got_out.err) == (want_out.out, want_out.err)
+    assert got_out.out or got_out.err

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlinv import kl
 from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
-                               char_teichmuller_power, is_fundamental_discriminant,
-                               kronecker_symbol)
+                               char_teichmuller_power, gen_bernoulli,
+                               is_fundamental_discriminant, kronecker_symbol)
 from cmlinv.kl import (_closed_form, _closed_form_bounds, _kappa, _kl_function,
                        _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
@@ -125,6 +126,27 @@ def test_inert_prime_node_is_one():
     chi = char_product(THETA4, char_teichmuller_power(1, ctx7))
     v = kl_value(1, chi, ctx7)
     assert v == 1
+
+
+def test_vanishing_euler_factor_skips_bernoulli(monkeypatch):
+    # g(0) = -(1 - theta(p)) B_{1,theta}: at a split p the factor is an exact 0
+    # and B_{1,theta} is not computed; at an inert p it is
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gen_bernoulli(*args)
+
+    monkeypatch.setattr(kl, "gen_bernoulli", counted)
+    v = kl_value(1, _theta_omega(CTX5), CTX5)
+    zero = CTX5.from_rational(0)
+    assert calls == []
+    assert (repr(v), v.abs_prec) == (repr(zero), zero.abs_prec)
+    ctx7 = make_context(7, 16)
+    v = kl_value(1, _theta_omega(ctx7), ctx7)
+    one = ctx7.from_rational(-(1 - THETA4.value_exact(7)) * Fraction(-1, 2))  # B_{1,theta} = -1/2
+    assert len(calls) == 1
+    assert (repr(v), v.abs_prec) == (repr(one), one.abs_prec)
 
 
 def test_node_five_exact_rational():
