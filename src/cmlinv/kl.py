@@ -32,11 +32,32 @@ H(s0 + t) = F (s - 1) g(s) has the Taylor coefficients
     h_m = sum_j sum_{i+k=m} K_{j,i} (-1)^k P_{j,k} / k!,
     K_{j,i} = B_j F^j [t^i] C(1-s0-t, j),  P_{j,k} = sum_{a in A} w_a a^(-j) (log_p a)^k.
 
-One pass over A gives every P_{j,k} for k < K, all in integers: theta(a)
-is read from the Kronecker row of D, log_p a comes by additivity from the
-integer series of `iwasawa_log` at the primes, and the odd j > 1 are
-skipped, since B_j = 0 there, so the column w_a a^(-j) steps by a^(-2)
-from j = 2 on.  The factor B_j F^j / j! is formed mod p^T without
+Pairing a with F - a.  Write H_p(s, a, F) = (1/(s-1)) <a>^(1-s) sum_j
+C(1-s, j) (F/a)^j B_j for Washington's partial zeta function, so that
+H = sum_{a in A} chi(a) (s-1) H_p(s, a, F).  At s = 1-n, n >= 1, the
+inner sum is (F/a)^n B_n(a/F) and <a> = a omega(a)^(-1), so
+
+    H_p(1-n, a, F) = -(F^n / n) omega(a)^(-n) B_n(a/F).
+
+B_n(1-x) = (-1)^n B_n(x) and omega(F-a) = -omega(a) (p | F) give
+H_p(1-n, F-a, F) = H_p(1-n, a, F) for every n >= 1.  Both sides times
+s - 1 are continuous in s on Z_p and the points 1-n are dense there, so
+the two functions are equal.  theta is odd and its modulus |D| divides
+F, so theta(F-a) omega(F-a) = -theta(a) * -omega(a) = chi(a): a and
+F - a contribute the same function to H, hence the same h_m.  Each
+unit's contribution, truncated at n_j and reduced as below, lies within
+p^T of its exact value (the bounds that follow hold term by term, for
+one unit as for the sum).  So the sum over the a in A below F/2 (F/2
+itself is never prime to F), doubled, is h mod p^T: the pass visits
+phi(F)/2 units and gives the same residues as the full pass.  This
+needs chi even, that is D < 0; for D > 0 the two halves would cancel,
+and `_closed_form` refuses it.
+
+One pass over the half of A below F/2 gives every P_{j,k} for k < K,
+all in integers: theta(a) is read from the Kronecker row of D, log_p a
+comes by additivity from the integer series of `iwasawa_log` at the
+primes, and the odd j > 1 are skipped, since B_j = 0 there, so the
+column w_a a^(-j) steps by a^(-2) from j = 2 on.  The factor B_j F^j / j! is formed mod p^T without
 rationals: |D|^j is carried along, the p-free part of j! is inverted one
 factor j / p^v(j) at a time, and the p-power j - v(j!) - [(p-1) | j] is
 counted exactly, the denominator of B_j having one factor p exactly when
@@ -145,20 +166,61 @@ def _logs(units: list, p: int, M: int) -> list:
     return [log[a] for a in units]
 
 
+def _totient(n: int) -> int:
+    phi, q = n, 2
+    while q * q <= n:
+        if n % q == 0:
+            phi -= phi // q
+            while n % q == 0:
+                n //= q
+        q += 1
+    return phi - phi // n if n > 1 else phi
+
+
+# The largest closed form `_closed_form` sums, counted as units visited
+# times kept j times powers of the log (`_closed_form_cost`), before any
+# row or column is built.  With Python 3.11 on a 2-vCPU VM, `verify-fg
+# --D -4 --p 62501 --prec 4` costs exactly the ceiling and takes 1.1 s in
+# all; (-163, 41, 256), cost 0.86e6 at 256-digit operands, takes 2.2 s (the
+# count ignores operand size).  `verify-fg --D -4 --p 1000033 --prec 4`,
+# cost 1.6e7, ran past 10 s and was killed.  The largest inputs of the
+# tests, CI, `acceptance` and the benchmark cost 0.09e6 ((-163, 41) at
+# order 8) and 0.04e6 (verify-fg at (-40, 13, 384)).
+MAX_CLOSED_FORM_COST = 10**6
+
+
+def _closed_form_cost(A: int, p: int, n_j: int, K: int) -> int:
+    # products of the pass: phi(|D| p) / 2 units, each times every kept j
+    # (0, 1 and the even j < n_j) times K powers of the log
+    return _totient(A) * (p - 1) // 2 * (1 + (n_j > 1) + (n_j - 1) // 2) * K
+
+
 def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
-    """The first `order` Taylor coefficients of g at the integer s0, each mod p^n."""
-    A = abs(D)
+    """The first `order` Taylor coefficients of g at the integer s0, each mod p^n.
+
+    D < 0: theta*omega is even only for an odd theta, and the pass pairs
+    a with F - a.  Raises ValueError for D > 0 and over MAX_CLOSED_FORM_COST.
+    """
+    if D > 0:
+        raise ValueError("the closed form needs D < 0, so that theta*omega is even")
+    A = -D
     F = A * p
     d = s0 - 1
     v = ordp(d, p) if d else 0
     K = order + (d == 0)
     T = n + 1 + order * v
     M, n_j = _closed_form_bounds(T, K, p)
+    cost = _closed_form_cost(A, p, n_j, K)
+    if cost > MAX_CLOSED_FORM_COST:
+        raise ValueError(f"the closed form for (D, p) = ({D}, {p}) to {n} digits costs "
+                         f"{cost} products, over the ceiling {MAX_CLOSED_FORM_COST}")
     m, mT = p**M, p**T
 
     theta = _kronecker_row(D)  # theta(a) for a mod |D|, 0 off the units
-    signs = [theta[a % A] if a % p else 0 for a in range(F)]
-    units = [a for a in range(1, F) if signs[a]]
+    # the units a < F/2 only: F - a contributes what a does (module docstring)
+    half = (F + 1) // 2
+    signs = [theta[a % A] if a % p else 0 for a in range(half)]
+    units = [a for a in range(1, half) if signs[a]]
     e = s0 % (p - 1)
     omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
     col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
@@ -213,7 +275,7 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
             Pk = P % mc // div * inv
             for i in range(K - k):
                 h[i + k] += row[i] * Pk
-    h = [x % mT for x in h]
+    h = [2 * x % mT for x in h]  # the units above F/2
 
     # divide by F = |D| p: exactly by the p-power, by inverting the rest
     if d == 0:

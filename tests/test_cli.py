@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
+from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_bounds, _closed_form_cost
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -164,6 +165,33 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     code, out = run_cli(capsys, "cmform", "--p", "1000000007", "--curve", "0,-1,0",
                         "--prec", "4")
     assert time.perf_counter() - t0 < 0.1
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-fg", "--D", "-4", "--p", "1000033", "--prec", "4"),
+    ("verify-fg", "--D", "-999995", "--p", "101", "--prec", "4"),
+    ("klp", "--p", "1000033", "--D", "-4", "--branch", "0", "--at", "0",
+     "--order", "2", "--prec", "4"),
+])
+def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
+    # each ran until killed before the ceiling; the second would first build
+    # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+
+
+def test_closed_form_at_the_cost_ceiling_completes(capsys):
+    # verify-fg at --prec 4 sums 12 digits: T = 13 keeps 8 j and K = 2, over
+    # phi(4 p)/2 = p - 1 units; 62501 and 62533 are consecutive primes split in Q(i)
+    for p in (62501, 62533):
+        n_j = _closed_form_bounds(13, 2, p)[1]
+        assert (_closed_form_cost(4, p, n_j, 2) <= MAX_CLOSED_FORM_COST) == (p == 62501)
+    code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "62501", "--prec", "4")
+    assert code == 0 and json.loads(out)["result"] == "PASS"
+    code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "62533", "--prec", "4")
     assert code == 2 and out == ""
 
 

@@ -439,6 +439,38 @@ def test_closed_form_matches_full_modulus_oracle(D, p):
                 == _closed_form_at_full_modulus(D, p, s0, order, n)), (s0, order, n)
 
 
+@pytest.mark.parametrize("D, p", [(-3, 7), (-4, 5)])
+def test_closed_form_visits_half_the_units(monkeypatch, D, p):
+    # theta*omega is even, so a and F - a contribute alike: the pass reads
+    # the phi(F)/2 units below F/2 and doubles.  F = 21 is odd, F = 20 even
+    seen = []
+
+    def recorded(units, p, M):
+        seen.append(list(units))
+        return _logs(units, p, M)
+
+    monkeypatch.setattr(kl, "_logs", recorded)
+    F = abs(D) * p
+    phi = sum(math.gcd(a, F) == 1 for a in range(1, F))
+    assert _closed_form(D, p, 0, 2, 6) == _closed_form_at_full_modulus(D, p, 0, 2, 6)
+    assert len(seen) == 1
+    assert len(seen[0]) == phi // 2 and all(2 * a < F for a in seen[0])
+
+
+def test_closed_form_rejects_positive_discriminant():
+    # theta*omega is odd for D > 0, and the halves would cancel
+    with pytest.raises(ValueError):
+        _closed_form(5, 3, 0, 2, 4)
+
+
+def test_closed_form_cost_counts_half_the_units_and_the_kept_j():
+    # (-40, 13): phi(520)/2 = 96 units; T = 13 keeps j = 0, 1, 2, 4, ..., 12
+    M, n_j = _closed_form_bounds(13, 2, 13)
+    assert n_j == 14
+    assert kl._closed_form_cost(40, 13, n_j, 2) == 96 * 8 * 2
+    assert kl._closed_form_cost(4, 5, 1, 1) == 4
+
+
 def _v(q, p):
     return ordp(q.numerator, p) - ordp(q.denominator, p) if q else None
 
