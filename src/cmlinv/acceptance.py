@@ -15,10 +15,10 @@ from fractions import Fraction
 from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
                          is_fundamental_discriminant)
 from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
-from .kl import branch_series
+from .kl import branch_series, kl_value
 from .linvariant import (full_report, l_invariant_analytic,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
-from .padic import iwasawa_log, json_valuation, make_context
+from .padic import PadicContext, iwasawa_log, json_valuation, make_context, ordp
 from .quadfield import pi_bar, quad_field_from_discriminant
 from .sympower import critical_integers, trivial_zero_locations
 
@@ -117,9 +117,10 @@ def ac4_interpolation_oracle():
         ctx = make_context(p, 12)
         theta = char_from_kronecker(D)
         bs = branch_series(0, theta, 0, 2, ctx, n_cert=8)
-        start = 2 * bs.nodes_used + 1
-        residuals = [(bs.evaluate(1 - n) - bs.g.node_value(n)).min_valuation()
-                     for n in range(start, start + 5)]
+        J = bs.nodes_used
+        # exact g(1-n) to J digits: kl_value keeps N - 1 - ord_p(n) of N
+        residuals = [(bs.evaluate(1 - n) - kl_value(n, bs.g.chi, PadicContext(
+            p, J + 1 + ordp(n, p)))).min_valuation() for n in range(2 * J + 1, 2 * J + 6)]
         good = all(r >= TARGET for r in residuals)
         detail[f"D={D},p={p}"] = {"held_out_residuals": list(map(json_valuation, residuals)),
                                   "passed": good}

@@ -140,8 +140,7 @@ def cmd_trivial_zeros(args) -> int:
 def cmd_klp(args) -> int:
     ctx = make_context(args.p, max(args.prec + 4, 12))
     theta = _field_from_args(args).character()
-    bs = branch_series(args.branch, theta, args.at, args.order, ctx,
-                       n_cert=args.prec, node_budget=args.nodes)
+    bs = branch_series(args.branch, theta, args.at, args.order, ctx, n_cert=args.prec)
     payload = {
         "branch": bs.branch,
         "s0": bs.s0,
@@ -278,8 +277,7 @@ _COMMANDS = {
              _arg("--branch", type=int, required=True, choices=(0, 1)),
              _arg("--at", type=int, required=True, choices=(0, 1),
                   help="expansion point s0"),
-             _arg("--order", type=int, default=4),
-             _arg("--nodes", type=int, default=40, help="node budget J")),
+             _arg("--order", type=int, default=4)),
             cmd_klp),
     "verify-fg": ("derivative identity at the trivial zero",
                   (_P, _PREC, _OUT, _LIFT, *_FIELD),

@@ -92,6 +92,18 @@ Mc >= M - kappa(j), and re-reduced to Mc = M - kappa(j) whenever that
 modulus has fallen by a quarter: the products shrink with j, at the
 cost of one reduction pass per quarter.
 
+Cost (`_closed_form_cost`).  Per unit the pass makes K products for each
+kept j (the column step and K - 1 log powers) and about 2K in its setup,
+on operands of at most M digits, w = floor(M bitlen(p) / 64) + 1 words:
+each costs about (w + 8)^2 word steps, 8 being the interpreter's share.
+The exact Bernoulli table to n_j and the factors B_j F^j / j! grow as
+n_j^3.  So, in integers and before any row is built,
+
+    cost = phi(F)/2 * (kept + 2) * K * (w + 8)^2 + n_j^3 / 16.
+
+Time per unit of cost stays within a factor 3 over |D| from 3 to 163, p
+from 3 to 10^5, 4 to 1500 digits and K from 2 to 9.
+
 Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly.  Each table
 compares its closed-form constant term with that value and keeps the
 exact value.  When p splits, the Euler factor 1 - theta(p) is an exact 0,
@@ -177,22 +189,22 @@ def _totient(n: int) -> int:
     return phi - phi // n if n > 1 else phi
 
 
-# The largest closed form `_closed_form` sums, counted as units visited
-# times kept j times powers of the log (`_closed_form_cost`), before any
-# row or column is built.  With Python 3.11 on a 2-vCPU VM, `verify-fg
-# --D -4 --p 62501 --prec 4` costs exactly the ceiling and takes 1.1 s in
-# all; (-163, 41, 256), cost 0.86e6 at 256-digit operands, takes 2.2 s (the
-# count ignores operand size).  `verify-fg --D -4 --p 1000033 --prec 4`,
-# cost 1.6e7, ran past 10 s and was killed.  The largest inputs of the
-# tests, CI, `acceptance` and the benchmark cost 0.09e6 ((-163, 41) at
-# order 8) and 0.04e6 (verify-fg at (-40, 13, 384)).
-MAX_CLOSED_FORM_COST = 10**6
+# The largest `_closed_form_cost`.  With Python 3.11 on a 2-vCPU VM,
+# `_closed_form` took 2.2 to 6.5 ns per unit of cost over 16 inputs (fresh
+# processes, Bernoulli table included), so an input at the ceiling takes
+# 0.55 to 1.6 s; `verify-fg --D -40 --p 13 --prec 714` (cost 2.4e8) takes
+# 1.1 s in all, and `--prec 2048` (4.7e9) ran past 20 s.  The largest input
+# of the tests, CI, `acceptance` and the benchmark costs 0.5e8 (CI's
+# `verify-fg --D -40 --p 13 --prec 384`).
+MAX_CLOSED_FORM_COST = 25 * 10**7
 
 
-def _closed_form_cost(A: int, p: int, n_j: int, K: int) -> int:
-    # products of the pass: phi(|D| p) / 2 units, each times every kept j
-    # (0, 1 and the even j < n_j) times K powers of the log
-    return _totient(A) * (p - 1) // 2 * (1 + (n_j > 1) + (n_j - 1) // 2) * K
+def _closed_form_cost(A: int, p: int, n_j: int, K: int, M: int) -> int:
+    # the module docstring's model: K products per unit and kept j (0, 1 and
+    # the even j < n_j), 2K more in the setup, and n_j^3 / 16 for the j alone
+    units = _totient(A) * (p - 1) // 2
+    kept = 1 + (n_j > 1) + (n_j - 1) // 2
+    return units * (kept + 2) * K * (M * p.bit_length() // 64 + 9) ** 2 + n_j**3 // 16
 
 
 def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
@@ -210,10 +222,11 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     K = order + (d == 0)
     T = n + 1 + order * v
     M, n_j = _closed_form_bounds(T, K, p)
-    cost = _closed_form_cost(A, p, n_j, K)
+    cost = _closed_form_cost(A, p, n_j, K, M)
     if cost > MAX_CLOSED_FORM_COST:
         raise ValueError(f"the closed form for (D, p) = ({D}, {p}) to {n} digits costs "
-                         f"{cost} products, over the ceiling {MAX_CLOSED_FORM_COST}")
+                         f"{cost}, over the ceiling {MAX_CLOSED_FORM_COST}")
+    bernoulli_number(n_j - 1)  # the table in one build, not doubled past n_j
     m, mT = p**M, p**T
 
     theta = _kronecker_row(D)  # theta(a) for a mod |D|, 0 off the units
@@ -307,15 +320,6 @@ class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
 
     __slots__ = ()
 
-    def node_value(self, n: int) -> PadicNumber:
-        """Exact g(1-n) = L_p(1-n, theta*omega), n >= 1, to at least J digits.
-
-        kl_value at N digits carries N - 1 - ord_p(n) of them: one goes to
-        the f^(-1) term of B_{n,chi_n}, ord_p(n) to the division by n.
-        """
-        p = self.ctx.p
-        return kl_value(n, self.chi, PadicContext(p, self.ctx.N + 1 + ordp(n, p)))
-
     def taylor(self, s0: int) -> tuple:
         """J - n_cert Taylor coefficients of g at s0 in {0, 1}, certified to n_cert digits."""
         if s0 == 0:
@@ -389,13 +393,13 @@ class BranchSeries(namedtuple(
 
 
 def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
-                  ctx: PadicContext, n_cert: int = 8,
-                  node_budget: int = 40) -> BranchSeries:
+                  ctx: PadicContext, n_cert: int = 8) -> BranchSeries:
     """Series of L_{p,i}(s, theta) around s0 in {0, 1}, certified to n_cert digits.
 
     Requires theta odd, quadratic, of conductor prime to p, i in {0, 1}
     and n_cert >= 1.  J = n_cert + order is the precision `evaluate`
-    reports; raises if it exceeds `node_budget`.
+    reports.  Raises ValueError when the closed form for (theta, p, n_cert,
+    order) costs more than MAX_CLOSED_FORM_COST.
     """
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
@@ -412,10 +416,6 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
     if n_cert > ctx.N:
         raise ValueError("cannot certify more digits than the context carries")
     J = n_cert + order
-    if J > node_budget:
-        raise ValueError(
-            f"(order={order}, n_cert={n_cert}) needs J={J} nodes, over the budget {node_budget}")
-
     g = _kl_function(theta.D, ctx.p, n_cert, J)
     # branch 1 reads g(1-s), so expand g at 1-s0 and flip the odd coefficients
     flip = (i == 1)
@@ -426,8 +426,6 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
 
 
 def branch_derivative(i: int, theta: DirichletCharacter, s0: int,
-                      ctx: PadicContext, n_cert: int = 8,
-                      node_budget: int = 40) -> PadicNumber:
+                      ctx: PadicContext, n_cert: int = 8) -> PadicNumber:
     """d/ds L_{p,i}(s, theta) at s0: coefficient c_1 of the branch series."""
-    return branch_series(i, theta, s0, 2, ctx, n_cert=n_cert,
-                         node_budget=node_budget).coefficients[1]
+    return branch_series(i, theta, s0, 2, ctx, n_cert=n_cert).coefficients[1]

@@ -91,10 +91,11 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
     _check_target(target)
     if target > ctx.N:
         raise ValueError("target precision exceeds the context")
+    # certify as much as the context carries so the residual scales with N;
+    # first, so that a closed form over its cost ceiling raises before
+    # pi_bar, whose cost has no ceiling
+    lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N)
     sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
-    # certify as much as the context carries so the residual scales with N
-    lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N,
-                            node_budget=ctx.N + 2)
     rhs = ctx.from_rational(Fraction(4, F.w)) * sp.log_pibar
     resid = (lhs - rhs).min_valuation()
     return FGCheck(lhs=lhs, rhs=rhs, residual_valuation=resid,
@@ -133,8 +134,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
     theta = F.character()
     linv = l_invariant_analytic(F, ctx.p, ctx, conjugate_lift=conjugate_lift)
     l_at_i = linv.l_at_0 if i == 0 else linv.l_at_1
-    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N,
-                              node_budget=ctx.N + 2)
+    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)
     arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
     rhs = l_at_i * ctx.from_rational(arch)
     resid = (deriv - rhs).min_valuation()

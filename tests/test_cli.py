@@ -173,10 +173,16 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     ("verify-fg", "--D", "-999995", "--p", "101", "--prec", "4"),
     ("klp", "--p", "1000033", "--D", "-4", "--branch", "0", "--at", "0",
      "--order", "2", "--prec", "4"),
+    ("verify-fg", "--D", "-40", "--p", "13", "--prec", "2048"),
+    ("verify-fg", "--D", "-4", "--p", "5", "--prec", "100000"),
+    ("klp", "--p", "13", "--D", "-40", "--branch", "0", "--at", "0",
+     "--order", "2", "--prec", "4096"),
 ])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
     # each ran until killed before the ceiling; the second would first build
-    # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7
+    # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7; the
+    # last three passed a ceiling blind to operand size, and at 100000 digits
+    # pi_bar alone takes 29 s, so the closed form's check must come first
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
@@ -184,15 +190,28 @@ def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
 
 
 def test_closed_form_at_the_cost_ceiling_completes(capsys):
-    # verify-fg at --prec 4 sums 12 digits: T = 13 keeps 8 j and K = 2, over
-    # phi(4 p)/2 = p - 1 units; 62501 and 62533 are consecutive primes split in Q(i)
-    for p in (62501, 62533):
-        n_j = _closed_form_bounds(13, 2, p)[1]
-        assert (_closed_form_cost(4, p, n_j, 2) <= MAX_CLOSED_FORM_COST) == (p == 62501)
-    code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "62501", "--prec", "4")
+    # verify-fg --prec N at (-40, 13) sums N + 4 digits: T = N + 5 and K = 2;
+    # the cost passes the ceiling between N = 714 and 715
+    for prec in (714, 715):
+        M, n_j = _closed_form_bounds(prec + 5, 2, 13)
+        assert (_closed_form_cost(40, 13, n_j, 2, M) <= MAX_CLOSED_FORM_COST) == (prec == 714)
+    code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "714")
     assert code == 0 and json.loads(out)["result"] == "PASS"
-    code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "62533", "--prec", "4")
+    code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "715")
     assert code == 2 and out == ""
+
+
+def test_klp_past_forty_nodes(capsys):
+    # J = N_cert + order = 44 was over the Newton table's budget of 40
+    code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
+                        "--order", "4", "--prec", "40")
+    assert code == 0 and json.loads(out)["J"] == 44
+
+
+def test_klp_has_no_nodes_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--nodes", "40"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def _count_point_counts(monkeypatch) -> list:

@@ -228,10 +228,11 @@ def test_derivative_d3_p7():
 
 
 def test_series_reproduces_extra_nodes():
+    # the exact g(1-n): kl_value at J + 1 + ord_p(n) digits carries J of them
     bs = branch_series(0, THETA4, 0, 3, CTX5, n_cert=8)
     for n in range(25, 28):
-        got = bs.evaluate(1 - n)
-        assert (got - bs.g.node_value(n)).min_valuation() >= 8, n
+        exact = kl_value(n, bs.g.chi, PadicContext(5, bs.nodes_used + 1 + ordp(n, 5)))
+        assert (bs.evaluate(1 - n) - exact).min_valuation() >= 8, n
 
 
 def test_u_at_integers_matches_exact_rational():
@@ -290,11 +291,6 @@ def test_branch_symmetry_three_points():
         lhs = bs0.series_value(s)
         rhs = bs1.evaluate(1 - s)
         assert (lhs - rhs).min_valuation() >= 6, s
-
-
-def test_node_budget_gate():
-    with pytest.raises(ValueError):
-        branch_series(0, THETA4, 0, 4, CTX5, n_cert=8, node_budget=10)
 
 
 def test_cert_cannot_exceed_context():
@@ -464,11 +460,14 @@ def test_closed_form_rejects_positive_discriminant():
 
 
 def test_closed_form_cost_counts_half_the_units_and_the_kept_j():
-    # (-40, 13): phi(520)/2 = 96 units; T = 13 keeps j = 0, 1, 2, 4, ..., 12
+    # (-40, 13): phi(520)/2 = 96 units; T = 13 keeps j = 0, 1, 2, 4, ..., 12,
+    # 8 of them, plus 2 for the setup; 13 digits of 13 fit in one word
     M, n_j = _closed_form_bounds(13, 2, 13)
-    assert n_j == 14
-    assert kl._closed_form_cost(40, 13, n_j, 2) == 96 * 8 * 2
-    assert kl._closed_form_cost(4, 5, 1, 1) == 4
+    assert (M, n_j) == (13, 14)
+    assert kl._closed_form_cost(40, 13, n_j, 2, M) == 96 * (8 + 2) * 2 * (1 + 8) ** 2 + 14**3 // 16
+    # (-4, 5): phi(20)/2 = 4 units; 64 digits of 5 count 64 * 3 bits, 3 + 1 words
+    assert kl._closed_form_cost(4, 5, 1, 1, 1) == 4 * (1 + 2) * (1 + 8) ** 2
+    assert kl._closed_form_cost(4, 5, 1, 1, 64) == 4 * (1 + 2) * (4 + 8) ** 2
 
 
 def _v(q, p):
