@@ -102,22 +102,23 @@ def is_fundamental_discriminant(D: int) -> bool:
     return D not in (0, 1) and _fundamental_part(D) == D
 
 
+def _prime_factors(n: int) -> list:
+    # the distinct prime factors of n >= 1, ascending, by trial division
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
 @lru_cache(maxsize=None)
 def _primitive_root(p: int) -> int:
-    phi = p - 1
-    facs = []
-    m = phi
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            facs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        facs.append(m)
+    facs = _prime_factors(p - 1)
     for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in facs):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
             return g
     raise ArithmeticError(f"no primitive root mod {p}")
 

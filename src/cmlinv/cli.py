@@ -17,10 +17,10 @@ import sys
 
 from .acceptance import run_all
 from .cmform import _curve_spec, cm_spec_from_curve, unit_root
-from .kl import branch_series
+from .kl import _check_branch, branch_series
 from .linvariant import (full_report, verify_ferrero_greenberg,
                          verify_trivial_zero_formula)
-from .padic import PadicNumber, json_valuation, make_context
+from .padic import PadicNumber, _check_prime, json_valuation, make_context
 from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import critical_integers, decompose, trivial_zero_locations
@@ -138,8 +138,11 @@ def cmd_trivial_zeros(args) -> int:
 
 
 def cmd_klp(args) -> int:
-    ctx = make_context(args.p, max(args.prec + 4, 12))
+    _check_prime(args.p)  # before the plans, which divide by p - 2
+    N = max(args.prec + 4, 12)
     theta = _field_from_args(args).character()
+    _check_branch(args.branch, theta, args.at, args.order, args.p, N, args.prec)
+    ctx = make_context(args.p, N)
     bs = branch_series(args.branch, theta, args.at, args.order, ctx, n_cert=args.prec)
     payload = {
         "branch": bs.branch,
@@ -153,8 +156,11 @@ def cmd_klp(args) -> int:
 
 
 def cmd_verify_fg(args) -> int:
-    ctx = make_context(args.p, max(args.prec + 4, 12))
+    _check_prime(args.p)
+    N = max(args.prec + 4, 12)
     F = _field_from_args(args)
+    _check_branch(0, F.character(), 0, 2, args.p, N, N)  # the derivative it certifies
+    ctx = make_context(args.p, N)
     chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec,
                                    conjugate_lift=args.conjugate_lift)
     payload = {
@@ -174,12 +180,10 @@ def cmd_linvariant(args) -> int:
     if args.k != 2:
         raise ValueError("curve-derived specs have weight 2; use --k 2")
     ctx = make_context(args.p, max(args.prec + 4, 16))
-    if args.D is not None:
-        field = quad_field_from_discriminant(args.D)
-        if field.d != args.d and args.d != 1:
-            raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
-        args = argparse.Namespace(**{**vars(args), "d": field.d})
-    spec = cm_spec_from_curve(args.curve, args.d, args.level, ctx)
+    d = args.d if args.D is None else quad_field_from_discriminant(args.D).d
+    if d != args.d and args.d != 1:
+        raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
+    spec = cm_spec_from_curve(args.curve, d, args.level, ctx)
     rep = full_report(spec, target=args.prec, conjugate_lift=args.conjugate_lift)
     checks = {
         "fg_identity": rep.fg_check.passed,

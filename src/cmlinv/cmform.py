@@ -79,10 +79,6 @@ class CMFormSpec(namedtuple("CMFormSpec", "field weight nebentypus ap level cont
 
     __slots__ = ()
 
-    @property
-    def p(self) -> int:
-        return self.context.p
-
 
 def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
             ap, level: int, ctx: PadicContext) -> CMFormSpec:

@@ -67,19 +67,21 @@ sum chi(a) = 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of
 the log; otherwise g_0 = h_0 / (F (s0-1)) and
 g_m = (h_m - F g_{m-1}) / (F (s0-1)), with K = order.
 
-Bounds (`_closed_form_bounds`).  v(F) = 1, j! [t^i] C(1-s0-t, j) is an
+Bounds (`_closed_form_plan`).  v(F) = 1, j! [t^i] C(1-s0-t, j) is an
 integer, v(j!) <= floor((j-1)/(p-1)), and v(B_j) >= -1 with equality
-only where (p-1) | j (von Staudt-Clausen), so for j >= 1
+only where (p-1) | j (von Staudt-Clausen), so for j - 1 = q(p-1) + r >= 0
 
     v(K_{j,i}) >= kappa(j) = j - [(p-1) | j] - floor((j-1)/(p-1))
-               >= j - 1 - floor((j-1)/(p-1)),
+                           = q(p-2) + r + 1 - [r = p-2]    (0 <= r < p-1),
 
-and kappa never decreases in j (it stays put only where (p-1) | j).
+which never decreases in j and stays put only where (p-1) | j.
 v(log_p a) >= 1 makes P_{j,k} a multiple of p^k, so P_{j,k} / k! is an
 exact division that costs v(k!) digits.  For g_m mod p^n, H is needed
 mod p^T with T = n + 1 + order * v(s0 - 1) (the 1/F digit and the
-divisions by s0 - 1; at s0 = 1 only the 1/F digit): every term with
-kappa(j) >= T is dropped, and P is summed mod p^M, M = T + v((K-1)!).
+divisions by s0 - 1; at s0 = 1 only the 1/F digit).  The least j with
+kappa(j) = T is n_j = q(p-1) + r + 1, (q, r) = divmod(T - 1, p - 2); the
+terms j >= n_j are dropped, and P is summed mod p^M, M = T + v((K-1)!) =
+T + sum_i floor((K-1)/p^i) (Legendre).
 
 Working modulus in j.  The integer K_{j,i} mod p^T is a multiple of
 p^kappa(j), so K_{j,i} P_{j,k} / k! mod p^T needs P_{j,k} / k! only mod
@@ -92,17 +94,18 @@ Mc >= M - kappa(j), and re-reduced to Mc = M - kappa(j) whenever that
 modulus has fallen by a quarter: the products shrink with j, at the
 cost of one reduction pass per quarter.
 
-Cost (`_closed_form_cost`).  Per unit the pass makes K products for each
-kept j (the column step and K - 1 log powers) and about 2K in its setup,
-on operands of at most M digits, w = floor(M bitlen(p) / 64) + 1 words:
-each costs about (w + 8)^2 word steps, 8 being the interpreter's share.
-The exact Bernoulli table to n_j and the factors B_j F^j / j! grow as
-n_j^3.  So, in integers and before any row is built,
+Cost (`_closed_form_plan`).  Per unit the pass makes K products for each
+kept j (the column step and K - 1 log powers) and about 2K in its setup
+(the omega(a)^s0 table adds p - 1 products), on operands of at most M
+digits, w = floor(M bitlen(p) / 64) + 1 words: each costs about (w + 8)^2
+word steps, 8 being the interpreter's share.  The exact Bernoulli table
+to n_j and the factors B_j F^j / j! grow as n_j^3.  So, in integers,
 
     cost = phi(F)/2 * (kept + 2) * K * (w + 8)^2 + n_j^3 / 16.
 
 Time per unit of cost stays within a factor 3 over |D| from 3 to 163, p
-from 3 to 10^5, 4 to 1500 digits and K from 2 to 9.
+from 3 to 10^5, 4 to 1500 digits and K from 2 to 9.  Callers check the
+plans of all the tables they read before their first stage.
 
 Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly.  Each table
 compares its closed-form constant term with that value and keeps the
@@ -119,9 +122,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .characters import (DirichletCharacter, _kronecker_row, _smallest_prime_factors,
-                         bernoulli_number, char_product, char_teichmuller_power,
-                         gen_bernoulli)
+from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
+                         _primitive_root, _smallest_prime_factors, bernoulli_number,
+                         char_product, char_teichmuller_power, gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _log_units, ordp
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
@@ -152,16 +155,6 @@ def _kappa(j: int, p: int) -> int:
     return j - (j % (p - 1) == 0) - (j - 1) // (p - 1) if j else 0
 
 
-def _closed_form_bounds(T: int, K: int, p: int) -> tuple[int, int]:
-    # (M, n_j) for H mod p^T from K powers of log_p: every j >= n_j has
-    # kappa(j) >= T, and P_{j,k} summed mod p^M, M = T + v((K-1)!), still
-    # gives P_{j,k} / k! mod p^T for every k < K
-    n_j = 1
-    while _kappa(n_j, p) < T:
-        n_j += 1
-    return T + sum(ordp(k, p) for k in range(2, K)), n_j
-
-
 def _logs(units: list, p: int, M: int) -> list:
     # log_p a mod p^M for each unit a (ascending, from 1): the integer kernel
     # of iwasawa_log at the primes, additivity elsewhere; every factor of a
@@ -178,54 +171,51 @@ def _logs(units: list, p: int, M: int) -> list:
     return [log[a] for a in units]
 
 
-def _totient(n: int) -> int:
-    phi, q = n, 2
-    while q * q <= n:
-        if n % q == 0:
-            phi -= phi // q
-            while n % q == 0:
-                n //= q
-        q += 1
-    return phi - phi // n if n > 1 else phi
-
-
-# The largest `_closed_form_cost`.  With Python 3.11 on a 2-vCPU VM,
-# `_closed_form` took 2.2 to 6.5 ns per unit of cost over 16 inputs (fresh
-# processes, Bernoulli table included), so an input at the ceiling takes
-# 0.55 to 1.6 s; `verify-fg --D -40 --p 13 --prec 714` (cost 2.4e8) takes
-# 1.1 s in all, and `--prec 2048` (4.7e9) ran past 20 s.  The largest input
-# of the tests, CI, `acceptance` and the benchmark costs 0.5e8 (CI's
-# `verify-fg --D -40 --p 13 --prec 384`).
+# The largest plan cost.  With Python 3.11 on a 2-vCPU VM, `_closed_form`
+# took 2.2 to 6.5 ns per unit of cost over 16 inputs (fresh processes,
+# Bernoulli table included), so an input at the ceiling takes 0.55 to 1.6 s;
+# `verify-fg --D -40 --p 13 --prec 714` (cost 2.4e8) takes 1.1 s in all, and
+# `--prec 2048` (4.7e9) ran past 20 s.  The largest input of the tests, CI,
+# `acceptance` and the benchmark costs 0.5e8 (`verify-fg --D -40 --p 13 --prec 384`).
 MAX_CLOSED_FORM_COST = 25 * 10**7
 
 
-def _closed_form_cost(A: int, p: int, n_j: int, K: int, M: int) -> int:
-    # the module docstring's model: K products per unit and kept j (0, 1 and
-    # the even j < n_j), 2K more in the setup, and n_j^3 / 16 for the j alone
-    units = _totient(A) * (p - 1) // 2
+ClosedFormPlan = namedtuple("ClosedFormPlan", "T K M n_j cost")
+
+
+def _closed_form_plan(D: int, p: int, s0: int, order: int, n: int) -> ClosedFormPlan:
+    """(T, K, M, n_j, cost) of `_closed_form(D, p, s0, order, n)`, with no loop over j or k.
+
+    Raises ValueError for D > 0 and when the cost is over MAX_CLOSED_FORM_COST.
+    """
+    if D > 0:
+        raise ValueError("the closed form needs D < 0, so that theta*omega is even")
+    K = order + (s0 == 1)
+    T = n + 1 + order * (ordp(s0 - 1, p) if s0 != 1 else 0)
+    q, r = divmod(T - 1, p - 2)
+    n_j = q * (p - 1) + r + 1  # the least j with kappa(j) = T
+    M, k = T, K - 1  # M = T + v((K-1)!) by Legendre's formula
+    while (k := k // p) > 0:
+        M += k
+    units = -D * (p - 1) // 2  # phi(F) / 2
+    for prime in _prime_factors(-D):
+        units -= units // prime
     kept = 1 + (n_j > 1) + (n_j - 1) // 2
-    return units * (kept + 2) * K * (M * p.bit_length() // 64 + 9) ** 2 + n_j**3 // 16
+    cost = units * (kept + 2) * K * (M * p.bit_length() // 64 + 9) ** 2 + n_j**3 // 16
+    if cost > MAX_CLOSED_FORM_COST:
+        raise ValueError(f"the closed form for (D, p) = ({D}, {p}) to {n} digits costs "
+                         f"{cost}, over the ceiling {MAX_CLOSED_FORM_COST}")
+    return ClosedFormPlan(T, K, M, n_j, cost)
 
 
 def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     """The first `order` Taylor coefficients of g at the integer s0, each mod p^n.
 
-    D < 0: theta*omega is even only for an odd theta, and the pass pairs
-    a with F - a.  Raises ValueError for D > 0 and over MAX_CLOSED_FORM_COST.
+    Raises the ValueError of its plan: for D > 0 and over the cost ceiling.
     """
-    if D > 0:
-        raise ValueError("the closed form needs D < 0, so that theta*omega is even")
+    T, K, M, n_j, _ = _closed_form_plan(D, p, s0, order, n)
     A = -D
     F = A * p
-    d = s0 - 1
-    v = ordp(d, p) if d else 0
-    K = order + (d == 0)
-    T = n + 1 + order * v
-    M, n_j = _closed_form_bounds(T, K, p)
-    cost = _closed_form_cost(A, p, n_j, K, M)
-    if cost > MAX_CLOSED_FORM_COST:
-        raise ValueError(f"the closed form for (D, p) = ({D}, {p}) to {n} digits costs "
-                         f"{cost}, over the ceiling {MAX_CLOSED_FORM_COST}")
     bernoulli_number(n_j - 1)  # the table in one build, not doubled past n_j
     m, mT = p**M, p**T
 
@@ -234,8 +224,14 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     half = (F + 1) // 2
     signs = [theta[a % A] if a % p else 0 for a in range(half)]
     units = [a for a in range(1, half) if signs[a]]
-    e = s0 % (p - 1)
-    omega = [pow(pow(r, p ** (M - 1), m), e, m) if e else 1 for r in range(p)]
+    # omega(a)^e mod p^M by a mod p: omega(g^i)^e = (omega(g)^e)^i, g a primitive root
+    e, omega = s0 % (p - 1), [1] * p
+    if e:
+        root, x, y = _primitive_root(p), 1, 1
+        t = pow(pow(root, p ** (M - 1), m), e, m)
+        for _ in range(p - 1):
+            omega[x] = y
+            x, y = x * root % p, y * t % m
     col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
     inverses = [pow(a, -1, m) for a in units]
     lam = [None]  # lam[k] = (log_p a)^k over the units, k >= 1
@@ -291,13 +287,14 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     h = [2 * x % mT for x in h]  # the units above F/2
 
     # divide by F = |D| p: exactly by the p-power, by inverting the rest
-    if d == 0:
+    if s0 == 1:
         if h[0]:
             raise ArithmeticError("the pole of g at s = 1 does not cancel")
         inv = pow(A, -1, mT)
         g = [x // p * inv for x in h[1:]]
     else:
-        inv, q = pow(A * (d // p**v), -1, mT), p ** (1 + v)
+        v = ordp(s0 - 1, p)
+        inv, q = pow(A * ((s0 - 1) // p**v), -1, mT), p ** (1 + v)
         g, prev = [], 0
         for x in h:
             prev = (x - F * prev) % mT // q * inv % mT
@@ -392,15 +389,9 @@ class BranchSeries(namedtuple(
         return self.g.value(1 - s if self.flip else s)
 
 
-def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
-                  ctx: PadicContext, n_cert: int = 8) -> BranchSeries:
-    """Series of L_{p,i}(s, theta) around s0 in {0, 1}, certified to n_cert digits.
-
-    Requires theta odd, quadratic, of conductor prime to p, i in {0, 1}
-    and n_cert >= 1.  J = n_cert + order is the precision `evaluate`
-    reports.  Raises ValueError when the closed form for (theta, p, n_cert,
-    order) costs more than MAX_CLOSED_FORM_COST.
-    """
+def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int,
+                  N: int, n_cert: int) -> None:
+    # `branch_series`' checks for N digits of p; last, the plans of g at 0 and where it expands
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
     if s0 not in (0, 1):
@@ -411,10 +402,24 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
         raise ValueError("n_cert must be >= 1")
     if not theta.is_odd() or not theta.is_rational() or theta.is_trivial():
         raise ValueError("theta must be an odd quadratic character")
-    if theta.conductor() % ctx.p == 0:
+    if theta.conductor() % p == 0:
         raise ValueError("theta must have conductor prime to p")
-    if n_cert > ctx.N:
+    if n_cert > N:
         raise ValueError("cannot certify more digits than the context carries")
+    for s in {0, 1 - s0 if i else s0}:
+        _closed_form_plan(theta.D, p, s, order, n_cert)
+
+
+def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
+                  ctx: PadicContext, n_cert: int = 8) -> BranchSeries:
+    """Series of L_{p,i}(s, theta) around s0 in {0, 1}, certified to n_cert digits.
+
+    Requires theta odd, quadratic, of conductor prime to p, i in {0, 1}
+    and n_cert >= 1.  J = n_cert + order is the precision `evaluate`
+    reports.  Raises ValueError, before any table is built, when a closed
+    form it reads costs more than MAX_CLOSED_FORM_COST.
+    """
+    _check_branch(i, theta, s0, order, ctx.p, ctx.N, n_cert)
     J = n_cert + order
     g = _kl_function(theta.D, ctx.p, n_cert, J)
     # branch 1 reads g(1-s), so expand g at 1-s0 and flip the odd coefficients

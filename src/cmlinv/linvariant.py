@@ -91,9 +91,8 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
     _check_target(target)
     if target > ctx.N:
         raise ValueError("target precision exceeds the context")
-    # certify as much as the context carries so the residual scales with N;
-    # first, so that a closed form over its cost ceiling raises before
-    # pi_bar, whose cost has no ceiling
+    # certify as much as the context carries, so the residual scales with N;
+    # its plan is checked before pi_bar runs
     lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N)
     sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
     rhs = ctx.from_rational(Fraction(4, F.w)) * sp.log_pibar
@@ -132,9 +131,9 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
     ctx = spec.context
     F = spec.field
     theta = F.character()
+    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)  # its plan before pi_bar
     linv = l_invariant_analytic(F, ctx.p, ctx, conjugate_lift=conjugate_lift)
     l_at_i = linv.l_at_0 if i == 0 else linv.l_at_1
-    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)
     arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
     rhs = l_at_i * ctx.from_rational(arch)
     resid = (deriv - rhs).min_valuation()
@@ -159,12 +158,13 @@ def full_report(spec: CMFormSpec, target: int = 6,
     """Analytic and unit-root L-invariants with their agreement valuation."""
     _check_target(target)
     ctx = spec.context
+    # first: it checks the closed form's plan before pi_bar and the unit root
+    fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target,
+                                  conjugate_lift=conjugate_lift)
     base = l_invariant_analytic(spec.field, ctx.p, ctx,
                                 conjugate_lift=conjugate_lift)
     via_alpha = l_invariant_via_alpha(spec)
     agreement = (via_alpha - base.l_at_1).min_valuation()
-    fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target,
-                                  conjugate_lift=conjugate_lift)
     return LInvariantReport(l_at_1=base.l_at_1, l_at_0=base.l_at_0,
                             split_data=base.split_data,
                             l_via_alpha=via_alpha,

@@ -62,6 +62,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p) -> None:
+    if not isinstance(p, int) or p < 3 or not _is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def ordp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -122,8 +127,7 @@ class PadicContext:
     __slots__ = ("p", "N", "pN")
 
     def __init__(self, p: int, N: int = 32):
-        if not isinstance(p, int) or p < 3 or not _is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _check_prime(p)
         if not isinstance(N, int) or N < 1:
             raise ValueError(f"precision N must be a positive integer, got {N}")
         self.p = p

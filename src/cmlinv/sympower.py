@@ -48,13 +48,6 @@ class SymPowerFactor(namedtuple(
 
     __slots__ = ()
 
-    @property
-    def j(self) -> int:
-        """Factor index for even powers (eta_power = 2j)."""
-        if self.kind != "modular" or self.eta_power is None or self.eta_power % 2:
-            raise ValueError("j is defined for the even-power modular factors")
-        return self.eta_power // 2
-
 
 class SymPowerDecomposition(namedtuple("SymPowerDecomposition", "n m spec factors")):
     """The factors (a tuple of SymPowerFactor) of the n-th power, n = 2m or 2m + 1."""

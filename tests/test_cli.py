@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
-from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_bounds, _closed_form_cost
+from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -177,12 +177,25 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     ("verify-fg", "--D", "-4", "--p", "5", "--prec", "100000"),
     ("klp", "--p", "13", "--D", "-40", "--branch", "0", "--at", "0",
      "--order", "2", "--prec", "4096"),
+    ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
+     "--order", "2", "--prec", "1000000"),
+    ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
+     "--order", "2", "--prec", "10000000"),
+    ("verify-fg", "--D", "-4", "--p", "5", "--prec", "10000000"),
+    ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
+     "--order", "30000000", "--prec", "4"),
+    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "100000"),
+    ("klp", "--p", "62501", "--D", "-4", "--branch", "1", "--at", "0",
+     "--order", "6", "--prec", "4"),
 ])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
     # each ran until killed before the ceiling; the second would first build
     # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7; the
-    # last three passed a ceiling blind to operand size, and at 100000 digits
-    # pi_bar alone takes 29 s, so the closed form's check must come first
+    # next three passed a ceiling blind to operand size, and at 100000 digits
+    # pi_bar alone takes 29 s.  The last six were checked only after other
+    # work: a search over j and p^N (1.1 s at 10^6 digits, killed at 15 s at
+    # 10^7), a sum over k (order 3 * 10^7), pi_bar and the unit root
+    # (linvariant), or the table at s0 = 0 before the one at 1 (0.86 s)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
@@ -190,15 +203,25 @@ def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
 
 
 def test_closed_form_at_the_cost_ceiling_completes(capsys):
-    # verify-fg --prec N at (-40, 13) sums N + 4 digits: T = N + 5 and K = 2;
-    # the cost passes the ceiling between N = 714 and 715
-    for prec in (714, 715):
-        M, n_j = _closed_form_bounds(prec + 5, 2, 13)
-        assert (_closed_form_cost(40, 13, n_j, 2, M) <= MAX_CLOSED_FORM_COST) == (prec == 714)
+    # verify-fg --prec N at (-40, 13) sums g' at 0 to N + 4 digits; the cost
+    # passes the ceiling between N = 714 and 715
+    assert _closed_form_plan(-40, 13, 0, 2, 714 + 4).cost <= MAX_CLOSED_FORM_COST
+    with pytest.raises(ValueError, match="over the ceiling"):
+        _closed_form_plan(-40, 13, 0, 2, 715 + 4)
     code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "714")
     assert code == 0 and json.loads(out)["result"] == "PASS"
     code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "715")
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("p", ["9", "2"])
+@pytest.mark.parametrize("command", [("klp", "--branch", "0", "--at", "0"), ("verify-fg",)])
+def test_not_an_odd_prime_is_named_before_the_plan(capsys, command, p):
+    # the plan divides by p - 2 and counts phi(|D| p) / 2 units: p is checked first
+    code = main([*command, "--p", p, "--D", "-4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: p must be an odd prime, got {p}\n"
 
 
 def test_klp_past_forty_nodes(capsys):

@@ -15,8 +15,8 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, gen_bernoulli,
                                is_fundamental_discriminant, kronecker_symbol)
-from cmlinv.kl import (_closed_form, _closed_form_bounds, _kappa, _kl_function,
-                       _logs, branch_derivative, branch_series, kl_value)
+from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _kappa,
+                       _kl_function, _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
                           padic_exp)
 from cmlinv.quadfield import pi_bar, quad_field_data
@@ -357,15 +357,44 @@ def test_closed_form_matches_newton_oracle(pair, n_cert, order, i, s0, s):
         assert (got - want).min_valuation() >= min(got.abs_prec, want.abs_prec), x
 
 
-def _closed_form_at_full_modulus(D, p, s0, order, n):
-    # the closed form with every column mod p^M and B_j F^j / j! as an exact
-    # Fraction inverted mod p^M; theta(a) from the character itself
+@lru_cache(maxsize=None)
+def _first_j_past(T, p):
+    # the least j >= 1 with kappa(j) >= T, found one j at a time
+    j = 1
+    while _kappa(j, p) < T:
+        j += 1
+    return j
+
+
+@lru_cache(maxsize=None)
+def _totient_by_count(F):
+    return sum(math.gcd(a, F) == 1 for a in range(1, F))
+
+
+def _plan_by_search(D, p, s0, order, n):
+    # (T, K, M, n_j, cost) of the closed form the long way: the module
+    # docstring's bounds step by step, phi(F) by counting, the kept j listed
     F = abs(D) * p
     d = s0 - 1
     v = ordp(d, p) if d else 0
     K = order + (d == 0)
     T = n + 1 + order * v
-    M, n_j = _closed_form_bounds(T, K, p)
+    M = T + sum(ordp(k, p) for k in range(2, K))
+    n_j = _first_j_past(T, p)
+    units = _totient_by_count(F) // 2
+    kept = sum(1 for j in range(n_j) if j < 2 or j % 2 == 0)
+    words = M * p.bit_length() // 64 + 1
+    return T, K, M, n_j, units * (kept + 2) * K * (words + 8) ** 2 + n_j**3 // 16
+
+
+def _closed_form_at_full_modulus(D, p, s0, order, n):
+    # the closed form with every column mod p^M and B_j F^j / j! as an exact
+    # Fraction inverted mod p^M; theta(a) from the character itself, omega(a)
+    # lifted for each residue on its own
+    F = abs(D) * p
+    d = s0 - 1
+    v = ordp(d, p) if d else 0
+    T, K, M, n_j, _ = _plan_by_search(D, p, s0, order, n)
     m, mT = p**M, p**T
     theta = DirichletCharacter(D)
     signs = [theta.value_exact(a) if a % p else 0 for a in range(F)]
@@ -447,7 +476,7 @@ def test_closed_form_visits_half_the_units(monkeypatch, D, p):
 
     monkeypatch.setattr(kl, "_logs", recorded)
     F = abs(D) * p
-    phi = sum(math.gcd(a, F) == 1 for a in range(1, F))
+    phi = _totient_by_count(F)
     assert _closed_form(D, p, 0, 2, 6) == _closed_form_at_full_modulus(D, p, 0, 2, 6)
     assert len(seen) == 1
     assert len(seen[0]) == phi // 2 and all(2 * a < F for a in seen[0])
@@ -460,14 +489,48 @@ def test_closed_form_rejects_positive_discriminant():
 
 
 def test_closed_form_cost_counts_half_the_units_and_the_kept_j():
-    # (-40, 13): phi(520)/2 = 96 units; T = 13 keeps j = 0, 1, 2, 4, ..., 12,
-    # 8 of them, plus 2 for the setup; 13 digits of 13 fit in one word
-    M, n_j = _closed_form_bounds(13, 2, 13)
-    assert (M, n_j) == (13, 14)
-    assert kl._closed_form_cost(40, 13, n_j, 2, M) == 96 * (8 + 2) * 2 * (1 + 8) ** 2 + 14**3 // 16
-    # (-4, 5): phi(20)/2 = 4 units; 64 digits of 5 count 64 * 3 bits, 3 + 1 words
-    assert kl._closed_form_cost(4, 5, 1, 1, 1) == 4 * (1 + 2) * (1 + 8) ** 2
-    assert kl._closed_form_cost(4, 5, 1, 1, 64) == 4 * (1 + 2) * (4 + 8) ** 2
+    # (-40, 13) to 12 digits: phi(520)/2 = 96 units; T = 13 keeps j = 0, 1, 2,
+    # 4, ..., 12, 8 of them, plus 2 for the setup; 13 digits of 13 fit in one word
+    cost = 96 * (8 + 2) * 2 * (1 + 8) ** 2 + 14**3 // 16
+    assert _closed_form_plan(-40, 13, 0, 2, 12) == (13, 2, 13, 14, cost)
+    # (-4, 5): phi(20)/2 = 4 units; T = 2 keeps j = 0, 1 in one word, and
+    # T = 64 keeps j = 0, 1 and the 42 even j < 85 on 64 * 3 bits, 3 + 1 words
+    assert _closed_form_plan(-4, 5, 0, 1, 1).cost == 4 * (2 + 2) * (1 + 8) ** 2
+    assert _closed_form_plan(-4, 5, 0, 1, 63).cost == 4 * (44 + 2) * (4 + 8) ** 2 + 85**3 // 16
+
+
+_PLAN_GRID = [(D, p) for D in (-3, -4, -7, -40, -163) for p in (3, 5, 7, 13, 41, 101)
+              if D % p]
+
+
+@pytest.mark.parametrize("D, p", _PLAN_GRID)
+def test_closed_form_plan_matches_the_search(D, p):
+    # the plan's closed forms for n_j and v((K-1)!) against the step-by-step
+    # search, over 6 expansion points x 11 orders x 6 precisions
+    for s0 in (0, 1, 2, -3, 7, 26):
+        for order in range(1, 12):
+            for n in (1, 2, 5, 17, 64, 300):
+                want = _plan_by_search(D, p, s0, order, n)
+                if want[-1] > MAX_CLOSED_FORM_COST:
+                    with pytest.raises(ValueError, match="over the ceiling"):
+                        _closed_form_plan(D, p, s0, order, n)
+                else:
+                    assert _closed_form_plan(D, p, s0, order, n) == want, (s0, order, n)
+
+
+def test_closed_form_plans_are_checked_before_any_table(monkeypatch):
+    # an order of 3 * 10^7 is refused by its plan alone, before `_kl_function`
+    # builds a p^J context; branch 1 at 0 also reads g at 1, whose plan is
+    # over the ceiling at (-4, 62501) to 4 digits while g at 0's is not
+    def never(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(kl, "_kl_function", never)
+    with pytest.raises(ValueError, match="over the ceiling"):
+        branch_series(0, THETA4, 0, 3 * 10**7, CTX5, n_cert=4)
+    assert _closed_form_plan(-4, 62501, 0, 6, 4).cost <= MAX_CLOSED_FORM_COST
+    with pytest.raises(ValueError, match="over the ceiling"):
+        branch_series(1, THETA4, 0, 6, PadicContext(62501, 12), n_cert=4)
 
 
 def _v(q, p):
@@ -481,7 +544,7 @@ def test_closed_form_bounds_cover_every_term():
     # F = |D| p.  So P_{j,k} mod p^(M - kappa(j)) gives P_{j,k}/k! mod
     # p^(T - kappa(j)), all that K_{j,i} P_{j,k}/k! mod p^T needs
     for p in (3, 5, 7, 13):
-        n_cut = {K: _closed_form_bounds(129, K, p)[1] for K in range(1, 10)}
+        n_cut = {K: _closed_form_plan(-4, p, 0, K, 128).n_j for K in range(1, 10)}
         top = max(n_cut.values()) + 2 * p
         # B_j p^j / j! carries p^(j - v(j!) - [(p-1) | j]) times the p-part
         # of the numerator of B_j: the count the sum uses is exact
@@ -506,8 +569,7 @@ def test_closed_form_bounds_cover_every_term():
                 assert all(v >= _kappa(j, p) for v in row if v is not None), (p, s0, j)
             for K in range(1, 10):
                 for n_cert in (*range(1, 40), 64, 100, 128):
-                    T = n_cert + 1
-                    M, n_j = _closed_form_bounds(T, K, p)
+                    T, _, M, n_j, _ = _closed_form_plan(-4, p, 0, K, n_cert)
                     assert all(ordp(math.factorial(k), p) <= M - T
                                for k in range(1, K)), (p, K, T)
                     assert all(_kappa(j, p) < T for j in range(n_j)), (p, K, T)

@@ -87,7 +87,7 @@ def test_sym2_factor_list():
     dirichlet = dirichlet_factor(dec)
     assert dirichlet.character.conductor() == 4 and dirichlet.character.is_odd()
     mod = [f for f in dec.factors if f.kind == "modular"][0]
-    assert mod.weight == 3 and mod.shift == 1 and mod.j == 1
+    assert mod.weight == 3 and mod.shift == 1
     alpha = unit_root(spec).alpha
     assert (mod.alpha - alpha**2).is_zero()
     assert (mod.beta * mod.alpha - 5**2).is_zero()
