@@ -10,10 +10,9 @@ linvariant (the L-invariant computed two ways plus the verification
 battery), cli (JSON front end).
 """
 
-from .characters import (DirichletCharacter, char_from_kronecker,
-                         char_product, char_teichmuller_power,
-                         dirichlet_L_nonpositive, gen_bernoulli,
-                         kronecker_symbol, trivial_character)
+from .characters import (DirichletCharacter, char_from_kronecker, char_product,
+                         char_teichmuller_power, dirichlet_L_nonpositive,
+                         gen_bernoulli, trivial_character)
 from .cmform import (CMFormSpec, HeckeRoots, ap_point_count, cm_spec,
                      cm_spec_from_curve, unit_root)
 from .kl import BranchSeries, branch_derivative, branch_series, kl_value
@@ -37,9 +36,8 @@ __all__ = [
     "ap_point_count", "branch_derivative", "branch_series", "char_from_kronecker",
     "char_product", "char_teichmuller_power", "cm_spec", "cm_spec_from_curve",
     "critical_integers", "decompose", "dirichlet_L_nonpositive", "e_plus",
-    "full_report", "gen_bernoulli", "iwasawa_log", "kl_value",
-    "kronecker_symbol", "l_invariant_analytic", "l_invariant_via_alpha",
-    "make_context", "padic_exp", "pi_bar", "quad_field_data",
+    "full_report", "gen_bernoulli", "iwasawa_log", "kl_value", "l_invariant_analytic",
+    "l_invariant_via_alpha", "make_context", "padic_exp", "pi_bar", "quad_field_data",
     "quad_field_from_discriminant", "split_behavior", "sqrt_unit",
     "teichmuller", "trivial_character", "unit_root",
     "verify_ferrero_greenberg", "verify_trivial_zero_formula",

@@ -37,7 +37,6 @@ from operator import add, mul
 from .padic import PadicContext, PadicNumber, teichmuller
 
 __all__ = [
-    "kronecker_symbol",
     "is_fundamental_discriminant",
     "DirichletCharacter",
     "char_from_kronecker",
@@ -50,42 +49,12 @@ __all__ = [
 ]
 
 
-def _legendre(a: int, q: int) -> int:
-    a %= q
-    if a == 0:
-        return 0
-    return 1 if pow(a, (q - 1) // 2, q) == 1 else -1
-
-
-def kronecker_symbol(D: int, n: int) -> int:
-    """Kronecker symbol (D/n) for n >= 1, by factoring the denominator."""
-    if n < 1:
-        raise ValueError("denominator must be positive")
-    if n == 1:
-        return 1
-    res = 1
-    if n % 2 == 0:
-        if D % 2 == 0:
-            return 0
-        two = 1 if D % 8 in (1, 7) else -1
-        while n % 2 == 0:
-            n //= 2
-            res *= two
-    q = 3
-    while q * q <= n:
-        while n % q == 0:
-            n //= q
-            s = _legendre(D, q)
-            if s == 0:
-                return 0
-            res *= s
-        q += 2
-    if n > 1:
-        s = _legendre(D, n)
-        if s == 0:
-            return 0
-        res *= s
-    return res
+def _kronecker_prime(D: int, q: int) -> int:
+    """Kronecker symbol (D/q) at a prime q: by D mod 8 at 2, else Euler's criterion."""
+    if q == 2:
+        return 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+    r = pow(D, (q - 1) // 2, q)
+    return -1 if r == q - 1 else r
 
 
 def _fundamental_part(n: int) -> int:
@@ -156,12 +125,7 @@ def _kronecker_row(D: int) -> tuple:
     row = [0, 1] + [0] * (m - 2)
     for a in range(2, m):
         q = spf[a]
-        if q < a:
-            row[a] = row[q] * row[a // q]
-        elif a == 2:
-            row[a] = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
-        else:
-            row[a] = _legendre(D, a)
+        row[a] = row[q] * row[a // q] if q < a else _kronecker_prime(D, a)
     return tuple(row)
 
 
@@ -238,14 +202,8 @@ class DirichletCharacter:
         """chi(-1) = sign(D) * (-1)^i."""
         return (-1 if self.D < 0 else 1) * (-1) ** self.i
 
-    def is_odd(self) -> bool:
-        return self.parity() == -1
-
     def is_trivial(self) -> bool:
         return self.D == 1 and not self.i
-
-    def conductor(self) -> int:
-        return self.modulus
 
     def power(self, e: int) -> "DirichletCharacter":
         """chi^e = theta_D^(e mod 2) * omega^(i e)."""

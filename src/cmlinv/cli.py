@@ -78,7 +78,7 @@ def cmd_quadfield(args) -> int:
 
 def cmd_cmform(args) -> int:
     ctx = make_context(args.p, args.prec)
-    ap, spec = _curve_spec(args.curve, args.d, args.level, ctx)
+    ap, spec = _curve_spec(args.curve, quad_field_data(args.d), args.level, ctx)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -99,14 +99,14 @@ def cmd_decompose(args) -> int:
         if f.kind == "dirichlet":
             factors.append({"kind": "dirichlet",
                             "modulus": f.character.modulus,
-                            "conductor": f.character.conductor(),
-                            "odd": f.character.is_odd()})
+                            "conductor": f.character.modulus,
+                            "odd": f.character.parity() == -1})
         else:
             factors.append({
                 "kind": "modular",
                 "weight": f.weight,
                 "shift": f.shift,
-                "twist_conductor": f.twist.conductor(),
+                "twist_conductor": f.twist.modulus,
                 "alpha": encode_padic(f.alpha),
                 "beta": encode_padic(f.beta),
                 "archimedean_L": f"L(s + {f.shift}, f_{f.eta_power})  [symbolic]",
@@ -177,13 +177,15 @@ def cmd_verify_fg(args) -> int:
 def cmd_linvariant(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    if args.k != 2:
-        raise ValueError("curve-derived specs have weight 2; use --k 2")
-    ctx = make_context(args.p, max(args.prec + 4, 16))
-    d = args.d if args.D is None else quad_field_from_discriminant(args.D).d
-    if d != args.d and args.d != 1:
+    _check_prime(args.p)
+    N = max(args.prec + 4, 16)
+    F = quad_field_data(args.d) if args.D is None else quad_field_from_discriminant(args.D)
+    if F.d != args.d and args.d != 1:
         raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
-    spec = cm_spec_from_curve(args.curve, d, args.level, ctx)
+    # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
+    _check_branch(0, F.character(), 0, 2, args.p, N, N)
+    ctx = make_context(args.p, N)
+    spec = _curve_spec(args.curve, F, args.level, ctx)[1]
     rep = full_report(spec, target=args.prec, conjugate_lift=args.conjugate_lift)
     checks = {
         "fg_identity": rep.fg_check.passed,
@@ -197,9 +199,10 @@ def cmd_linvariant(args) -> int:
         "agreement_valuation": json_valuation(rep.agreement_valuation),
         "fg_residual_valuation": json_valuation(rep.fg_check.residual_valuation),
     }
-    if args.n % 2 == 0 and (args.n // 2) % 2 == 1:
+    locations = trivial_zero_locations(spec, args.n).locations
+    if locations:
         formulas = {}
-        for i in (0, 1):
+        for i, _ in locations:
             r = verify_trivial_zero_formula(spec, args.n, i, target=args.prec,
                                             conjugate_lift=args.conjugate_lift)
             formulas[str(i)] = {
@@ -290,8 +293,7 @@ _COMMANDS = {
                    (_P, _PREC, _OUT, _LIFT, *_CURVE,
                     _arg("--D", type=int, default=None,
                          help="fundamental discriminant of the CM field (alternative to --d)"),
-                    _arg("--n", type=int, default=2, help="symmetric power (default 2)"),
-                    _arg("--k", type=int, default=2, help="weight (curve specs: 2)")),
+                    _arg("--n", type=int, default=2, help="symmetric power (default 2)")),
                    cmd_linvariant),
     "acceptance": ("run the whole acceptance battery",
                    (_arg("--out", type=str, default=None),),

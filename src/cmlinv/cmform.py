@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .characters import DirichletCharacter, trivial_character
-from .padic import PadicContext, PadicNumber, _is_prime, hensel_lift
+from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
 from .quadfield import QuadFieldData, quad_field_data, split_behavior
 
 __all__ = [
@@ -60,8 +60,7 @@ def ap_point_count(curve: tuple[int, ...], p: int) -> int:
     """
     if p > MAX_POINT_COUNT_PRIME:
         raise ValueError(f"point counting needs p at most {MAX_POINT_COUNT_PRIME}")
-    if p < 3 or not _is_prime(p):
-        raise ValueError("p must be an odd prime")
+    _check_prime(p)
     a2, a4, a6 = _curve_coeffs(curve)
     if curve_discriminant(curve) % p == 0:
         raise ValueError(f"bad reduction at {p}")
@@ -95,7 +94,7 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
         raise ValueError("a_p must be a p-adic unit (ordinarity)")
     if level % p == 0:
         raise ValueError("level must be prime to p")
-    if nebentypus.conductor() % p == 0:
+    if nebentypus.modulus % p == 0:
         raise ValueError("nebentypus conductor must be prime to p")
     if nebentypus.parity() != (-1) ** weight:
         raise ValueError("nebentypus parity must equal (-1)^weight")
@@ -108,12 +107,11 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
                        ctx: PadicContext) -> CMFormSpec:
     """Weight-2, trivial-nebentypus spec with a_p counted on the given curve."""
-    return _curve_spec(curve, d, level, ctx)[1]
+    return _curve_spec(curve, quad_field_data(d), level, ctx)[1]
 
 
-def _curve_spec(curve, d, level, ctx) -> tuple[int, CMFormSpec]:
-    # the counted a_p as an integer, with the spec built on it
-    F = quad_field_data(d)
+def _curve_spec(curve, F, level, ctx) -> tuple[int, CMFormSpec]:
+    # the counted a_p as an integer, with the spec over the field F built on it
     ap = ap_point_count(curve, ctx.p)
     return ap, cm_spec(F, 2, trivial_character(), ap, level, ctx)
 

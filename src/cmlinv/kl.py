@@ -400,9 +400,9 @@ def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int
         raise ValueError("order must be >= 1")
     if n_cert < 1:
         raise ValueError("n_cert must be >= 1")
-    if not theta.is_odd() or not theta.is_rational() or theta.is_trivial():
+    if theta.parity() != -1 or not theta.is_rational() or theta.is_trivial():
         raise ValueError("theta must be an odd quadratic character")
-    if theta.conductor() % p == 0:
+    if theta.modulus % p == 0:
         raise ValueError("theta must have conductor prime to p")
     if n_cert > N:
         raise ValueError("cannot certify more digits than the context carries")

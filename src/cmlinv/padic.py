@@ -753,8 +753,7 @@ def hensel_lift(f, df, x: int, p: int, k: int) -> int:
 
 def sqrt_mod_prime(a: int, p: int) -> int:
     """Least positive square root of a mod an odd prime p (Tonelli-Shanks), or ValueError."""
-    if p < 3 or not _is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_prime(p)
     a %= p
     if a == 0 or pow(a, (p - 1) // 2, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")

@@ -21,8 +21,8 @@ from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
-from .characters import (char_from_kronecker, is_fundamental_discriminant,
-                         kronecker_symbol)
+from .characters import (_kronecker_prime, char_from_kronecker,
+                         is_fundamental_discriminant)
 from .padic import (PadicContext, _is_prime, hensel_lift, iwasawa_log,
                     sqrt_mod_prime, sqrt_unit)
 
@@ -102,7 +102,7 @@ def split_behavior(F: QuadFieldData, p: int) -> str:
     """'split', 'inert', or 'ramified' at a prime p; p = 2 handled through (D/2)."""
     if not _is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    s = kronecker_symbol(F.D, p)
+    s = _kronecker_prime(F.D, p)
     return "split" if s == 1 else "inert" if s == -1 else "ramified"
 
 

@@ -171,8 +171,7 @@ def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:
     """
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    m = n // 2
-    if n % 2 or m % 2 == 0:
+    if not trivial_zero_locations(spec, n).locations:
         raise ValueError(f"no trivial zero at n = {n}; the product is not defined")
     ctx = spec.context
     p = ctx.p

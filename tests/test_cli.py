@@ -80,7 +80,7 @@ def test_linvariant_pass(capsys):
 
 
 def test_linvariant_accepts_discriminant_flag(capsys):
-    code, out = run_cli(capsys, "linvariant", "--D", "-4", "--p", "5", "--k", "2",
+    code, out = run_cli(capsys, "linvariant", "--D", "-4", "--p", "5",
                         "--curve", "0,-1,0", "--n", "2", "--prec", "8")
     assert code == 0
     assert json.loads(out)["result"] == "PASS"
@@ -187,15 +187,17 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "100000"),
     ("klp", "--p", "62501", "--D", "-4", "--branch", "1", "--at", "0",
      "--order", "6", "--prec", "4"),
+    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "10000000"),
 ])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
     # each ran until killed before the ceiling; the second would first build
     # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7; the
     # next three passed a ceiling blind to operand size, and at 100000 digits
-    # pi_bar alone takes 29 s.  The last six were checked only after other
+    # pi_bar alone takes 29 s.  The last seven were checked only after other
     # work: a search over j and p^N (1.1 s at 10^6 digits, killed at 15 s at
     # 10^7), a sum over k (order 3 * 10^7), pi_bar and the unit root
-    # (linvariant), or the table at s0 = 0 before the one at 1 (0.86 s)
+    # (linvariant at 10^5 digits), the table at s0 = 0 before the one at 1
+    # (0.86 s), or p^N and the point count (linvariant at 10^7 digits, 8.6 s)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
@@ -259,10 +261,11 @@ def test_cmform_counts_the_points_once(capsys, monkeypatch):
 
 
 def test_linvariant_rejects_the_weight_before_counting_points(capsys, monkeypatch):
+    # linvariant has no --k: curve specs have weight 2, so argparse refuses it
     calls = _count_point_counts(monkeypatch)
-    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0",
-                        "--n", "2", "--k", "3")
-    assert code == 2 and out == "" and calls == []
+    with pytest.raises(SystemExit) as exc:
+        main(["linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--k", "3"])
+    assert exc.value.code == 2 and capsys.readouterr().out == "" and calls == []
 
 
 def test_verification_failure_exits_one(capsys, monkeypatch):

@@ -14,12 +14,13 @@ from cmlinv import kl
 from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, gen_bernoulli,
-                               is_fundamental_discriminant, kronecker_symbol)
+                               is_fundamental_discriminant)
 from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _kappa,
                        _kl_function, _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
                           padic_exp)
 from cmlinv.quadfield import pi_bar, quad_field_data
+from test_characters import kronecker_symbol
 
 CTX5 = make_context(5, 16)
 THETA4 = char_from_kronecker(-4)

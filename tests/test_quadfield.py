@@ -11,6 +11,7 @@ from cmlinv.quadfield import (MAX_ABS_DISCRIMINANT, QuadFieldData,
                               _norm_solution, _split_prime_data, pi_bar,
                               quad_field_data, quad_field_from_discriminant,
                               reduced_forms, split_behavior)
+from test_characters import kronecker_symbol
 
 CTX5 = make_context(5, 24)
 
@@ -137,6 +138,17 @@ def test_split_behavior_table():
     assert split_behavior(F, 2) == "ramified"
     assert split_behavior(quad_field_data(3), 3) == "ramified"
     assert split_behavior(quad_field_data(3), 7) == "split"
+
+
+def test_split_behavior_matches_the_kronecker_oracle():
+    # (D/2) follows D mod 8 for odd D, a rule the Kronecker row shares
+    names = {1: "split", -1: "inert", 0: "ramified"}
+    primes = [2] + [q for q in range(3, 60) if _is_prime(q)]
+    for D in range(-200, 0):
+        if is_fundamental_discriminant(D):
+            F = quad_field_from_discriminant(D)
+            for q in primes:
+                assert split_behavior(F, q) == names[kronecker_symbol(D, q)], (D, q)
 
 
 @pytest.mark.parametrize("D, p", [(-4, 15), (-3, 9), (-4, 1), (-4, 0), (-7, -5), (-4, 561)])

@@ -85,7 +85,7 @@ def test_sym2_factor_list():
     dec = decompose(spec, 2)
     assert dec.m == 1 and len(dec.factors) == 2
     dirichlet = dirichlet_factor(dec)
-    assert dirichlet.character.conductor() == 4 and dirichlet.character.is_odd()
+    assert dirichlet.character.modulus == 4 and dirichlet.character.parity() == -1
     mod = [f for f in dec.factors if f.kind == "modular"][0]
     assert mod.weight == 3 and mod.shift == 1
     alpha = unit_root(spec).alpha
@@ -108,7 +108,7 @@ def test_even_power_factor_count():
 
 def test_m_three_keeps_theta():
     dec = decompose(_spec5(), 6)
-    assert dirichlet_factor(dec).character.is_odd()
+    assert dirichlet_factor(dec).character.parity() == -1
 
 
 def test_m_even_dirichlet_factor_trivial():
@@ -144,7 +144,7 @@ def test_weight3_synthetic_decomposition():
     mod = [f for f in dec.factors if f.kind == "modular"][0]
     assert mod.weight == 5 and mod.shift == 2
     # twist for j=1 at k=3: psi^(-1) theta^0 = theta (psi = theta quadratic)
-    assert mod.twist.conductor() == 4
+    assert mod.twist.modulus == 4
 
 
 # --- critical integers ---------------------------------------------------------------
