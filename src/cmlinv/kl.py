@@ -125,7 +125,7 @@ from operator import mul
 from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
                          _primitive_root, _smallest_prime_factors, bernoulli_number,
                          char_product, char_teichmuller_power, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, _log_units, ordp
+from .padic import PadicContext, PadicNumber, _check_prime, _log_units, ordp, teichmuller
 
 __all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
            "branch_derivative"]
@@ -228,7 +228,7 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     e, omega = s0 % (p - 1), [1] * p
     if e:
         root, x, y = _primitive_root(p), 1, 1
-        t = pow(pow(root, p ** (M - 1), m), e, m)
+        t = pow(teichmuller(PadicContext(p, M).from_int(root)).unit_int(), e, m)
         for _ in range(p - 1):
             omega[x] = y
             x, y = x * root % p, y * t % m
@@ -392,6 +392,7 @@ class BranchSeries(namedtuple(
 def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int,
                   N: int, n_cert: int) -> None:
     # `branch_series`' checks for N digits of p; last, the plans of g at 0 and where it expands
+    _check_prime(p)  # first: the plans divide by p - 2
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
     if s0 not in (0, 1):
@@ -414,10 +415,10 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
                   ctx: PadicContext, n_cert: int = 8) -> BranchSeries:
     """Series of L_{p,i}(s, theta) around s0 in {0, 1}, certified to n_cert digits.
 
-    Requires theta odd, quadratic, of conductor prime to p, i in {0, 1}
-    and n_cert >= 1.  J = n_cert + order is the precision `evaluate`
-    reports.  Raises ValueError, before any table is built, when a closed
-    form it reads costs more than MAX_CLOSED_FORM_COST.
+    Requires p an odd prime, theta odd, quadratic, of conductor prime to
+    p, i in {0, 1} and n_cert >= 1.  J = n_cert + order is the precision
+    `evaluate` reports.  Raises ValueError, before any table is built, when
+    a closed form it reads costs more than MAX_CLOSED_FORM_COST.
     """
     _check_branch(i, theta, s0, order, ctx.p, ctx.N, n_cert)
     J = n_cert + order

@@ -737,17 +737,19 @@ def hensel_lift(f, df, x: int, p: int, k: int) -> int:
     root mod p^(2j), and y (2 - f'(x) y) at the new x inverts f' mod
     p^(2j), since the new x agrees with the old mod p^j.  So each step
     costs two products in place of a modular inverse, and only f'(x) mod p
-    is inverted.  k <= 1 returns x mod p^k.
+    is inverted.  k <= 1 returns x mod p^k.  Raises ArithmeticError when
+    the result is not a root mod p^k, as when x is not a root mod p.
     """
-    steps = _ladder(k)
-    if not steps:
-        return x % p**k
-    y = pow(df(x, p), -1, p)
-    for j in steps:
+    y = pow(df(x, p), -1, p) if k > 1 else None  # no step, so no inverse, at k <= 1
+    for j in _ladder(k):
         m = p**j
         x = (x - f(x, m) * y) % m
         if j < k:
             y = y * (2 - df(x, m) * y % m) % m
+    m = p**k
+    x %= m
+    if f(x, m) % m:
+        raise ArithmeticError("Hensel lift failed")
     return x
 
 
@@ -785,6 +787,4 @@ def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
     elif (residue * residue - au) % p:
         raise ValueError(f"{residue} mod {p} is not a square root class")
     x = hensel_lift(lambda x, m: x * x - au, lambda x, m: 2 * x, residue % p, p, rel)
-    if (x * x - au) % ctx._modulus(rel):
-        raise ArithmeticError("Hensel lift failed")
     return PadicNumber(ctx, 0, x, rel)

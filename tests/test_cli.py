@@ -79,17 +79,34 @@ def test_linvariant_pass(capsys):
     assert payload["trivial_zero_formulas"]["1"]["functional_equation_note"]
 
 
-def test_linvariant_accepts_discriminant_flag(capsys):
-    code, out = run_cli(capsys, "linvariant", "--D", "-4", "--p", "5",
-                        "--curve", "0,-1,0", "--n", "2", "--prec", "8")
+@pytest.mark.parametrize("command", [
+    ("quadfield", "--p", "5"),
+    ("klp", "--p", "5", "--branch", "0", "--at", "0"),
+    ("verify-fg", "--p", "5"),
+])
+def test_field_flags_must_name_one_field(capsys, command):
+    for D, d in (("-4", "7"), ("-3", "1")):
+        code = main([*command, "--D", D, "--d", d])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --D {D} and --d {d} name different fields\n"
+    code, out = run_cli(capsys, *command, "--D", "-4", "--d", "1")
     assert code == 0
-    assert json.loads(out)["result"] == "PASS"
+    assert out == run_cli(capsys, *command, "--D", "-4")[1]
 
 
-def test_linvariant_rejects_conflicting_field_flags(capsys):
-    code = main(["linvariant", "--D", "-3", "--d", "7", "--p", "5",
-                 "--curve", "0,-1,0"])
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ["cmform", "--p", "5", "--curve", "0,-1,0", "--level", "32"],
+    ["decompose", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--level", "32"],
+    ["trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--level", "32"],
+    ["linvariant", "--p", "5", "--curve", "0,-1,0", "--level", "32"],
+    ["linvariant", "--p", "5", "--curve", "0,-1,0", "--D", "-4"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    # the level is always the desk curve's 32; linvariant names its field by --d
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_quadfield_subcommand(capsys):
@@ -216,11 +233,21 @@ def test_closed_form_at_the_cost_ceiling_completes(capsys):
     assert code == 2 and out == ""
 
 
+def test_critical_over_the_weight_ceiling_exits_two(capsys):
+    # 10^8 integers ran past 5 s; 10^7 take 6.3 s and 84 MB of JSON
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "critical", "--n", "4", "--k", "100000000")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize("p", ["9", "2"])
-@pytest.mark.parametrize("command", [("klp", "--branch", "0", "--at", "0"), ("verify-fg",)])
+@pytest.mark.parametrize("command", [("klp", "--D", "-4", "--branch", "0", "--at", "0"),
+                                     ("verify-fg", "--D", "-4"),
+                                     ("linvariant", "--curve", "0,-1,0")])
 def test_not_an_odd_prime_is_named_before_the_plan(capsys, command, p):
     # the plan divides by p - 2 and counts phi(|D| p) / 2 units: p is checked first
-    code = main([*command, "--p", p, "--D", "-4"])
+    code = main([*command, "--p", p])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: p must be an odd prime, got {p}\n"

@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlinv import kl
-from cmlinv.characters import (DirichletCharacter, bernoulli_number,
+from cmlinv.characters import (DirichletCharacter, _primitive_root, bernoulli_number,
                                char_from_kronecker, char_product,
                                char_teichmuller_power, gen_bernoulli,
                                is_fundamental_discriminant)
 from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _kappa,
                        _kl_function, _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
-                          padic_exp)
+                          padic_exp, teichmuller)
 from cmlinv.quadfield import pi_bar, quad_field_data
 from test_characters import kronecker_symbol
 
@@ -583,6 +583,15 @@ def test_closed_form_bounds_cover_every_term():
                     sharp += min(last, default=T) < T
         # the cut is sharp: one term fewer would lose a digit somewhere
         assert sharp, p
+
+
+@pytest.mark.parametrize("p, M", [(3, 1), (5, 2), (7, 12), (13, 33), (29, 64), (5, 1004)])
+def test_omega_of_the_primitive_root_matches_the_power_oracle(p, M):
+    # _closed_form lifts omega(g) by teichmuller; the lift is unique, so it is
+    # the limit of g^(p^k), reached mod p^M at k = M - 1
+    g = _primitive_root(p)
+    assert (teichmuller(PadicContext(p, M).from_int(g)).unit_int()
+            == pow(g, p ** (M - 1), p**M))
 
 
 @pytest.mark.parametrize("D, p, M", [(-4, 5, 1), (-3, 7, 12), (-39, 5, 40), (-40, 13, 33)])

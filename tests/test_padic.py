@@ -720,6 +720,15 @@ def test_hensel_lift_square_roots_and_roots_of_unity():
     assert x == 7  # the Teichmuller lift of 2 mod 25
 
 
+def test_hensel_lift_refuses_a_start_that_is_not_a_root():
+    square, dsquare = (lambda x, m: x * x - 2), (lambda x, m: 2 * x)
+    for k in (1, 2, 17):
+        with pytest.raises(ArithmeticError, match="Hensel lift failed"):
+            hensel_lift(square, dsquare, 2, 7, k)  # 2 is not a square root of 2 mod 7
+        with pytest.raises(ArithmeticError, match="Hensel lift failed"):
+            hensel_lift(lambda x, m: x * x - 6 * x + 5, lambda x, m: 2 * x - 6, 2, 5, k)
+
+
 def test_sqrt_mod_prime_rejects_composite_moduli():
     for n in (1, 2, 9, 15, 561):
         with pytest.raises(ValueError):

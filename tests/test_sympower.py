@@ -6,7 +6,7 @@ from cmlinv.characters import char_from_kronecker
 from cmlinv.cmform import cm_spec, cm_spec_from_curve, unit_root
 from cmlinv.padic import make_context
 from cmlinv.quadfield import quad_field_data
-from cmlinv.sympower import (critical_integers, decompose, e_plus,
+from cmlinv.sympower import (MAX_CRITICAL_WEIGHT, critical_integers, decompose, e_plus,
                              trivial_zero_locations)
 
 CURVE = (0, -1, 0)
@@ -164,6 +164,14 @@ def test_critical_rejects_odd_n():
         critical_integers(3, 4)
     with pytest.raises(ValueError):
         critical_integers(1, 2)
+
+
+def test_critical_refuses_weights_over_the_ceiling():
+    assert len(critical_integers(4, MAX_CRITICAL_WEIGHT)) == MAX_CRITICAL_WEIGHT - 2
+    with pytest.raises(ValueError, match="weights up to"):
+        critical_integers(4, MAX_CRITICAL_WEIGHT + 1)
+    with pytest.raises(ValueError, match="weight must be >= 2"):
+        critical_integers(4, 1)
 
 
 def test_critical_functional_equation_symmetry():
