@@ -55,6 +55,7 @@ def _field_from_args(args):
         raise ValueError("one of --D or --d is required")
     F = quad_field_data(args.d) if args.D is None else quad_field_from_discriminant(args.D)
     if args.d not in (None, F.d):
+        quad_field_data(args.d)  # an invalid d is named as such
         raise ValueError(f"--D {args.D} and --d {args.d} name different fields")
     return F
 
@@ -138,10 +139,9 @@ def cmd_trivial_zeros(args) -> int:
 
 
 def cmd_klp(args) -> int:
-    N = max(args.prec + 4, 12)
     theta = _field_from_args(args).character()
-    _check_branch(args.branch, theta, args.at, args.order, args.p, N, args.prec)
-    ctx = make_context(args.p, N)
+    _check_branch(args.branch, theta, args.at, args.order, args.p, args.prec, args.prec)
+    ctx = make_context(args.p, args.prec)
     bs = branch_series(args.branch, theta, args.at, args.order, ctx, n_cert=args.prec)
     payload = {
         "branch": bs.branch,
@@ -159,8 +159,7 @@ def cmd_verify_fg(args) -> int:
     F = _field_from_args(args)
     _check_branch(0, F.character(), 0, 2, args.p, N, N)  # the derivative it certifies
     ctx = make_context(args.p, N)
-    chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec,
-                                   conjugate_lift=args.conjugate_lift)
+    chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec)
     payload = {
         "D": F.D, "p": args.p, "target": chk.target,
         "lhs_branch_derivative": encode_padic(chk.lhs),
@@ -181,7 +180,7 @@ def cmd_linvariant(args) -> int:
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
     ctx = make_context(args.p, N)
     spec = _curve_spec(args.curve, F, ctx)[1]
-    rep = full_report(spec, target=args.prec, conjugate_lift=args.conjugate_lift)
+    rep = full_report(spec, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,
         "unit_root_agreement": rep.agreement_valuation >= args.prec,
@@ -198,8 +197,7 @@ def cmd_linvariant(args) -> int:
     if locations:
         formulas = {}
         for i, _ in locations:
-            r = verify_trivial_zero_formula(spec, args.n, i, target=args.prec,
-                                            conjugate_lift=args.conjugate_lift)
+            r = verify_trivial_zero_formula(spec, args.n, i, target=args.prec)
             formulas[str(i)] = {
                 "residual_valuation": json_valuation(r.residual_valuation),
                 "e_plus": encode_padic(r.e_plus_value),
@@ -241,8 +239,6 @@ _PREC = _arg("--prec", type=int, default=8,
              help="certified digits / residual target (default 8)")
 _OUT = _arg("--out", type=str, default=None,
             help="also write the JSON payload to this file")
-_LIFT = _arg("--conjugate-lift", action="store_true", dest="conjugate_lift",
-             help="use the opposite Hensel lift of sqrt(D)")
 _CURVE = (_arg("--curve", type=_curve_arg, required=True,
                help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6"),
           _arg("--d", type=int, default=1,
@@ -255,7 +251,10 @@ _COMMANDS = {
     "quadfield": ("field invariants and the split-prime package",
                   (_arg("--p", type=int, required=False,
                         help="odd prime of the p-adic context"),
-                   _PREC, _OUT, _LIFT, *_FIELD),
+                   _PREC, _OUT,
+                   _arg("--conjugate-lift", action="store_true",
+                        help="label pi and pibar by the other embedding"),
+                   *_FIELD),
                   cmd_quadfield),
     "cmform": ("a_p by point counting plus Hecke roots",
                (_P, _PREC, _OUT, *_CURVE),
@@ -281,10 +280,10 @@ _COMMANDS = {
              _arg("--order", type=int, default=4)),
             cmd_klp),
     "verify-fg": ("derivative identity at the trivial zero",
-                  (_P, _PREC, _OUT, _LIFT, *_FIELD),
+                  (_P, _PREC, _OUT, *_FIELD),
                   cmd_verify_fg),
     "linvariant": ("full L-invariant report with PASS/FAIL",
-                   (_P, _PREC, _OUT, _LIFT, *_CURVE,
+                   (_P, _PREC, _OUT, *_CURVE,
                     _arg("--n", type=int, default=2, help="symmetric power (default 2)")),
                    cmd_linvariant),
     "acceptance": ("run the whole acceptance battery",

@@ -15,6 +15,10 @@ series and the norm-equation/Iwasawa-log path respectively.
 Dirichlet factor numerically (the archimedean value L(0, theta) = 2h/w
 is exact, the period is 1 in this range) and attaches the modular
 factors symbolically through the non-vanishing interpolation product.
+
+Both embeddings of F into Q_p send the unit conjugate pibar to the same
+p-adic number, and every check here reads the embedding only through
+that image, so none of them takes a choice of embedding.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ class FGCheck:
 
 class LInvariantReport(namedtuple(
         "LInvariantReport",
-        "l_at_1 l_at_0 split_data l_via_alpha agreement_valuation fg_check",
+        "l_at_1 l_at_0 l_via_alpha agreement_valuation fg_check",
         defaults=(None, None, None))):
-    """The L-invariant at s = 1 and at s = 0, with the split-prime package.
+    """The L-invariant at s = 1 and at s = 0.
 
     `full_report` also fills in the unit-root value, its agreement
     valuation and the FGCheck; `l_invariant_analytic` leaves them None.
@@ -64,12 +68,10 @@ class LInvariantReport(namedtuple(
     __slots__ = ()
 
 
-def l_invariant_analytic(F: QuadFieldData, p: int, ctx: PadicContext,
-                         conjugate_lift: bool = False) -> LInvariantReport:
+def l_invariant_analytic(F: QuadFieldData, p: int, ctx: PadicContext) -> LInvariantReport:
     """-2 log_p(pibar)/h at s = 1, and its negative at s = 0 (split p only)."""
-    sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
-    l1 = -2 * sp.log_pibar / F.h
-    return LInvariantReport(l_at_1=l1, l_at_0=-l1, split_data=sp)
+    l1 = -2 * pi_bar(F, p, ctx).log_pibar / F.h
+    return LInvariantReport(l_at_1=l1, l_at_0=-l1)
 
 
 def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
@@ -85,8 +87,7 @@ def _check_target(target: int) -> None:
 
 
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
-                             target: int = 6,
-                             conjugate_lift: bool = False) -> FGCheck:
+                             target: int = 6) -> FGCheck:
     """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target."""
     _check_target(target)
     if target > ctx.N:
@@ -94,8 +95,7 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
     # certify as much as the context carries, so the residual scales with N;
     # its plan is checked before pi_bar runs
     lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N)
-    sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
-    rhs = ctx.from_rational(Fraction(4, F.w)) * sp.log_pibar
+    rhs = ctx.from_rational(Fraction(4, F.w)) * pi_bar(F, p, ctx).log_pibar
     resid = (lhs - rhs).min_valuation()
     return FGCheck(lhs=lhs, rhs=rhs, residual_valuation=resid,
                    target=target, passed=resid >= target)
@@ -118,8 +118,7 @@ class TrivialZeroFormulaReport(namedtuple(
 
 
 def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
-                                target: int = 6,
-                                conjugate_lift: bool = False) -> TrivialZeroFormulaReport:
+                                target: int = 6) -> TrivialZeroFormulaReport:
     """Numeric check of the derivative identity's Dirichlet core at (branch i, s=i).
 
     Requires a genuine trivial zero (n = 2m, m odd, i in {0,1}).
@@ -132,7 +131,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
     F = spec.field
     theta = F.character()
     deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)  # its plan before pi_bar
-    linv = l_invariant_analytic(F, ctx.p, ctx, conjugate_lift=conjugate_lift)
+    linv = l_invariant_analytic(F, ctx.p, ctx)
     l_at_i = linv.l_at_0 if i == 0 else linv.l_at_1
     arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
     rhs = l_at_i * ctx.from_rational(arch)
@@ -153,19 +152,14 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
         target=target, passed=resid >= target)
 
 
-def full_report(spec: CMFormSpec, target: int = 6,
-                conjugate_lift: bool = False) -> LInvariantReport:
+def full_report(spec: CMFormSpec, target: int = 6) -> LInvariantReport:
     """Analytic and unit-root L-invariants with their agreement valuation."""
     _check_target(target)
     ctx = spec.context
     # first: it checks the closed form's plan before pi_bar and the unit root
-    fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target,
-                                  conjugate_lift=conjugate_lift)
-    base = l_invariant_analytic(spec.field, ctx.p, ctx,
-                                conjugate_lift=conjugate_lift)
+    fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target)
+    base = l_invariant_analytic(spec.field, ctx.p, ctx)
     via_alpha = l_invariant_via_alpha(spec)
     agreement = (via_alpha - base.l_at_1).min_valuation()
-    return LInvariantReport(l_at_1=base.l_at_1, l_at_0=base.l_at_0,
-                            split_data=base.split_data,
-                            l_via_alpha=via_alpha,
-                            agreement_valuation=agreement, fg_check=fg)
+    return base._replace(l_via_alpha=via_alpha, agreement_valuation=agreement,
+                         fg_check=fg)

@@ -10,9 +10,9 @@ the least y over all unit associates and conjugates.  It returns the
 conjugate whose image under the fixed embedding into Q_p is a unit,
 together with the Iwasawa log of that image.  The embedding sends
 sqrt(D) to the Hensel lift whose residue mod p is the least positive
-square root of D mod p; the `conjugate_lift` flag selects the other
-embedding, which swaps the two coordinate pairs but leaves the logged
-value unchanged.
+square root of D mod p.  The other embedding sends the unit conjugate to
+the same p-adic number, so the `conjugate_lift` flag of `pi_bar` only
+relabels: it swaps the two coordinate pairs and negates sqrt_disc.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def split_behavior(F: QuadFieldData, p: int) -> str:
 
 class SplitPrimeData(namedtuple(
         "SplitPrimeData",
-        "p h sqrt_disc pi_coords pibar_coords pibar_unit log_pibar conjugate_lift")):
+        "p h sqrt_disc pi_coords pibar_coords pibar_unit log_pibar")):
     """The split-prime package at p.
 
     Coordinates (x, y) encode (x + y*sqrt(D))/2; pibar_coords is the
@@ -134,7 +134,7 @@ def _norm_solution(F: QuadFieldData, p: int, r0: int) -> tuple[int, int]:
     return b, isqrt((4 * q - b * b) // -D)
 
 
-_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 16
+_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 12
 
 
 def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
@@ -146,8 +146,10 @@ def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
     Cornacchia) and keeps the primitive solution x, y >= 0 with the least
     y.  Any primitive representation gives the same log_pibar because
     generators differ by roots of unity, which the Iwasawa log kills; pass
-    `representation` to check that explicitly.  Cached on the argument
-    values, however they are passed.
+    `representation` to check that explicitly.  `conjugate_lift` names
+    the other embedding: the coordinate pairs swap and sqrt_disc changes
+    sign, while pibar_unit and log_pibar are the same.  Cached on the
+    argument values, however they are passed.
     """
     return _split_prime_data(F, p, ctx, conjugate_lift, representation)
 
@@ -160,7 +162,7 @@ def _split_prime_data(F, p, ctx, conjugate_lift, representation) -> SplitPrimeDa
         raise ValueError(f"p = {p} does not split in Q(sqrt({F.D}))")
     D, h = F.D, F.h
     r0 = sqrt_mod_prime(D, p)
-    w = sqrt_unit(ctx.from_int(D), residue=p - r0 if conjugate_lift else r0)
+    w = sqrt_unit(ctx.from_int(D), residue=r0)
     # a found representation passes the same checks as a given one
     x, y = _norm_solution(F, p, r0) if representation is None else representation
     if (x * x - D * y * y) != 4 * p**h or (x - y * D) % 2:
@@ -175,8 +177,9 @@ def _split_prime_data(F, p, ctx, conjugate_lift, representation) -> SplitPrimeDa
         pibar_coords, pi_coords, pibar_img = (x, y), (x, -y), plus
     else:
         pibar_coords, pi_coords, pibar_img = (x, -y), (x, y), minus
+    if conjugate_lift:  # -w is the lift from p - r0: y changes sign
+        w, pibar_coords, pi_coords = -w, pi_coords, pibar_coords
     return SplitPrimeData(
         p=p, h=h, sqrt_disc=w,
         pi_coords=pi_coords, pibar_coords=pibar_coords,
-        pibar_unit=pibar_img, log_pibar=iwasawa_log(pibar_img),
-        conjugate_lift=conjugate_lift)
+        pibar_unit=pibar_img, log_pibar=iwasawa_log(pibar_img))

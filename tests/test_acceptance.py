@@ -26,8 +26,8 @@ def test_criterion(criterion):
 
 
 def test_acceptance_builds_each_split_prime_once():
-    # AC-3 omits conjugate_lift and l_invariant_analytic passes it by
-    # keyword: both spellings of a key share one build
+    # AC-1's four pairs, AC-3's four primes, and AC-8's four lifted pairs;
+    # AC-8's suite calls share AC-1's and AC-3's keys
     _split_prime_data.cache_clear()
     run_all()
-    assert _split_prime_data.cache_info().misses == 16
+    assert _split_prime_data.cache_info().misses == 12

@@ -1,6 +1,7 @@
 """CLI behavior: schemas, determinism, golden files, exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -85,11 +87,16 @@ def test_linvariant_pass(capsys):
     ("verify-fg", "--p", "5"),
 ])
 def test_field_flags_must_name_one_field(capsys, command):
-    for D, d in (("-4", "7"), ("-3", "1")):
+    # a d that names no field is reported as such, not as a mismatch
+    for D, d, err in (("-4", "7", "--D -4 and --d 7 name different fields"),
+                      ("-3", "1", "--D -3 and --d 1 name different fields"),
+                      ("-4", "2", "--D -4 and --d 2 name different fields"),
+                      ("-4", "4", "d must be a squarefree positive integer, got 4"),
+                      ("-4", "0", "d must be a squarefree positive integer, got 0")):
         code = main([*command, "--D", D, "--d", d])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == f"error: --D {D} and --d {d} name different fields\n"
+        assert captured.err == f"error: {err}\n"
     code, out = run_cli(capsys, *command, "--D", "-4", "--d", "1")
     assert code == 0
     assert out == run_cli(capsys, *command, "--D", "-4")[1]
@@ -101,9 +108,12 @@ def test_field_flags_must_name_one_field(capsys, command):
     ["trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--level", "32"],
     ["linvariant", "--p", "5", "--curve", "0,-1,0", "--level", "32"],
     ["linvariant", "--p", "5", "--curve", "0,-1,0", "--D", "-4"],
+    ["verify-fg", "--p", "5", "--D", "-4", "--conjugate-lift"],
+    ["linvariant", "--p", "5", "--curve", "0,-1,0", "--conjugate-lift"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
-    # the level is always the desk curve's 32; linvariant names its field by --d
+    # the level is always the desk curve's 32; linvariant names its field by --d;
+    # the embedding changes no verdict, so only quadfield's labels take it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and capsys.readouterr().out == ""
@@ -299,7 +309,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     import cmlinv.cli as cli_mod
     from cmlinv.linvariant import FGCheck
 
-    def fake_fg(F, p, ctx, target=6, conjugate_lift=False):
+    def fake_fg(F, p, ctx, target=6):
         z = ctx.inexact_zero(1)
         return FGCheck(lhs=z, rhs=z, residual_valuation=1,
                        target=target, passed=False)
@@ -368,7 +378,7 @@ def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeyp
     with pytest.raises(ValueError):
         cli_mod._emit({"x": float("inf")}, None)
 
-    def exact_fg(F, p, ctx, target=6, conjugate_lift=False):
+    def exact_fg(F, p, ctx, target=6):
         z = ctx.zero()
         return FGCheck(lhs=z, rhs=z, residual_valuation=math.inf,
                        target=target, passed=True)
@@ -458,3 +468,22 @@ def test_help_and_usage_match_the_full_parser(capsys, argv):
     assert got.value.code == want.value.code
     assert (got_out.out, got_out.err) == (want_out.out, want_out.err)
     assert got_out.out or got_out.err
+
+
+def _workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("item", WORKLOADS.cli_items(), ids=lambda item: item["ref"])
+def test_cli_reproduces_the_benchmark_references(capsys, item):
+    # the benchmark's check: exit code, and stdout byte-identical to the
+    # reference (for acceptance, without its seconds fields)
+    code, out = run_cli(capsys, *item["argv"])
+    assert WORKLOADS.check_cli(item, code, out.encode("ascii"))

@@ -76,14 +76,14 @@ def test_full_report_agreement():
 
 # --- the family exponential -----------------------------------------------------
 
-def hida_ap(s, F, p, ctx, conjugate_lift=False):
+def hida_ap(s, F, p, ctx):
     """The weight-family Frobenius interpolation exp_p((s-1) log_p(pibar)/h).
 
     The root-of-unity prefactor of the family is dropped: every identity
     checked here is log-level, and the Iwasawa log kills it.
     log_p(pibar) lies in pZ_p, so the exponential always converges on Z_p.
     """
-    sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift)
+    sp = pi_bar(F, p, ctx)
     s = ctx.convert(s) if not isinstance(s, PadicNumber) else s
     if not s.is_zero() and s.valuation() < 0:
         raise ValueError("s must lie in Z_p")
@@ -247,16 +247,6 @@ def test_target_below_one_rejected_before_any_work(monkeypatch, target):
             check()
 
 
-def test_invariance_under_conjugate_lift():
-    for conj in (False, True):
-        rep = full_report(_spec(), target=6, conjugate_lift=conj)
-        assert rep.fg_check.passed
-        assert rep.agreement_valuation >= 6
-    a = full_report(_spec(), target=6, conjugate_lift=False)
-    b = full_report(_spec(), target=6, conjugate_lift=True)
-    assert (a.l_at_1 - b.l_at_1).is_zero()
-
-
 def test_pi_bar_built_once_per_report():
     # full_report reaches pi_bar twice and each formula check once more;
     # all of them share one cached build, equal to a fresh one
@@ -266,7 +256,7 @@ def test_pi_bar_built_once_per_report():
     for i in (0, 1):
         verify_trivial_zero_formula(spec, 2, i)
     assert _split_prime_data.cache_info().misses == 1
-    cached = pi_bar(spec.field, 5, spec.context, conjugate_lift=False)
+    cached = pi_bar(spec.field, 5, spec.context)
     fresh = _split_prime_data.__wrapped__(spec.field, 5, spec.context, False, None)
     assert cached.pibar_coords == fresh.pibar_coords
     assert cached.pi_coords == fresh.pi_coords
@@ -284,7 +274,7 @@ def _records():
     dec = decompose(spec, 2)
     zeros = trivial_zero_locations(spec, 2, with_certificates=True)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
-    return [spec.field, rep.split_data, spec, unit_root(spec), bs.g, bs,
+    return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs.g, bs,
             dec.factors[0], dec, zeros.certificates[0], zeros, rep, rep.fg_check,
             verify_trivial_zero_formula(spec, 2, 0), ac6_critical_containment()]
 

@@ -323,14 +323,30 @@ def test_pibar_log_independent_of_representation():
 
 
 def test_embedding_swap_swaps_coords_and_keeps_log():
-    for (d, p) in ((1, 5), (3, 7), (7, 11), (23, 3)):
-        ctx = make_context(p, 20)
-        F = quad_field_data(d)
-        a = pi_bar(F, p, ctx)
-        b = pi_bar(F, p, ctx, conjugate_lift=True)
-        assert a.pibar_coords == b.pi_coords
-        assert a.pi_coords == b.pibar_coords
-        assert (a.log_pibar - b.log_pibar).is_zero()
+    # every fundamental D in [-200, 0) and every split odd p < 54: the other
+    # embedding relabels pi and pibar, negates sqrt(D), and sends the unit
+    # conjugate to the same number, part for part
+    def parts(x):
+        return x.min_valuation(), x.digits(), x.abs_prec
+
+    pairs = 0
+    for D in range(-3, -201, -1):
+        if not is_fundamental_discriminant(D):
+            continue
+        F = quad_field_from_discriminant(D)
+        for p in filter(_is_prime, range(3, 54, 2)):
+            if split_behavior(F, p) != "split":
+                continue
+            ctx = make_context(p, 12)
+            a = pi_bar(F, p, ctx)
+            b = pi_bar(F, p, ctx, conjugate_lift=True)
+            assert a.pibar_coords == b.pi_coords, (D, p)
+            assert a.pi_coords == b.pibar_coords, (D, p)
+            assert parts(-a.sqrt_disc) == parts(b.sqrt_disc), (D, p)
+            for name in ("pibar_unit", "log_pibar"):
+                assert parts(getattr(a, name)) == parts(getattr(b, name)), (D, p, name)
+            pairs += 1
+    assert pairs == 441
 
 
 def test_rejects_bad_explicit_representation():

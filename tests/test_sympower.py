@@ -181,6 +181,20 @@ def test_critical_functional_equation_symmetry():
             assert sorted(1 - a for a in C) == C, (n, k)
 
 
+def test_critical_lists_every_qualifying_integer():
+    # the per-a rule over [2 - k, k - 1], as the docstring states it
+    def oracle(n, k):
+        if n // 2 % 2:
+            return [a for a in range(2 - k, k)
+                    if (a <= 0 and a % 2 == 0) or (a >= 1 and a % 2 == 1)]
+        return [a for a in range(2 - k, k)
+                if (a <= -1 and a % 2 == 1) or (a >= 2 and a % 2 == 0)]
+
+    for n in range(2, 21, 2):
+        for k in range(2, 200):
+            assert critical_integers(n, k) == oracle(n, k), (n, k)
+
+
 def test_critical_containment_all_factors():
     for n in (2, 4, 6, 8, 10):
         m = n // 2
