@@ -185,19 +185,6 @@ class DirichletCharacter:
             return -s
         raise ValueError("character is not rational-valued at this argument")
 
-    def value_padic(self, a: int, ctx: PadicContext | None = None) -> PadicNumber:
-        ctx = ctx or self.context
-        if ctx is None:
-            raise ValueError("no p-adic context available")
-        pair = self.value_pair(a)
-        if pair is None:
-            return ctx.zero()
-        s, e = pair
-        if e == 0:
-            return ctx.from_int(s)
-        out = _teichmuller_generator(ctx)**e
-        return -out if s < 0 else out
-
     def parity(self) -> int:
         """chi(-1) = sign(D) * (-1)^i."""
         return (-1 if self.D < 0 else 1) * (-1) ** self.i
@@ -318,10 +305,9 @@ def gen_bernoulli(n: int, chi: DirichletCharacter,
     return sum((zeta**e * ctx.from_rational(w) for e, w in W.items()), ctx.zero())
 
 
-def dirichlet_L_nonpositive(a: int, chi: DirichletCharacter,
-                            ctx: PadicContext | None = None):
+def dirichlet_L_nonpositive(a: int, chi: DirichletCharacter):
     """L(a, chi) = -B_{1-a,chi}/(1-a) for integers a <= 0."""
     if a > 0:
         raise ValueError("only non-positive integers are supported")
     n = 1 - a
-    return -gen_bernoulli(n, chi, ctx) / n
+    return -gen_bernoulli(n, chi) / n

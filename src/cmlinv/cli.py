@@ -126,7 +126,7 @@ def cmd_trivial_zeros(args) -> int:
     spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
     rep = trivial_zero_locations(spec, args.n,
                                  with_certificates=args.certificates,
-                                 n_cert=min(args.prec, 8))
+                                 n_cert=args.prec)
     payload = {"n": args.n, "zeros": [list(loc) for loc in rep.locations]}
     if args.certificates:
         payload["certificates"] = [

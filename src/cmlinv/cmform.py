@@ -127,11 +127,12 @@ def unit_root(spec: CMFormSpec) -> HeckeRoots:
 
     alpha is the root of x^2 - a_p x + c mod p^R, R = a_p.rel_prec and
     c = psi(p) p^(k-1), lifted in integers; it is simple because
-    f'(alpha) = alpha - beta is a unit.  beta = c / alpha.
+    f'(alpha) = alpha - beta is a unit.  beta = c / alpha.  psi(p) is the
+    exact +-1 of `value_exact`, since `cm_spec` keeps p off psi's modulus.
     """
     ctx = spec.context
     p = ctx.p
-    c = spec.nebentypus.value_padic(p, ctx) * p ** (spec.weight - 1)
+    c = ctx.from_int(spec.nebentypus.value_exact(p)) * p ** (spec.weight - 1)
     R = spec.ap.rel_prec
     a, c_int = spec.ap.unit_int(), c.residue(R)
     x = hensel_lift(lambda x, m: x * x - a * x + c_int, lambda x, m: 2 * x - a,

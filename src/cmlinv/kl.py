@@ -311,8 +311,8 @@ class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
     """g(s) = L_p(s, theta*omega) for one (D, p, n_cert, J).
 
     Holds the certified Taylor coefficients at s = 0, built and checked
-    once per key by `_kl_function`, and evaluates the closed form
-    anywhere else; every branch series reads it.  ctx carries J digits.
+    once per key by `_kl_function`, and evaluates the closed form at
+    any other integer; every branch series reads it.  ctx carries J digits.
     """
 
     __slots__ = ()
@@ -325,19 +325,12 @@ class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
         return tuple(_from_residue(self.ctx, r, n) for r in
                      _closed_form(self.chi.D, self.ctx.p, s0, len(self.at0), n))
 
-    def value(self, s) -> PadicNumber:
-        """g(s) at s in Z_p from the closed form, truncated to J digits."""
+    def value(self, s: int) -> PadicNumber:
+        """g(s) at the integer s from the closed form, truncated to J digits."""
+        if not isinstance(s, int):
+            raise TypeError(f"g is evaluated at integers only, not at {s!r}")
         ctx = self.ctx
-        J = ctx.N
-        if isinstance(s, int):
-            return _from_residue(ctx, _closed_form(self.chi.D, ctx.p, s, 1, J)[0], J)
-        s = ctx.convert(s)
-        if not s.is_zero() and s.valuation() < 0:
-            raise ValueError("evaluation point must lie in Z_p")
-        # g(s) = f((1+p)^s - 1) with f p-integral (Iwasawa), so s mod p^A
-        # fixes g(s) mod p^(A+1)
-        A = min(s.abs_prec, J)
-        return self.value(s.residue(A)).truncate_abs(A + 1)
+        return _from_residue(ctx, _closed_form(self.chi.D, ctx.p, s, 1, ctx.N)[0], ctx.N)
 
 
 _TABLES = 16  # holds one command's tables: `cmlinv acceptance` reads 11
@@ -384,8 +377,8 @@ class BranchSeries(namedtuple(
         tail = order if t.is_zero() else order * t.valuation()
         return acc.truncate_abs(min(acc.abs_prec, tail, self.n_cert))
 
-    def evaluate(self, s) -> PadicNumber:
-        """Value at s in Z_p from the closed form (not the truncated series)."""
+    def evaluate(self, s: int) -> PadicNumber:
+        """Value at the integer s from the closed form (not the truncated series)."""
         return self.g.value(1 - s if self.flip else s)
 
 

@@ -12,8 +12,9 @@ integer kept to the context's N digits, as `from_int` gives it.
 Special functions: Teichmuller lift, the Iwasawa branch of log_p
 (log_p(p) = 0; an integer series after argument reduction, with the
 precision stated up front), the p-adic exponential on pZ_p, and square
-roots of units.  Both roots start mod p (Tonelli-Shanks for the square
-root) and are Newton-lifted, doubling the correct digits each step.
+roots of units.  Both roots start mod p (the square root from a given
+root mod p, which `sqrt_mod_prime` finds by Tonelli-Shanks) and are
+Newton-lifted, doubling the correct digits each step.
 """
 
 from __future__ import annotations
@@ -194,8 +195,6 @@ class PadicContext:
             return x._retag(self)
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, Fraction):
-            return self.from_rational(x)
         raise TypeError(f"cannot convert {type(x).__name__} to a p-adic number")
 
 
@@ -333,8 +332,6 @@ class PadicNumber:
             return other._val, other._unit, other._abs
         if isinstance(other, int):
             return self.context._int_parts(other)
-        if isinstance(other, Fraction):
-            return self.context.from_rational(other)._parts()
         return None
 
     def __add__(self, other):
@@ -377,12 +374,6 @@ class PadicNumber:
         if o is None:
             return NotImplemented
         return _quotient(self.context, self._parts(), o)
-
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _quotient(self.context, o, self._parts())
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -770,11 +761,10 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return min(x, p - x)
 
 
-def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
-    """Square root of a unit by Hensel lifting (odd p).
+def sqrt_unit(a: PadicNumber, residue: int) -> PadicNumber:
+    """Square root of a unit by Hensel lifting (odd p): the root = residue mod p.
 
-    `residue` selects the root class mod p; by default the numerically
-    least positive root mod p is lifted.
+    `residue` is a square root of a mod p, say from `sqrt_mod_prime`.
     """
     if a.is_zero() or not a.is_unit():
         raise ValueError("sqrt_unit requires a p-adic unit")
@@ -782,9 +772,7 @@ def sqrt_unit(a: PadicNumber, residue: int | None = None) -> PadicNumber:
     p = ctx.p
     rel = a.rel_prec
     au = a.unit_int()
-    if residue is None:
-        residue = sqrt_mod_prime(au, p)
-    elif (residue * residue - au) % p:
+    if (residue * residue - au) % p:
         raise ValueError(f"{residue} mod {p} is not a square root class")
     x = hensel_lift(lambda x, m: x * x - au, lambda x, m: 2 * x, residue % p, p, rel)
     return PadicNumber(ctx, 0, x, rel)

@@ -134,7 +134,7 @@ def _norm_solution(F: QuadFieldData, p: int, r0: int) -> tuple[int, int]:
     return b, isqrt((4 * q - b * b) // -D)
 
 
-_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 12
+_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 8
 
 
 def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
@@ -147,15 +147,18 @@ def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
     y.  Any primitive representation gives the same log_pibar because
     generators differ by roots of unity, which the Iwasawa log kills; pass
     `representation` to check that explicitly.  `conjugate_lift` names
-    the other embedding: the coordinate pairs swap and sqrt_disc changes
-    sign, while pibar_unit and log_pibar are the same.  Cached on the
-    argument values, however they are passed.
+    the other embedding: it relabels the cached package, swapping the
+    coordinate pairs and the sign of sqrt_disc (-w is the lift from
+    p - r0), while pibar_unit and log_pibar are the same.  The package
+    is cached on (F, p, ctx, representation), however they are passed.
     """
-    return _split_prime_data(F, p, ctx, conjugate_lift, representation)
+    sp = _split_prime_data(F, p, ctx, representation)
+    return sp._replace(sqrt_disc=-sp.sqrt_disc, pi_coords=sp.pibar_coords,
+                       pibar_coords=sp.pi_coords) if conjugate_lift else sp
 
 
 @lru_cache(maxsize=_SPLIT_PRIMES)
-def _split_prime_data(F, p, ctx, conjugate_lift, representation) -> SplitPrimeData:
+def _split_prime_data(F, p, ctx, representation) -> SplitPrimeData:
     if ctx.p != p:
         raise ValueError("context prime and p disagree")
     if split_behavior(F, p) != "split":
@@ -177,8 +180,6 @@ def _split_prime_data(F, p, ctx, conjugate_lift, representation) -> SplitPrimeDa
         pibar_coords, pi_coords, pibar_img = (x, y), (x, -y), plus
     else:
         pibar_coords, pi_coords, pibar_img = (x, -y), (x, y), minus
-    if conjugate_lift:  # -w is the lift from p - r0: y changes sign
-        w, pibar_coords, pi_coords = -w, pi_coords, pibar_coords
     return SplitPrimeData(
         p=p, h=h, sqrt_disc=w,
         pi_coords=pi_coords, pibar_coords=pibar_coords,

@@ -65,7 +65,7 @@ def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
     theta = spec.field.character()
     psi = spec.nebentypus
     roots = unit_root(spec)
-    psi_p = psi.value_padic(ctx.p, ctx)
+    psi_p = ctx.from_int(psi.value_exact(ctx.p))  # exact: p is prime to psi's modulus
     factors: list[SymPowerFactor] = []
     if n % 2 == 0:
         factors.append(SymPowerFactor(
@@ -157,7 +157,8 @@ def _order_one_certificate(spec, theta, i, s, n_cert) -> TrivialZeroCertificate:
     if c0.min_valuation() < bs.n_cert:
         raise ArithmeticError("predicted trivial zero has a nonvanishing value")
     if c1.is_zero() or c1.valuation() >= bs.n_cert:
-        raise ArithmeticError("predicted order-1 zero has a vanishing derivative")
+        raise ArithmeticError(f"c1 = 0 mod {spec.context.p}^{bs.n_cert}, so the predicted "
+                              f"order-1 zero is not certified at N_cert = {bs.n_cert}")
     return TrivialZeroCertificate(branch=i, s=s, order=1, c0=c0, c1=c1,
                                   n_cert=bs.n_cert)
 

@@ -26,8 +26,8 @@ def test_criterion(criterion):
 
 
 def test_acceptance_builds_each_split_prime_once():
-    # AC-1's four pairs, AC-3's four primes, and AC-8's four lifted pairs;
-    # AC-8's suite calls share AC-1's and AC-3's keys
+    # AC-1's four pairs and AC-3's four primes; AC-8's lifted calls relabel
+    # AC-1's packages, and its suite calls share AC-1's and AC-3's keys
     _split_prime_data.cache_clear()
     run_all()
-    assert _split_prime_data.cache_info().misses == 12
+    assert _split_prime_data.cache_info().misses == 8

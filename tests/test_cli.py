@@ -51,6 +51,37 @@ def test_trivial_zeros_with_certificates(capsys):
     assert c1["valuation"] == 1 and len(c1["digits"]) == c1["precision"]
 
 
+def test_trivial_zeros_certifies_prec_digits(capsys):
+    code, out = run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0",
+                        "--n", "2", "--certificates", "--prec", "12")
+    assert code == 0
+    for cert in json.loads(out)["certificates"]:
+        assert cert["N_cert"] == 12
+        # c1 lies in 5 Z_5, so 12 certified digits leave 11 of its unit part
+        assert cert["c1"]["valuation"] == 1 and len(cert["c1"]["digits"]) == 11
+
+
+@pytest.mark.parametrize("p", ["5", "13", "29"])
+def test_one_digit_cannot_certify_the_derivative(capsys, p):
+    # c1 = +-(4/w) log_p(pibar) lies in pZ_p, so one digit reads it as 0
+    code = main(["trivial-zeros", "--p", p, "--curve", "0,-1,0", "--n", "2",
+                 "--certificates", "--prec", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: c1 = 0 mod {p}^1, so the predicted order-1 zero "
+                            "is not certified at N_cert = 1\n")
+
+
+def test_negative_first_curve_coefficient_needs_the_equals_form(capsys):
+    # argparse reads "--curve -1,0" as a flag; "--curve=-1,0" is the two-coefficient
+    # form of y^2 = x^3 - x
+    assert run_cli(capsys, "cmform", "--p", "29", "--curve=-1,0") == \
+        run_cli(capsys, "cmform", "--p", "29", "--curve", "0,-1,0")
+    with pytest.raises(SystemExit):
+        main(["cmform", "--p", "29", "--curve", "-1,0"])
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_verify_fg_pass(capsys):
     code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "5", "--prec", "8")
     assert code == 0

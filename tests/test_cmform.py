@@ -173,7 +173,7 @@ def _unit_root_oracle(spec):
     # x = a_p mod p, a fixed number of full-precision steps
     ctx = spec.context
     p = ctx.p
-    c = spec.nebentypus.value_padic(p, ctx) * ctx.from_int(p) ** (spec.weight - 1)
+    c = ctx.from_int(spec.nebentypus.value_exact(p)) * ctx.from_int(p) ** (spec.weight - 1)
     ap = spec.ap
     x = ctx.from_int(ap.residue(1))
     for _ in range(ctx.N.bit_length() + 2):

@@ -17,8 +17,7 @@ from cmlinv.characters import (DirichletCharacter, _primitive_root, bernoulli_nu
                                is_fundamental_discriminant)
 from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _kappa,
                        _kl_function, _logs, branch_derivative, branch_series, kl_value)
-from cmlinv.padic import (PadicContext, iwasawa_log, make_context, ordp,
-                          padic_exp, teichmuller)
+from cmlinv.padic import PadicContext, iwasawa_log, make_context, ordp, teichmuller
 from cmlinv.quadfield import pi_bar, quad_field_data
 from test_characters import kronecker_symbol
 
@@ -61,13 +60,9 @@ def _series_mul(a, b, order, zero):
 
 
 def _oracle_value(table, s):
-    # the Newton form at s in Z_p, truncated to the node count J
-    work, nodes, newton, log1p = table
-    if isinstance(s, int):
-        u = _u(work, s)
-    else:
-        s = work.convert(s)
-        u = padic_exp(s * log1p) - 1
+    # the Newton form at the integer s, truncated to the node count J
+    work, nodes, newton, _ = table
+    u = _u(work, s)
     acc = newton[-1]
     for r in range(len(newton) - 2, -1, -1):
         acc = acc * (u - nodes[r]) + newton[r]
@@ -247,10 +242,17 @@ def test_u_at_integers_matches_exact_rational():
 def test_evaluate_at_huge_integer_is_cheap():
     bs = branch_series(0, THETA4, 0, 2, CTX5, n_cert=8)
     t0 = time.perf_counter()
-    got = bs.evaluate(10**12)
+    bs.evaluate(10**12)
     assert time.perf_counter() - t0 < 1
-    # the p-adic route exp(s log(1+p)) reaches the same certified digits
-    assert (got - bs.evaluate(CTX5.from_int(10**12))).min_valuation() >= 8
+
+
+def test_evaluate_takes_integers_only():
+    # g is read at integer points only; any other point is refused before any sum
+    for i, s0 in ((0, 0), (1, 1)):
+        bs = branch_series(i, THETA4, s0, 2, CTX5, n_cert=8)
+        for x in (CTX5.from_int(3), Fraction(1, 3), 0.5):
+            with pytest.raises(TypeError, match="integers only"):
+                bs.evaluate(x)
 
 
 def test_certificate_audit_independent_tables():
@@ -349,12 +351,11 @@ def test_closed_form_matches_newton_oracle(pair, n_cert, order, i, s0, s):
         assert c.is_exact_zero() == want.is_exact_zero(), j
         assert c.is_exact_zero() or c.abs_prec == n_cert, j
         assert (c - want).min_valuation() >= n_cert, j
-    # integers (1 reads the expansion at 1), 10**12 and a p-adic point
-    for x in (s, 0, 1, 10**12, ctx.from_rational(Fraction(s, 1 + p * (s * s + 1)))):
+    # integers (1 reads the expansion at 1) and 10**12
+    for x in (s, 0, 1, 10**12):
         got = bs.evaluate(x)
         want = _oracle_value(table, 1 - x if i else x)
-        if isinstance(x, int):
-            assert got.abs_prec >= J, x
+        assert got.abs_prec >= J, x
         assert (got - want).min_valuation() >= min(got.abs_prec, want.abs_prec), x
 
 

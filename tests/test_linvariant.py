@@ -121,7 +121,7 @@ def test_hida_log_linear_in_s():
 def test_hida_rejects_s_outside_zp():
     ctx = make_context(5, 16)
     with pytest.raises(ValueError):
-        hida_ap(Fraction(1, 5), quad_field_data(1), 5, ctx)
+        hida_ap(ctx.from_rational(Fraction(1, 5)), quad_field_data(1), 5, ctx)
 
 
 # --- Ferrero-Greenberg check ------------------------------------------------------
@@ -257,7 +257,7 @@ def test_pi_bar_built_once_per_report():
         verify_trivial_zero_formula(spec, 2, i)
     assert _split_prime_data.cache_info().misses == 1
     cached = pi_bar(spec.field, 5, spec.context)
-    fresh = _split_prime_data.__wrapped__(spec.field, 5, spec.context, False, None)
+    fresh = _split_prime_data.__wrapped__(spec.field, 5, spec.context, None)
     assert cached.pibar_coords == fresh.pibar_coords
     assert cached.pi_coords == fresh.pi_coords
     for name in ("sqrt_disc", "pibar_unit", "log_pibar"):

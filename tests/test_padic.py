@@ -249,10 +249,21 @@ def test_int_operands_match_the_from_int_route(xn):
     m = x.context.from_int(n)
     for name, op, via in (
             ("x*n", lambda: x * n, lambda: x * m), ("n*x", lambda: n * x, lambda: m * x),
-            ("x/n", lambda: x / n, lambda: x / m), ("n/x", lambda: n / x, lambda: m / x),
+            ("x/n", lambda: x / n, lambda: x / m),
             ("x+n", lambda: x + n, lambda: x + m), ("n+x", lambda: n + x, lambda: m + x),
             ("x-n", lambda: x - n, lambda: x - m), ("n-x", lambda: n - x, lambda: m - x)):
         assert _outcome(op) == _outcome(via), (name, x, n)
+
+
+def test_fraction_operands_and_int_dividends_are_refused():
+    # a Fraction enters through from_rational, and an int divides only from the right
+    x, q = CTX5.from_int(3), Fraction(1, 3)
+    for op in (lambda: x * q, lambda: q + x, lambda: x - q, lambda: q / x,
+               lambda: CTX5.convert(q), lambda: 3 / x):
+        with pytest.raises(TypeError):
+            op()
+    assert "__rtruediv__" not in vars(PadicNumber)
+    assert x * CTX5.from_rational(q) == 1
 
 
 def test_division_by_int_zero_raises():
@@ -610,12 +621,6 @@ def test_exp_log_roundtrip_random(t):
 
 # --- square roots ----------------------------------------------------------------
 
-def test_sqrt_unit_least_positive_default():
-    r = sqrt_unit(CTX5.from_int(-4))
-    assert r * r == -4
-    assert r.residue(1) == 1  # roots of x^2 = 1 mod 5 are {1, 4}; least is 1
-
-
 def test_sqrt_unit_residue_selection():
     r = sqrt_unit(CTX5.from_int(-4), residue=4)
     assert r * r == -4
@@ -623,8 +628,9 @@ def test_sqrt_unit_residue_selection():
 
 
 def test_sqrt_unit_rejects_non_squares():
-    with pytest.raises(ValueError):
-        sqrt_unit(CTX5.from_int(2))  # 2 is not a QR mod 5
+    for residue in range(1, 5):  # 2 is not a QR mod 5, so no class is a root
+        with pytest.raises(ValueError):
+            sqrt_unit(CTX5.from_int(2), residue=residue)
 
 
 def test_sqrt_unit_rejects_wrong_residue_class():

@@ -27,7 +27,7 @@ def frobenius_eigenvalues(dec):
     out = []
     for f in dec.factors:
         if f.kind == "dirichlet":
-            out.append(f.character.value_padic(ctx.p, ctx))
+            out.append(ctx.from_int(f.character.value_exact(ctx.p)))
         else:
             scale = ctx.from_int(ctx.p) ** (-f.shift)
             out.append(f.alpha * scale)
