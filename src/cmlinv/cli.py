@@ -1,7 +1,7 @@
 """Command-line front end: deterministic JSON out, verification exit codes.
 
 Exit codes: 0 all checks pass (or nothing to check), 1 a verification
-failed, 2 configuration errors or an --out file that cannot be written.
+failed, 2 a usage or configuration error, with nothing on stdout.
 Every p-adic number is emitted as {"valuation": v, "digits": [d_0...],
 "precision": r} meaning p^v * sum d_i p^i with r known digits; zeros
 carry empty digits with "precision" 0, valuation = the proven lower
@@ -22,7 +22,8 @@ from .linvariant import (full_report, verify_ferrero_greenberg,
 from .padic import PadicNumber, json_valuation, make_context
 from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
-from .sympower import critical_integers, decompose, trivial_zero_locations
+from .sympower import (MAX_DECOMPOSE_DIGITS, critical_integers, decompose,
+                       trivial_zero_locations)
 
 __all__ = ["main", "console_entry"]
 
@@ -35,12 +36,9 @@ def encode_padic(x: PadicNumber) -> dict:
             "precision": x.rel_prec}
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+def _emit(payload: dict) -> None:
+    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False) + "\n")
 
 
 def _curve_arg(s: str) -> tuple[int, ...]:
@@ -73,7 +71,7 @@ def cmd_quadfield(args) -> int:
             payload["pibar_coords"] = list(sp.pibar_coords)
             payload["pi_coords"] = list(sp.pi_coords)
             payload["log_pibar"] = encode_padic(sp.log_pibar)
-    _emit(payload, args.out)
+    _emit(payload)
     return 0
 
 
@@ -87,11 +85,13 @@ def cmd_cmform(args) -> int:
         "alpha": encode_padic(roots.alpha),
         "beta": encode_padic(roots.beta),
     }
-    _emit(payload, args.out)
+    _emit(payload)
     return 0
 
 
 def cmd_decompose(args) -> int:
+    if args.n * args.prec > MAX_DECOMPOSE_DIGITS:  # before p^N and the point count
+        raise ValueError(f"decompose lists n * prec up to {MAX_DECOMPOSE_DIGITS} digits")
     ctx = make_context(args.p, args.prec)
     spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
     dec = decompose(spec, args.n)
@@ -112,18 +112,22 @@ def cmd_decompose(args) -> int:
                 "beta": encode_padic(f.beta),
                 "archimedean_L": f"L(s + {f.shift}, f_{f.eta_power})  [symbolic]",
             })
-    _emit({"n": dec.n, "m": dec.m, "factors": factors}, args.out)
+    _emit({"n": dec.n, "m": dec.m, "factors": factors})
     return 0
 
 
 def cmd_critical(args) -> int:
-    _emit({"C": critical_integers(args.n, args.k)}, args.out)
+    _emit({"C": critical_integers(args.n, args.k)})
     return 0
 
 
 def cmd_trivial_zeros(args) -> int:
+    F = quad_field_data(args.d)
+    if args.certificates and trivial_zero_locations(None, args.n).locations:
+        # both certificates read g' at 0: its plan comes before p^N and the point count
+        _check_branch(0, F.character(), 0, 2, args.p, args.prec, args.prec)
     ctx = make_context(args.p, args.prec)
-    spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
+    spec = _curve_spec(args.curve, F, ctx)[1]
     rep = trivial_zero_locations(spec, args.n,
                                  with_certificates=args.certificates,
                                  n_cert=args.prec)
@@ -134,7 +138,7 @@ def cmd_trivial_zeros(args) -> int:
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
              "N_cert": c.n_cert}
             for c in rep.certificates]
-    _emit(payload, args.out)
+    _emit(payload)
     return 0
 
 
@@ -150,7 +154,7 @@ def cmd_klp(args) -> int:
         "N_cert": bs.n_cert,
         "J": bs.nodes_used,
     }
-    _emit(payload, args.out)
+    _emit(payload)
     return 0
 
 
@@ -167,7 +171,7 @@ def cmd_verify_fg(args) -> int:
         "residual_valuation": json_valuation(chk.residual_valuation),
         "result": "PASS" if chk.passed else "FAIL",
     }
-    _emit(payload, args.out)
+    _emit(payload)
     return 0 if chk.passed else 1
 
 
@@ -211,7 +215,7 @@ def cmd_linvariant(args) -> int:
     payload["checks"] = {k: ("PASS" if v else "FAIL") for k, v in sorted(checks.items())}
     ok = all(checks.values())
     payload["result"] = "PASS" if ok else "FAIL"
-    _emit(payload, args.out)
+    _emit(payload)
     return 0 if ok else 1
 
 
@@ -226,7 +230,7 @@ def cmd_acceptance(args) -> int:
         sys.stderr.write(f"[{status}] {r.name}  ({r.seconds}s)\n")
         rows.append({"name": r.name, "result": status, "seconds": r.seconds,
                      "detail": r.detail})
-    _emit({"criteria": rows, "result": "PASS" if ok else "FAIL"}, args.out)
+    _emit({"criteria": rows, "result": "PASS" if ok else "FAIL"})
     return 0 if ok else 1
 
 
@@ -237,8 +241,6 @@ def _arg(*flags, **kwargs) -> tuple:
 _P = _arg("--p", type=int, required=True, help="odd prime of the p-adic context")
 _PREC = _arg("--prec", type=int, default=8,
              help="certified digits / residual target (default 8)")
-_OUT = _arg("--out", type=str, default=None,
-            help="also write the JSON payload to this file")
 _CURVE = (_arg("--curve", type=_curve_arg, required=True,
                help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6"),
           _arg("--d", type=int, default=1,
@@ -251,44 +253,41 @@ _COMMANDS = {
     "quadfield": ("field invariants and the split-prime package",
                   (_arg("--p", type=int, required=False,
                         help="odd prime of the p-adic context"),
-                   _PREC, _OUT,
+                   _PREC,
                    _arg("--conjugate-lift", action="store_true",
                         help="label pi and pibar by the other embedding"),
                    *_FIELD),
                   cmd_quadfield),
     "cmform": ("a_p by point counting plus Hecke roots",
-               (_P, _PREC, _OUT, *_CURVE),
+               (_P, _PREC, *_CURVE),
                cmd_cmform),
     "decompose": ("symmetric-power factor list",
-                  (_P, _PREC, _OUT, *_CURVE,
+                  (_P, _PREC, *_CURVE,
                    _arg("--n", type=int, required=True, help="symmetric power")),
                   cmd_decompose),
     "critical": ("critical integers C_{n,k}",
-                 (_arg("--n", type=int, required=True), _arg("--k", type=int, required=True),
-                  _arg("--out", type=str, default=None)),
+                 (_arg("--n", type=int, required=True), _arg("--k", type=int, required=True)),
                  cmd_critical),
     "trivial-zeros": ("trivial-zero locations and certificates",
-                      (_P, _PREC, _OUT, *_CURVE, _arg("--n", type=int, required=True),
+                      (_P, _PREC, *_CURVE, _arg("--n", type=int, required=True),
                        _arg("--certificates", action="store_true",
                             help="attach order-1 certificates (c0, c1)")),
                       cmd_trivial_zeros),
     "klp": ("certified branch series of the p-adic L-function",
-            (_P, _PREC, _OUT, *_FIELD,
+            (_P, _PREC, *_FIELD,
              _arg("--branch", type=int, required=True, choices=(0, 1)),
              _arg("--at", type=int, required=True, choices=(0, 1),
                   help="expansion point s0"),
              _arg("--order", type=int, default=4)),
             cmd_klp),
     "verify-fg": ("derivative identity at the trivial zero",
-                  (_P, _PREC, _OUT, *_FIELD),
+                  (_P, _PREC, *_FIELD),
                   cmd_verify_fg),
     "linvariant": ("full L-invariant report with PASS/FAIL",
-                   (_P, _PREC, _OUT, *_CURVE,
+                   (_P, _PREC, *_CURVE,
                     _arg("--n", type=int, default=2, help="symmetric power (default 2)")),
                    cmd_linvariant),
-    "acceptance": ("run the whole acceptance battery",
-                   (_arg("--out", type=str, default=None),),
-                   cmd_acceptance),
+    "acceptance": ("run the whole acceptance battery", (), cmd_acceptance),
 }
 
 
@@ -331,11 +330,10 @@ def console_entry() -> None:
     Runs `main()`, flushes stdout and stderr, and ends the process with
     `os._exit`, so no time goes to tearing the interpreter down once the
     output is out.  A host process's `atexit` handlers (coverage, for
-    instance) do not run; cmlinv registers none, and `--out` is closed
-    before `main()` returns.  An argparse exit (usage error, `--help`), a
-    KeyboardInterrupt, an uncaught exception or a failed flush takes the
-    normal interpreter exit, with the output and exit code that
-    `sys.exit(main())` gives.
+    instance) do not run; cmlinv registers none.  An argparse exit (usage
+    error, `--help`), a KeyboardInterrupt, an uncaught exception or a
+    failed flush takes the normal interpreter exit, with the output and
+    exit code that `sys.exit(main())` gives.
     """
     code = main()
     try:

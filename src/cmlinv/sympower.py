@@ -29,6 +29,7 @@ __all__ = [
     "TrivialZeroReport",
     "TrivialZeroCertificate",
     "decompose",
+    "MAX_DECOMPOSE_DIGITS",
     "MAX_CRITICAL_WEIGHT",
     "critical_integers",
     "trivial_zero_locations",
@@ -88,6 +89,13 @@ def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
     return SymPowerDecomposition(n=n, m=m, spec=spec, factors=tuple(factors))
 
 
+# The largest n * N `cmlinv decompose` lists, n/2 factors of two N-digit roots:
+# with Python 3.11 on a 2-vCPU VM at p = 5 it takes 0.2-0.6 s and writes
+# 0.2-1.3 MB at n * N = 10^5 for N >= 10 (2.1 s, 11 MB, 107 MB RSS at N = 1);
+# n = 10^5 at N = 10 took 2.3 s, 13 MB and 125 MB, and 10^6 would need 1.1 GB.
+MAX_DECOMPOSE_DIGITS = 10**5
+
+
 # The largest weight `critical_integers` lists, about k integers: with Python 3.11
 # on a 2-vCPU VM, `cmlinv critical --n 4` takes 0.35-0.39 s and writes 7.4 MB
 # at k = 10^6; the output grows with k, to 84 MB at k = 10^7.
@@ -135,7 +143,8 @@ def trivial_zero_locations(spec: CMFormSpec, n: int,
                            with_certificates: bool = False,
                            n_cert: int = 8) -> TrivialZeroReport:
     """Exactly two order-1 trivial zeroes, at (branch 0, s=0) and
-    (branch 1, s=1), when n = 2m with m odd; none otherwise."""
+    (branch 1, s=1), when n = 2m with m odd; none otherwise.  The
+    locations depend on n alone: spec is read only for the certificates."""
     if n < 1:
         raise ValueError("n must be >= 1")
     m = n // 2

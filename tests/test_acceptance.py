@@ -11,8 +11,7 @@ import sys
 
 import pytest
 
-from cmlinv.acceptance import CRITERIA, run_all
-from cmlinv.quadfield import _split_prime_data
+from cmlinv.acceptance import CRITERIA
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -23,11 +22,3 @@ def test_criterion(criterion):
     print(line)
     sys.stderr.write(line + "\n")
     assert result.passed, json.dumps(result.detail, sort_keys=True, default=str)
-
-
-def test_acceptance_builds_each_split_prime_once():
-    # AC-1's four pairs and AC-3's four primes; AC-8's lifted calls relabel
-    # AC-1's packages, and its suite calls share AC-1's and AC-3's keys
-    _split_prime_data.cache_clear()
-    run_all()
-    assert _split_prime_data.cache_info().misses == 8

@@ -12,7 +12,7 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_teichmuller_power, dirichlet_L_nonpositive,
                                gen_bernoulli, is_fundamental_discriminant,
                                trivial_character)
-from cmlinv.padic import make_context, ordp
+from cmlinv.padic import make_context, ordp, teichmuller
 from cmlinv.quadfield import quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -203,12 +203,12 @@ def test_fundamental_discriminant_gate():
 # --- Teichmuller powers -----------------------------------------------------------
 
 def padic_value(chi, a, ctx):
-    """chi(a) in Z_p read from value_pair: sign * zeta^e, zeta the Teichmuller generator."""
+    """chi(a) in Z_p read from value_pair: sign * zeta^e, zeta the Teichmuller lift of g."""
     pair = chi.value_pair(a)
     if pair is None:
         return ctx.zero()
     s, e = pair
-    return s * characters._teichmuller_generator(ctx) ** e
+    return s * teichmuller(ctx.from_int(characters._primitive_root(ctx.p))) ** e
 
 
 def test_omega_zero_is_trivial_mod_one():

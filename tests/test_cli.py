@@ -13,6 +13,7 @@ import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
 from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
+from cmlinv.sympower import MAX_DECOMPOSE_DIGITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -141,10 +142,12 @@ def test_field_flags_must_name_one_field(capsys, command):
     ["linvariant", "--p", "5", "--curve", "0,-1,0", "--D", "-4"],
     ["verify-fg", "--p", "5", "--D", "-4", "--conjugate-lift"],
     ["linvariant", "--p", "5", "--curve", "0,-1,0", "--conjugate-lift"],
+    ["verify-fg", "--p", "5", "--D", "-4", "--out", "payload.json"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     # the level is always the desk curve's 32; linvariant names its field by --d;
-    # the embedding changes no verdict, so only quadfield's labels take it
+    # the embedding changes no verdict, so only quadfield's labels take it;
+    # the payload goes to stdout only
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2 and capsys.readouterr().out == ""
@@ -186,14 +189,6 @@ def test_golden_files(capsys, name, argv):
     assert code == 0
     golden = (FIXTURES / f"{name}.json").read_text(encoding="ascii")
     assert out == golden
-
-
-def test_out_flag_writes_identical_bytes(capsys, tmp_path):
-    target = tmp_path / "payload.json"
-    code, out = run_cli(capsys, "critical", "--n", "2", "--k", "5",
-                        "--out", str(target))
-    assert code == 0
-    assert target.read_text(encoding="ascii") == out
 
 
 def test_unknown_flag_is_an_error(capsys):
@@ -246,6 +241,8 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
     ("klp", "--p", "62501", "--D", "-4", "--branch", "1", "--at", "0",
      "--order", "6", "--prec", "4"),
     ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "10000000"),
+    ("trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--certificates",
+     "--prec", "10000000"),
 ])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
     # each ran until killed before the ceiling; the second would first build
@@ -255,7 +252,8 @@ def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
     # work: a search over j and p^N (1.1 s at 10^6 digits, killed at 15 s at
     # 10^7), a sum over k (order 3 * 10^7), pi_bar and the unit root
     # (linvariant at 10^5 digits), the table at s0 = 0 before the one at 1
-    # (0.86 s), or p^N and the point count (linvariant at 10^7 digits, 8.6 s)
+    # (0.86 s), or p^N and the point count (linvariant at 10^7 digits, 8.6 s;
+    # trivial-zeros --certificates at 10^7 digits, 7.5-8.5 s)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
@@ -280,6 +278,24 @@ def test_critical_over_the_weight_ceiling_exits_two(capsys):
     code, out = run_cli(capsys, "critical", "--n", "4", "--k", "100000000")
     assert time.perf_counter() - t0 < 0.5
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("n, prec", [("1000000", "10"), ("100000", "10"),
+                                     ("6", "1000000"), ("20", "5001")])
+def test_decompose_over_the_output_ceiling_exits_two(capsys, n, prec):
+    # n = 10^5 at 10 digits took 2.3 s and wrote 13 MB; 10^6 would need about 1.1 GB
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "decompose", "--p", "5", "--curve", "0,-1,0",
+                        "--n", n, "--prec", prec)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+
+
+def test_decompose_at_the_output_ceiling_completes(capsys):
+    assert 20 * 5000 == MAX_DECOMPOSE_DIGITS
+    code, out = run_cli(capsys, "decompose", "--p", "5", "--curve", "0,-1,0",
+                        "--n", "20", "--prec", "5000")
+    assert code == 0 and len(json.loads(out)["factors"]) == 11
 
 
 @pytest.mark.parametrize("p", ["9", "2"])
@@ -381,14 +397,6 @@ def test_vacuous_verification_rejected(capsys, argv, bad):
     assert code == 2 and out == ""
 
 
-def test_out_into_missing_directory_exits_two(capsys, tmp_path):
-    code = main(["verify-fg", "--D", "-4", "--p", "5",
-                 "--out", str(tmp_path / "missing" / "x.json")])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
 def test_verify_fg_256_digits_pinned(capsys):
     # the golden fixtures stop at 16 digits; this pins the whole payload at 256
     code, out = run_cli(capsys, "verify-fg", "--D", "-40", "--p", "13", "--prec", "256")
@@ -407,7 +415,7 @@ def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeyp
     assert json.loads(json.dumps({"v": json_valuation(math.inf)})) == {"v": None}
     assert json_valuation(7) == 7
     with pytest.raises(ValueError):
-        cli_mod._emit({"x": float("inf")}, None)
+        cli_mod._emit({"x": float("inf")})
 
     def exact_fg(F, p, ctx, target=6):
         z = ctx.zero()
@@ -466,13 +474,6 @@ def test_process_unknown_flag_prints_the_full_usage(capsys, monkeypatch):
     assert proc.stdout == b""
     assert proc.stderr.decode("ascii") == full
     assert "usage: cmlinv" in full and "unrecognized arguments: --frobnicate" in full
-
-
-def test_process_out_file_equals_stdout(tmp_path):
-    target = tmp_path / "payload.json"
-    proc = run_process("critical", "--n", "2", "--k", "5", "--out", str(target))
-    assert proc.returncode == 0
-    assert target.read_bytes() == proc.stdout != b""
 
 
 def test_main_returns_the_exit_code(capsys):

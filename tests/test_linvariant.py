@@ -2,22 +2,26 @@
 
 import dataclasses
 import importlib
+import json
 import pkgutil
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 import cmlinv
 from cmlinv.acceptance import ac6_critical_containment
 from cmlinv.characters import char_from_kronecker
-from cmlinv.cmform import cm_spec, cm_spec_from_curve, unit_root
+from cmlinv.cli import main
+from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
+                           curve_discriminant, unit_root)
 from cmlinv.kl import branch_series
 from cmlinv.linvariant import (full_report, l_invariant_analytic,
                                l_invariant_via_alpha, verify_ferrero_greenberg,
                                verify_trivial_zero_formula)
 from cmlinv.padic import PadicNumber, iwasawa_log, make_context, padic_exp
-from cmlinv.quadfield import (_split_prime_data, pi_bar, quad_field_data,
-                              quad_field_from_discriminant)
+from cmlinv.quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
+                              split_behavior)
 from cmlinv.sympower import decompose, trivial_zero_locations
 
 CURVE = (0, -1, 0)
@@ -72,6 +76,56 @@ def test_full_report_agreement():
     assert rep.agreement_valuation >= 14
     assert rep.fg_check.passed
     assert rep.l_via_alpha is not None
+
+
+# --- the unit-root route at every class-number-1 field ----------------------------
+
+# d -> (j(O_K), a_p at the first split prime of good reduction): each of the nine
+# imaginary quadratic fields of class number 1 has a CM curve over Q with that j
+# (Silverman, Advanced Topics, Appendix A), whose point count gives an a_p that
+# does not come from the norm equation of the field route
+CM_CURVES = {3: (0, (7, -4)), 1: (1728, (5, -2)), 7: (-3375, (11, 4)),
+             2: (8000, (11, 6)), 11: (-32768, (5, -3)), 19: (-884736, (5, 1)),
+             43: (-884736000, (11, 1)), 67: (-147197952000, (17, 1)),
+             163: (-262537412640768000, (41, 1))}
+
+
+def cm_curve(j):
+    """(a4, a6) of a curve over Q with j-invariant j; twists change no L-invariant."""
+    if j == 0:
+        return (0, 1)
+    if j == 1728:
+        return (-1, 0)
+    return (3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
+
+
+@pytest.mark.parametrize("d", CM_CURVES)
+def test_unit_root_route_agrees_at_every_class_number_one_field(d):
+    j, pinned = CM_CURVES[d]
+    curve, F = cm_curve(j), quad_field_data(d)
+    primes = [p for p in range(5, 100) if all(p % q for q in range(2, p))
+              and split_behavior(F, p) == "split" and curve_discriminant(curve) % p][:5]
+    assert ap_point_count(curve, primes[0]) == pinned[1] and primes[0] == pinned[0]
+    for p in primes:
+        # CM by O_K: a_p is the trace of a generator of norm p, a_p^2 - D y^2 = 4p
+        ap = ap_point_count(curve, p)
+        y2, r = divmod(4 * p - ap * ap, -F.D)
+        assert r == 0 and isqrt(y2) ** 2 == y2, (d, p)
+        rep = full_report(cm_spec_from_curve(curve, d, 32, make_context(p, 12)), target=8)
+        assert rep.fg_check.passed and rep.agreement_valuation >= 12, (d, p)
+
+
+@pytest.mark.parametrize("p", ["29", "37", "53"])
+def test_unit_root_agreement_fails_on_the_wrong_field(capsys, p):
+    # the D = -7 curve passes under its own field and agrees to one digit under Q(i)
+    argv = ["linvariant", "--p", p, "--curve=%d,%d" % cm_curve(-3375), "--n", "2"]
+    assert main([*argv, "--d", "7"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--d", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"]["unit_root_agreement"] == "FAIL"
+    assert payload["checks"]["fg_identity"] == "PASS"
+    assert payload["agreement_valuation"] == 1
 
 
 # --- the family exponential -----------------------------------------------------
@@ -245,24 +299,6 @@ def test_target_below_one_rejected_before_any_work(monkeypatch, target):
     for check in checks:
         with pytest.raises(ValueError, match="target"):
             check()
-
-
-def test_pi_bar_built_once_per_report():
-    # full_report reaches pi_bar twice and each formula check once more;
-    # all of them share one cached build, equal to a fresh one
-    spec = _spec()
-    _split_prime_data.cache_clear()
-    full_report(spec, target=6)
-    for i in (0, 1):
-        verify_trivial_zero_formula(spec, 2, i)
-    assert _split_prime_data.cache_info().misses == 1
-    cached = pi_bar(spec.field, 5, spec.context)
-    fresh = _split_prime_data.__wrapped__(spec.field, 5, spec.context, None)
-    assert cached.pibar_coords == fresh.pibar_coords
-    assert cached.pi_coords == fresh.pi_coords
-    for name in ("sqrt_disc", "pibar_unit", "log_pibar"):
-        a, b = getattr(cached, name), getattr(fresh, name)
-        assert repr(a) == repr(b) and a.abs_prec == b.abs_prec, name
 
 
 # --- the records ----------------------------------------------------------------

@@ -16,8 +16,7 @@ from cmlinv.padic import (_GCD_INVERSE_BITS, _LOG_PLANS, PadicNumber,
                           _log_plan, _log_reduction, _log_terms, _log_units,
                           hensel_lift, iwasawa_log, make_context, ordp,
                           padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
-from cmlinv.quadfield import (_split_prime_data, pi_bar,
-                              quad_field_from_discriminant)
+from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
 
@@ -397,6 +396,9 @@ def test_log_reduction_bounds_cover_every_term():
     for p in (3, 5, 7, 13, 29, 97):
         for T in (*range(1, 40), 64, 100, 128, 257, 512, 1024):
             k, n, e, s = _log_reduction(T, p)
+            # the docstring's rule: the least k >= 1 with (k+1)^3 bitlen(p)^2 > 4T
+            b2 = p.bit_length() ** 2
+            assert (k + 1) ** 3 * b2 > 4 * T and (k == 1 or k**3 * b2 <= 4 * T), (p, T)
             # every r in (n, n + 2 p^3): past n + p only multiples of p can
             # fall below r = n + 1, so the others are skipped
             dropped = [*range(n + 1, n + p + 1), *range(p * (n // p + 1), n + 2 * p**3, p)]
@@ -473,7 +475,6 @@ def test_log_plan_cold_and_warm_match_horner_oracle():
 def test_both_l_invariant_routes_share_one_log_plan():
     ctx = make_context(5, 64)
     spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
-    _split_prime_data.cache_clear()
     _log_plan.cache_clear()
     l_invariant_analytic(spec.field, 5, ctx)
     l_invariant_via_alpha(spec)

@@ -7,8 +7,7 @@ import pytest
 
 from cmlinv.characters import is_fundamental_discriminant
 from cmlinv.padic import _is_prime, iwasawa_log, make_context, sqrt_mod_prime
-from cmlinv.quadfield import (MAX_ABS_DISCRIMINANT, QuadFieldData,
-                              _norm_solution, _split_prime_data, pi_bar,
+from cmlinv.quadfield import (MAX_ABS_DISCRIMINANT, _norm_solution, pi_bar,
                               quad_field_data, quad_field_from_discriminant,
                               reduced_forms, split_behavior)
 from test_characters import kronecker_symbol
@@ -250,18 +249,6 @@ def test_large_class_number_norm_equation():
         assert not (x % p == 0 and y % p == 0)
         assert sp.pibar_unit.valuation() == 0
         assert embed(sp, sp.pi_coords).valuation() == h
-
-
-def test_equal_fields_share_one_split_prime_build():
-    # the cache key hashes the field by value: two equal fields built
-    # apart find one entry, so pi_bar is built once
-    a, b = quad_field_data(1), QuadFieldData(d=1, D=-4, h=1, w=4)
-    assert a == b and hash(a) == hash(b) and a is not b
-    _split_prime_data.cache_clear()
-    first = pi_bar(a, 5, CTX5)
-    assert pi_bar(b, 5, CTX5) is first
-    info = _split_prime_data.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_pibar_gaussian_at_five_default_lift():
