@@ -22,8 +22,8 @@ from .linvariant import (full_report, verify_ferrero_greenberg,
 from .padic import PadicNumber, json_valuation, make_context
 from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
-from .sympower import (MAX_DECOMPOSE_DIGITS, critical_integers, decompose,
-                       trivial_zero_locations)
+from .sympower import (_DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS, critical_integers,
+                       decompose, trivial_zero_locations)
 
 __all__ = ["main", "console_entry"]
 
@@ -90,8 +90,9 @@ def cmd_cmform(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.n * args.prec > MAX_DECOMPOSE_DIGITS:  # before p^N and the point count
-        raise ValueError(f"decompose lists n * prec up to {MAX_DECOMPOSE_DIGITS} digits")
+    if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:  # before p^N
+        raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
+                         f"up to {MAX_DECOMPOSE_DIGITS} digits")
     ctx = make_context(args.p, args.prec)
     spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
     dec = decompose(spec, args.n)

@@ -10,6 +10,7 @@ x = a_p mod p in integers, and beta_p = psi(p) p^(k-1) / alpha_p.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isqrt
 
 from .characters import DirichletCharacter, trivial_character
 from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
@@ -106,14 +107,26 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 
 def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
                        ctx: PadicContext) -> CMFormSpec:
-    """Weight-2, trivial-nebentypus spec with a_p counted on the given curve."""
+    """Weight-2, trivial-nebentypus spec with a_p counted on the given curve.
+
+    Refuses a curve whose a_p is not the trace of an element of norm p in
+    Q(sqrt(-d)) (see `_curve_spec`).
+    """
     return _curve_spec(curve, quad_field_data(d), ctx, level)[1]
 
 
 def _curve_spec(curve, F, ctx, level=32) -> tuple[int, CMFormSpec]:
-    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's)
-    ap = ap_point_count(curve, ctx.p)
-    return ap, cm_spec(F, 2, trivial_character(), ap, level, ctx)
+    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's).
+    # CM by an order of F at a split p makes Frobenius (a_p + y sqrt(D))/2 of norm p,
+    # so 4p - a_p^2 = |D| y^2 for an integer y; a curve with CM by another field fails this
+    p = ctx.p
+    ap = ap_point_count(curve, p)
+    spec = cm_spec(F, 2, trivial_character(), ap, level, ctx)  # ordinary and split first
+    y2, r = divmod(4 * p - ap * ap, -F.D)
+    if r or isqrt(y2) ** 2 != y2:
+        raise ValueError(f"a_p = {ap} at p = {p} is not the trace of an element of norm p "
+                         f"in Q(sqrt({F.D})): the curve has no CM by that field")
+    return ap, spec
 
 
 class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):

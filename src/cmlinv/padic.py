@@ -514,10 +514,11 @@ def _log_reduction(T: int, p: int) -> tuple[int, int, int, int]:
     return k, n, e, max(1, math.isqrt((T + k + e - 1) // (k + 1) // 2))
 
 
-# The two L-invariant routes share the plan at their (p, N).  Measured reuse:
-# 48 hits from 16 plans in field-twoway, 35 from 19 in `cmlinv acceptance`,
-# as many as an unbounded cache gets.  A plan at 512 digits of 29 holds
-# about 10 KB, one at 16384 digits about 0.6 MB.
+# Every log at one (p, T) shares the plan: each `_log_value` miss and each
+# `kl._logs` call reads it.  Measured reuse: 16 hits from 16 plans in
+# field-twoway and 7 from 19 in `cmlinv acceptance`, as many as an unbounded
+# cache gets.  A plan at 512 digits of 29 holds about 10 KB, one at 16384
+# digits about 0.6 MB.
 _LOG_PLANS = 16
 
 
@@ -525,7 +526,7 @@ _LOG_PLANS = 16
 def _log_plan(p: int, T: int) -> tuple:
     # what `_log_units` needs at (p, T) before it sees a unit, a pure function
     # of (p, T): (E, mods, d, lows, cols, shift, scale, p^T) in the notation
-    # of the `iwasawa_log` docstring.  It holds no log value
+    # of the `iwasawa_log` docstring.  It holds no log value; `_log_value` does
     k, n, e, s = _log_reduction(T, p)
     M = T + k + e
     top = (M - 1) // (k + 1)  # < n; later terms vanish mod p^M
@@ -563,6 +564,21 @@ def _log_units(units, p: int, T: int) -> list:
             acc = hs[b] + d * (xs[b] * acc % mods[b + 1])
         logs.append(acc // shift * scale % mT)
     return logs
+
+
+# log<u> mod p^T is a pure function of (u, p, T), and the two L-invariant
+# routes ask for it twice whenever a_p is the trace of the generator of
+# pibar^h: the unit root alpha_p and pibar are then one integer mod p^T.
+# Measured reuse: 32 hits from 32 logs in field-twoway, none from 12 in
+# fg-grid, 28 from 15 in `cmlinv acceptance`.  An entry (unit and value) at
+# 512 digits of 29 holds about 0.7 KB, one at 16384 digits about 20 KB.
+_LOG_VALUES = 16
+
+
+@lru_cache(maxsize=_LOG_VALUES)
+def _log_value(u: int, p: int, T: int) -> int:
+    # log<u> mod p^T in [0, p^T) for one integer u prime to p
+    return _log_units((u,), p, T)[0]
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
@@ -620,15 +636,21 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     moduli p^(M_b), the coefficient columns, q^s, the shift p^(k+e), the
     scale ((L/p^e)(p-1))^-1 mod p^T and p^T -- is a pure function of
     (p, T).  `_log_plan(p, T)` builds it once, and an lru_cache of
-    _LOG_PLANS entries keeps it, so the two L-invariant routes at one
-    (p, N) build one plan between them.  The cache holds no log value:
-    each call still sums its own series.
+    _LOG_PLANS entries keeps it.
+
+    Memo.  The value itself is a pure function of (u, p, T), and
+    `_log_value` keeps the last _LOG_VALUES of them.  When a_p is the
+    trace of the generator of pibar^h, the Hecke unit root alpha_p and
+    pibar are the same integer mod p^T, so the two L-invariant routes sum
+    one series between them.  A hit needs that same integer at the same
+    (p, T), so the check of one route against the other loses nothing:
+    units that differ by a root of unity still sum their own series.
     """
     if x.is_zero():
         raise ValueError("iwasawa_log of zero")
     ctx = x.context
     p, T = ctx.p, x.rel_prec
-    acc = _log_units((x.unit_int(),), p, T)[0]
+    acc = _log_value(x.unit_int(), p, T)
     if acc == 0:
         return PadicNumber(ctx, None, 0, T)
     v, u = _split_p(acc, p)

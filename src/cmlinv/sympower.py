@@ -89,11 +89,15 @@ def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
     return SymPowerDecomposition(n=n, m=m, spec=spec, factors=tuple(factors))
 
 
-# The largest n * N `cmlinv decompose` lists, n/2 factors of two N-digit roots:
-# with Python 3.11 on a 2-vCPU VM at p = 5 it takes 0.2-0.6 s and writes
-# 0.2-1.3 MB at n * N = 10^5 for N >= 10 (2.1 s, 11 MB, 107 MB RSS at N = 1);
-# n = 10^5 at N = 10 took 2.3 s, 13 MB and 125 MB, and 10^6 would need 1.1 GB.
+# The largest n * (N + _DECOMPOSE_OVERHEAD) `cmlinv decompose` lists, n/2
+# factors of two N-digit roots.  Each factor also writes about 100 bytes and
+# holds about 1 KB whatever N is: at p = 5 and n = 10^4 the output is 1.10 MB
+# at N = 1 and 1.29 MB at N = 10, about 2.1 n (N + 50) bytes.  With Python 3.11
+# on a 2-vCPU VM the ceiling lets through at most about 0.2 MB and 0.2-0.5 s
+# (n = 2, N = 49950: 0.5 s); n = 10^5 at N = 1 took 2.4 s, 11 MB and 107 MB RSS
+# under the n * N ceiling, and 10^6 at N = 10 would need about 1.1 GB.
 MAX_DECOMPOSE_DIGITS = 10**5
+_DECOMPOSE_OVERHEAD = 50
 
 
 # The largest weight `critical_integers` lists, about k integers: with Python 3.11

@@ -13,7 +13,7 @@ import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
 from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
-from cmlinv.sympower import MAX_DECOMPOSE_DIGITS
+from cmlinv.sympower import _DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -281,9 +281,12 @@ def test_critical_over_the_weight_ceiling_exits_two(capsys):
 
 
 @pytest.mark.parametrize("n, prec", [("1000000", "10"), ("100000", "10"),
-                                     ("6", "1000000"), ("20", "5001")])
+                                     ("6", "1000000"), ("20", "5001"),
+                                     ("100000", "1"), ("20", "4951")])
 def test_decompose_over_the_output_ceiling_exits_two(capsys, n, prec):
-    # n = 10^5 at 10 digits took 2.3 s and wrote 13 MB; 10^6 would need about 1.1 GB
+    # n = 10^5 at 10 digits took 2.3 s and wrote 13 MB; 10^6 would need about 1.1 GB.
+    # Each factor costs about 50 digits' worth whatever prec is: n = 10^5 at one
+    # digit took 2.4 s, wrote 11 MB and peaked at 107 MB RSS under an n * prec ceiling
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "decompose", "--p", "5", "--curve", "0,-1,0",
                         "--n", n, "--prec", prec)
@@ -292,10 +295,21 @@ def test_decompose_over_the_output_ceiling_exits_two(capsys, n, prec):
 
 
 def test_decompose_at_the_output_ceiling_completes(capsys):
-    assert 20 * 5000 == MAX_DECOMPOSE_DIGITS
+    assert 20 * (4950 + _DECOMPOSE_OVERHEAD) == MAX_DECOMPOSE_DIGITS
     code, out = run_cli(capsys, "decompose", "--p", "5", "--curve", "0,-1,0",
-                        "--n", "20", "--prec", "5000")
+                        "--n", "20", "--prec", "4950")
     assert code == 0 and len(json.loads(out)["factors"]) == 11
+
+
+@pytest.mark.parametrize("command", [("trivial-zeros", "--n", "2", "--certificates"),
+                                     ("decompose", "--n", "2"), ("cmform",),
+                                     ("linvariant",)])
+def test_curve_without_cm_by_the_field_exits_two(capsys, command):
+    # y^2 = x^3 - x has CM by Q(i): a_5 = -2, and 4 * 5 - 4 = 16 is not 24 y^2
+    code = main([*command, "--p", "5", "--curve", "0,-1,0", "--d", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no CM by that field" in captured.err
 
 
 @pytest.mark.parametrize("p", ["9", "2"])

@@ -232,3 +232,12 @@ def test_unit_root_matches_newton_oracle_on_synthetic_weight_three():
         spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
                         base.alpha**2 + base.beta**2, 32, ctx)
         _assert_roots_match_oracle(spec3)
+
+
+def test_curve_spec_refuses_a_curve_without_cm_by_the_field():
+    # y^2 = x^3 - x has CM by Q(i); its a_5 = -2 is no trace of an element of
+    # norm 5 in Q(sqrt(-6)), since 4 * 5 - 4 = 16 is not 24 y^2
+    ctx = make_context(5, 8)
+    assert cm_spec_from_curve(CURVE, 1, 32, ctx).ap == -2
+    with pytest.raises(ValueError, match="no CM by that field"):
+        cm_spec_from_curve(CURVE, 6, 32, ctx)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import importlib
-import json
 import pkgutil
 from fractions import Fraction
 from math import isqrt
@@ -11,7 +10,7 @@ import pytest
 
 import cmlinv
 from cmlinv.acceptance import ac6_critical_containment
-from cmlinv.characters import char_from_kronecker
+from cmlinv.characters import char_from_kronecker, trivial_character
 from cmlinv.cli import main
 from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
                            curve_discriminant, unit_root)
@@ -117,15 +116,19 @@ def test_unit_root_route_agrees_at_every_class_number_one_field(d):
 
 @pytest.mark.parametrize("p", ["29", "37", "53"])
 def test_unit_root_agreement_fails_on_the_wrong_field(capsys, p):
-    # the D = -7 curve passes under its own field and agrees to one digit under Q(i)
-    argv = ["linvariant", "--p", p, "--curve=%d,%d" % cm_curve(-3375), "--n", "2"]
+    # the D = -7 curve passes under its own field; under Q(i) the CLI refuses it
+    # (its a_p is no trace of an element of norm p there), and its a_p fed to the
+    # unit-root route over Q(i) agrees with the field route to one digit only
+    curve = cm_curve(-3375)
+    argv = ["linvariant", "--p", p, "--curve=%d,%d" % curve, "--n", "2"]
     assert main([*argv, "--d", "7"]) == 0
     capsys.readouterr()
-    assert main([*argv, "--d", "1"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["checks"]["unit_root_agreement"] == "FAIL"
-    assert payload["checks"]["fg_identity"] == "PASS"
-    assert payload["agreement_valuation"] == 1
+    assert main([*argv, "--d", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    ctx = make_context(int(p), 32)
+    ap = ap_point_count(curve, int(p))
+    rep = full_report(cm_spec(quad_field_data(1), 2, trivial_character(), ap, 32, ctx))
+    assert rep.agreement_valuation == 1 and rep.fg_check.passed
 
 
 # --- the family exponential -----------------------------------------------------

@@ -1,9 +1,12 @@
 """Exact Q_p arithmetic: constructors, special functions, precision model."""
 
 import hashlib
+import importlib
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +14,15 @@ from hypothesis import strategies as st
 
 from cmlinv.cmform import cm_spec_from_curve
 from cmlinv.linvariant import l_invariant_analytic, l_invariant_via_alpha
-from cmlinv.padic import (_GCD_INVERSE_BITS, _LOG_PLANS, PadicNumber,
+from cmlinv.padic import (_GCD_INVERSE_BITS, _LOG_PLANS, _LOG_VALUES, PadicNumber,
                           _base_p_digits, _floor_log, _inverse, _is_prime,
                           _log_plan, _log_reduction, _log_terms, _log_units,
-                          hensel_lift, iwasawa_log, make_context, ordp,
+                          _log_value, hensel_lift, iwasawa_log, make_context, ordp,
                           padic_exp, sqrt_mod_prime, sqrt_unit, teichmuller)
 from cmlinv.quadfield import pi_bar, quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # sha256 of repr(log_pibar) for Q(sqrt(-167)), h = 11, at p = 29 and 1024 digits
 LOG_PIBAR_167_29_SHA256 = "67d8fcf0e404b59fdcee1ce41f3cd6344d93b167983b96cbf0cd71d749d349d9"
@@ -475,11 +479,72 @@ def test_log_plan_cold_and_warm_match_horner_oracle():
 def test_both_l_invariant_routes_share_one_log_plan():
     ctx = make_context(5, 64)
     spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
+    _log_value.cache_clear()  # a remembered log would skip the plan
     _log_plan.cache_clear()
     l_invariant_analytic(spec.field, 5, ctx)
     l_invariant_via_alpha(spec)
     info = _log_plan.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _field_twoway_item():
+    # the first h > 1 item of the field-twoway benchmark at seed 0, built as it builds it
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    item = next(it for it in workloads.plan("field-twoway", 0) if it["h"] > 1)
+    return item, workloads.prepare("field-twoway", item)
+
+
+def test_both_l_invariant_routes_share_one_log_value():
+    # a_p is the trace of the generator of pibar^h, so alpha_p is pibar mod p^T
+    item, (F, ctx, spec) = _field_twoway_item()
+    _log_value.cache_clear()
+    l_invariant_analytic(F, item["p"], ctx)
+    l_invariant_via_alpha(spec)
+    info = _log_value.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_log_value_memo_matches_a_fresh_log():
+    _, (_, _, spec) = _field_twoway_item()
+    _log_value.cache_clear()
+    l_invariant_via_alpha(spec)
+    remembered = l_invariant_via_alpha(spec)
+    assert _log_value.cache_info().hits == 1
+    _log_value.cache_clear()
+    assert _same(remembered, l_invariant_via_alpha(spec))
+    assert _log_value.cache_info().misses == 1
+
+
+def test_routes_that_differ_by_a_root_of_unity_sum_their_own_logs():
+    # at p = 5 the unit root of y^2 = x^3 - x is pibar times a fourth root of
+    # unity: equal logs, but two integers, so two series
+    ctx = make_context(5, 64)
+    spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
+    _log_value.cache_clear()
+    l_invariant_analytic(spec.field, 5, ctx)
+    l_invariant_via_alpha(spec)
+    info = _log_value.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+
+
+def test_log_value_keys_never_mix_precisions_or_primes():
+    _log_value.cache_clear()
+    a, b, c = (iwasawa_log(make_context(p, N).from_int(2))
+               for p, N in ((29, 64), (29, 32), (31, 64)))
+    info = _log_value.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+    assert (a.abs_prec, b.abs_prec, c.abs_prec) == (64, 32, 64)
+    assert _log_value(2, 29, 32) == b.residue(32) != a.residue(64)
+    assert _log_value(2, 31, 64) == c.residue(64) != a.residue(64)
+
+
+def test_log_value_cache_is_bounded():
+    assert _log_value.cache_info().maxsize == _LOG_VALUES
+    assert 0 < _LOG_VALUES <= 64
 
 
 def test_log_plan_holds_no_log_value():
