@@ -87,7 +87,7 @@ def ac3_unit_root_identity():
     ok = True
     for p in CURVE_PRIMES:
         ctx = make_context(p, 16)
-        spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+        spec = cm_spec_from_curve(CURVE, ctx)
         sp = pi_bar(spec.field, p, ctx)
         roots = unit_root(spec)
         resid = (iwasawa_log(roots.alpha)
@@ -132,7 +132,7 @@ def ac4_interpolation_oracle():
 def ac5_trivial_zero_classification():
     """Locations and order-1 certificates for n = 1..12 on the p = 5 spec."""
     ctx = make_context(5, 12)
-    spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
     expected_nonempty = {2, 6, 10}
     detail = {}
     ok = True
@@ -233,14 +233,14 @@ def ac8_embedding_swap():
         ok = ok and swapped and same_log and chk.passed
     for p in CURVE_PRIMES:
         ctx = make_context(p, 16)
-        spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+        spec = cm_spec_from_curve(CURVE, ctx)
         rep = full_report(spec, target=TARGET)
         good = rep.fg_check.passed and rep.agreement_valuation >= TARGET
         detail[f"curve,p={p}"] = {
             "agreement_valuation": json_valuation(rep.agreement_valuation), "passed": good}
         ok = ok and good
     ctx = make_context(5, 12)
-    spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
     for i in (0, 1):
         r = verify_trivial_zero_formula(spec, 2, i, target=TARGET)
         detail[f"formula,i={i}"] = {"residual_valuation": json_valuation(r.residual_valuation),

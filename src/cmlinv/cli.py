@@ -15,12 +15,12 @@ import json
 import os
 import sys
 
-from .cmform import _curve_spec, unit_root
+from .cmform import _curve_field, _curve_spec, unit_root
 from .kl import _check_branch, branch_series
 from .linvariant import (full_report, verify_ferrero_greenberg,
                          verify_trivial_zero_formula)
-from .padic import PadicNumber, json_valuation, make_context
-from .quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
+from .padic import PadicNumber, _check_prime, json_valuation, make_context
+from .quadfield import (_check_split, pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import (_DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS, critical_integers,
                        decompose, trivial_zero_locations)
@@ -58,6 +58,14 @@ def _field_from_args(args):
     return F
 
 
+def _curve_field_split(args):
+    # the field the curve's j names, with p split in it: before p^N, the plans and the count
+    F = _curve_field(args.curve)
+    _check_prime(args.p)
+    _check_split(F, args.p)
+    return F
+
+
 def cmd_quadfield(args) -> int:
     F = _field_from_args(args)
     payload = {"d": F.d, "D": F.D, "h": F.h, "w": F.w}
@@ -76,8 +84,8 @@ def cmd_quadfield(args) -> int:
 
 
 def cmd_cmform(args) -> int:
-    ctx = make_context(args.p, args.prec)
-    ap, spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)
+    F = _curve_field_split(args)
+    ap, spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -93,8 +101,8 @@ def cmd_decompose(args) -> int:
     if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:  # before p^N
         raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
                          f"up to {MAX_DECOMPOSE_DIGITS} digits")
-    ctx = make_context(args.p, args.prec)
-    spec = _curve_spec(args.curve, quad_field_data(args.d), ctx)[1]
+    F = _curve_field_split(args)
+    spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))[1]
     dec = decompose(spec, args.n)
     factors = []
     for f in dec.factors:
@@ -123,7 +131,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_trivial_zeros(args) -> int:
-    F = quad_field_data(args.d)
+    F = _curve_field_split(args)
     if args.certificates and trivial_zero_locations(None, args.n).locations:
         # both certificates read g' at 0: its plan comes before p^N and the point count
         _check_branch(0, F.character(), 0, 2, args.p, args.prec, args.prec)
@@ -180,7 +188,7 @@ def cmd_linvariant(args) -> int:
     if args.n < 1:
         raise ValueError("n must be >= 1")
     N = max(args.prec + 4, 16)
-    F = quad_field_data(args.d)
+    F = _curve_field_split(args)
     # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
     ctx = make_context(args.p, N)
@@ -242,10 +250,8 @@ def _arg(*flags, **kwargs) -> tuple:
 _P = _arg("--p", type=int, required=True, help="odd prime of the p-adic context")
 _PREC = _arg("--prec", type=int, default=8,
              help="certified digits / residual target (default 8)")
-_CURVE = (_arg("--curve", type=_curve_arg, required=True,
-               help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6"),
-          _arg("--d", type=int, default=1,
-               help="squarefree d with CM field Q(sqrt(-d)) (default 1)"))
+_CURVE = _arg("--curve", type=_curve_arg, required=True,
+              help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6 with CM")
 _FIELD = (_arg("--D", type=int, default=None, help="fundamental discriminant (< 0)"),
           _arg("--d", type=int, default=None, help="squarefree d for Q(sqrt(-d))"))
 
@@ -260,17 +266,17 @@ _COMMANDS = {
                    *_FIELD),
                   cmd_quadfield),
     "cmform": ("a_p by point counting plus Hecke roots",
-               (_P, _PREC, *_CURVE),
+               (_P, _PREC, _CURVE),
                cmd_cmform),
     "decompose": ("symmetric-power factor list",
-                  (_P, _PREC, *_CURVE,
+                  (_P, _PREC, _CURVE,
                    _arg("--n", type=int, required=True, help="symmetric power")),
                   cmd_decompose),
     "critical": ("critical integers C_{n,k}",
                  (_arg("--n", type=int, required=True), _arg("--k", type=int, required=True)),
                  cmd_critical),
     "trivial-zeros": ("trivial-zero locations and certificates",
-                      (_P, _PREC, *_CURVE, _arg("--n", type=int, required=True),
+                      (_P, _PREC, _CURVE, _arg("--n", type=int, required=True),
                        _arg("--certificates", action="store_true",
                             help="attach order-1 certificates (c0, c1)")),
                       cmd_trivial_zeros),
@@ -285,7 +291,7 @@ _COMMANDS = {
                   (_P, _PREC, *_FIELD),
                   cmd_verify_fg),
     "linvariant": ("full L-invariant report with PASS/FAIL",
-                   (_P, _PREC, *_CURVE,
+                   (_P, _PREC, _CURVE,
                     _arg("--n", type=int, default=2, help="symmetric power (default 2)")),
                    cmd_linvariant),
     "acceptance": ("run the whole acceptance battery", (), cmd_acceptance),

@@ -1,20 +1,21 @@
 """CM newform data at an ordinary prime: a_p, Hecke roots, validation.
 
-For weight-2 desk examples a_p comes from counting points on a CM curve
-over F_p; higher-weight data is synthesized from Hecke-root powers by
-the symmetric-power layer.  The unit root alpha_p of
-x^2 - a_p x + psi(p) p^(k-1) is obtained by Hensel lifting from
-x = a_p mod p in integers, and beta_p = psi(p) p^(k-1) / alpha_p.
+For weight-2 desk examples a_p comes from counting points over F_p on a
+curve over Q with CM, whose j-invariant names its field; higher-weight
+data is synthesized from Hecke-root powers by the symmetric-power layer.
+The unit root alpha_p of x^2 - a_p x + psi(p) p^(k-1) is obtained by
+Hensel lifting from x = a_p mod p in integers, and
+beta_p = psi(p) p^(k-1) / alpha_p.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import gcd
 
 from .characters import DirichletCharacter, trivial_character
 from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
-from .quadfield import QuadFieldData, quad_field_data, split_behavior
+from .quadfield import QuadFieldData, _check_split, quad_field_data
 
 __all__ = [
     "CMFormSpec",
@@ -99,34 +100,39 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
         raise ValueError("nebentypus conductor must be prime to p")
     if nebentypus.parity() != (-1) ** weight:
         raise ValueError("nebentypus parity must equal (-1)^weight")
-    if split_behavior(field, p) != "split":
-        raise ValueError(f"p = {p} does not split in Q(sqrt({field.D}))")
+    _check_split(field, p)
     return CMFormSpec(field=field, weight=weight, nebentypus=nebentypus,
                       ap=ap, level=level, context=ctx)
 
 
-def cm_spec_from_curve(curve: tuple[int, ...], d: int, level: int,
-                       ctx: PadicContext) -> CMFormSpec:
-    """Weight-2, trivial-nebentypus spec with a_p counted on the given curve.
-
-    Refuses a curve whose a_p is not the trace of an element of norm p in
-    Q(sqrt(-d)) (see `_curve_spec`).
-    """
-    return _curve_spec(curve, quad_field_data(d), ctx, level)[1]
+def cm_spec_from_curve(curve: tuple[int, ...], ctx: PadicContext) -> CMFormSpec:
+    """Weight-2, trivial-nebentypus spec over the curve's CM field, a_p counted on it."""
+    return _curve_spec(curve, _curve_field(curve), ctx)[1]
 
 
-def _curve_spec(curve, F, ctx, level=32) -> tuple[int, CMFormSpec]:
-    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's).
-    # CM by an order of F at a split p makes Frobenius (a_p + y sqrt(D))/2 of norm p,
-    # so 4p - a_p^2 = |D| y^2 for an integer y; a curve with CM by another field fails this
-    p = ctx.p
-    ap = ap_point_count(curve, p)
-    spec = cm_spec(F, 2, trivial_character(), ap, level, ctx)  # ordinary and split first
-    y2, r = divmod(4 * p - ap * ap, -F.D)
-    if r or isqrt(y2) ** 2 != y2:
-        raise ValueError(f"a_p = {ap} at p = {p} is not the trace of an element of norm p "
-                         f"in Q(sqrt({F.D})): the curve has no CM by that field")
-    return ap, spec
+# j -> d: a curve over Q has CM iff its j = c4^3 / Delta is that of an order of class
+# number 1 (Silverman, Advanced Topics, A.3), here in Q(sqrt(-d)): the nine maximal
+# orders, Z[sqrt(-3)], Z[3 omega], Z[2i] and Z[sqrt(-7)]
+_CM_J = {0: 3, 54000: 3, -12288000: 3, 1728: 1, 287496: 1, -3375: 7, 16581375: 7, 8000: 2,
+         -32768: 11, -884736: 19, -884736000: 43, -147197952000: 67, -262537412640768000: 163}
+
+
+def _curve_field(curve) -> QuadFieldData:
+    a2, a4, _ = _curve_coeffs(curve)
+    delta, c4 = curve_discriminant(curve), 16 * (a2 * a2 - 3 * a4)
+    if delta == 0:
+        raise ValueError("the curve is singular")
+    for j, d in _CM_J.items():
+        if c4**3 == j * delta:
+            return quad_field_data(d)
+    g = gcd(c4**3, delta) * (1 if delta > 0 else -1)
+    raise ValueError(f"the curve has no CM: j = {c4**3 // g}/{delta // g}")
+
+
+def _curve_spec(curve, F, ctx) -> tuple[int, CMFormSpec]:
+    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's)
+    ap = ap_point_count(curve, ctx.p)
+    return ap, cm_spec(F, 2, trivial_character(), ap, 32, ctx)
 
 
 class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):

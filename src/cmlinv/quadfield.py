@@ -106,6 +106,11 @@ def split_behavior(F: QuadFieldData, p: int) -> str:
     return "split" if s == 1 else "inert" if s == -1 else "ramified"
 
 
+def _check_split(F: QuadFieldData, p: int) -> None:
+    if split_behavior(F, p) != "split":
+        raise ValueError(f"p = {p} does not split in Q(sqrt({F.D}))")
+
+
 class SplitPrimeData(namedtuple(
         "SplitPrimeData",
         "p h sqrt_disc pi_coords pibar_coords pibar_unit log_pibar")):
@@ -150,8 +155,7 @@ def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
     """
     if ctx.p != p:
         raise ValueError("context prime and p disagree")
-    if split_behavior(F, p) != "split":
-        raise ValueError(f"p = {p} does not split in Q(sqrt({F.D}))")
+    _check_split(F, p)
     D, h = F.D, F.h
     r0 = sqrt_mod_prime(D, p)
     w = sqrt_unit(ctx.from_int(D), residue=r0)

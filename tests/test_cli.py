@@ -143,9 +143,13 @@ def test_field_flags_must_name_one_field(capsys, command):
     ["verify-fg", "--p", "5", "--D", "-4", "--conjugate-lift"],
     ["linvariant", "--p", "5", "--curve", "0,-1,0", "--conjugate-lift"],
     ["verify-fg", "--p", "5", "--D", "-4", "--out", "payload.json"],
+    ["cmform", "--p", "5", "--curve", "0,-1,0", "--d", "1"],
+    ["decompose", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--d", "1"],
+    ["trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--d", "1"],
+    ["linvariant", "--p", "5", "--curve", "0,-1,0", "--d", "1"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
-    # the level is always the desk curve's 32; linvariant names its field by --d;
+    # the level is always the desk curve's 32; a curve's j names its CM field;
     # the embedding changes no verdict, so only quadfield's labels take it;
     # the payload goes to stdout only
     with pytest.raises(SystemExit) as exc:
@@ -301,15 +305,37 @@ def test_decompose_at_the_output_ceiling_completes(capsys):
     assert code == 0 and len(json.loads(out)["factors"]) == 11
 
 
-@pytest.mark.parametrize("command", [("trivial-zeros", "--n", "2", "--certificates"),
-                                     ("decompose", "--n", "2"), ("cmform",),
-                                     ("linvariant",)])
-def test_curve_without_cm_by_the_field_exits_two(capsys, command):
-    # y^2 = x^3 - x has CM by Q(i): a_5 = -2, and 4 * 5 - 4 = 16 is not 24 y^2
-    code = main([*command, "--p", "5", "--curve", "0,-1,0", "--d", "6"])
+CURVE_COMMANDS = [("trivial-zeros", "--n", "2", "--certificates"), ("decompose", "--n", "2"),
+                  ("cmform",), ("linvariant",)]
+
+
+@pytest.mark.parametrize("command", CURVE_COMMANDS)
+def test_curve_without_cm_by_the_field_exits_two(capsys, monkeypatch, command):
+    # y^2 = x^3 - x + 1 has j = -6912/23, so no CM and no field; its a_5 = -2 is
+    # that of y^2 = x^3 - x, so no test of a_p at one prime tells the two apart
+    calls = _count_point_counts(monkeypatch)
+    code = main([*command, "--p", "5", "--curve=-1,1"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "no CM by that field" in captured.err
+    assert code == 2 and captured.out == "" and calls == []
+    assert captured.err == "error: the curve has no CM: j = -6912/23\n"
+
+
+@pytest.mark.parametrize("command", CURVE_COMMANDS)
+@pytest.mark.parametrize("p, curve, D", [("999961", "-1,1", None), ("999983", "0,-1,0", -4),
+                                         ("3", "0,1", -3)])
+def test_curve_field_and_splitting_are_checked_before_any_work(capsys, monkeypatch,
+                                                               command, p, curve, D):
+    # counting 10^6 points takes 2.6-2.8 s, so the field and its splitting come
+    # first; p = 3 is ramified in Q(sqrt(-3)), and the split check names it
+    # before the plan reads theta's conductor
+    calls = _count_point_counts(monkeypatch)
+    t0 = time.perf_counter()
+    code = main([*command, "--p", p, f"--curve={curve}"])
+    assert time.perf_counter() - t0 < 0.5
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and calls == []
+    assert ("has no CM" if D is None else f"p = {p} does not split in Q(sqrt({D}))") \
+        in captured.err
 
 
 @pytest.mark.parametrize("p", ["9", "2"])

@@ -92,7 +92,7 @@ def test_two_coefficient_curve_form():
 
 def test_valid_weight_two_spec():
     ctx = make_context(5, 16)
-    spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
     assert spec.weight == 2 and spec.level == 32
     assert spec.ap == -2
 
@@ -132,7 +132,7 @@ def test_rejects_nebentypus_with_p_in_conductor():
 
 def test_unit_root_residues():
     ctx = make_context(5, 16)
-    spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
     roots = unit_root(spec)
     assert roots.alpha.residue(1) == 3
     assert roots.alpha.residue(2) == 13
@@ -142,7 +142,7 @@ def test_unit_root_residues():
 def test_vieta_exact_at_precision():
     for p in (5, 13, 17, 29):
         ctx = make_context(p, 20)
-        spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+        spec = cm_spec_from_curve(CURVE, ctx)
         roots = unit_root(spec)
         assert roots.alpha + roots.beta == spec.ap
         assert roots.alpha * roots.beta == p
@@ -152,7 +152,7 @@ def test_unit_root_log_equals_log_pibar():
     # the flagship cross-check: both sides computed by independent modules
     for p in (5, 13):
         ctx = make_context(p, 20)
-        spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+        spec = cm_spec_from_curve(CURVE, ctx)
         sp = pi_bar(spec.field, p, ctx)
         diff = iwasawa_log(unit_root(spec).alpha) - sp.log_pibar
         assert diff.min_valuation() >= 18, p
@@ -160,7 +160,7 @@ def test_unit_root_log_equals_log_pibar():
 
 def test_synthetic_weight_three_roots():
     ctx = make_context(5, 20)
-    base = unit_root(cm_spec_from_curve(CURVE, 1, 32, ctx))
+    base = unit_root(cm_spec_from_curve(CURVE, ctx))
     ap3 = base.alpha**2 + base.beta**2
     spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4), ap3, 32, ctx)
     roots3 = unit_root(spec3)
@@ -228,16 +228,20 @@ def test_unit_root_matches_newton_oracle_on_synthetic_weight_three():
     # the acceptance battery's weight-3 form, nebentypus theta_{-4}
     for p, N in ((5, 16), (13, 16), (17, 16), (29, 16), (5, 64)):
         ctx = make_context(p, N)
-        base = unit_root(cm_spec_from_curve(CURVE, 1, 32, ctx))
+        base = unit_root(cm_spec_from_curve(CURVE, ctx))
         spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
                         base.alpha**2 + base.beta**2, 32, ctx)
         _assert_roots_match_oracle(spec3)
 
 
 def test_curve_spec_refuses_a_curve_without_cm_by_the_field():
-    # y^2 = x^3 - x has CM by Q(i); its a_5 = -2 is no trace of an element of
-    # norm 5 in Q(sqrt(-6)), since 4 * 5 - 4 = 16 is not 24 y^2
+    # y^2 = x^3 - x has j = 1728, so CM by Q(i); y^2 = x^3 - x + 1 has the same
+    # a_5 = -2 but j = -6912/23, so no CM, and no field to build its spec over
     ctx = make_context(5, 8)
-    assert cm_spec_from_curve(CURVE, 1, 32, ctx).ap == -2
-    with pytest.raises(ValueError, match="no CM by that field"):
-        cm_spec_from_curve(CURVE, 6, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
+    assert spec.ap == -2 and spec.field.d == 1
+    assert ap_point_count((-1, 1), 5) == -2
+    with pytest.raises(ValueError, match="no CM: j = -6912/23"):
+        cm_spec_from_curve((-1, 1), ctx)
+    with pytest.raises(ValueError, match="singular"):
+        cm_spec_from_curve((0, 0), ctx)

@@ -1,6 +1,7 @@
 """L-invariants two ways, the family exponential, and the verification battery."""
 
 import dataclasses
+import json
 import importlib
 import pkgutil
 from fractions import Fraction
@@ -27,7 +28,7 @@ CURVE = (0, -1, 0)
 
 
 def _spec(p=5, N=16):
-    return cm_spec_from_curve(CURVE, 1, 32, make_context(p, N))
+    return cm_spec_from_curve(CURVE, make_context(p, N))
 
 
 # --- the analytic value ------------------------------------------------------
@@ -61,7 +62,7 @@ def test_via_alpha_matches_analytic_weight_two():
 def test_via_alpha_weight_independence():
     # the weight-3 sibling built from squared roots gives the same constant
     ctx = make_context(5, 16)
-    spec2 = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec2 = cm_spec_from_curve(CURVE, ctx)
     roots = unit_root(spec2)
     spec3 = cm_spec(spec2.field, 3, char_from_kronecker(-4),
                     roots.alpha**2 + roots.beta**2, 32, ctx)
@@ -89,6 +90,13 @@ CM_CURVES = {3: (0, (7, -4)), 1: (1728, (5, -2)), 7: (-3375, (11, 4)),
              163: (-262537412640768000, (41, 1))}
 
 
+# j -> (d, the same pin): the 13 j-invariants of CM curves over Q, which are those
+# nine and the j of the orders Z[sqrt(-3)], Z[3 omega], Z[2i] and Z[sqrt(-7)]
+CM_J = {j: (d, pinned) for d, (j, pinned) in CM_CURVES.items()} | {
+    54000: (3, (7, -4)), -12288000: (3, (7, 1)), 287496: (1, (5, 2)),
+    16581375: (7, (11, -4))}
+
+
 def cm_curve(j):
     """(a4, a6) of a curve over Q with j-invariant j; twists change no L-invariant."""
     if j == 0:
@@ -98,33 +106,61 @@ def cm_curve(j):
     return (3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
 
 
+def good_split_primes(curve, F, count):
+    """The first `count` primes 5 <= p < 100 split in F where the curve has good reduction."""
+    return [p for p in range(5, 100) if all(p % q for q in range(2, p))
+            and split_behavior(F, p) == "split" and curve_discriminant(curve) % p][:count]
+
+
+@pytest.mark.parametrize("j", CM_J)
+def test_curve_names_its_cm_field(j):
+    d, (p0, ap0) = CM_J[j]
+    curve = cm_curve(j)
+    primes = good_split_primes(curve, quad_field_data(d), 3)
+    assert primes[0] == p0 and ap_point_count(curve, p0) == ap0
+    for p in primes:
+        F = cm_spec_from_curve(curve, make_context(p, 8)).field
+        # Frobenius lies in an order of F, so a_p^2 - D y^2 = 4p for an integer y
+        y2, r = divmod(4 * p - ap_point_count(curve, p) ** 2, -F.D)
+        assert F.d == d and r == 0 and isqrt(y2) ** 2 == y2, (j, p)
+
+
 @pytest.mark.parametrize("d", CM_CURVES)
 def test_unit_root_route_agrees_at_every_class_number_one_field(d):
     j, pinned = CM_CURVES[d]
     curve, F = cm_curve(j), quad_field_data(d)
-    primes = [p for p in range(5, 100) if all(p % q for q in range(2, p))
-              and split_behavior(F, p) == "split" and curve_discriminant(curve) % p][:5]
+    primes = good_split_primes(curve, F, 5)
     assert ap_point_count(curve, primes[0]) == pinned[1] and primes[0] == pinned[0]
     for p in primes:
         # CM by O_K: a_p is the trace of a generator of norm p, a_p^2 - D y^2 = 4p
         ap = ap_point_count(curve, p)
         y2, r = divmod(4 * p - ap * ap, -F.D)
         assert r == 0 and isqrt(y2) ** 2 == y2, (d, p)
-        rep = full_report(cm_spec_from_curve(curve, d, 32, make_context(p, 12)), target=8)
+        rep = full_report(cm_spec_from_curve(curve, make_context(p, 12)), target=8)
         assert rep.fg_check.passed and rep.agreement_valuation >= 12, (d, p)
+
+
+@pytest.mark.parametrize("d", CM_CURVES)
+def test_weight_three_sibling_at_every_class_number_one_field(d):
+    # AC-3's synthetic weight 3 at each field: a_p = alpha^2 + beta^2 with
+    # nebentypus theta_D, whose unit root alpha^2 has log 2 log_p(pibar) / h
+    curve, F = cm_curve(CM_CURVES[d][0]), quad_field_data(d)
+    for p in good_split_primes(curve, F, 3):
+        ctx = make_context(p, 16)
+        spec = cm_spec_from_curve(curve, ctx)
+        roots = unit_root(spec)
+        spec3 = cm_spec(F, 3, F.character(), roots.alpha**2 + roots.beta**2, spec.level, ctx)
+        resid = iwasawa_log(unit_root(spec3).alpha) - 2 * pi_bar(F, p, ctx).log_pibar / F.h
+        assert resid.min_valuation() >= 16, (d, p)
 
 
 @pytest.mark.parametrize("p", ["29", "37", "53"])
 def test_unit_root_agreement_fails_on_the_wrong_field(capsys, p):
-    # the D = -7 curve passes under its own field; under Q(i) the CLI refuses it
-    # (its a_p is no trace of an element of norm p there), and its a_p fed to the
+    # the D = -7 curve passes under the field its j names; its a_p fed to the
     # unit-root route over Q(i) agrees with the field route to one digit only
     curve = cm_curve(-3375)
-    argv = ["linvariant", "--p", p, "--curve=%d,%d" % curve, "--n", "2"]
-    assert main([*argv, "--d", "7"]) == 0
-    capsys.readouterr()
-    assert main([*argv, "--d", "1"]) == 2
-    assert capsys.readouterr().out == ""
+    assert main(["linvariant", "--p", p, "--curve=%d,%d" % curve, "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["D"] == -7
     ctx = make_context(int(p), 32)
     ap = ap_point_count(curve, int(p))
     rep = full_report(cm_spec(quad_field_data(1), 2, trivial_character(), ap, 32, ctx))
@@ -159,7 +195,7 @@ def test_hida_log_at_two_is_log_alpha():
     # weight-2 member: the p-th coefficient of the stabilized form is alpha
     ctx = make_context(5, 16)
     F = quad_field_data(1)
-    spec = cm_spec_from_curve(CURVE, 1, 32, ctx)
+    spec = cm_spec_from_curve(CURVE, ctx)
     a2 = hida_ap(2, F, 5, ctx)
     la = iwasawa_log(unit_root(spec).alpha)
     assert (iwasawa_log(a2) - la).min_valuation() >= 14
@@ -213,22 +249,21 @@ def test_fg_higher_class_numbers():
 
 
 def test_fg_sweep_all_split_pairs():
-    # every split (D, p) with |D| <= 40, p <= 13: the identity holds at
+    # every split (D, p) with -200 <= D < 0 and p < 60: the identity holds at
     # the full certified precision, whatever the class number
     from cmlinv.characters import is_fundamental_discriminant
-    from cmlinv.quadfield import split_behavior
     checked = 0
-    for D in range(-3, -41, -1):
+    for D in range(-3, -201, -1):
         if not is_fundamental_discriminant(D):
             continue
         F = quad_field_from_discriminant(D)
-        for p in (3, 5, 7, 11, 13):
-            if split_behavior(F, p) != "split":
+        for p in range(3, 60):
+            if not all(p % q for q in range(2, p)) or split_behavior(F, p) != "split":
                 continue
-            chk = verify_ferrero_greenberg(F, p, make_context(p, 10), target=6)
-            assert chk.passed and chk.residual_valuation >= 10, (D, p)
+            chk = verify_ferrero_greenberg(F, p, make_context(p, 8), target=8)
+            assert chk.passed and chk.residual_valuation >= 8, (D, p)
             checked += 1
-    assert checked >= 25
+    assert checked == 473
 
 
 @pytest.mark.parametrize("D, p, lhs", [

@@ -478,7 +478,7 @@ def test_log_plan_cold_and_warm_match_horner_oracle():
 
 def test_both_l_invariant_routes_share_one_log_plan():
     ctx = make_context(5, 64)
-    spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
+    spec = cm_spec_from_curve((0, -1, 0), ctx)
     _log_value.cache_clear()  # a remembered log would skip the plan
     _log_plan.cache_clear()
     l_invariant_analytic(spec.field, 5, ctx)
@@ -523,7 +523,7 @@ def test_routes_that_differ_by_a_root_of_unity_sum_their_own_logs():
     # at p = 5 the unit root of y^2 = x^3 - x is pibar times a fourth root of
     # unity: equal logs, but two integers, so two series
     ctx = make_context(5, 64)
-    spec = cm_spec_from_curve((0, -1, 0), 1, 32, ctx)
+    spec = cm_spec_from_curve((0, -1, 0), ctx)
     _log_value.cache_clear()
     l_invariant_analytic(spec.field, 5, ctx)
     l_invariant_via_alpha(spec)

@@ -75,7 +75,7 @@ def inspect_interpolation_factors(spec, n):
 
 
 def _spec5(N=16):
-    return cm_spec_from_curve(CURVE, 1, 32, make_context(5, N))
+    return cm_spec_from_curve(CURVE, make_context(5, N))
 
 
 # --- decomposition ---------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_frobenius_eigenvalue_oracle():
 
 def test_weight3_synthetic_decomposition():
     ctx = make_context(5, 16)
-    base = unit_root(cm_spec_from_curve(CURVE, 1, 32, ctx))
+    base = unit_root(cm_spec_from_curve(CURVE, ctx))
     spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
                     base.alpha**2 + base.beta**2, 32, ctx)
     dec = decompose(spec3, 2)
@@ -230,7 +230,7 @@ def test_locations_match_theorem():
 
 
 def test_locations_second_prime():
-    spec = cm_spec_from_curve(CURVE, 1, 32, make_context(13, 16))
+    spec = cm_spec_from_curve(CURVE, make_context(13, 16))
     for n in range(1, 13):
         locs = trivial_zero_locations(spec, n).locations
         assert bool(locs) == (n in (2, 6, 10)), n
