@@ -20,7 +20,7 @@ from .linvariant import (full_report, l_invariant_analytic,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
 from .padic import PadicContext, iwasawa_log, json_valuation, make_context, ordp
 from .quadfield import pi_bar, quad_field_from_discriminant
-from .sympower import critical_integers, trivial_zero_locations
+from .sympower import critical_integers, trivial_zero_certificates, trivial_zero_locations
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -130,23 +130,22 @@ def ac4_interpolation_oracle():
 
 @_timed
 def ac5_trivial_zero_classification():
-    """Locations and order-1 certificates for n = 1..12 on the p = 5 spec."""
+    """Locations for n = 1..12 and the two order-1 certificates on the p = 5 spec."""
     ctx = make_context(5, 12)
     spec = cm_spec_from_curve(CURVE, ctx)
+    certified = all(cert.c0.min_valuation() >= cert.n_cert and not cert.c1.is_zero()
+                    and cert.c1.valuation() < cert.n_cert
+                    for cert in trivial_zero_certificates(spec, 8))
     expected_nonempty = {2, 6, 10}
     detail = {}
     ok = True
     for n in range(1, 13):
-        rep = trivial_zero_locations(spec, n, with_certificates=True, n_cert=8)
+        locations = trivial_zero_locations(n)
         want = n in expected_nonempty
-        good = (bool(rep.locations) == want)
+        good = (bool(locations) == want)
         if want:
-            good = good and rep.locations == ((0, 0), (1, 1))
-            for cert in rep.certificates:
-                good = good and cert.c0.min_valuation() >= cert.n_cert
-                good = good and (not cert.c1.is_zero()) \
-                    and cert.c1.valuation() < cert.n_cert
-        detail[f"n={n}"] = {"locations": list(map(list, rep.locations)),
+            good = good and locations == ((0, 0), (1, 1)) and certified
+        detail[f"n={n}"] = {"locations": list(map(list, locations)),
                             "passed": good}
         ok = ok and good
     return "AC-5 trivial-zero classification with order-1 certificates", ok, detail

@@ -23,7 +23,7 @@ from .padic import PadicNumber, _check_prime, json_valuation, make_context
 from .quadfield import (_check_split, pi_bar, quad_field_data, quad_field_from_discriminant,
                         split_behavior)
 from .sympower import (_DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS, critical_integers,
-                       decompose, trivial_zero_locations)
+                       decompose, trivial_zero_certificates, trivial_zero_locations)
 
 __all__ = ["main", "console_entry"]
 
@@ -85,7 +85,7 @@ def cmd_quadfield(args) -> int:
 
 def cmd_cmform(args) -> int:
     F = _curve_field_split(args)
-    ap, spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))
+    ap, spec = _curve_spec(args.curve, F, args.p, args.prec)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -98,11 +98,13 @@ def cmd_cmform(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:  # before p^N
+    if args.n < 1:  # before the count and p^N
+        raise ValueError("n must be >= 1")
+    if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
         raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
                          f"up to {MAX_DECOMPOSE_DIGITS} digits")
     F = _curve_field_split(args)
-    spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))[1]
+    spec = _curve_spec(args.curve, F, args.p, args.prec)[1]
     dec = decompose(spec, args.n)
     factors = []
     for f in dec.factors:
@@ -131,22 +133,20 @@ def cmd_critical(args) -> int:
 
 
 def cmd_trivial_zeros(args) -> int:
+    locations = trivial_zero_locations(args.n)
     F = _curve_field_split(args)
-    if args.certificates and trivial_zero_locations(None, args.n).locations:
+    certify = args.certificates and locations
+    if certify:
         # both certificates read g' at 0: its plan comes before p^N and the point count
         _check_branch(0, F.character(), 0, 2, args.p, args.prec, args.prec)
-    ctx = make_context(args.p, args.prec)
-    spec = _curve_spec(args.curve, F, ctx)[1]
-    rep = trivial_zero_locations(spec, args.n,
-                                 with_certificates=args.certificates,
-                                 n_cert=args.prec)
-    payload = {"n": args.n, "zeros": [list(loc) for loc in rep.locations]}
+    spec = _curve_spec(args.curve, F, args.p, args.prec)[1]
+    payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
     if args.certificates:
         payload["certificates"] = [
             {"branch": c.branch, "s": c.s, "order": c.order,
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
              "N_cert": c.n_cert}
-            for c in rep.certificates]
+            for c in (trivial_zero_certificates(spec, args.prec) if certify else ())]
     _emit(payload)
     return 0
 
@@ -185,14 +185,12 @@ def cmd_verify_fg(args) -> int:
 
 
 def cmd_linvariant(args) -> int:
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
+    locations = trivial_zero_locations(args.n)
     N = max(args.prec + 4, 16)
     F = _curve_field_split(args)
     # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
-    ctx = make_context(args.p, N)
-    spec = _curve_spec(args.curve, F, ctx)[1]
+    spec = _curve_spec(args.curve, F, args.p, N)[1]
     rep = full_report(spec, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,
@@ -206,7 +204,6 @@ def cmd_linvariant(args) -> int:
         "agreement_valuation": json_valuation(rep.agreement_valuation),
         "fg_residual_valuation": json_valuation(rep.fg_check.residual_valuation),
     }
-    locations = trivial_zero_locations(spec, args.n).locations
     if locations:
         formulas = {}
         for i, _ in locations:

@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import gcd
 
 from .characters import DirichletCharacter, trivial_character
-from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
+from .padic import PadicContext, PadicNumber, _check_precision, _check_prime, hensel_lift
 from .quadfield import QuadFieldData, _check_split, quad_field_data
 
 __all__ = [
@@ -107,7 +107,7 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 
 def cm_spec_from_curve(curve: tuple[int, ...], ctx: PadicContext) -> CMFormSpec:
     """Weight-2, trivial-nebentypus spec over the curve's CM field, a_p counted on it."""
-    return _curve_spec(curve, _curve_field(curve), ctx)[1]
+    return _curve_spec(curve, _curve_field(curve), ctx.p, ctx.N)[1]
 
 
 # j -> d: a curve over Q has CM iff its j = c4^3 / Delta is that of an order of class
@@ -129,10 +129,11 @@ def _curve_field(curve) -> QuadFieldData:
     raise ValueError(f"the curve has no CM: j = {c4**3 // g}/{delta // g}")
 
 
-def _curve_spec(curve, F, ctx) -> tuple[int, CMFormSpec]:
-    # the counted a_p as an integer, and the spec over F built on it (level 32: the desk curve's)
-    ap = ap_point_count(curve, ctx.p)
-    return ap, cm_spec(F, 2, trivial_character(), ap, 32, ctx)
+def _curve_spec(curve, F, p, N) -> tuple[int, CMFormSpec]:
+    # a_p, then the spec over F (level 32: the desk curve's); p^N only once the count accepts p
+    _check_precision(N)
+    ap = ap_point_count(curve, p)
+    return ap, cm_spec(F, 2, trivial_character(), ap, 32, PadicContext(p, N))
 
 
 class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):

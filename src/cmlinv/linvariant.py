@@ -103,7 +103,7 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
 
 class TrivialZeroFormulaReport(namedtuple(
         "TrivialZeroFormulaReport",
-        "n branch location l_invariant derivative archimedean_value e_plus_value "
+        "l_invariant derivative archimedean_value e_plus_value "
         "modular_symbols functional_equation_note residual_valuation target passed")):
     """Certificate for the derivative identity at one trivial zero.
 
@@ -124,8 +124,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
     Requires a genuine trivial zero (n = 2m, m odd, i in {0,1}).
     """
     _check_target(target)
-    report = trivial_zero_locations(spec, n)
-    if (i, i) not in report.locations:
+    if (i, i) not in trivial_zero_locations(n):
         raise ValueError(f"no trivial zero at branch {i} for n = {n}")
     ctx = spec.context
     F = spec.field
@@ -146,9 +145,8 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
         note = ("functional equation: the archimedean fraction at s = 1 "
                 "reduces to the exact value at s = 0")
     return TrivialZeroFormulaReport(
-        n=n, branch=i, location=(i, i), l_invariant=l_at_i, derivative=deriv,
-        archimedean_value=arch, e_plus_value=eplus, modular_symbols=symbols,
-        functional_equation_note=note, residual_valuation=resid,
+        l_invariant=l_at_i, derivative=deriv, archimedean_value=arch, e_plus_value=eplus,
+        modular_symbols=symbols, functional_equation_note=note, residual_valuation=resid,
         target=target, passed=resid >= target)
 
 

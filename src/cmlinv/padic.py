@@ -68,6 +68,11 @@ def _check_prime(p) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def _check_precision(N) -> None:
+    if not isinstance(N, int) or N < 1:
+        raise ValueError(f"precision N must be a positive integer, got {N}")
+
+
 def ordp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -129,8 +134,7 @@ class PadicContext:
 
     def __init__(self, p: int, N: int = 32):
         _check_prime(p)
-        if not isinstance(N, int) or N < 1:
-            raise ValueError(f"precision N must be a positive integer, got {N}")
+        _check_precision(N)
         self.p = p
         self.N = N
         self.pN = p**N

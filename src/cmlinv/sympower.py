@@ -11,7 +11,9 @@ psi^(-j) theta^(m-j), and Hecke roots
     alpha_j = psi(p)^(-j) alpha^(2j),   beta_j = psi(p)^(-j) beta^(2j),
 
 using theta(p) = 1 at split p.  Odd powers decompose into modular
-factors only (odd Hecke-character powers), so no trivial zero occurs.
+factors only (odd Hecke-character powers).  A trivial zero comes from
+an odd Dirichlet factor theta^m: where it lies depends on n alone, and
+its order-1 certificate, theta's branch series at s = 0 or 1, on theta.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from .padic import PadicNumber
 __all__ = [
     "SymPowerFactor",
     "SymPowerDecomposition",
-    "TrivialZeroReport",
     "TrivialZeroCertificate",
     "decompose",
     "MAX_DECOMPOSE_DIGITS",
     "MAX_CRITICAL_WEIGHT",
     "critical_integers",
     "trivial_zero_locations",
+    "trivial_zero_certificates",
     "e_plus",
 ]
 
@@ -136,44 +138,31 @@ class TrivialZeroCertificate(namedtuple(
     __slots__ = ()
 
 
-class TrivialZeroReport(namedtuple(
-        "TrivialZeroReport", "n locations certificates", defaults=((),))):
-    """The (branch, s) trivial zeroes of the n-th power, with any certificates."""
-
-    __slots__ = ()
-
-
-def trivial_zero_locations(spec: CMFormSpec, n: int,
-                           with_certificates: bool = False,
-                           n_cert: int = 8) -> TrivialZeroReport:
-    """Exactly two order-1 trivial zeroes, at (branch 0, s=0) and
-    (branch 1, s=1), when n = 2m with m odd; none otherwise.  The
-    locations depend on n alone: spec is read only for the certificates."""
+def trivial_zero_locations(n: int) -> tuple[tuple[int, int], ...]:
+    """The (branch, s) trivial zeroes of the n-th power: (0, 0) and (1, 1), both of
+    order 1, when n = 2m with m odd (theta^m odd); none otherwise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = n // 2
-    if n % 2 or m % 2 == 0:
-        return TrivialZeroReport(n=n, locations=())
-    locations = ((0, 0), (1, 1))
-    certs = ()
-    if with_certificates:
-        theta = spec.field.character()
-        certs = tuple(
-            _order_one_certificate(spec, theta, i, s, n_cert)
-            for (i, s) in locations)
-    return TrivialZeroReport(n=n, locations=locations, certificates=certs)
+    return ((0, 0), (1, 1)) if n % 4 == 2 else ()
 
 
-def _order_one_certificate(spec, theta, i, s, n_cert) -> TrivialZeroCertificate:
-    bs = branch_series(i, theta, s, 2, spec.context, n_cert=n_cert)
-    c0, c1 = bs.coefficients[0], bs.coefficients[1]
-    if c0.min_valuation() < bs.n_cert:
-        raise ArithmeticError("predicted trivial zero has a nonvanishing value")
-    if c1.is_zero() or c1.valuation() >= bs.n_cert:
-        raise ArithmeticError(f"c1 = 0 mod {spec.context.p}^{bs.n_cert}, so the predicted "
-                              f"order-1 zero is not certified at N_cert = {bs.n_cert}")
-    return TrivialZeroCertificate(branch=i, s=s, order=1, c0=c0, c1=c1,
-                                  n_cert=bs.n_cert)
+def trivial_zero_certificates(spec: CMFormSpec,
+                              n_cert: int) -> tuple[TrivialZeroCertificate, ...]:
+    """The order-1 certificates of the two trivial zeroes, from the series of
+    theta's branch i at s = i: they read theta alone, so take no n."""
+    theta = spec.field.character()
+    certs = []
+    for i in (0, 1):
+        bs = branch_series(i, theta, i, 2, spec.context, n_cert=n_cert)
+        c0, c1 = bs.coefficients[0], bs.coefficients[1]
+        if c0.min_valuation() < bs.n_cert:
+            raise ArithmeticError("predicted trivial zero has a nonvanishing value")
+        if c1.is_zero() or c1.valuation() >= bs.n_cert:
+            raise ArithmeticError(f"c1 = 0 mod {spec.context.p}^{bs.n_cert}, so the predicted "
+                                  f"order-1 zero is not certified at N_cert = {bs.n_cert}")
+        certs.append(TrivialZeroCertificate(branch=i, s=i, order=1, c0=c0, c1=c1,
+                                            n_cert=bs.n_cert))
+    return tuple(certs)
 
 
 def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:
@@ -187,7 +176,7 @@ def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:
     """
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    if not trivial_zero_locations(spec, n).locations:
+    if not trivial_zero_locations(n):
         raise ValueError(f"no trivial zero at n = {n}; the product is not defined")
     ctx = spec.context
     p = ctx.p

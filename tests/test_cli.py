@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
+from cmlinv.cmform import MAX_POINT_COUNT_PRIME
 from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
 from cmlinv.sympower import _DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS
 
@@ -336,6 +337,29 @@ def test_curve_field_and_splitting_are_checked_before_any_work(capsys, monkeypat
     assert code == 2 and captured.out == "" and calls == []
     assert ("has no CM" if D is None else f"p = {p} does not split in Q(sqrt({D}))") \
         in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("trivial-zeros", "--p", "999961", "--curve", "0,-1,0", "--n", "0"),
+    ("decompose", "--p", "999961", "--curve", "0,-1,0", "--n", "0"),
+    ("cmform", "--p", "1000000009", "--curve", "0,-1,0", "--prec", "1000000"),
+    ("trivial-zeros", "--p", "1000000009", "--curve", "0,-1,0", "--n", "2",
+     "--prec", "1000000"),
+    ("decompose", "--p", "1000000009", "--curve", "0,-1,0", "--n", "2",
+     "--prec", "1000000"),
+    ("cmform", "--p", "999961", "--curve", "0,-1,0", "--prec", "0"),
+])
+def test_n_prec_and_the_count_ceiling_are_checked_before_any_work(capsys, monkeypatch, argv):
+    # n = 0 at p = 999961 counted 10^6 points (1.9-2.0 s) before n was refused, and
+    # cmform at p = 10^9 + 9 built p^(10^6) (14.4 s) before the count refused p;
+    # the count now precedes p^N, so the precision is checked before the count
+    calls = _count_point_counts(monkeypatch)
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    # a count the ceiling refuses stops before its first point
+    assert all(p > MAX_POINT_COUNT_PRIME for _, p in calls)
 
 
 @pytest.mark.parametrize("p", ["9", "2"])

@@ -22,7 +22,7 @@ from cmlinv.linvariant import (full_report, l_invariant_analytic,
 from cmlinv.padic import PadicNumber, iwasawa_log, make_context, padic_exp
 from cmlinv.quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                               split_behavior)
-from cmlinv.sympower import decompose, trivial_zero_locations
+from cmlinv.sympower import decompose, trivial_zero_certificates
 
 CURVE = (0, -1, 0)
 
@@ -346,16 +346,16 @@ def _records():
     spec = _spec()
     rep = full_report(spec, target=6)
     dec = decompose(spec, 2)
-    zeros = trivial_zero_locations(spec, 2, with_certificates=True)
+    certs = trivial_zero_certificates(spec, 8)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
     return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs.g, bs,
-            dec.factors[0], dec, zeros.certificates[0], zeros, rep, rep.fg_check,
+            dec.factors[0], dec, certs[0], rep, rep.fg_check,
             verify_trivial_zero_formula(spec, 2, 0), ac6_critical_containment()]
 
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(r) for r in records}) == len(records) == 14
+    assert len({type(r) for r in records}) == len(records) == 13
     for rec in records:
         names = getattr(rec, "_fields", None) or [f.name for f in dataclasses.fields(rec)]
         for name in names:

@@ -7,7 +7,7 @@ from cmlinv.cmform import cm_spec, cm_spec_from_curve, unit_root
 from cmlinv.padic import make_context
 from cmlinv.quadfield import quad_field_data
 from cmlinv.sympower import (MAX_CRITICAL_WEIGHT, critical_integers, decompose, e_plus,
-                             trivial_zero_locations)
+                             trivial_zero_certificates, trivial_zero_locations)
 
 CURVE = (0, -1, 0)
 
@@ -220,9 +220,8 @@ def test_near_central_points_iff_m_odd():
 # --- trivial zero prediction -------------------------------------------------------------
 
 def test_locations_match_theorem():
-    spec = _spec5()
     for n in range(1, 13):
-        locs = trivial_zero_locations(spec, n).locations
+        locs = trivial_zero_locations(n)
         if n in (2, 6, 10):
             assert locs == ((0, 0), (1, 1)), n
         else:
@@ -232,27 +231,26 @@ def test_locations_match_theorem():
 def test_locations_second_prime():
     spec = cm_spec_from_curve(CURVE, make_context(13, 16))
     for n in range(1, 13):
-        locs = trivial_zero_locations(spec, n).locations
+        locs = trivial_zero_locations(n)
         assert bool(locs) == (n in (2, 6, 10)), n
-    rep = trivial_zero_locations(spec, 6, with_certificates=True, n_cert=8)
-    for cert in rep.certificates:
+    for cert in trivial_zero_certificates(spec, 8):
         assert cert.c0.min_valuation() >= 8
         assert cert.c1.valuation() < 8
 
 
 def test_locations_match_interpolation_factor_inspection():
     spec = _spec5()
-    for n in range(2, 13, 2):
-        predicted = list(trivial_zero_locations(spec, n).locations)
+    for n in range(2, 41, 2):
+        predicted = list(trivial_zero_locations(n))
         inspected = inspect_interpolation_factors(spec, n)
         assert predicted == inspected, n
 
 
 def test_certificates_order_one():
     spec = _spec5()
-    rep = trivial_zero_locations(spec, 2, with_certificates=True, n_cert=8)
-    assert len(rep.certificates) == 2
-    for cert in rep.certificates:
+    certs = trivial_zero_certificates(spec, 8)
+    assert len(certs) == 2
+    for cert in certs:
         assert cert.order == 1
         assert cert.c0.min_valuation() >= cert.n_cert
         assert cert.c1.valuation() < cert.n_cert
