@@ -12,7 +12,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
+from .characters import (DirichletCharacter, char_from_kronecker, dirichlet_L_nonpositive,
                          is_fundamental_discriminant)
 from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series, kl_value
@@ -118,8 +118,9 @@ def ac4_interpolation_oracle():
         theta = char_from_kronecker(D)
         bs = branch_series(0, theta, 0, 2, ctx, n_cert=8)
         J = bs.nodes_used
+        chi = DirichletCharacter(D, 1, ctx)  # theta*omega, the character of g
         # exact g(1-n) to J digits: kl_value keeps N - 1 - ord_p(n) of N
-        residuals = [(bs.evaluate(1 - n) - kl_value(n, bs.g.chi, PadicContext(
+        residuals = [(bs.evaluate(1 - n) - kl_value(n, chi, PadicContext(
             p, J + 1 + ordp(n, p)))).min_valuation() for n in range(2 * J + 1, 2 * J + 6)]
         good = all(r >= TARGET for r in residuals)
         detail[f"D={D},p={p}"] = {"held_out_residuals": list(map(json_valuation, residuals)),

@@ -42,7 +42,10 @@ def _emit(payload: dict) -> None:
 
 
 def _curve_arg(s: str) -> tuple[int, ...]:
-    parts = tuple(int(t) for t in s.split(","))
+    try:
+        parts = tuple(int(t) for t in s.split(","))
+    except ValueError:  # a coefficient that is not an integer: refused below
+        parts = ()
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("curve must be a4,a6 or a2,a4,a6")
     return parts

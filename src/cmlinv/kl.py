@@ -15,10 +15,11 @@ Branch bookkeeping for an odd quadratic theta of conductor prime to p
     branch i = 1:  L_{p,1}(s, theta) = L_p^KL(1-s, theta*omega)
 
 so both branches read the single function g(s) = L_p^KL(s, theta*omega).
-One `KLFunction` holds g per (D, p, n_cert, J), and a branch series is a
-view of it: an expansion point plus a sign flip, so L_{p,0}(s) =
-L_{p,1}(1-s) holds by construction.  The trivial character's branch has
-a pseudo-measure pole and is never evaluated; no trivial zero occurs there.
+One certified table of g at 0 is kept per (D, p, n_cert, J); a branch
+series reads it, or the closed form at 1.  Branch 1 reads g(1-s) through a
+sign flip of the odd coefficients, so L_{p,0}(s) = L_{p,1}(1-s) holds by
+construction.  The trivial character's branch has a pseudo-measure pole
+and is never evaluated; no trivial zero occurs there.
 
 Closed form (Washington, GTM 83, Thm 5.11).  With chi = theta*omega,
 F = |D| p and A the a in [1, F] prime to F,
@@ -127,8 +128,7 @@ from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
                          char_product, char_teichmuller_power, gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _check_prime, _log_units, ordp, teichmuller
 
-__all__ = ["BranchSeries", "KLFunction", "kl_value", "branch_series",
-           "branch_derivative"]
+__all__ = ["BranchSeries", "kl_value", "branch_series", "branch_derivative"]
 
 
 def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
@@ -307,54 +307,31 @@ def _from_residue(ctx: PadicContext, r: int, n: int) -> PadicNumber:
     return ctx.from_int(r).truncate_abs(n) if r else ctx.inexact_zero(n)
 
 
-class KLFunction(namedtuple("KLFunction", "ctx chi n_cert at0")):
-    """g(s) = L_p(s, theta*omega) for one (D, p, n_cert, J).
-
-    Holds the certified Taylor coefficients at s = 0, built and checked
-    once per key by `_kl_function`, and evaluates the closed form at
-    any other integer; every branch series reads it.  ctx carries J digits.
-    """
-
-    __slots__ = ()
-
-    def taylor(self, s0: int) -> tuple:
-        """J - n_cert Taylor coefficients of g at s0 in {0, 1}, certified to n_cert digits."""
-        if s0 == 0:
-            return self.at0
-        n = self.n_cert
-        return tuple(_from_residue(self.ctx, r, n) for r in
-                     _closed_form(self.chi.D, self.ctx.p, s0, len(self.at0), n))
-
-    def value(self, s: int) -> PadicNumber:
-        """g(s) at the integer s from the closed form, truncated to J digits."""
-        if not isinstance(s, int):
-            raise TypeError(f"g is evaluated at integers only, not at {s!r}")
-        ctx = self.ctx
-        return _from_residue(ctx, _closed_form(self.chi.D, ctx.p, s, 1, ctx.N)[0], ctx.N)
-
-
-_TABLES = 16  # measured reuse: 13 hits from 11 tables in `acceptance`, 2 from 1 in `linvariant`
+# measured reuse: `acceptance` 9 hits from 11 tables, `linvariant` 2 from 1,
+# `trivial-zeros --certificates` 1 from 1, `klp` none from 1
+_TABLES = 16
 
 
 @lru_cache(maxsize=_TABLES)
-def _kl_function(D: int, p: int, n_cert: int, J: int) -> KLFunction:
+def _g_at_zero(D: int, p: int, n_cert: int, J: int) -> tuple:
+    # the J - n_cert Taylor coefficients of g at 0, certified to n_cert digits
+    # in a J-digit context; the constant term is the exact g(0), checked
+    # against the closed form once per key
     ctx = PadicContext(p, J)
-    chi = DirichletCharacter(D, 1, ctx)
     closed = _closed_form(D, p, 0, J - n_cert, n_cert)
-    c0 = kl_value(1, chi, ctx)
+    c0 = kl_value(1, DirichletCharacter(D, 1, ctx), ctx)
     if (c0 - closed[0]).min_valuation() < n_cert:
         raise ArithmeticError(
             f"closed form g(0) = {closed[0]} disagrees with the exact {c0} mod p^{n_cert}")
-    at0 = (c0.truncate_abs(n_cert), *(_from_residue(ctx, r, n_cert) for r in closed[1:]))
-    return KLFunction(ctx, chi, n_cert, at0)
+    return (c0.truncate_abs(n_cert), *(_from_residue(ctx, r, n_cert) for r in closed[1:]))
 
 
 class BranchSeries(namedtuple(
-        "BranchSeries", "branch character s0 coefficients n_cert nodes_used g flip")):
+        "BranchSeries", "branch character s0 coefficients n_cert nodes_used")):
     """Certified expansion of a branch of the p-adic L-function.
 
     coefficients[j] multiplies (s - s0)^j; each is certified to absolute
-    precision n_cert.  The branch is a view of g: branch 1 reads g(1-s).
+    precision n_cert.  Both branches read g: branch 1 reads g(1-s).
     """
 
     __slots__ = ()
@@ -378,8 +355,12 @@ class BranchSeries(namedtuple(
         return acc.truncate_abs(min(acc.abs_prec, tail, self.n_cert))
 
     def evaluate(self, s: int) -> PadicNumber:
-        """Value at the integer s from the closed form (not the truncated series)."""
-        return self.g.value(1 - s if self.flip else s)
+        """Value at the integer s from the closed form (not the truncated series), to J digits."""
+        if not isinstance(s, int):
+            raise TypeError(f"g is evaluated at integers only, not at {s!r}")
+        p, J = self.coefficients[0].context.p, self.nodes_used
+        r = _closed_form(self.character.D, p, 1 - s if self.branch else s, 1, J)[0]
+        return _from_residue(PadicContext(p, J), r, J)
 
 
 def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int,
@@ -415,13 +396,14 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
     """
     _check_branch(i, theta, s0, order, ctx.p, ctx.N, n_cert)
     J = n_cert + order
-    g = _kl_function(theta.D, ctx.p, n_cert, J)
-    # branch 1 reads g(1-s), so expand g at 1-s0 and flip the odd coefficients
-    flip = (i == 1)
-    series = g.taylor(1 - s0 if flip else s0)
-    coeffs = [ctx.convert(-c if flip and j % 2 else c) for j, c in enumerate(series)]
+    at0 = _g_at_zero(theta.D, ctx.p, n_cert, J)  # every call: the g(0) check, once per key
+    # branch 1 reads g(1-s), so expand g at 1-s0 (at 0 exactly when s0 == i)
+    # and flip the odd coefficients
+    series = at0 if s0 == i else [_from_residue(ctx, r, n_cert) for r in
+                                  _closed_form(theta.D, ctx.p, 1, order, n_cert)]
+    coeffs = [ctx.convert(-c if i and j % 2 else c) for j, c in enumerate(series)]
     return BranchSeries(branch=i, character=theta, s0=s0, coefficients=coeffs,
-                        n_cert=n_cert, nodes_used=J, g=g, flip=flip)
+                        n_cert=n_cert, nodes_used=J)
 
 
 def branch_derivative(i: int, theta: DirichletCharacter, s0: int,

@@ -84,6 +84,16 @@ def test_negative_first_curve_coefficient_needs_the_equals_form(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", ["a,b", "1,,2", "1.5,2", "1,2,3,4"])
+def test_bad_curve_is_named_as_a_curve(capsys, curve):
+    # argparse would name the type function for a bare ValueError
+    with pytest.raises(SystemExit) as exc:
+        main(["cmform", "--p", "5", "--curve", curve])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("argument --curve: curve must be a4,a6 or a2,a4,a6\n")
+
+
 def test_verify_fg_pass(capsys):
     code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "5", "--prec", "8")
     assert code == 0

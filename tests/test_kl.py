@@ -15,8 +15,8 @@ from cmlinv.characters import (DirichletCharacter, _primitive_root, bernoulli_nu
                                char_from_kronecker, char_product,
                                char_teichmuller_power, gen_bernoulli,
                                is_fundamental_discriminant)
-from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _kappa,
-                       _kl_function, _logs, branch_derivative, branch_series, kl_value)
+from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _g_at_zero,
+                       _kappa, _logs, branch_derivative, branch_series, kl_value)
 from cmlinv.padic import PadicContext, iwasawa_log, make_context, ordp, teichmuller
 from cmlinv.quadfield import pi_bar, quad_field_data
 from test_characters import kronecker_symbol
@@ -226,8 +226,9 @@ def test_derivative_d3_p7():
 def test_series_reproduces_extra_nodes():
     # the exact g(1-n): kl_value at J + 1 + ord_p(n) digits carries J of them
     bs = branch_series(0, THETA4, 0, 3, CTX5, n_cert=8)
+    chi = DirichletCharacter(-4, 1, CTX5)  # theta*omega, the character of g
     for n in range(25, 28):
-        exact = kl_value(n, bs.g.chi, PadicContext(5, bs.nodes_used + 1 + ordp(n, 5)))
+        exact = kl_value(n, chi, PadicContext(5, bs.nodes_used + 1 + ordp(n, 5)))
         assert (bs.evaluate(1 - n) - exact).min_valuation() >= 8, n
 
 
@@ -269,14 +270,48 @@ def test_certificate_audit_independent_tables():
         for j in (0, 1):
             assert (short.coefficients[j] - long.coefficients[j]).min_valuation() >= 6, \
                 (D, p, j)
-        hits = _kl_function.cache_info().hits
+        info = _g_at_zero.cache_info()
         cached = branch_series(0, theta, 0, 2, ctx, n_cert=6)
-        assert _kl_function.cache_info().hits == hits + 1 and cached.g is short.g
-        _kl_function.cache_clear()
+        assert _g_at_zero.cache_info().hits == info.hits + 1
+        _g_at_zero.cache_clear()
         fresh = branch_series(0, theta, 0, 2, ctx, n_cert=6)
-        assert fresh.g is not short.g
+        assert _g_at_zero.cache_info().misses == 1  # the table was rebuilt
         assert list(map(_digits, cached.coefficients)) == \
             list(map(_digits, fresh.coefficients)), (D, p)
+
+
+def test_every_series_checks_g_at_zero_once_per_key(monkeypatch):
+    # branch 0 at 1 and branch 1 at 0 read g at 1 only, yet each runs the
+    # g(0) check when its table is built, and a cache hit runs none
+    calls, exact = [], kl.kl_value
+
+    def counted(n, chi, ctx):
+        calls.append(n)
+        return exact(n, chi, ctx)
+
+    monkeypatch.setattr(kl, "kl_value", counted)
+    for i, s0 in ((0, 1), (1, 0)):
+        _g_at_zero.cache_clear()  # the two share a key
+        branch_series(i, THETA4, s0, 2, CTX5, n_cert=8)
+        assert calls == [1], (i, s0)
+        branch_series(i, THETA4, s0, 2, CTX5, n_cert=8)
+        assert calls == [1], (i, s0)
+        calls.clear()
+    monkeypatch.setattr(kl, "kl_value", lambda n, chi, ctx: exact(n, chi, ctx) + 1)
+    for i, s0 in ((0, 1), (1, 0)):
+        _g_at_zero.cache_clear()
+        with pytest.raises(ArithmeticError, match="disagrees"):
+            branch_series(i, THETA4, s0, 2, CTX5, n_cert=8)
+
+
+def test_branch_one_evaluates_g_at_one_minus_s():
+    # one J on both branches, so L_{p,1}(s) and L_{p,0}(1-s) agree digit for digit
+    for s0 in (0, 1):
+        bs1 = branch_series(1, THETA4, s0, 2, CTX5, n_cert=8)
+        bs0 = branch_series(0, THETA4, s0, 2, CTX5, n_cert=8)
+        assert bs1.nodes_used == bs0.nodes_used
+        for s in (-4, 0, 3, 7):
+            assert _digits(bs1.evaluate(s)) == _digits(bs0.evaluate(1 - s)), (s0, s)
 
 
 def test_series_value_matches_newton_on_pzp():
@@ -322,11 +357,11 @@ def test_rejects_bad_branch_and_point():
 
 
 def test_rejects_n_cert_below_one():
-    before = _kl_function.cache_info()
+    before = _g_at_zero.cache_info()
     for n_cert in (0, -3):
         with pytest.raises(ValueError, match="n_cert"):
             branch_series(0, THETA4, 0, 4, CTX5, n_cert=n_cert)
-    after = _kl_function.cache_info()
+    after = _g_at_zero.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)  # no table built
 
 
@@ -521,13 +556,13 @@ def test_closed_form_plan_matches_the_search(D, p):
 
 
 def test_closed_form_plans_are_checked_before_any_table(monkeypatch):
-    # an order of 3 * 10^7 is refused by its plan alone, before `_kl_function`
+    # an order of 3 * 10^7 is refused by its plan alone, before `_g_at_zero`
     # builds a p^J context; branch 1 at 0 also reads g at 1, whose plan is
     # over the ceiling at (-4, 62501) to 4 digits while g at 0's is not
     def never(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(kl, "_kl_function", never)
+    monkeypatch.setattr(kl, "_g_at_zero", never)
     with pytest.raises(ValueError, match="over the ceiling"):
         branch_series(0, THETA4, 0, 3 * 10**7, CTX5, n_cert=4)
     assert _closed_form_plan(-4, 62501, 0, 6, 4).cost <= MAX_CLOSED_FORM_COST

@@ -348,14 +348,14 @@ def _records():
     dec = decompose(spec, 2)
     certs = trivial_zero_certificates(spec, 8)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
-    return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs.g, bs,
+    return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs,
             dec.factors[0], dec, certs[0], rep, rep.fg_check,
             verify_trivial_zero_formula(spec, 2, 0), ac6_critical_containment()]
 
 
 def test_records_are_immutable():
     records = _records()
-    assert len({type(r) for r in records}) == len(records) == 13
+    assert len({type(r) for r in records}) == len(records) == 12
     for rec in records:
         names = getattr(rec, "_fields", None) or [f.name for f in dataclasses.fields(rec)]
         for name in names:
