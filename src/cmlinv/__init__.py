@@ -2,17 +2,16 @@
 for symmetric powers of ordinary CM eigenforms.
 
 The layers, bottom up: padic (exact Q_p with precision tracking),
-characters (Kronecker/Teichmuller characters and Bernoulli numbers),
+characters (Kronecker characters theta_D and Bernoulli numbers),
 quadfield (class numbers and the split-prime package), cmform (point
-counts and Hecke unit roots), kl (Kubota-Leopoldt values and certified
-branch series), sympower (decomposition, critical sets, trivial zeroes),
-linvariant (the L-invariant computed two ways plus the verification
-battery), cli (JSON front end).
+counts and Hecke unit roots), kl (exact Kubota-Leopoldt values at
+n = 1 mod p - 1 and certified branch series), sympower (decomposition,
+critical sets, trivial zeroes), linvariant (the L-invariant computed
+two ways plus the verification battery), cli (JSON front end).
 """
 
 from .characters import (DirichletCharacter, char_from_kronecker, char_product,
-                         char_teichmuller_power, dirichlet_L_nonpositive,
-                         gen_bernoulli, trivial_character)
+                         dirichlet_L_nonpositive, gen_bernoulli, trivial_character)
 from .cmform import (CMFormSpec, HeckeRoots, ap_point_count, cm_spec,
                      cm_spec_from_curve, unit_root)
 from .kl import BranchSeries, branch_derivative, branch_series, kl_value
@@ -34,7 +33,7 @@ __all__ = [
     "FGCheck", "HeckeRoots", "LInvariantReport", "PadicContext", "PadicNumber",
     "QuadFieldData", "SplitPrimeData", "SymPowerDecomposition", "SymPowerFactor",
     "ap_point_count", "branch_derivative", "branch_series", "char_from_kronecker",
-    "char_product", "char_teichmuller_power", "cm_spec", "cm_spec_from_curve",
+    "char_product", "cm_spec", "cm_spec_from_curve",
     "critical_integers", "decompose", "dirichlet_L_nonpositive", "e_plus",
     "full_report", "gen_bernoulli", "iwasawa_log", "kl_value", "l_invariant_analytic",
     "l_invariant_via_alpha", "make_context", "padic_exp", "pi_bar", "quad_field_data",

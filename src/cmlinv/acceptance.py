@@ -12,13 +12,13 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .characters import (DirichletCharacter, char_from_kronecker, dirichlet_L_nonpositive,
+from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
                          is_fundamental_discriminant)
 from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series, kl_value
 from .linvariant import (full_report, l_invariant_analytic,
                          verify_ferrero_greenberg, verify_trivial_zero_formula)
-from .padic import PadicContext, iwasawa_log, json_valuation, make_context, ordp
+from .padic import PadicContext, iwasawa_log, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_from_discriminant
 from .sympower import critical_integers, trivial_zero_certificates, trivial_zero_locations
 
@@ -110,7 +110,7 @@ def ac3_unit_root_identity():
 
 @_timed
 def ac4_interpolation_oracle():
-    """Branch series reproduces exact interpolation values at 5 fresh nodes."""
+    """Branch series against the exact g(1-n) at the first 5 nodes n > 2J, n = 1 mod p - 1."""
     detail = {}
     ok = True
     for D, p in ((-4, 5), (-3, 7)):
@@ -118,10 +118,10 @@ def ac4_interpolation_oracle():
         theta = char_from_kronecker(D)
         bs = branch_series(0, theta, 0, 2, ctx, n_cert=8)
         J = bs.nodes_used
-        chi = DirichletCharacter(D, 1, ctx)  # theta*omega, the character of g
-        # exact g(1-n) to J digits: kl_value keeps N - 1 - ord_p(n) of N
-        residuals = [(bs.evaluate(1 - n) - kl_value(n, chi, PadicContext(
-            p, J + 1 + ordp(n, p)))).min_valuation() for n in range(2 * J + 1, 2 * J + 6)]
+        exact = PadicContext(p, J)  # kl_value is exact: J digits at valuation >= 0
+        n0 = 2 * J + 1 + (-2 * J) % (p - 1)  # the first n > 2J with n = 1 mod p - 1
+        residuals = [(bs.evaluate(1 - n) - kl_value(n, theta, exact)).min_valuation()
+                     for n in range(n0, n0 + 5 * (p - 1), p - 1)]
         good = all(r >= TARGET for r in residuals)
         detail[f"D={D},p={p}"] = {"held_out_residuals": list(map(json_valuation, residuals)),
                                   "passed": good}

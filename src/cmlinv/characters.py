@@ -1,25 +1,17 @@
-"""p-adically valued Dirichlet characters and their Bernoulli numbers.
+"""Kronecker characters and their Bernoulli numbers.
 
-Every character in scope is theta_D * omega^i: the Kronecker character
-of a fundamental discriminant D (D = 1 for none) times a power of the
-Teichmuller character mod p, with i taken mod p - 1.  The closed form
-is all that is stored.  When p does not divide D the character is
-primitive of conductor |D| * (p if i else 1), its parity is
-sign(D) * (-1)^i, and its value at a unit a is the pair (sign, e)
-meaning sign * zeta^e, with sign = (D/a), e = i * ind(a) mod p - 1 and
-zeta the Teichmuller lift of a fixed primitive root mod p.  Characters
-with 2i = 0 mod p - 1 are rational-valued, need no p-adic context and
-stay exact.
+Every character in scope is theta_D: the Kronecker character a -> (D/a)
+of a fundamental discriminant D (D = 1 for the trivial character),
+primitive of modulus |D| and of parity sign(D).  D is all that is
+stored, and the values are read off one row of Kronecker symbols per D.
+The Teichmuller character omega never needs a value here: the branch
+function g(s) = L_p(s, theta*omega) of `kl` is read at s = 1 - n only
+where n = 1 mod p - 1, and there theta*omega^(1-n) = theta.
 
 Generalized Bernoulli numbers B_{n,chi} = f^{n-1} sum_a chi(a) B_n(a/f)
-(Washington, GTM 83, Prop. 4.1) are computed as
+(Washington, GTM 83, Prop. 4.1) are computed exactly as
 sum_j C(n,j) B_j f^{j-1} sum_a chi(a) a^{n-j}: one pass over the units
-a mod f sums the integer powers a^k per class chi(a) = +-zeta^e, and each
-class total W_e is an exact Fraction.  For rational-valued chi the result
-is W_0, exact; otherwise it is sum_e zeta^e W_e as a tracked p-adic number
-whose only truncations are the Teichmuller powers and one from_rational
-per class, so it agrees with the termwise sum over a on every digit that
-sum carries and never has a lower absolute precision.  L(a, chi) at
+a mod f sums the integer powers a^k with sign chi(a).  L(a, chi) at
 integers a <= 0 is -B_{1-a,chi}/(1-a).  The trivial character has
 B_{1,1} = B_1(1) = +1/2, while B_1 = -1/2.  B_n itself is read from a
 table built from the integer tangent numbers (Brent and Harvey, "Fast
@@ -30,11 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from math import comb, gcd, isqrt, lcm
-from operator import add, mul
-
-from .padic import PadicContext, teichmuller
+from itertools import repeat
+from math import comb, isqrt, lcm
+from operator import mul
 
 __all__ = [
     "is_fundamental_discriminant",
@@ -71,38 +61,6 @@ def is_fundamental_discriminant(D: int) -> bool:
     return D not in (0, 1) and _fundamental_part(D) == D
 
 
-def _prime_factors(n: int) -> list:
-    # the distinct prime factors of n >= 1, ascending, by trial division
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return out + [n] if n > 1 else out
-
-
-def _primitive_root(p: int) -> int:
-    facs = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
-
-
-@lru_cache(maxsize=None)
-def _index_table(p: int) -> dict:
-    # ind(a) for the units a mod p; measured reuse: `acceptance` gets 70 hits from 2 tables
-    g = _primitive_root(p)
-    tab = {}
-    x = 1
-    for k in range(p - 1):
-        tab[x] = k
-        x = x * g % p
-    return tab
-
-
 def _smallest_prime_factors(top: int) -> list:
     # spf[a] = the least prime factor of a for 2 <= a < top (spf[a] = a for
     # a < 2): sieving with every q from isqrt(top - 1) down to 2 leaves the
@@ -118,7 +76,7 @@ def _kronecker_row(D: int) -> tuple:
     # (D/a) for a mod |D|; slot 0 holds (D/|D|), which is 0 unless D = 1.
     # (D/a) is completely multiplicative in a >= 1, so one symbol per prime
     # q < |D| gives the rest over the least prime factors.  Measured reuse:
-    # 130 hits from 63 rows in `acceptance`, 31 from 1 in field-twoway
+    # 72 hits from 63 rows in `acceptance`, 31 from 1 in field-twoway
     m = abs(D)
     if m == 1:
         return (1,)
@@ -131,70 +89,45 @@ def _kronecker_row(D: int) -> tuple:
 
 
 class DirichletCharacter:
-    """theta_D * omega^i, primitive of modulus |D| * (p if i else 1).
+    """theta_D, the Kronecker character a -> (D/a), primitive of modulus |D|.
 
-    D is a fundamental discriminant or 1, and i is reduced mod p - 1,
-    so a non-zero i needs the context that names p; p must not divide D
-    then.  A character with i = 0 keeps no context.
+    D is a fundamental discriminant or 1 (the trivial character mod 1).
     """
 
-    __slots__ = ("D", "i", "context", "modulus")
+    __slots__ = ("D", "modulus")
 
-    def __init__(self, D: int = 1, i: int = 0, context: PadicContext | None = None):
+    def __init__(self, D: int = 1):
         if D != 1 and not is_fundamental_discriminant(D):
             raise ValueError(f"{D} is not a fundamental discriminant")
-        if context is not None:
-            i %= context.p - 1
-        elif i:
-            raise ValueError("Teichmuller components need a p-adic context")
-        if i and D % context.p == 0:
-            raise ValueError(f"p = {context.p} divides D = {D} under a Teichmuller component")
         self.D = D
-        self.i = i
-        self.context = context if i else None
-        self.modulus = abs(D) * (context.p if i else 1)
+        self.modulus = abs(D)
 
     # --- evaluation -------------------------------------------------------
 
-    def value_pair(self, a: int):
-        """(sign, teich exponent) at a, or None when gcd(a, f) > 1."""
-        if gcd(a, self.modulus) != 1:
-            return None
-        s = _kronecker_row(self.D)[a % abs(self.D)]
-        if not self.i:
-            return (s, 0)
-        p = self.context.p
-        return (s, self.i * _index_table(p)[a % p] % (p - 1))
-
-    def is_rational(self) -> bool:
-        return not self.i or 2 * self.i == self.context.p - 1
-
     def value_exact(self, a: int) -> int:
-        """Value in {-1, 0, 1}; only for rational-valued characters."""
-        pair = self.value_pair(a)
-        if pair is None:
-            return 0
-        s, e = pair
-        if e == 0:
-            return s
-        if 2 * e == self.context.p - 1:
-            return -s
-        raise ValueError("character is not rational-valued at this argument")
+        """(D/a) in {-1, 0, 1}: 0 when gcd(a, |D|) > 1."""
+        return _kronecker_row(self.D)[a % self.modulus]
+
+    def value_pair(self, a: int):
+        """(value, 0) at a unit a, or None when gcd(a, |D|) > 1."""
+        # the pair form of an omega-valued character; kept because
+        # perfbench/tracer.py keys its probes on it
+        s = self.value_exact(a)
+        return (s, 0) if s else None
 
     def parity(self) -> int:
-        """chi(-1) = sign(D) * (-1)^i."""
-        return (-1 if self.D < 0 else 1) * (-1) ** self.i
+        """chi(-1) = sign(D)."""
+        return -1 if self.D < 0 else 1
 
     def is_trivial(self) -> bool:
-        return self.D == 1 and not self.i
+        return self.D == 1
 
     def power(self, e: int) -> "DirichletCharacter":
-        """chi^e = theta_D^(e mod 2) * omega^(i e)."""
-        return DirichletCharacter(self.D if e % 2 else 1, self.i * e, self.context)
+        """chi^e = theta_D^(e mod 2)."""
+        return DirichletCharacter(self.D if e % 2 else 1)
 
     def __repr__(self):
-        p = f", p={self.context.p}" if self.i else ""
-        return f"DirichletCharacter(D={self.D}, i={self.i}{p})"
+        return f"DirichletCharacter(D={self.D})"
 
 
 def trivial_character() -> DirichletCharacter:
@@ -208,17 +141,22 @@ def char_from_kronecker(D: int) -> DirichletCharacter:
     return DirichletCharacter(D)
 
 
-def char_teichmuller_power(i: int, ctx: PadicContext) -> DirichletCharacter:
-    """omega^i as a character mod p; i = 0 collapses to the trivial character mod 1."""
-    return DirichletCharacter(1, i, ctx)
+def char_teichmuller_power(i: int, ctx) -> DirichletCharacter:
+    """omega^i mod p where it is rational: trivial at i = 0 and the Legendre symbol
+    theta_{p*}, p* = (-1)^((p-1)/2) p, at 2i = 0 mod p - 1; ValueError otherwise."""
+    # no program path builds omega^i; kept because perfbench/tracer.py wraps it by name
+    p = ctx.p
+    i %= p - 1
+    if not i:
+        return DirichletCharacter()
+    if 2 * i == p - 1:
+        return DirichletCharacter(p if p % 4 == 1 else -p)
+    raise ValueError(f"omega^{i} mod {p} is not rational-valued")
 
 
 def char_product(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    """theta_{D1 D2 / square} * omega^(i1 + i2), the primitive product."""
-    if chi1.context and chi2.context and chi1.context.p != chi2.context.p:
-        raise ValueError("cannot multiply characters over different primes")
-    return DirichletCharacter(_fundamental_part(chi1.D * chi2.D), chi1.i + chi2.i,
-                              chi1.context or chi2.context)
+    """theta_{D1 D2 / square}, the primitive product."""
+    return DirichletCharacter(_fundamental_part(chi1.D * chi2.D))
 
 
 # --- Bernoulli machinery ------------------------------------------------------
@@ -257,48 +195,24 @@ def bernoulli_number(n: int) -> Fraction:
     return table[n]
 
 
-def gen_bernoulli(n: int, chi: DirichletCharacter,
-                  ctx: PadicContext | None = None):
-    """Generalized Bernoulli number B_{n,chi}.
-
-    Exact Fraction for rational-valued chi, tracked PadicNumber otherwise
-    (the character values force a context).
-    """
+def gen_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
+    """Generalized Bernoulli number B_{n,chi}, exact."""
     if n < 1:
         raise ValueError("n must be >= 1")
     f = chi.modulus
-    # S[e][k] sums chi(a) zeta^-e a^k over the units a mod f with
-    # chi(a) = +-zeta^e, 0 <= e < half
-    if chi.i:
-        half = chi.context.p // 2  # zeta^half = -1
-        S = {}
-        for a in range(1, f + 1):
-            pair = chi.value_pair(a)
-            if pair is None:
-                continue
-            flip, e = divmod(pair[1], half)
-            powers = accumulate(repeat(a, n), mul, initial=-pair[0] if flip else pair[0])
-            row = S.get(e)
-            S[e] = list(powers) if row is None else list(map(add, row, powers))
-    else:
-        # theta_D alone: the values are the Kronecker row (a = f sits in
-        # slot 0), all in class e = 0
-        row = _kronecker_row(chi.D)
-        units = list(zip(range(1, f + 1), row[1:] + row[:1]))
-        plus = [a for a, s in units if s == 1]
-        minus = [a for a, s in units if s == -1]
-        S = {0: [sum(map(pow, plus, repeat(k))) - sum(map(pow, minus, repeat(k)))
-                 for k in range(n + 1)]}
-    # W_e = sum_j C(n,j) B_j f^(j-1) S[e][n-j], in integers over a common denominator
+    # S[k] sums chi(a) a^k over the units a mod f, chi read off the
+    # Kronecker row (a = f sits in slot 0)
+    row = _kronecker_row(chi.D)
+    units = list(zip(range(1, f + 1), row[1:] + row[:1]))
+    plus = [a for a, s in units if s == 1]
+    minus = [a for a, s in units if s == -1]
+    S = [sum(map(pow, plus, repeat(k))) - sum(map(pow, minus, repeat(k)))
+         for k in range(n + 1)]
+    # sum_j C(n,j) B_j f^(j-1) S[n-j], in integers over a common denominator
     coeffs = [comb(n, j) * bernoulli_number(j) * Fraction(f) ** (j - 1) for j in range(n + 1)]
     den = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    W = {e: Fraction(sum(map(mul, ints, reversed(row))), den) for e, row in S.items()}
-    if chi.is_rational():
-        return W[0]  # every value is +-1, so every unit lands in class 0
-    ctx = ctx or chi.context
-    zeta = teichmuller(ctx.from_int(_primitive_root(ctx.p)))
-    return sum((zeta**e * ctx.from_rational(w) for e, w in W.items()), ctx.zero())
+    return Fraction(sum(map(mul, ints, reversed(S))), den)
 
 
 def dirichlet_L_nonpositive(a: int, chi: DirichletCharacter):

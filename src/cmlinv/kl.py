@@ -6,7 +6,12 @@ Interpolation.  For an even branch character chi and n >= 1,
     L_p(1-n, chi) = -(1 - chi_n(p) p^(n-1)) * B_{n, chi_n} / n,
     chi_n = primitive character of chi * omega^(-n),
 
-with chi_n(p) = 0 when p divides the conductor of chi_n.
+with chi_n(p) = 0 when p divides the conductor of chi_n.  Here chi =
+theta*omega, and `kl_value` reads it only at n = 1 mod p - 1, where
+chi_n = theta and the value -(1 - theta(p) p^(n-1)) B_{n,theta}/n is
+rational.  At those n the closed form below matches it only through the
+distribution relation for B_{n,theta} (Washington, GTM 83, Prop. 4.1),
+which holds for the true Bernoulli numbers alone.
 
 Branch bookkeeping for an odd quadratic theta of conductor prime to p
 (the only case this artifact evaluates numerically):
@@ -119,35 +124,48 @@ p is inert, B_{1,theta} comes from the Bernoulli numbers of
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
-                         _primitive_root, _smallest_prime_factors, bernoulli_number,
-                         char_product, char_teichmuller_power, gen_bernoulli)
+from .characters import (DirichletCharacter, _kronecker_row, _smallest_prime_factors,
+                         bernoulli_number, gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _check_prime, _log_units, ordp, teichmuller
 
 __all__ = ["BranchSeries", "kl_value", "branch_series", "branch_derivative"]
 
 
-def kl_value(n: int, chi: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
-    """Exact L_p(1-n, chi) for an even branch character chi and n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if chi.parity() != 1:
-        raise ValueError("branch characters of the Kubota-Leopoldt function are even")
-    chi_n = char_product(chi, char_teichmuller_power(-n, ctx))
-    # chi_n(p) is exact: 0 when omega divides chi_n (p divides its
-    # conductor), else theta(p); so is the Euler factor, and at a trivial
-    # zero it is an exact 0 that B_{n,chi_n} cannot change
-    euler = 1 - chi_n.value_exact(ctx.p) * Fraction(ctx.p) ** (n - 1)
+def kl_value(n: int, theta: DirichletCharacter, ctx: PadicContext) -> PadicNumber:
+    """Exact g(1-n) = -(1 - theta(p) p^(n-1)) B_{n,theta}/n for n = 1 mod p - 1, theta odd."""
+    p = ctx.p
+    if n < 1 or (n - 1) % (p - 1):
+        raise ValueError(f"g is read exactly at 1 - n for n = 1 mod {p - 1} only, not n = {n}")
+    if theta.parity() != -1:
+        raise ValueError("theta must be odd, so that theta*omega is even")
+    # at a trivial zero the Euler factor is an exact 0 that B_{n,theta} cannot change
+    euler = 1 - theta.value_exact(p) * p ** (n - 1)
     if not euler:
         return ctx.zero()
-    B = gen_bernoulli(n, chi_n, ctx)
-    if isinstance(B, Fraction):
-        return ctx.from_rational(-euler * B / n)
-    return -(ctx.from_rational(euler) * B) / n
+    return ctx.from_rational(-euler * gen_bernoulli(n, theta) / n)
+
+
+def _prime_factors(n: int) -> list:
+    # the distinct prime factors of n >= 1, ascending, by trial division
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def _primitive_root(p: int) -> int:
+    facs = _prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
+            return g
+    raise ArithmeticError(f"no primitive root mod {p}")
 
 
 def _kappa(j: int, p: int) -> int:
@@ -319,7 +337,7 @@ def _g_at_zero(D: int, p: int, n_cert: int, J: int) -> tuple:
     # against the closed form once per key
     ctx = PadicContext(p, J)
     closed = _closed_form(D, p, 0, J - n_cert, n_cert)
-    c0 = kl_value(1, DirichletCharacter(D, 1, ctx), ctx)
+    c0 = kl_value(1, DirichletCharacter(D), ctx)
     if (c0 - closed[0]).min_valuation() < n_cert:
         raise ArithmeticError(
             f"closed form g(0) = {closed[0]} disagrees with the exact {c0} mod p^{n_cert}")
@@ -375,7 +393,7 @@ def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int
         raise ValueError("order must be >= 1")
     if n_cert < 1:
         raise ValueError("n_cert must be >= 1")
-    if theta.parity() != -1 or not theta.is_rational() or theta.is_trivial():
+    if theta.parity() != -1:
         raise ValueError("theta must be an odd quadratic character")
     if theta.modulus % p == 0:
         raise ValueError("theta must have conductor prime to p")

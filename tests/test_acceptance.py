@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from cmlinv.acceptance import CRITERIA
+from cmlinv import characters, kl
+from cmlinv.acceptance import CRITERIA, TARGET, ac4_interpolation_oracle
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -22,3 +23,22 @@ def test_criterion(criterion):
     print(line)
     sys.stderr.write(line + "\n")
     assert result.passed, json.dumps(result.detail, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("j", [4, 6, 10, 12])
+def test_ac4_sees_a_wrong_bernoulli_number(monkeypatch, j):
+    # B_j times 3 in the shared table: at its nodes n = 1 mod p - 1, AC-4 reads
+    # B_{n,theta} through the distribution relation, which only the true table
+    # satisfies, so every held-out residual drops below TARGET
+    characters.bernoulli_number(128)  # grown past every B_j the battery reads
+    table = list(characters._bernoulli)
+    table[j] *= 3
+    monkeypatch.setattr(characters, "_bernoulli", tuple(table))
+    kl._g_at_zero.cache_clear()
+    try:
+        result = ac4_interpolation_oracle()
+    finally:
+        kl._g_at_zero.cache_clear()  # no table built from the wrong B_j outlives the test
+    assert not result.passed
+    for key, row in result.detail.items():
+        assert all(r < TARGET for r in row["held_out_residuals"]), (key, row)

@@ -12,7 +12,7 @@ from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_teichmuller_power, dirichlet_L_nonpositive,
                                gen_bernoulli, is_fundamental_discriminant,
                                trivial_character)
-from cmlinv.padic import make_context, ordp, teichmuller
+from cmlinv.padic import make_context, ordp
 from cmlinv.quadfield import quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
@@ -91,20 +91,22 @@ def _character_row(D: int, i: int, p: int, N: int, f: int) -> dict:
 def _horner_row(f: int, n: int):
     """f^(n-1) B_n(a/f) for the units a mod f as (den, {a: numerator}).
 
-    B_n(x) is evaluated by Horner on its coefficients C(n, j) B_j, one
-    Fraction loop per unit a: the textbook definition of B_{n,chi}.
+    B_n(x) = sum_j C(n, j) B_j x^(n-j) is evaluated at x = a/f by Horner,
+    one integer loop per unit a after clearing the denominators of the
+    coefficients and of x: the textbook definition of B_{n,chi}.
     """
-    scale = Fraction(f) ** (n - 1)
     coeffs = [comb(n, j) * _bernoulli_oracle(j) for j in range(n + 1)]
+    L = lcm(*(c.denominator for c in coeffs))
+    # f^n B_n(a/f) L = sum_j c_j a^(n-j) f^j with the integers c_j = C(n, j) B_j L
+    scaled = [c.numerator * (L // c.denominator) * f**j for j, c in enumerate(coeffs)]
     row = {}
     for a in range(1, f + 1):
         if gcd(a, f) == 1:
-            x, acc = Fraction(a, f), Fraction(0)
-            for c in coeffs:
-                acc = acc * x + c
-            row[a] = scale * acc
-    den = lcm(*(q.denominator for q in row.values()))
-    return den, {a: q.numerator * (den // q.denominator) for a, q in row.items()}
+            acc = 0
+            for c in scaled:
+                acc = acc * a + c
+            row[a] = acc
+    return L * f, row
 
 
 def _gen_bernoulli_oracle(n: int, D: int, i: int, p: int, N: int):
@@ -125,9 +127,10 @@ def _gen_bernoulli_oracle(n: int, D: int, i: int, p: int, N: int):
     return Fraction(sum(chi[a] * num for a, num in row.items()), den), N + m
 
 
-# (D, p, i) with i = (p - 1)/2 among them; D = 1 is the pure Teichmuller power
-RAW_CASES = [(-4, 5, 1), (-4, 5, 2), (-3, 7, 2), (-3, 7, 3), (-8, 5, 3),
-             (5, 7, 3), (-7, 11, 4), (-4, 13, 6), (1, 7, 1), (12, 5, 0)]
+# (D, p, i) with i = 0 or (p - 1)/2, the powers of omega that are rational-valued;
+# D = 1 is the pure Teichmuller power
+RAW_CASES = [(-4, 5, 2), (-3, 7, 3), (-8, 5, 2), (5, 7, 3), (-7, 11, 5),
+             (-4, 13, 6), (1, 7, 3), (1, 3, 1), (12, 5, 0)]
 
 
 # --- Kronecker symbol -----------------------------------------------------------
@@ -202,40 +205,42 @@ def test_fundamental_discriminant_gate():
 
 # --- Teichmuller powers -----------------------------------------------------------
 
-def padic_value(chi, a, ctx):
-    """chi(a) in Z_p read from value_pair: sign * zeta^e, zeta the Teichmuller lift of g."""
-    pair = chi.value_pair(a)
-    if pair is None:
-        return ctx.zero()
-    s, e = pair
-    return s * teichmuller(ctx.from_int(characters._primitive_root(ctx.p))) ** e
-
-
 def test_omega_zero_is_trivial_mod_one():
     chi = char_teichmuller_power(0, CTX5)
     assert chi.modulus == 1 and chi.is_trivial()
 
 
 def test_omega_value_at_two():
-    chi = char_teichmuller_power(1, CTX5)
-    assert padic_value(chi, 2, CTX5).residue(2) == 7
+    # at p = 3, omega itself is rational: the Teichmuller lift of 2 is -1
+    chi = char_teichmuller_power(1, make_context(3, 8))
+    assert chi.D == -3 and chi.value_exact(2) == -1
+    assert _raw_value(1, 1, 3, 8, 2) == 3**8 - 1
 
 
 def test_omega_squared_at_two_is_minus_one():
     chi = char_teichmuller_power(2, CTX5)
-    assert padic_value(chi, 2, CTX5) == -1
-    assert chi.value_exact(2) == -1  # omega^2 is rational-valued at p = 5
+    assert chi.D == 5 and chi.value_exact(2) == -1  # omega^2 is rational-valued at p = 5
+    assert _raw_value(1, 2, 5, 32, 2) == 5**32 - 1
 
 
 def test_omega_is_odd():
-    assert char_teichmuller_power(1, CTX5).parity() == -1
+    # omega^i has parity (-1)^i: odd at i = (p - 1)/2 exactly when p = 3 mod 4
+    for p in (3, 5, 7, 11, 13):
+        i = (p - 1) // 2
+        assert char_teichmuller_power(i, make_context(p, 8)).parity() == (-1) ** i
+
+
+def test_omega_powers_that_are_not_rational_raise():
+    for p, i in ((5, 1), (5, 3), (7, 1), (7, 2), (13, 5)):
+        with pytest.raises(ValueError, match="not rational-valued"):
+            char_teichmuller_power(i, make_context(p, 8))
 
 
 # --- products and conductors --------------------------------------------------------
 
 def test_char_times_inverse_is_trivial():
     ctx7 = make_context(7, 8)
-    for chi in (char_teichmuller_power(1, CTX5),
+    for chi in (char_teichmuller_power(2, CTX5),
                 char_product(char_from_kronecker(-4), char_teichmuller_power(3, ctx7)),
                 char_from_kronecker(-8), trivial_character()):
         prod = char_product(chi, chi.power(-1))
@@ -250,9 +255,11 @@ def test_quadratic_squares_to_trivial():
 
 
 def test_theta_times_omega():
-    prod = char_product(char_from_kronecker(-4), char_teichmuller_power(1, CTX5))
-    assert prod.modulus == 20
-    assert prod.parity() == 1
+    # theta_{-4} omega^((p-1)/2): theta_{-20} at p = 5, odd; theta_{28} at p = 7, even
+    for p, D, parity in ((5, -20, -1), (7, 28, 1)):
+        prod = char_product(char_from_kronecker(-4),
+                            char_teichmuller_power((p - 1) // 2, make_context(p, 8)))
+        assert (prod.D, prod.modulus, prod.parity()) == (D, 4 * p, parity)
 
 
 def test_conductor_reduction_idempotent_and_value_preserving():
@@ -268,18 +275,16 @@ def test_conductor_reduction_idempotent_and_value_preserving():
             if gcd(a, f) > 1:
                 assert chi.value_pair(a) is None and raw[a] == 0, (D, p, i, a)
             else:
-                got = padic_value(chi, a, ctx)
-                assert (got - ctx.from_int(raw[a])).min_valuation() >= N, (D, p, i, a)
-                assert chi.value_pair(a + f) == chi.value_pair(a)
+                assert chi.value_exact(a) % p**N == raw[a], (D, p, i, a)
+                assert chi.value_pair(a) == chi.value_pair(a + f) == (chi.value_exact(a), 0)
         units = [a for a in range(1, f + 1) if gcd(a, f) == 1]
         cond = min(d for d in range(1, f + 1) if f % d == 0
                    and all(raw[a] == 1 for a in units if a % d == 1 % d))
         assert cond == f, (D, p, i)
         assert chi.parity() * raw[f - 1] % p**N == 1
-        assert chi.is_rational() == (2 * i % (p - 1) == 0)
         # reducing an already primitive character changes nothing
         for again in (chi.power(1), char_product(chi, trivial_character())):
-            assert (again.D, again.i, again.modulus) == (chi.D, chi.i, chi.modulus)
+            assert (again.D, again.modulus) == (chi.D, chi.modulus)
 
 
 @pytest.mark.parametrize("D1, D2, D", [(-4, -8, 8), (-4, -3, 12), (-3, -3, 1),
@@ -287,7 +292,7 @@ def test_conductor_reduction_idempotent_and_value_preserving():
                                        (12, -3, -4), (-24, -4, 24)])
 def test_quadratic_product_rule(D1, D2, D):
     prod = char_product(char_from_kronecker(D1), char_from_kronecker(D2))
-    assert (prod.D, prod.modulus, prod.context) == (D, abs(D), None)
+    assert (prod.D, prod.modulus) == (D, abs(D))
     for a in range(1, 4 * abs(D1 * D2)):
         if gcd(a, D1 * D2) == 1:
             assert prod.value_exact(a) == _jacobi(D1, a) * _jacobi(D2, a), a
@@ -297,13 +302,9 @@ def test_constructor_rejections():
     with pytest.raises(ValueError):
         DirichletCharacter(-12)  # not fundamental
     with pytest.raises(ValueError):
-        DirichletCharacter(-4, 1)  # a Teichmuller power needs a context
-    with pytest.raises(ValueError):
-        DirichletCharacter(-20, 1, CTX5)  # p | D under a Teichmuller power
-    with pytest.raises(ValueError):
         char_product(char_from_kronecker(5), char_teichmuller_power(1, CTX5))
     # i = 4 = 0 mod p - 1 leaves no Teichmuller component, so p | D is fine
-    assert DirichletCharacter(-20, 4, CTX5).modulus == 20
+    assert char_product(DirichletCharacter(-20), char_teichmuller_power(4, CTX5)).modulus == 20
 
 
 def test_power_method():
@@ -384,13 +385,6 @@ def test_parity_vanishing_sweep():
                 assert B != 0, (D, n)
 
 
-def test_padic_path_parity_vanishing():
-    # theta * omega at p=5 is even; odd n must cancel at tracked precision
-    chi = char_product(char_from_kronecker(-4), char_teichmuller_power(1, CTX5))
-    B = gen_bernoulli(3, chi, CTX5)
-    assert B.is_zero()
-
-
 def test_imprimitive_euler_factor_relation():
     # extending theta_{-4} to modulus 12 multiplies B_n by (1 - theta(3) 3^(n-1));
     # the mod-12 sum 12^(n-1) sum_a theta(a) B_n(a/12) is done by hand here
@@ -406,52 +400,22 @@ def test_imprimitive_euler_factor_relation():
         assert lhs == rhs
 
 
-def test_padic_path_against_raw_integer_oracle():
-    # B_{2, theta_{-4} omega} at p = 5 recomputed with nothing but ints:
-    # teichmuller by pow towers, Bernoulli polynomial values as Fractions
-    p, P = 5, 5**32
-    chi = char_product(char_from_kronecker(-4), char_teichmuller_power(1, CTX5))
-    got = gen_bernoulli(2, chi, CTX5)
-    f = 20
-    acc_num, acc_den = 0, 1
-    for a in range(1, f + 1):
-        if gcd(a, f) != 1:
-            continue
-        t = a % P
-        for _ in range(40):
-            t = pow(t, p, P)
-        sign = kronecker_symbol(-4, a)
-        val = f * (Fraction(a, f) ** 2 - Fraction(a, f) + Fraction(1, 6))
-        term = sign * t * val
-        acc_num = acc_num * term.denominator + term.numerator * acc_den
-        acc_den *= term.denominator
-    expected = CTX5.from_rational(Fraction(acc_num, acc_den))
-    assert (got - expected).min_valuation() >= 30
-
-
 ORACLE_DS = [1] + [D for D in range(-43, 0) if is_fundamental_discriminant(D)]
-
-
-def _check_against_oracle(n: int, chi: DirichletCharacter, p: int, N: int):
-    got = gen_bernoulli(n, chi, make_context(p, N))
-    want = _gen_bernoulli_oracle(n, chi.D, chi.i, p, N)
-    if isinstance(want, Fraction):
-        assert isinstance(got, Fraction) and got == want, (n, chi)
-        return
-    V, A = want
-    assert got.abs_prec >= A, (n, chi)
-    assert (got - got.context.from_rational(V)).min_valuation() >= A, (n, chi)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_gen_bernoulli_against_horner_oracle(p):
+    # every rational-valued theta_D omega^i: i = 0 and, for p prime to D, (p - 1)/2
     N = 12
     ctx = make_context(p, N)
     for D in ORACLE_DS:
-        for i in range(p - 1):
-            if i == 0 or D % p:
-                for n in range(1, 9):
-                    _check_against_oracle(n, DirichletCharacter(D, i, ctx), p, N)
+        for i in {0, (p - 1) // 2} if D % p else {0}:
+            chi = char_product(DirichletCharacter(D), char_teichmuller_power(i, ctx))
+            assert chi.modulus == abs(D) * (p if i else 1), (D, i)
+            for n in range(1, 9):
+                got = gen_bernoulli(n, chi)
+                assert isinstance(got, Fraction) and \
+                    got == _gen_bernoulli_oracle(n, D, i, p, N), (n, D, i)
 
 
 def test_gen_bernoulli_oracle_named_cases():
@@ -462,19 +426,18 @@ def test_gen_bernoulli_oracle_named_cases():
     for p in (3, 5, 7, 13):
         ctx = make_context(p, N)
         for D in (-3, -4, -7, -40):
-            if D % p == 0:
-                continue
-            # i = (p - 1)/2: quadratic, exact, of modulus |D| p
-            chi = DirichletCharacter(D, (p - 1) // 2, ctx)
-            assert chi.is_rational() and chi.modulus == abs(D) * p
-            for n in range(1, 9):
-                _check_against_oracle(n, chi, p, N)
-            # n = 1 mod p - 1: kl_value's theta*omega^(1-n) drops to conductor |D|
+            # i = (p - 1)/2: omega^i = theta_{p*}, so the product is quadratic, of modulus |D| p
+            i = (p - 1) // 2
+            if D % p:
+                chi = char_product(DirichletCharacter(D), char_teichmuller_power(i, ctx))
+                assert chi.modulus == abs(D) * p
+                for n in range(1, 9):
+                    assert gen_bernoulli(n, chi) == _gen_bernoulli_oracle(n, D, i, p, N), (n, D)
+            # n = 1 mod p - 1: kl_value's theta*omega^(1-n) is theta, of conductor |D|
             for n in range(1, 9, p - 1):
-                chi_n = char_product(DirichletCharacter(D, 1, ctx),
-                                     char_teichmuller_power(-n, ctx))
-                assert chi_n.modulus == abs(D) and chi_n.is_rational()
-                _check_against_oracle(n, chi_n, p, N)
+                chi_n = char_product(DirichletCharacter(D), char_teichmuller_power(1 - n, ctx))
+                assert chi_n.D == D and chi_n.modulus == abs(D)
+                assert gen_bernoulli(n, chi_n) == _gen_bernoulli_oracle(n, D, 0, p, N), (n, D)
 
 
 def test_rational_path_against_per_residue_sum():

@@ -11,15 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlinv import kl
-from cmlinv.characters import (DirichletCharacter, _primitive_root, bernoulli_number,
-                               char_from_kronecker, char_product,
-                               char_teichmuller_power, gen_bernoulli,
-                               is_fundamental_discriminant)
+from cmlinv.characters import (DirichletCharacter, bernoulli_number, char_from_kronecker,
+                               gen_bernoulli, is_fundamental_discriminant, trivial_character)
 from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _g_at_zero,
-                       _kappa, _logs, branch_derivative, branch_series, kl_value)
+                       _kappa, _logs, _primitive_root, branch_derivative, branch_series,
+                       kl_value)
 from cmlinv.padic import PadicContext, iwasawa_log, make_context, ordp, teichmuller
 from cmlinv.quadfield import pi_bar, quad_field_data
-from test_characters import kronecker_symbol
+from test_characters import _gen_bernoulli_oracle, kronecker_symbol
 
 CTX5 = make_context(5, 16)
 THETA4 = char_from_kronecker(-4)
@@ -30,17 +29,28 @@ def _digits(x):
     return (x.min_valuation(), x.digits(), x.abs_prec)
 
 
-def _theta_omega(ctx):
-    return char_product(char_from_kronecker(-4), char_teichmuller_power(1, ctx))
-
-
 # --- the Newton route, kept as an oracle ---------------------------------------
 #
 # g(s) = f(u), u = (1+p)^s - 1, f a power series with p-integral coefficients
 # (Iwasawa), so Newton divided differences of f at the nodes
 # u_n = (1+p)^(1-n) - 1, n = 1..J, computed from exact interpolation values,
-# recover f with coefficient-j truncation error of valuation >= J - j.  It
-# shares only kl_value with the closed form in `cmlinv.kl`.
+# recover f with coefficient-j truncation error of valuation >= J - j.  The
+# node values g(1-n) = -(1 - chi_n(p) p^(n-1)) B_{n,chi_n}/n, chi_n =
+# theta omega^(1-n), come from the test-side Bernoulli oracle, so the route
+# shares no code with `cmlinv.kl`.
+
+def _g_node(D, p, n, work):
+    # g(1-n) in `work`: exact where chi_n is rational-valued, else to the
+    # absolute precision the oracle's sum carries, less the ord_p(n) digits of /n
+    i = (1 - n) % (p - 1)
+    B = _gen_bernoulli_oracle(n, D, i, p, work.N)
+    if isinstance(B, Fraction):
+        # chi_n(p) = theta(p) at i = 0; otherwise p divides the conductor of chi_n
+        euler = 1 - kronecker_symbol(D, p) * p ** (n - 1) if i == 0 else 1
+        return work.from_rational(-euler * B / n)
+    V, A = B
+    return work.from_rational(-V / n).truncate_abs(A - ordp(n, p))
+
 
 def _u(ctx, s):
     # u = (1+p)^s - 1 for an integer s; its valuation is 1 + ord_p(s), so
@@ -74,9 +84,8 @@ def _newton_oracle(D, p, n_cert, J):
     # divided differences with hand-tuned slack, the p-integrality check and
     # the held-out nodes J+1..2J; returns (work, nodes, newton, log1p)
     work = PadicContext(p, n_cert + 2 * J + 2 * ((J // (p - 1)) + 1) + 8)
-    chi = DirichletCharacter(D, 1, work)
     nodes = tuple(_u(work, 1 - n) for n in range(1, J + 1))
-    row = [kl_value(n, chi, work) for n in range(1, J + 1)]
+    row = [_g_node(D, p, n, work) for n in range(1, J + 1)]
     newton = [row[0]]
     for r in range(1, J):
         row = [(row[l + 1] - row[l]) / (nodes[l + r] - nodes[l])
@@ -85,7 +94,7 @@ def _newton_oracle(D, p, n_cert, J):
     assert all(c.is_zero() or c.valuation() >= 0 for c in newton), (D, p, J)
     table = (work, nodes, tuple(newton), iwasawa_log(work.from_int(1 + p)))
     for n in range(J + 1, 2 * J + 1):
-        resid = (_oracle_value(table, 1 - n) - kl_value(n, chi, work)).min_valuation()
+        resid = (_oracle_value(table, 1 - n) - _g_node(D, p, n, work)).min_valuation()
         assert resid >= n_cert, (D, p, J, n)
     return table
 
@@ -113,15 +122,16 @@ def _oracle_series(table, point, order):
 
 def test_trivial_zero_node_is_exact_zero():
     # (1 - theta(5)) kills the value exactly at the n = 1 node
-    v = kl_value(1, _theta_omega(CTX5), CTX5)
+    v = kl_value(1, THETA4, CTX5)
     assert v.is_exact_zero()
 
 
 def test_inert_prime_node_is_one():
+    # g(0) = -(1 - theta(7)) B_{1,theta} = -2 * (-1/2), theta = theta_{-4}
     ctx7 = make_context(7, 16)
-    chi = char_product(THETA4, char_teichmuller_power(1, ctx7))
-    v = kl_value(1, chi, ctx7)
-    assert v == 1
+    assert gen_bernoulli(1, THETA4) == Fraction(-1, 2)
+    v = kl_value(1, THETA4, ctx7)
+    assert v == 1 and v == ctx7.from_rational(-2 * gen_bernoulli(1, THETA4))
 
 
 def test_vanishing_euler_factor_skips_bernoulli(monkeypatch):
@@ -134,12 +144,12 @@ def test_vanishing_euler_factor_skips_bernoulli(monkeypatch):
         return gen_bernoulli(*args)
 
     monkeypatch.setattr(kl, "gen_bernoulli", counted)
-    v = kl_value(1, _theta_omega(CTX5), CTX5)
+    v = kl_value(1, THETA4, CTX5)
     zero = CTX5.from_rational(0)
     assert calls == []
     assert (repr(v), v.abs_prec) == (repr(zero), zero.abs_prec)
     ctx7 = make_context(7, 16)
-    v = kl_value(1, _theta_omega(ctx7), ctx7)
+    v = kl_value(1, THETA4, ctx7)
     one = ctx7.from_rational(-(1 - THETA4.value_exact(7)) * Fraction(-1, 2))  # B_{1,theta} = -1/2
     assert len(calls) == 1
     assert (repr(v), v.abs_prec) == (repr(one), one.abs_prec)
@@ -154,7 +164,7 @@ def test_node_five_exact_rational():
              for a in (1, 3))
     expected = -(1 - 5**4) * B5 / 5
     assert B5 == Fraction(-25, 2)
-    v = kl_value(5, _theta_omega(CTX5), CTX5)
+    v = kl_value(5, THETA4, CTX5)
     assert v == CTX5.from_rational(expected)
 
 
@@ -164,10 +174,14 @@ def _binom(n, k):
 
 
 def test_kl_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kl_value(0, _theta_omega(CTX5), CTX5)
-    with pytest.raises(ValueError):
-        kl_value(1, THETA4, CTX5)  # odd character is not a branch character
+    # g(1-n) is read only at n = 1 mod p - 1, where theta omega^(1-n) = theta
+    for p, n in ((5, 0), (5, 2), (5, 4), (5, 6), (7, 5), (3, 2), (5, -3)):
+        with pytest.raises(ValueError, match="n = 1 mod"):
+            kl_value(n, THETA4, make_context(p, 8))
+    # theta*omega is a branch character only for an odd theta
+    for theta in (char_from_kronecker(5), char_from_kronecker(8), trivial_character()):
+        with pytest.raises(ValueError, match="odd"):
+            kl_value(1, theta, CTX5)
 
 
 # --- branch series ------------------------------------------------------------
@@ -224,11 +238,10 @@ def test_derivative_d3_p7():
 
 
 def test_series_reproduces_extra_nodes():
-    # the exact g(1-n): kl_value at J + 1 + ord_p(n) digits carries J of them
+    # the exact g(1-n) at n = 1 mod 4: a rational, known to every digit J carries
     bs = branch_series(0, THETA4, 0, 3, CTX5, n_cert=8)
-    chi = DirichletCharacter(-4, 1, CTX5)  # theta*omega, the character of g
-    for n in range(25, 28):
-        exact = kl_value(n, chi, PadicContext(5, bs.nodes_used + 1 + ordp(n, 5)))
+    for n in (25, 29, 33):
+        exact = kl_value(n, THETA4, PadicContext(5, bs.nodes_used))
         assert (bs.evaluate(1 - n) - exact).min_valuation() >= 8, n
 
 
@@ -337,7 +350,6 @@ def test_cert_cannot_exceed_context():
 
 
 def test_rejects_even_or_trivial_theta():
-    from cmlinv.characters import trivial_character
     with pytest.raises(ValueError):
         branch_series(0, char_from_kronecker(5), 0, 2, CTX5, n_cert=6)
     with pytest.raises(ValueError):
