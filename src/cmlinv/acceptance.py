@@ -134,9 +134,10 @@ def ac5_trivial_zero_classification():
     """Locations for n = 1..12 and the two order-1 certificates on the p = 5 spec."""
     ctx = make_context(5, 12)
     spec = cm_spec_from_curve(CURVE, ctx)
-    certified = all(cert.c0.min_valuation() >= cert.n_cert and not cert.c1.is_zero()
-                    and cert.c1.valuation() < cert.n_cert
-                    for cert in trivial_zero_certificates(spec, 8))
+    n_cert = 8
+    certified = all(cert.c0.min_valuation() >= n_cert and not cert.c1.is_zero()
+                    and cert.c1.valuation() < n_cert
+                    for cert in trivial_zero_certificates(spec, n_cert))
     expected_nonempty = {2, 6, 10}
     detail = {}
     ok = True

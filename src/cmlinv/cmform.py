@@ -75,8 +75,8 @@ def ap_point_count(curve: tuple[int, ...], p: int) -> int:
     return -total
 
 
-class CMFormSpec(namedtuple("CMFormSpec", "field weight nebentypus ap level context")):
-    """(F, k, psi, a_p, N): a p-ordinary CM eigenform's local data at p."""
+class CMFormSpec(namedtuple("CMFormSpec", "field weight nebentypus ap context")):
+    """(F, k, psi, a_p): a p-ordinary CM eigenform's local data at p."""
 
     __slots__ = ()
 
@@ -85,8 +85,9 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
             ap, level: int, ctx: PadicContext) -> CMFormSpec:
     """Validated CM form spec.
 
-    Rejects non-ordinary a_p, p | N, nebentypus parity not matching the
-    weight, and fields in which p is not split.
+    Rejects non-ordinary a_p, p | level, nebentypus parity not matching the
+    weight, and fields in which p is not split.  The level is checked, not
+    stored: nothing downstream reads it.
     """
     p = ctx.p
     if weight < 2:
@@ -101,8 +102,7 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
     if nebentypus.parity() != (-1) ** weight:
         raise ValueError("nebentypus parity must equal (-1)^weight")
     _check_split(field, p)
-    return CMFormSpec(field=field, weight=weight, nebentypus=nebentypus,
-                      ap=ap, level=level, context=ctx)
+    return CMFormSpec(field=field, weight=weight, nebentypus=nebentypus, ap=ap, context=ctx)
 
 
 def cm_spec_from_curve(curve: tuple[int, ...], ctx: PadicContext) -> CMFormSpec:
@@ -130,7 +130,10 @@ def _curve_field(curve) -> QuadFieldData:
 
 
 def _curve_spec(curve, F, p, N) -> tuple[int, CMFormSpec]:
-    # a_p, then the spec over F (level 32: the desk curve's); p^N only once the count accepts p
+    # a_p, then the spec over F (level 32: the desk curve's).  The count takes p steps,
+    # so p's primality and split in F come first; p^N only once the count accepts p
+    _check_prime(p)
+    _check_split(F, p)
     _check_precision(N)
     ap = ap_point_count(curve, p)
     return ap, cm_spec(F, 2, trivial_character(), ap, 32, PadicContext(p, N))

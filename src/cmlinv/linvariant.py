@@ -104,7 +104,7 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
 class TrivialZeroFormulaReport(namedtuple(
         "TrivialZeroFormulaReport",
         "l_invariant derivative archimedean_value e_plus_value "
-        "modular_symbols functional_equation_note residual_valuation target passed")):
+        "modular_symbols functional_equation_note residual_valuation passed")):
     """Certificate for the derivative identity at one trivial zero.
 
     The Dirichlet core is numeric: derivative of branch i at s = i equals
@@ -147,7 +147,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
     return TrivialZeroFormulaReport(
         l_invariant=l_at_i, derivative=deriv, archimedean_value=arch, e_plus_value=eplus,
         modular_symbols=symbols, functional_equation_note=note, residual_valuation=resid,
-        target=target, passed=resid >= target)
+        passed=resid >= target)
 
 
 def full_report(spec: CMFormSpec, target: int = 6) -> LInvariantReport:

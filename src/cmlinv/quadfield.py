@@ -113,7 +113,7 @@ def _check_split(F: QuadFieldData, p: int) -> None:
 
 class SplitPrimeData(namedtuple(
         "SplitPrimeData",
-        "p h sqrt_disc pi_coords pibar_coords pibar_unit log_pibar")):
+        "sqrt_disc pi_coords pibar_coords pibar_unit log_pibar")):
     """The split-prime package at p.
 
     Coordinates (x, y) encode (x + y*sqrt(D))/2; pibar_coords is the
@@ -176,6 +176,5 @@ def pi_bar(F: QuadFieldData, p: int, ctx: PadicContext,
     else:
         pibar_coords, pi_coords, pibar_img = (x, -y), (x, y), minus
     return SplitPrimeData(
-        p=p, h=h, sqrt_disc=w,
-        pi_coords=pi_coords, pibar_coords=pibar_coords,
+        sqrt_disc=w, pi_coords=pi_coords, pibar_coords=pibar_coords,
         pibar_unit=pibar_img, log_pibar=iwasawa_log(pibar_img))

@@ -27,7 +27,6 @@ from .padic import PadicNumber
 
 __all__ = [
     "SymPowerFactor",
-    "SymPowerDecomposition",
     "TrivialZeroCertificate",
     "decompose",
     "MAX_DECOMPOSE_DIGITS",
@@ -53,14 +52,8 @@ class SymPowerFactor(namedtuple(
     __slots__ = ()
 
 
-class SymPowerDecomposition(namedtuple("SymPowerDecomposition", "n m spec factors")):
-    """The factors (a tuple of SymPowerFactor) of the n-th power, n = 2m or 2m + 1."""
-
-    __slots__ = ()
-
-
-def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
-    """Factor list of the weight-0-normalized n-th symmetric power."""
+def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
+    """The factors of the weight-0-normalized n-th symmetric power, n = 2m or 2m + 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = spec.context
@@ -88,7 +81,7 @@ def decompose(spec: CMFormSpec, n: int) -> SymPowerDecomposition:
             shift=shift, twist=twist,
             alpha=scale * roots.alpha**r,
             beta=scale * roots.beta**r))
-    return SymPowerDecomposition(n=n, m=m, spec=spec, factors=tuple(factors))
+    return tuple(factors)
 
 
 # The largest n * (N + _DECOMPOSE_OVERHEAD) `cmlinv decompose` lists, n/2
@@ -131,9 +124,9 @@ def critical_integers(n: int, k: int) -> list[int]:
     return [*range(3 - k - k % 2, 0, 2), *range(2, k, 2)]  # negative odds, positive evens
 
 
-class TrivialZeroCertificate(namedtuple(
-        "TrivialZeroCertificate", "branch s order c0 c1 n_cert")):
-    """Series coefficients c0 = 0 and c1 != 0 mod p^n_cert of branch `branch` at s."""
+class TrivialZeroCertificate(namedtuple("TrivialZeroCertificate", "branch c0 c1")):
+    """Series coefficients c0 = 0 and c1 != 0 mod p^n_cert of branch `branch` at
+    s = branch: an order-1 zero, certified to the caller's n_cert digits."""
 
     __slots__ = ()
 
@@ -160,8 +153,7 @@ def trivial_zero_certificates(spec: CMFormSpec,
         if c1.is_zero() or c1.valuation() >= bs.n_cert:
             raise ArithmeticError(f"c1 = 0 mod {spec.context.p}^{bs.n_cert}, so the predicted "
                                   f"order-1 zero is not certified at N_cert = {bs.n_cert}")
-        certs.append(TrivialZeroCertificate(branch=i, s=i, order=1, c0=c0, c1=c1,
-                                            n_cert=bs.n_cert))
+        certs.append(TrivialZeroCertificate(branch=i, c0=c0, c1=c1))
     return tuple(certs)
 
 
@@ -180,9 +172,8 @@ def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:
         raise ValueError(f"no trivial zero at n = {n}; the product is not defined")
     ctx = spec.context
     p = ctx.p
-    dec = decompose(spec, n)
     acc = ctx.one()
-    for f in dec.factors:
+    for f in decompose(spec, n):
         if f.kind != "modular":
             continue
         acc = acc * (1 - ctx.from_int(p) ** (i + f.shift - 1) / f.alpha)

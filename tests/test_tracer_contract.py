@@ -9,9 +9,12 @@ probe is run on one real call as well.
 
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import cmlinv
 from cmlinv.characters import char_from_kronecker
 from cmlinv.padic import make_context
 from cmlinv.quadfield import quad_field_data
@@ -55,3 +58,15 @@ def test_tracer_probes_run_on_real_calls():
         bound.apply_defaults()
         key, amount = probe(bound.arguments, fn(*args, **kwargs))
         assert isinstance(key, str) and amount > 0, name
+
+
+def test_import_cmlinv_alone_loads_every_traced_layer():
+    # an in-process traced pass runs `import cmlinv` and then reads each layer
+    # from sys.modules, so the package root must import them all by itself
+    src = Path(cmlinv.__file__).resolve().parents[1]
+    code = "import sys, cmlinv; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    loaded = set(proc.stdout.split())
+    missing = sorted({f"cmlinv.{layer}" for layer in _tracer().LAYERS} - loaded)
+    assert not missing, missing
