@@ -16,8 +16,7 @@ from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
                          is_fundamental_discriminant)
 from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series, kl_value
-from .linvariant import (full_report, l_invariant_analytic,
-                         verify_ferrero_greenberg, verify_trivial_zero_formula)
+from .linvariant import full_report, l_invariant_analytic, verify_ferrero_greenberg
 from .padic import PadicContext, iwasawa_log, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_from_discriminant
 from .sympower import critical_integers, trivial_zero_certificates, trivial_zero_locations
@@ -235,15 +234,13 @@ def ac8_embedding_swap():
     for p in CURVE_PRIMES:
         ctx = make_context(p, 16)
         spec = cm_spec_from_curve(CURVE, ctx)
-        rep = full_report(spec, target=TARGET)
+        rep = full_report(spec, 1, target=TARGET)  # Sym^1: the form, no trivial zero
         good = rep.fg_check.passed and rep.agreement_valuation >= TARGET
         detail[f"curve,p={p}"] = {
             "agreement_valuation": json_valuation(rep.agreement_valuation), "passed": good}
         ok = ok and good
-    ctx = make_context(5, 12)
-    spec = cm_spec_from_curve(CURVE, ctx)
-    for i in (0, 1):
-        r = verify_trivial_zero_formula(spec, 2, i, target=TARGET)
+    rep = full_report(cm_spec_from_curve(CURVE, make_context(5, 12)), 2, target=TARGET)
+    for i, r in enumerate(rep.formulas):
         detail[f"formula,i={i}"] = {"residual_valuation": json_valuation(r.residual_valuation),
                                     "passed": r.passed}
         ok = ok and r.passed

@@ -15,13 +15,11 @@ import json
 import os
 import sys
 
-from .cmform import _curve_field, _curve_spec, unit_root
+from .cmform import _curve_field, _curve_spec, ap_point_count, unit_root
 from .kl import _check_branch, branch_series
-from .linvariant import (full_report, verify_ferrero_greenberg,
-                         verify_trivial_zero_formula)
-from .padic import PadicNumber, _check_prime, json_valuation, make_context
-from .quadfield import (_check_split, pi_bar, quad_field_data, quad_field_from_discriminant,
-                        split_behavior)
+from .linvariant import full_report, verify_ferrero_greenberg
+from .padic import PadicNumber, _check_precision, json_valuation, make_context
+from .quadfield import pi_bar, quad_field_data, quad_field_from_discriminant, split_behavior
 from .sympower import (_DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS, critical_integers,
                        decompose, trivial_zero_certificates, trivial_zero_locations)
 
@@ -61,14 +59,6 @@ def _field_from_args(args):
     return F
 
 
-def _curve_field_split(args):
-    # the field the curve's j names, with p split in it: before p^N, the plans and the count
-    F = _curve_field(args.curve)
-    _check_prime(args.p)
-    _check_split(F, args.p)
-    return F
-
-
 def cmd_quadfield(args) -> int:
     F = _field_from_args(args)
     payload = {"d": F.d, "D": F.D, "h": F.h, "w": F.w}
@@ -87,7 +77,7 @@ def cmd_quadfield(args) -> int:
 
 
 def cmd_cmform(args) -> int:
-    ap, spec = _curve_spec(args.curve, _curve_field(args.curve), args.p, args.prec)
+    ap, spec = _curve_spec(args.curve, _curve_field(args.curve, args.p), args.p, args.prec)
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -105,7 +95,7 @@ def cmd_decompose(args) -> int:
     if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
         raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
                          f"up to {MAX_DECOMPOSE_DIGITS} digits")
-    spec = _curve_spec(args.curve, _curve_field(args.curve), args.p, args.prec)[1]
+    spec = _curve_spec(args.curve, _curve_field(args.curve, args.p), args.p, args.prec)[1]
     factors = []
     for f in decompose(spec, args.n):
         if f.kind == "dirichlet":
@@ -134,19 +124,23 @@ def cmd_critical(args) -> int:
 
 def cmd_trivial_zeros(args) -> int:
     locations = trivial_zero_locations(args.n)
-    F = _curve_field_split(args)
-    certify = args.certificates and locations
-    if certify:
+    F = _curve_field(args.curve, args.p)
+    certs = ()
+    if args.certificates and locations:
         # both certificates read g' at 0: its plan comes before p^N and the point count
         _check_branch(0, F.character(), 0, 2, args.p, args.prec, args.prec)
-    spec = _curve_spec(args.curve, F, args.p, args.prec)[1]
+        certs = trivial_zero_certificates(_curve_spec(args.curve, F, args.p, args.prec)[1],
+                                          args.prec)
+    else:  # nothing to certify, so no p^N; a bad --prec, p or curve is still refused
+        _check_precision(args.prec)
+        ap_point_count(args.curve, args.p)
     payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
     if args.certificates:
         payload["certificates"] = [
             {"branch": c.branch, "s": c.branch, "order": 1,
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
              "N_cert": args.prec}
-            for c in (trivial_zero_certificates(spec, args.prec) if certify else ())]
+            for c in certs]
     _emit(payload)
     return 0
 
@@ -174,7 +168,7 @@ def cmd_verify_fg(args) -> int:
     ctx = make_context(args.p, N)
     chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec)
     payload = {
-        "D": F.D, "p": args.p, "target": chk.target,
+        "D": F.D, "p": args.p, "target": args.prec,
         "lhs_branch_derivative": encode_padic(chk.lhs),
         "rhs_scaled_log_pibar": encode_padic(chk.rhs),
         "residual_valuation": json_valuation(chk.residual_valuation),
@@ -185,13 +179,13 @@ def cmd_verify_fg(args) -> int:
 
 
 def cmd_linvariant(args) -> int:
-    locations = trivial_zero_locations(args.n)
+    trivial_zero_locations(args.n)  # n < 1 is refused before the count and p^N
     N = max(args.prec + 4, 16)
-    F = _curve_field_split(args)
+    F = _curve_field(args.curve, args.p)
     # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
     spec = _curve_spec(args.curve, F, args.p, N)[1]
-    rep = full_report(spec, target=args.prec)
+    rep = full_report(spec, args.n, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,
         "unit_root_agreement": rep.agreement_valuation >= args.prec,
@@ -204,10 +198,9 @@ def cmd_linvariant(args) -> int:
         "agreement_valuation": json_valuation(rep.agreement_valuation),
         "fg_residual_valuation": json_valuation(rep.fg_check.residual_valuation),
     }
-    if locations:
+    if rep.formulas:
         formulas = {}
-        for i, _ in locations:
-            r = verify_trivial_zero_formula(spec, args.n, i, target=args.prec)
+        for i, r in enumerate(rep.formulas):  # branch i at s = i
             formulas[str(i)] = {
                 "residual_valuation": json_valuation(r.residual_valuation),
                 "e_plus": encode_padic(r.e_plus_value),

@@ -107,7 +107,7 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 
 def cm_spec_from_curve(curve: tuple[int, ...], ctx: PadicContext) -> CMFormSpec:
     """Weight-2, trivial-nebentypus spec over the curve's CM field, a_p counted on it."""
-    return _curve_spec(curve, _curve_field(curve), ctx.p, ctx.N)[1]
+    return _curve_spec(curve, _curve_field(curve, ctx.p), ctx.p, ctx.N)[1]
 
 
 # j -> d: a curve over Q has CM iff its j = c4^3 / Delta is that of an order of class
@@ -117,23 +117,26 @@ _CM_J = {0: 3, 54000: 3, -12288000: 3, 1728: 1, 287496: 1, -3375: 7, 16581375: 7
          -32768: 11, -884736: 19, -884736000: 43, -147197952000: 67, -262537412640768000: 163}
 
 
-def _curve_field(curve) -> QuadFieldData:
+def _curve_field(curve, p: int) -> QuadFieldData:
+    # the field the curve's j names, with p an odd prime split in it: every curve
+    # command checks this first, before p^N, the closed-form plans and the count
     a2, a4, _ = _curve_coeffs(curve)
     delta, c4 = curve_discriminant(curve), 16 * (a2 * a2 - 3 * a4)
     if delta == 0:
         raise ValueError("the curve is singular")
-    for j, d in _CM_J.items():
-        if c4**3 == j * delta:
-            return quad_field_data(d)
-    g = gcd(c4**3, delta) * (1 if delta > 0 else -1)
-    raise ValueError(f"the curve has no CM: j = {c4**3 // g}/{delta // g}")
+    d = next((d for j, d in _CM_J.items() if c4**3 == j * delta), None)
+    if d is None:
+        g = gcd(c4**3, delta) * (1 if delta > 0 else -1)
+        raise ValueError(f"the curve has no CM: j = {c4**3 // g}/{delta // g}")
+    F = quad_field_data(d)
+    _check_prime(p)
+    _check_split(F, p)
+    return F
 
 
 def _curve_spec(curve, F, p, N) -> tuple[int, CMFormSpec]:
-    # a_p, then the spec over F (level 32: the desk curve's).  The count takes p steps,
-    # so p's primality and split in F come first; p^N only once the count accepts p
-    _check_prime(p)
-    _check_split(F, p)
+    # a_p, then the spec over F = _curve_field(curve, p) (level 32: the desk curve's);
+    # p^N only once the count accepts p
     _check_precision(N)
     ap = ap_point_count(curve, p)
     return ap, cm_spec(F, 2, trivial_character(), ap, 32, PadicContext(p, N))

@@ -32,7 +32,7 @@ from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
 from .padic import PadicContext, PadicNumber, iwasawa_log
 from .quadfield import QuadFieldData, pi_bar
-from .sympower import e_plus, trivial_zero_locations
+from .sympower import SymPowerFactor, decompose, e_plus, trivial_zero_locations
 
 __all__ = [
     "FGCheck",
@@ -51,18 +51,19 @@ class FGCheck:
     lhs: PadicNumber
     rhs: PadicNumber
     residual_valuation: float
-    target: int
     passed: bool
 
 
 class LInvariantReport(namedtuple(
         "LInvariantReport",
-        "l_at_1 l_at_0 l_via_alpha agreement_valuation fg_check",
-        defaults=(None, None, None))):
+        "l_at_1 l_at_0 l_via_alpha agreement_valuation fg_check formulas",
+        defaults=(None,) * 4)):
     """The L-invariant at s = 1 and at s = 0.
 
     `full_report` also fills in the unit-root value, its agreement
-    valuation and the FGCheck; `l_invariant_analytic` leaves them None.
+    valuation, the FGCheck and one TrivialZeroFormulaReport per trivial
+    zero (branch 0, then branch 1; none when n has no trivial zero);
+    `l_invariant_analytic` leaves them None.
     """
 
     __slots__ = ()
@@ -97,13 +98,12 @@ def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
     lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N)
     rhs = ctx.from_rational(Fraction(4, F.w)) * pi_bar(F, p, ctx).log_pibar
     resid = (lhs - rhs).min_valuation()
-    return FGCheck(lhs=lhs, rhs=rhs, residual_valuation=resid,
-                   target=target, passed=resid >= target)
+    return FGCheck(lhs=lhs, rhs=rhs, residual_valuation=resid, passed=resid >= target)
 
 
 class TrivialZeroFormulaReport(namedtuple(
         "TrivialZeroFormulaReport",
-        "l_invariant derivative archimedean_value e_plus_value "
+        "derivative archimedean_value e_plus_value "
         "modular_symbols functional_equation_note residual_valuation passed")):
     """Certificate for the derivative identity at one trivial zero.
 
@@ -117,47 +117,46 @@ class TrivialZeroFormulaReport(namedtuple(
     __slots__ = ()
 
 
-def verify_trivial_zero_formula(spec: CMFormSpec, n: int, i: int,
-                                target: int = 6) -> TrivialZeroFormulaReport:
+def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor, ...], i: int,
+                                l_invariant: PadicNumber, target: int) -> TrivialZeroFormulaReport:
     """Numeric check of the derivative identity's Dirichlet core at (branch i, s=i).
 
-    Requires a genuine trivial zero (n = 2m, m odd, i in {0,1}).
+    `full_report` calls it at each trivial zero of Sym^n (n = 2m, m odd,
+    i in {0, 1}) with factors = decompose(spec, n), the L-invariant at
+    s = i and a target it has checked.
     """
-    _check_target(target)
-    if (i, i) not in trivial_zero_locations(n):
-        raise ValueError(f"no trivial zero at branch {i} for n = {n}")
     ctx = spec.context
-    F = spec.field
-    theta = F.character()
-    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)  # its plan before pi_bar
-    linv = l_invariant_analytic(F, ctx.p, ctx)
-    l_at_i = linv.l_at_0 if i == 0 else linv.l_at_1
+    theta = spec.field.character()
+    deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)
     arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
-    rhs = l_at_i * ctx.from_rational(arch)
-    resid = (deriv - rhs).min_valuation()
-    eplus = e_plus(spec, n, i)
-    m = n // 2
+    resid = (deriv - l_invariant * ctx.from_rational(arch)).min_valuation()
+    eplus = e_plus(spec, factors, i)
     k = spec.weight
-    symbols = tuple(
-        f"Lp[branch {i}]({i + j * (k - 1)}, f_{j})" for j in range(1, m + 1))
-    note = None
-    if i == 1:
-        note = ("functional equation: the archimedean fraction at s = 1 "
-                "reduces to the exact value at s = 0")
+    symbols = tuple(  # factors holds the Dirichlet factor and m modular ones
+        f"Lp[branch {i}]({i + j * (k - 1)}, f_{j})" for j in range(1, len(factors)))
+    note = ("functional equation: the archimedean fraction at s = 1 "
+            "reduces to the exact value at s = 0") if i == 1 else None
     return TrivialZeroFormulaReport(
-        l_invariant=l_at_i, derivative=deriv, archimedean_value=arch, e_plus_value=eplus,
+        derivative=deriv, archimedean_value=arch, e_plus_value=eplus,
         modular_symbols=symbols, functional_equation_note=note, residual_valuation=resid,
         passed=resid >= target)
 
 
-def full_report(spec: CMFormSpec, target: int = 6) -> LInvariantReport:
-    """Analytic and unit-root L-invariants with their agreement valuation."""
+def full_report(spec: CMFormSpec, n: int, target: int = 6) -> LInvariantReport:
+    """Everything `cmlinv linvariant` prints: the analytic and unit-root L-invariants
+    with their agreement valuation, the FG check, and the derivative formula at each
+    trivial zero of Sym^n, reading pibar, the unit root and decompose once each."""
     _check_target(target)
+    locations = trivial_zero_locations(n)
     ctx = spec.context
     # first: it checks the closed form's plan before pi_bar and the unit root
     fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target)
     base = l_invariant_analytic(spec.field, ctx.p, ctx)
     via_alpha = l_invariant_via_alpha(spec)
     agreement = (via_alpha - base.l_at_1).min_valuation()
+    factors = decompose(spec, n) if locations else ()
+    l_at = (base.l_at_0, base.l_at_1)
+    formulas = tuple(verify_trivial_zero_formula(spec, factors, i, l_at[i], target)
+                     for i, _ in locations)
     return base._replace(l_via_alpha=via_alpha, agreement_valuation=agreement,
-                         fg_check=fg)
+                         fg_check=fg, formulas=formulas)

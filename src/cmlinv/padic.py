@@ -520,7 +520,7 @@ def _log_reduction(T: int, p: int) -> tuple[int, int, int, int]:
 
 # Every log at one (p, T) shares the plan: each `_log_value` miss and each
 # `kl._logs` call reads it.  Measured reuse: 16 hits from 16 plans in
-# field-twoway and 7 from 19 in `cmlinv acceptance`, as many as an unbounded
+# field-twoway and 7 from 20 in `cmlinv acceptance`, as many as an unbounded
 # cache gets.  A plan at 512 digits of 29 holds about 10 KB, one at 16384
 # digits about 0.6 MB.
 _LOG_PLANS = 16
@@ -574,7 +574,7 @@ def _log_units(units, p: int, T: int) -> list:
 # routes ask for it twice whenever a_p is the trace of the generator of
 # pibar^h: the unit root alpha_p and pibar are then one integer mod p^T.
 # Measured reuse: 32 hits from 32 logs in field-twoway, none from 12 in
-# fg-grid, 28 from 15 in `cmlinv acceptance`.  An entry (unit and value) at
+# fg-grid, 28 from 16 in `cmlinv acceptance`.  An entry (unit and value) at
 # 512 digits of 29 holds about 0.7 KB, one at 16384 digits about 20 KB.
 _LOG_VALUES = 16
 

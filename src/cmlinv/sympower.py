@@ -62,25 +62,18 @@ def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
     psi = spec.nebentypus
     roots = unit_root(spec)
     psi_p = ctx.from_int(psi.value_exact(ctx.p))  # exact: p is prime to psi's modulus
-    factors: list[SymPowerFactor] = []
-    if n % 2 == 0:
+    factors = [] if n % 2 else [SymPowerFactor(
+        kind="dirichlet", character=theta if m % 2 else trivial_character())]
+    # block i holds the Hecke-character power r = n - 2i, and m - i = r // 2:
+    # twist psi^(-r//2) theta^i, cyclotomic shift (r // 2)(k - 1)
+    k = spec.weight
+    for r in range(n, 0, -2):
+        i, j = (n - r) // 2, r // 2
+        scale = psi_p ** -j
         factors.append(SymPowerFactor(
-            kind="dirichlet",
-            character=theta if m % 2 else trivial_character()))
-    # block i holds the Hecke-character power r = n - 2i; twist psi^(i-m) theta^i,
-    # cyclotomic shift (m - i)(k - 1) for even n, ((r-1)/2)(k - 1) for odd n
-    r_values = range(n, 1, -2) if n % 2 == 0 else range(n, 0, -2)
-    for r in r_values:
-        i = (n - r) // 2
-        twist = char_product(psi.power(i - m), theta.power(i % 2))
-        scale = psi_p ** (i - m)
-        shift = ((m - i) if n % 2 == 0 else (r - 1) // 2) * (spec.weight - 1)
-        factors.append(SymPowerFactor(
-            kind="modular", eta_power=r,
-            weight=r * (spec.weight - 1) + 1,
-            shift=shift, twist=twist,
-            alpha=scale * roots.alpha**r,
-            beta=scale * roots.beta**r))
+            kind="modular", eta_power=r, weight=r * (k - 1) + 1, shift=j * (k - 1),
+            twist=char_product(psi.power(-j), theta.power(i)),
+            alpha=scale * roots.alpha**r, beta=scale * roots.beta**r))
     return tuple(factors)
 
 
@@ -157,23 +150,22 @@ def trivial_zero_certificates(spec: CMFormSpec,
     return tuple(certs)
 
 
-def e_plus(spec: CMFormSpec, n: int, i: int) -> PadicNumber:
+def e_plus(spec: CMFormSpec, factors: tuple[SymPowerFactor, ...], i: int) -> PadicNumber:
     """Interpolation product with the vanishing Dirichlet factor removed:
 
         prod_{j=1..m} (1 - p^(i + j(k-1) - 1)/alpha_j)(1 - p^(-i - j(k-1)) beta_j)
 
-    at the trivial twist.  Defined only at a genuine trivial zero
-    (n = 2m, m odd, i in {0, 1}); every factor is p-integral and the
-    product is nonzero at working precision.
+    at the trivial twist, over the modular factors of decompose(spec, n).
+    Defined only at a genuine trivial zero (n = 2m, m odd, i in {0, 1}),
+    which the caller names; every factor is p-integral and the product is
+    nonzero at working precision.
     """
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
-    if not trivial_zero_locations(n):
-        raise ValueError(f"no trivial zero at n = {n}; the product is not defined")
     ctx = spec.context
     p = ctx.p
     acc = ctx.one()
-    for f in decompose(spec, n):
+    for f in factors:
         if f.kind != "modular":
             continue
         acc = acc * (1 - ctx.from_int(p) ** (i + f.shift - 1) / f.alpha)

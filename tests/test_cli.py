@@ -418,6 +418,65 @@ def test_cmform_counts_the_points_once(capsys, monkeypatch):
     assert out == (FIXTURES / "cmform_p5.json").read_text(encoding="ascii")
 
 
+@pytest.mark.parametrize("n, flags, out", [
+    ("4", (), '{"n":4,"zeros":[]}\n'),
+    ("4", ("--certificates",), '{"certificates":[],"n":4,"zeros":[]}\n'),
+    ("2", (), '{"n":2,"zeros":[[0,0],[1,1]]}\n'),
+])
+def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, monkeypatch,
+                                                                    n, flags, out):
+    # 5^(10^7) and the spec took 5-7 s for a payload that reads no p-adic number
+    import cmlinv.cmform as cmform_mod
+    real = cmform_mod.PadicContext
+
+    def small_only(p, N):
+        if N > 10**6:
+            raise AssertionError(f"built p^N at N = {N}")
+        return real(p, N)
+
+    monkeypatch.setattr(cmform_mod, "PadicContext", small_only)
+    assert run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", n,
+                   *flags, "--prec", "10000000") == (0, out)
+
+
+@pytest.mark.parametrize("flags", [("--n", "4"), ("--n", "4", "--certificates"), ("--n", "2")])
+@pytest.mark.parametrize("curve, prec, err", [
+    ("0,-25,0", "8", "error: bad reduction at 5\n"),
+    ("0,-1,0", "0", "error: precision N must be a positive integer, got 0\n"),
+])
+def test_trivial_zeros_without_certificates_keeps_its_refusals(capsys, flags, curve, prec,
+                                                               err):
+    code = main(["trivial-zeros", "--p", "5", "--curve", curve, "--prec", prec, *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
+def test_linvariant_reads_pibar_the_unit_root_and_the_decomposition_once(capsys,
+                                                                         monkeypatch):
+    # one pi_bar each for the FG check and the analytic value, one unit root each
+    # for the unit-root value and the decomposition both formulas share
+    import cmlinv.linvariant as lin_mod
+    import cmlinv.sympower as sym_mod
+    calls = []
+
+    def counted(mod, name):
+        real = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, wrapper, raising=False)
+
+    for mod, name in ((lin_mod, "pi_bar"), (lin_mod, "unit_root"), (sym_mod, "unit_root"),
+                      (lin_mod, "decompose"), (sym_mod, "decompose")):
+        if hasattr(mod, name):
+            counted(mod, name)
+    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "6",
+                        "--prec", "12")
+    assert code == 0 and json.loads(out)["result"] == "PASS"
+    assert sorted(calls) == ["decompose", "pi_bar", "pi_bar", "unit_root", "unit_root"]
+
+
 def test_linvariant_rejects_the_weight_before_counting_points(capsys, monkeypatch):
     # linvariant has no --k: curve specs have weight 2, so argparse refuses it
     calls = _count_point_counts(monkeypatch)
@@ -432,8 +491,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
     def fake_fg(F, p, ctx, target=6):
         z = ctx.inexact_zero(1)
-        return FGCheck(lhs=z, rhs=z, residual_valuation=1,
-                       target=target, passed=False)
+        return FGCheck(lhs=z, rhs=z, residual_valuation=1, passed=False)
 
     monkeypatch.setattr(cli_mod, "verify_ferrero_greenberg", fake_fg)
     code = main(["verify-fg", "--D", "-4", "--p", "5", "--prec", "6"])
@@ -493,8 +551,7 @@ def test_exact_zero_valuation_is_null_and_infinity_never_emitted(capsys, monkeyp
 
     def exact_fg(F, p, ctx, target=6):
         z = ctx.zero()
-        return FGCheck(lhs=z, rhs=z, residual_valuation=math.inf,
-                       target=target, passed=True)
+        return FGCheck(lhs=z, rhs=z, residual_valuation=math.inf, passed=True)
 
     monkeypatch.setattr(cli_mod, "verify_ferrero_greenberg", exact_fg)
     code, out = run_cli(capsys, "verify-fg", "--D", "-4", "--p", "5")

@@ -17,8 +17,7 @@ from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
                            curve_discriminant, unit_root)
 from cmlinv.kl import branch_series
 from cmlinv.linvariant import (full_report, l_invariant_analytic,
-                               l_invariant_via_alpha, verify_ferrero_greenberg,
-                               verify_trivial_zero_formula)
+                               l_invariant_via_alpha, verify_ferrero_greenberg)
 from cmlinv.padic import PadicNumber, iwasawa_log, make_context, padic_exp
 from cmlinv.quadfield import (pi_bar, quad_field_data, quad_field_from_discriminant,
                               split_behavior)
@@ -72,7 +71,7 @@ def test_via_alpha_weight_independence():
 
 
 def test_full_report_agreement():
-    rep = full_report(_spec(13, 16), target=6)
+    rep = full_report(_spec(13, 16), 2, target=6)
     assert rep.agreement_valuation >= 14
     assert rep.fg_check.passed
     assert rep.l_via_alpha is not None
@@ -136,8 +135,9 @@ def test_unit_root_route_agrees_at_every_class_number_one_field(d):
         ap = ap_point_count(curve, p)
         y2, r = divmod(4 * p - ap * ap, -F.D)
         assert r == 0 and isqrt(y2) ** 2 == y2, (d, p)
-        rep = full_report(cm_spec_from_curve(curve, make_context(p, 12)), target=8)
+        rep = full_report(cm_spec_from_curve(curve, make_context(p, 12)), 2, target=8)
         assert rep.fg_check.passed and rep.agreement_valuation >= 12, (d, p)
+        assert [r.passed for r in rep.formulas] == [True, True], (d, p)
 
 
 @pytest.mark.parametrize("d", CM_CURVES)
@@ -163,7 +163,7 @@ def test_unit_root_agreement_fails_on_the_wrong_field(capsys, p):
     assert json.loads(capsys.readouterr().out)["D"] == -7
     ctx = make_context(int(p), 32)
     ap = ap_point_count(curve, int(p))
-    rep = full_report(cm_spec(quad_field_data(1), 2, trivial_character(), ap, 32, ctx))
+    rep = full_report(cm_spec(quad_field_data(1), 2, trivial_character(), ap, 32, ctx), 1)
     assert rep.agreement_valuation == 1 and rep.fg_check.passed
 
 
@@ -292,7 +292,7 @@ def test_fg_residual_scales_with_context():
 # --- the derivative formula at a trivial zero ----------------------------------------
 
 def test_formula_branch_zero():
-    r = verify_trivial_zero_formula(_spec(), 2, 0)
+    r = full_report(_spec(), 2).formulas[0]
     assert r.passed and r.residual_valuation >= 6
     assert r.archimedean_value == Fraction(1, 2)  # 2h/w for Q(i)
     assert r.modular_symbols == ("Lp[branch 0](1, f_1)",)
@@ -301,25 +301,25 @@ def test_formula_branch_zero():
 
 
 def test_formula_branch_one_functional_equation():
-    r = verify_trivial_zero_formula(_spec(), 2, 1)
+    r = full_report(_spec(), 2).formulas[1]
     assert r.passed
     assert r.functional_equation_note is not None
 
 
 def test_formula_larger_power_same_core():
-    r2 = verify_trivial_zero_formula(_spec(), 2, 0)
-    r6 = verify_trivial_zero_formula(_spec(), 6, 0)
+    rep2, rep6 = full_report(_spec(), 2), full_report(_spec(), 6)
+    r2, r6 = rep2.formulas[0], rep6.formulas[0]
     assert r6.passed
     assert len(r6.modular_symbols) == 3
-    assert (r2.l_invariant - r6.l_invariant).is_zero()
+    assert (rep2.l_at_0 - rep6.l_at_0).is_zero()
     assert (r2.derivative - r6.derivative).is_zero()
 
 
 def test_formula_rejects_non_exceptional():
-    with pytest.raises(ValueError):
-        verify_trivial_zero_formula(_spec(), 4, 0)
-    with pytest.raises(ValueError):
-        verify_trivial_zero_formula(_spec(), 2, 2)
+    # no trivial zero, no formula: n = 4 has an even Dirichlet factor, n = 3 none
+    for n in (3, 4):
+        rep = full_report(_spec(), n)
+        assert rep.formulas == () and rep.fg_check.passed, n
 
 
 @pytest.mark.parametrize("target", [0, -3])
@@ -332,8 +332,7 @@ def test_target_below_one_rejected_before_any_work(monkeypatch, target):
     monkeypatch.setattr(lin, "pi_bar", no_field_work)
     spec = _spec()
     checks = [lambda: verify_ferrero_greenberg(spec.field, 5, spec.context, target=target),
-              lambda: verify_trivial_zero_formula(spec, 2, 0, target=target),
-              lambda: full_report(spec, target=target)]
+              lambda: full_report(spec, 2, target=target)]
     for check in checks:
         with pytest.raises(ValueError, match="target"):
             check()
@@ -344,12 +343,12 @@ def test_target_below_one_rejected_before_any_work(monkeypatch, target):
 def _records():
     # one instance of every record type, built the way the program builds it
     spec = _spec()
-    rep = full_report(spec, target=6)
+    rep = full_report(spec, 2, target=6)
     certs = trivial_zero_certificates(spec, 8)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
     return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs,
             decompose(spec, 2)[0], certs[0], rep, rep.fg_check,
-            verify_trivial_zero_formula(spec, 2, 0), ac6_critical_containment()]
+            rep.formulas[0], ac6_critical_containment()]
 
 
 def test_records_are_immutable():
@@ -383,5 +382,5 @@ def test_fgcheck_supports_dataclasses_replace():
     lhs = chk.lhs + ctx.from_int(5) ** (chk.lhs.valuation() + 3)
     flipped = dataclasses.replace(chk, lhs=lhs)
     assert flipped.lhs is lhs and flipped is not chk
-    assert (flipped.rhs, flipped.residual_valuation, flipped.target, flipped.passed) == \
-        (chk.rhs, chk.residual_valuation, chk.target, chk.passed)
+    assert (flipped.rhs, flipped.residual_valuation, flipped.passed) == \
+        (chk.rhs, chk.residual_valuation, chk.passed)

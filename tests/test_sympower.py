@@ -256,7 +256,7 @@ def test_certificates_order_one():
 def test_e_plus_matches_algebraic_simplification():
     spec = _spec5()
     alpha = unit_root(spec).alpha
-    got = e_plus(spec, 2, 1)
+    got = e_plus(spec, decompose(spec, 2), 1)
     # (1 - 5/alpha^2)(1 - beta^2/25) = (1 - 5 alpha^(-2))(1 - alpha^(-2))
     simplified = (1 - 5 * alpha**-2) * (1 - alpha**-2)
     assert (got - simplified).min_valuation() >= 14
@@ -265,8 +265,9 @@ def test_e_plus_matches_algebraic_simplification():
 
 def test_e_plus_nonzero_and_i_shift():
     spec = _spec5()
-    v0 = e_plus(spec, 2, 0)
-    v1 = e_plus(spec, 2, 1)
+    factors = decompose(spec, 2)
+    v0 = e_plus(spec, factors, 0)
+    v1 = e_plus(spec, factors, 1)
     assert not v0.is_zero() and not v1.is_zero()
     # m = 1: exchanging i = 0 and 1 swaps the two exponents, same product
     assert (v0 - v1).min_valuation() >= 14
@@ -274,16 +275,14 @@ def test_e_plus_nonzero_and_i_shift():
 
 def test_e_plus_larger_power():
     spec = _spec5()
-    v = e_plus(spec, 6, 0)
+    v = e_plus(spec, decompose(spec, 6), 0)
     assert not v.is_zero()
     assert v.valuation() == 0
 
 
 def test_e_plus_rejects_non_exceptional():
     spec = _spec5()
-    with pytest.raises(ValueError):
-        e_plus(spec, 4, 0)
-    with pytest.raises(ValueError):
-        e_plus(spec, 3, 0)
-    with pytest.raises(ValueError):
-        e_plus(spec, 2, 2)
+    # the n with no trivial zero get no product: full_report(spec, n).formulas == ()
+    # (test_linvariant); a branch other than 0 and 1 is refused here
+    with pytest.raises(ValueError, match="branch index"):
+        e_plus(spec, decompose(spec, 2), 2)
