@@ -1,9 +1,10 @@
 """The acceptance battery: every exit criterion as a callable check.
 
-Each criterion returns a CriterionResult with a machine-readable detail
-dict; `run_all` executes the battery in order.  The test suite and the
-CLI `acceptance` subcommand both drive these functions, so the table the
-CLI prints and the pytest results cannot drift apart.
+Each criterion returns its name, its verdict and a machine-readable detail
+dict; `run` times one call into a CriterionResult, and `run_all` runs the
+battery in order.  The test suite and the CLI `acceptance` subcommand both
+drive these functions, so the table the CLI prints and the pytest results
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from fractions import Fraction
 
 from .characters import (char_from_kronecker, dirichlet_L_nonpositive,
                          is_fundamental_discriminant)
-from .cmform import ap_point_count, cm_spec, cm_spec_from_curve, unit_root
+from .cmform import _curve_field, ap_point_count, cm_spec, cm_spec_from_curve, unit_root
 from .kl import branch_series, kl_value
 from .linvariant import full_report, l_invariant_analytic, verify_ferrero_greenberg
 from .padic import PadicContext, iwasawa_log, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_from_discriminant
 from .sympower import critical_integers, trivial_zero_certificates, trivial_zero_locations
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run", "run_all", "CRITERIA"]
 
 FG_PAIRS = ((-4, 5), (-4, 13), (-3, 7), (-7, 11))
 CURVE = (0, -1, 0)  # y^2 = x^3 - x, CM by Q(i)
@@ -35,17 +36,6 @@ class CriterionResult(namedtuple("CriterionResult", "name passed detail seconds"
     __slots__ = ()
 
 
-def _timed(fn):
-    def wrapper() -> CriterionResult:
-        t0 = time.perf_counter()
-        name, passed, detail = fn()
-        return CriterionResult(name=name, passed=passed, detail=detail,
-                               seconds=round(time.perf_counter() - t0, 3))
-    wrapper.__name__ = fn.__name__
-    return wrapper
-
-
-@_timed
 def ac1_ferrero_greenberg():
     """Branch derivative at the trivial zero vs (4/w) log(pibar), four (D, p) pairs."""
     detail = {}
@@ -60,7 +50,6 @@ def ac1_ferrero_greenberg():
     return "AC-1 derivative identity (interpolation vs norm-equation path)", ok, detail
 
 
-@_timed
 def ac2_class_number_formula():
     """L(0, theta_D) = 2h/w exactly for every fundamental D in [-200, 0)."""
     checked = 0
@@ -79,7 +68,6 @@ def ac2_class_number_formula():
             ok, {"discriminants_checked": checked, "failures": failures})
 
 
-@_timed
 def ac3_unit_root_identity():
     """log(alpha_p) = (k-1) log(pibar)/h for the CM curve and a weight-3 sibling."""
     detail = {}
@@ -107,7 +95,6 @@ def ac3_unit_root_identity():
     return "AC-3 unit-root log identity (point counts + synthetic weight 3)", ok, detail
 
 
-@_timed
 def ac4_interpolation_oracle():
     """Branch series against the exact g(1-n) at the first 5 nodes n > 2J, n = 1 mod p - 1."""
     detail = {}
@@ -128,15 +115,13 @@ def ac4_interpolation_oracle():
     return "AC-4 interpolation oracle at held-out nodes", ok, detail
 
 
-@_timed
 def ac5_trivial_zero_classification():
-    """Locations for n = 1..12 and the two order-1 certificates on the p = 5 spec."""
-    ctx = make_context(5, 12)
-    spec = cm_spec_from_curve(CURVE, ctx)
+    """Locations for n = 1..12 and the two order-1 certificates of the curve's theta at p = 5."""
     n_cert = 8
     certified = all(cert.c0.min_valuation() >= n_cert and not cert.c1.is_zero()
                     and cert.c1.valuation() < n_cert
-                    for cert in trivial_zero_certificates(spec, n_cert))
+                    for cert in trivial_zero_certificates(_curve_field(CURVE, 5).character(),
+                                                          5, n_cert))
     expected_nonempty = {2, 6, 10}
     detail = {}
     ok = True
@@ -152,7 +137,6 @@ def ac5_trivial_zero_classification():
     return "AC-5 trivial-zero classification with order-1 certificates", ok, detail
 
 
-@_timed
 def ac6_critical_containment():
     """Every tabulated critical integer is critical for every factor."""
     checked = 0
@@ -177,7 +161,6 @@ def ac6_critical_containment():
             ok, {"points_checked": checked, "failures": failures})
 
 
-@_timed
 def ac7_sign_branch_structure():
     """l(0) = -l(1) exactly, and the two branches agree under s -> 1-s."""
     ctx = make_context(5, 12)
@@ -202,7 +185,6 @@ def ac7_sign_branch_structure():
                  "symmetry_residuals": list(map(json_valuation, residuals))})
 
 
-@_timed
 def ac8_embedding_swap():
     """What the opposite Hensel lift of sqrt(D) changes, and what it must not.
 
@@ -259,5 +241,13 @@ CRITERIA = (
 )
 
 
+def run(criterion) -> CriterionResult:
+    """One criterion's (name, passed, detail), with the wall time of the call."""
+    t0 = time.perf_counter()
+    name, passed, detail = criterion()
+    return CriterionResult(name=name, passed=passed, detail=detail,
+                           seconds=round(time.perf_counter() - t0, 3))
+
+
 def run_all() -> list[CriterionResult]:
-    return [fn() for fn in CRITERIA]
+    return [run(criterion) for criterion in CRITERIA]

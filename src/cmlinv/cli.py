@@ -15,13 +15,13 @@ import json
 import os
 import sys
 
-from .cmform import _curve_field, _curve_spec, ap_point_count, unit_root
+from .cmform import _curve_field, _curve_spec, unit_root
 from .kl import _check_branch, branch_series
 from .linvariant import full_report, verify_ferrero_greenberg
 from .padic import PadicNumber, _check_precision, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_data, quad_field_from_discriminant, split_behavior
-from .sympower import (_DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS, critical_integers,
-                       decompose, trivial_zero_certificates, trivial_zero_locations)
+from .sympower import (_check_decompose, critical_integers, decompose,
+                       trivial_zero_certificates, trivial_zero_locations)
 
 __all__ = ["main", "console_entry"]
 
@@ -77,7 +77,8 @@ def cmd_quadfield(args) -> int:
 
 
 def cmd_cmform(args) -> int:
-    ap, spec = _curve_spec(args.curve, _curve_field(args.curve, args.p), args.p, args.prec)
+    F = _curve_field(args.curve, args.p)
+    ap, spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))
     roots = unit_root(spec)
     payload = {
         "p": args.p,
@@ -90,12 +91,9 @@ def cmd_cmform(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.n < 1:  # before the count and p^N
-        raise ValueError("n must be >= 1")
-    if args.n * (args.prec + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
-        raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
-                         f"up to {MAX_DECOMPOSE_DIGITS} digits")
-    spec = _curve_spec(args.curve, _curve_field(args.curve, args.p), args.p, args.prec)[1]
+    _check_decompose(args.n, args.prec)  # before the count and p^N
+    F = _curve_field(args.curve, args.p)
+    spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))[1]
     factors = []
     for f in decompose(spec, args.n):
         if f.kind == "dirichlet":
@@ -124,16 +122,11 @@ def cmd_critical(args) -> int:
 
 def cmd_trivial_zeros(args) -> int:
     locations = trivial_zero_locations(args.n)
-    F = _curve_field(args.curve, args.p)
-    certs = ()
+    theta = _curve_field(args.curve, args.p).character()
+    certs = ()  # no point is counted, and p^N is built only to certify something
     if args.certificates and locations:
-        # both certificates read g' at 0: its plan comes before p^N and the point count
-        _check_branch(0, F.character(), 0, 2, args.p, args.prec, args.prec)
-        certs = trivial_zero_certificates(_curve_spec(args.curve, F, args.p, args.prec)[1],
-                                          args.prec)
-    else:  # nothing to certify, so no p^N; a bad --prec, p or curve is still refused
-        _check_precision(args.prec)
-        ap_point_count(args.curve, args.p)
+        certs = trivial_zero_certificates(theta, args.p, args.prec)
+    _check_precision(args.prec)
     payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
     if args.certificates:
         payload["certificates"] = [
@@ -179,12 +172,14 @@ def cmd_verify_fg(args) -> int:
 
 
 def cmd_linvariant(args) -> int:
-    trivial_zero_locations(args.n)  # n < 1 is refused before the count and p^N
+    locations = trivial_zero_locations(args.n)  # n < 1 is refused before the count and p^N
     N = max(args.prec + 4, 16)
     F = _curve_field(args.curve, args.p)
     # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
     _check_branch(0, F.character(), 0, 2, args.p, N, N)
-    spec = _curve_spec(args.curve, F, args.p, N)[1]
+    if locations:  # full_report decomposes Sym^n
+        _check_decompose(args.n, N)
+    spec = _curve_spec(args.curve, F, make_context(args.p, N))[1]
     rep = full_report(spec, args.n, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,

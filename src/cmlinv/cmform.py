@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import gcd
 
 from .characters import DirichletCharacter, trivial_character
-from .padic import PadicContext, PadicNumber, _check_precision, _check_prime, hensel_lift
+from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
 from .quadfield import QuadFieldData, _check_split, quad_field_data
 
 __all__ = [
@@ -54,18 +54,23 @@ def _curve_coeffs(curve) -> tuple[int, int, int]:
 MAX_POINT_COUNT_PRIME = 10**6
 
 
-def ap_point_count(curve: tuple[int, ...], p: int) -> int:
-    """a_p = p + 1 - #E(F_p) by direct enumeration with quadratic-residue tests.
-
-    p must be an odd prime of at most MAX_POINT_COUNT_PRIME; any other p is
-    rejected before the count starts.
-    """
+def _check_count(curve, p: int) -> None:
+    # the count's refusals, none of which counts a point
     if p > MAX_POINT_COUNT_PRIME:
         raise ValueError(f"point counting needs p at most {MAX_POINT_COUNT_PRIME}")
     _check_prime(p)
-    a2, a4, a6 = _curve_coeffs(curve)
     if curve_discriminant(curve) % p == 0:
         raise ValueError(f"bad reduction at {p}")
+
+
+def ap_point_count(curve: tuple[int, ...], p: int) -> int:
+    """a_p = p + 1 - #E(F_p) by direct enumeration with quadratic-residue tests.
+
+    p must be an odd prime of at most MAX_POINT_COUNT_PRIME at which the
+    curve has good reduction; any other p is rejected before the count starts.
+    """
+    _check_count(curve, p)
+    a2, a4, a6 = _curve_coeffs(curve)
     total = 0
     for x in range(p):
         f = (x * x * x + a2 * x * x + a4 * x + a6) % p
@@ -106,8 +111,8 @@ def cm_spec(field: QuadFieldData, weight: int, nebentypus: DirichletCharacter,
 
 
 def cm_spec_from_curve(curve: tuple[int, ...], ctx: PadicContext) -> CMFormSpec:
-    """Weight-2, trivial-nebentypus spec over the curve's CM field, a_p counted on it."""
-    return _curve_spec(curve, _curve_field(curve, ctx.p), ctx.p, ctx.N)[1]
+    """Weight-2, trivial-nebentypus spec at ctx over the curve's CM field, a_p counted on it."""
+    return _curve_spec(curve, _curve_field(curve, ctx.p), ctx)[1]
 
 
 # j -> d: a curve over Q has CM iff its j = c4^3 / Delta is that of an order of class
@@ -118,8 +123,8 @@ _CM_J = {0: 3, 54000: 3, -12288000: 3, 1728: 1, 287496: 1, -3375: 7, 16581375: 7
 
 
 def _curve_field(curve, p: int) -> QuadFieldData:
-    # the field the curve's j names, with p an odd prime split in it: every curve
-    # command checks this first, before p^N, the closed-form plans and the count
+    # the field the curve's j names, p an odd prime split in it, then the count's checks:
+    # every curve command runs this before any work, and nothing after it refuses curve or p
     a2, a4, _ = _curve_coeffs(curve)
     delta, c4 = curve_discriminant(curve), 16 * (a2 * a2 - 3 * a4)
     if delta == 0:
@@ -131,15 +136,15 @@ def _curve_field(curve, p: int) -> QuadFieldData:
     F = quad_field_data(d)
     _check_prime(p)
     _check_split(F, p)
+    _check_count(curve, p)
     return F
 
 
-def _curve_spec(curve, F, p, N) -> tuple[int, CMFormSpec]:
-    # a_p, then the spec over F = _curve_field(curve, p) (level 32: the desk curve's);
-    # p^N only once the count accepts p
-    _check_precision(N)
-    ap = ap_point_count(curve, p)
-    return ap, cm_spec(F, 2, trivial_character(), ap, 32, PadicContext(p, N))
+def _curve_spec(curve, F, ctx) -> tuple[int, CMFormSpec]:
+    # a_p, then the spec at ctx over F = _curve_field(curve, ctx.p); cm_spec stores no level,
+    # and no odd p divides the 32 it checks: good reduction at p is _curve_field's check
+    ap = ap_point_count(curve, ctx.p)
+    return ap, cm_spec(F, 2, trivial_character(), ap, 32, ctx)
 
 
 class HeckeRoots(namedtuple("HeckeRoots", "alpha beta")):

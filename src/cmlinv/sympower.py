@@ -13,17 +13,17 @@ psi^(-j) theta^(m-j), and Hecke roots
 using theta(p) = 1 at split p.  Odd powers decompose into modular
 factors only (odd Hecke-character powers).  A trivial zero comes from
 an odd Dirichlet factor theta^m: where it lies depends on n alone, and
-its order-1 certificate, theta's branch series at s = 0 or 1, on theta.
+its order-1 certificate, theta's branch series at s = 0 or 1, on theta and p.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .characters import char_product, trivial_character
+from .characters import DirichletCharacter, char_product, trivial_character
 from .cmform import CMFormSpec, unit_root
-from .kl import branch_series
-from .padic import PadicNumber
+from .kl import _check_branch, branch_series
+from .padic import PadicContext, PadicNumber
 
 __all__ = [
     "SymPowerFactor",
@@ -54,9 +54,8 @@ class SymPowerFactor(namedtuple(
 
 def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
     """The factors of the weight-0-normalized n-th symmetric power, n = 2m or 2m + 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     ctx = spec.context
+    _check_decompose(n, ctx.N)
     m = n // 2
     theta = spec.field.character()
     psi = spec.nebentypus
@@ -77,7 +76,7 @@ def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
     return tuple(factors)
 
 
-# The largest n * (N + _DECOMPOSE_OVERHEAD) `cmlinv decompose` lists, n/2
+# The largest n * (N + _DECOMPOSE_OVERHEAD) `decompose` builds, n/2
 # factors of two N-digit roots.  Each factor also writes about 100 bytes and
 # holds about 1 KB whatever N is: at p = 5 and n = 10^4 the output is 1.10 MB
 # at N = 1 and 1.29 MB at N = 10, about 2.1 n (N + 50) bytes.  With Python 3.11
@@ -86,6 +85,15 @@ def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
 # under the n * N ceiling, and 10^6 at N = 10 would need about 1.1 GB.
 MAX_DECOMPOSE_DIGITS = 10**5
 _DECOMPOSE_OVERHEAD = 50
+
+
+def _check_decompose(n: int, N: int) -> None:
+    # decompose's refusals, which its callers also run before the count and p^N
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n * (N + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
+        raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
+                         f"up to {MAX_DECOMPOSE_DIGITS} digits")
 
 
 # The largest weight `critical_integers` lists, about k integers: with Python 3.11
@@ -132,19 +140,20 @@ def trivial_zero_locations(n: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (1, 1)) if n % 4 == 2 else ()
 
 
-def trivial_zero_certificates(spec: CMFormSpec,
+def trivial_zero_certificates(theta: DirichletCharacter, p: int,
                               n_cert: int) -> tuple[TrivialZeroCertificate, ...]:
-    """The order-1 certificates of the two trivial zeroes, from the series of
-    theta's branch i at s = i: they read theta alone, so take no n."""
-    theta = spec.field.character()
+    """The order-1 certificates of the two trivial zeroes, from the series of theta's
+    branch i at s = i to n_cert digits: they read theta and p alone, so take no n."""
+    _check_branch(0, theta, 0, 2, p, n_cert, n_cert)  # both read g' at 0: before p^n_cert
+    ctx = PadicContext(p, n_cert)
     certs = []
     for i in (0, 1):
-        bs = branch_series(i, theta, i, 2, spec.context, n_cert=n_cert)
+        bs = branch_series(i, theta, i, 2, ctx, n_cert=n_cert)
         c0, c1 = bs.coefficients[0], bs.coefficients[1]
         if c0.min_valuation() < bs.n_cert:
             raise ArithmeticError("predicted trivial zero has a nonvanishing value")
         if c1.is_zero() or c1.valuation() >= bs.n_cert:
-            raise ArithmeticError(f"c1 = 0 mod {spec.context.p}^{bs.n_cert}, so the predicted "
+            raise ArithmeticError(f"c1 = 0 mod {p}^{bs.n_cert}, so the predicted "
                                   f"order-1 zero is not certified at N_cert = {bs.n_cert}")
         certs.append(TrivialZeroCertificate(branch=i, c0=c0, c1=c1))
     return tuple(certs)

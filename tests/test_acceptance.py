@@ -12,13 +12,13 @@ import sys
 import pytest
 
 from cmlinv import characters, kl
-from cmlinv.acceptance import CRITERIA, TARGET, ac4_interpolation_oracle
+from cmlinv.acceptance import CRITERIA, TARGET, ac4_interpolation_oracle, run
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
                          ids=[fn.__name__ for fn in CRITERIA])
 def test_criterion(criterion):
-    result = criterion()
+    result = run(criterion)
     line = f"[{'PASS' if result.passed else 'FAIL'}] {result.name} ({result.seconds}s)"
     print(line)
     sys.stderr.write(line + "\n")
@@ -36,7 +36,7 @@ def test_ac4_sees_a_wrong_bernoulli_number(monkeypatch, j):
     monkeypatch.setattr(characters, "_bernoulli", tuple(table))
     kl._g_at_zero.cache_clear()
     try:
-        result = ac4_interpolation_oracle()
+        result = run(ac4_interpolation_oracle)
     finally:
         kl._g_at_zero.cache_clear()  # no table built from the wrong B_j outlives the test
     assert not result.passed

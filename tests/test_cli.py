@@ -425,16 +425,20 @@ def test_cmform_counts_the_points_once(capsys, monkeypatch):
 ])
 def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, monkeypatch,
                                                                     n, flags, out):
-    # 5^(10^7) and the spec took 5-7 s for a payload that reads no p-adic number
-    import cmlinv.cmform as cmform_mod
-    real = cmform_mod.PadicContext
+    # 5^(10^7) and the spec took 5-7 s for a payload that reads no p-adic number;
+    # the certificates build their context in sympower, every other command in cli
+    import cmlinv.cli as cli_mod
+    import cmlinv.sympower as sym_mod
 
-    def small_only(p, N):
-        if N > 10**6:
-            raise AssertionError(f"built p^N at N = {N}")
-        return real(p, N)
+    def small_only(real):
+        def build(p, N):
+            if N > 10**6:
+                raise AssertionError(f"built p^N at N = {N}")
+            return real(p, N)
+        return build
 
-    monkeypatch.setattr(cmform_mod, "PadicContext", small_only)
+    monkeypatch.setattr(sym_mod, "PadicContext", small_only(sym_mod.PadicContext))
+    monkeypatch.setattr(cli_mod, "make_context", small_only(cli_mod.make_context))
     assert run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", n,
                    *flags, "--prec", "10000000") == (0, out)
 
@@ -449,6 +453,48 @@ def test_trivial_zeros_without_certificates_keeps_its_refusals(capsys, flags, cu
     code = main(["trivial-zeros", "--p", "5", "--curve", curve, "--prec", prec, *flags])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err)
+
+
+@pytest.mark.parametrize("n, out", [("4", '{"n":4,"zeros":[]}\n'),
+                                    ("2", '{"n":2,"zeros":[[0,0],[1,1]]}\n')])
+def test_trivial_zeros_counts_no_point(capsys, monkeypatch, n, out):
+    # its payload reads no a_p: counting the 10^6 points at p = 999961 took 1.8-2.5 s
+    # only to refuse what the discriminant and the ceiling already refuse
+    calls = _count_point_counts(monkeypatch)
+    t0 = time.perf_counter()
+    assert run_cli(capsys, "trivial-zeros", "--p", "999961", "--curve", "0,-1,0",
+                   "--n", n) == (0, out)
+    assert time.perf_counter() - t0 < 0.5 and calls == []
+
+
+@pytest.mark.parametrize("command", CURVE_COMMANDS)
+def test_bad_reduction_is_refused_before_the_count(capsys, monkeypatch, command):
+    # y^2 = x^3 - 25x has CM by Q(i), in which 5 splits, but 5 divides its discriminant
+    calls = _count_point_counts(monkeypatch)
+    code = main([*command, "--p", "5", "--curve", "0,-25,0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: bad reduction at 5\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, prec", [("100002", "8"), ("1518", "12")])
+def test_linvariant_over_the_decompose_ceiling_exits_two(capsys, monkeypatch, n, prec):
+    # n * (max(prec + 4, 16) + 50) over MAX_DECOMPOSE_DIGITS: n = 30002 took 7.4 s and
+    # printed 887 KB, and n = 100002 ran past 20 s, most of it in e_plus's p^shift
+    assert int(n) * (max(int(prec) + 4, 16) + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS
+    calls = _count_point_counts(monkeypatch)
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0", "--n", n,
+                        "--prec", prec)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == "" and calls == []
+
+
+def test_linvariant_at_the_decompose_ceiling_completes(capsys):
+    assert 1514 * (16 + _DECOMPOSE_OVERHEAD) <= MAX_DECOMPOSE_DIGITS
+    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "1514",
+                        "--prec", "12")
+    assert code == 0 and json.loads(out)["result"] == "PASS"
 
 
 def test_linvariant_reads_pibar_the_unit_root_and_the_decomposition_once(capsys,

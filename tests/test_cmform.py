@@ -248,6 +248,11 @@ def test_curve_spec_refuses_a_curve_without_cm_by_the_field():
         cm_spec_from_curve((0, 0), ctx)
 
 
+def test_curve_spec_keeps_the_callers_context():
+    ctx = make_context(5, 8)
+    assert cm_spec_from_curve(CURVE, ctx).context is ctx
+
+
 def test_curve_spec_refuses_a_nonsplit_prime_before_counting(monkeypatch):
     # 999983 = 3 mod 4 is inert in Q(i): that is the cause named, and none of
     # its 10^6 points is counted (the count alone takes about 2 s)

@@ -10,7 +10,7 @@ from math import isqrt
 import pytest
 
 import cmlinv
-from cmlinv.acceptance import ac6_critical_containment
+from cmlinv.acceptance import ac6_critical_containment, run
 from cmlinv.characters import char_from_kronecker, trivial_character
 from cmlinv.cli import main
 from cmlinv.cmform import (ap_point_count, cm_spec, cm_spec_from_curve,
@@ -344,11 +344,11 @@ def _records():
     # one instance of every record type, built the way the program builds it
     spec = _spec()
     rep = full_report(spec, 2, target=6)
-    certs = trivial_zero_certificates(spec, 8)
+    certs = trivial_zero_certificates(spec.field.character(), 5, 8)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
     return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs,
             decompose(spec, 2)[0], certs[0], rep, rep.fg_check,
-            rep.formulas[0], ac6_critical_containment()]
+            rep.formulas[0], run(ac6_critical_containment)]
 
 
 def test_records_are_immutable():
