@@ -1,7 +1,8 @@
 """Command-line front end: deterministic JSON out, verification exit codes.
 
-Exit codes: 0 all checks pass (or nothing to check), 1 a verification
-failed, 2 a usage or configuration error, with nothing on stdout.
+Each `cmd_*` handler returns its payload; `main` writes it and owns the exit
+code: 0 all checks pass (or nothing to check), 1 the payload's "result" is
+"FAIL", 2 a usage or configuration error, with nothing on stdout.
 Every p-adic number is emitted as {"valuation": v, "digits": [d_0...],
 "precision": r} meaning p^v * sum d_i p^i with r known digits; zeros
 carry empty digits with "precision" 0, valuation = the proven lower
@@ -59,7 +60,7 @@ def _field_from_args(args):
     return F
 
 
-def cmd_quadfield(args) -> int:
+def cmd_quadfield(args) -> dict:
     F = _field_from_args(args)
     payload = {"d": F.d, "D": F.D, "h": F.h, "w": F.w}
     if args.p is not None:
@@ -72,55 +73,47 @@ def cmd_quadfield(args) -> int:
             payload["pibar_coords"] = list(sp.pibar_coords)
             payload["pi_coords"] = list(sp.pi_coords)
             payload["log_pibar"] = encode_padic(sp.log_pibar)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def cmd_cmform(args) -> int:
+def cmd_cmform(args) -> dict:
     F = _curve_field(args.curve, args.p)
     ap, spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))
     roots = unit_root(spec)
-    payload = {
+    return {
         "p": args.p,
         "a_p": ap,
         "alpha": encode_padic(roots.alpha),
         "beta": encode_padic(roots.beta),
     }
-    _emit(payload)
-    return 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     _check_decompose(args.n, args.prec)  # before the count and p^N
     F = _curve_field(args.curve, args.p)
     spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))[1]
-    factors = []
-    for f in decompose(spec, args.n):
-        if f.kind == "dirichlet":
-            factors.append({"kind": "dirichlet",
-                            "modulus": f.character.modulus,
-                            "conductor": f.character.modulus,
-                            "odd": f.character.parity() == -1})
-        else:
-            factors.append({
-                "kind": "modular",
-                "weight": f.weight,
-                "shift": f.shift,
-                "twist_conductor": f.twist.modulus,
-                "alpha": encode_padic(f.alpha),
-                "beta": encode_padic(f.beta),
-                "archimedean_L": f"L(s + {f.shift}, f_{f.eta_power})  [symbolic]",
-            })
-    _emit({"n": args.n, "m": args.n // 2, "factors": factors})
-    return 0
+    theta_m, modular = decompose(spec, args.n)
+    factors = [] if theta_m is None else [{
+        "kind": "dirichlet", "modulus": theta_m.modulus, "conductor": theta_m.modulus,
+        "odd": theta_m.parity() == -1}]
+    for f in modular:
+        factors.append({
+            "kind": "modular",
+            "weight": f.weight,
+            "shift": f.shift,
+            "twist_conductor": f.twist.modulus,
+            "alpha": encode_padic(f.alpha),
+            "beta": encode_padic(f.beta),
+            "archimedean_L": f"L(s + {f.shift}, f_{f.eta_power})  [symbolic]",
+        })
+    return {"n": args.n, "m": args.n // 2, "factors": factors}
 
 
-def cmd_critical(args) -> int:
-    _emit({"C": critical_integers(args.n, args.k)})
-    return 0
+def cmd_critical(args) -> dict:
+    return {"C": critical_integers(args.n, args.k)}
 
 
-def cmd_trivial_zeros(args) -> int:
+def cmd_trivial_zeros(args) -> dict:
     locations = trivial_zero_locations(args.n)
     theta = _curve_field(args.curve, args.p).character()
     certs = ()  # no point is counted, and p^N is built only to certify something
@@ -134,44 +127,39 @@ def cmd_trivial_zeros(args) -> int:
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
              "N_cert": args.prec}
             for c in certs]
-    _emit(payload)
-    return 0
+    return payload
 
 
-def cmd_klp(args) -> int:
+def cmd_klp(args) -> dict:
     theta = _field_from_args(args).character()
     _check_branch(args.branch, theta, args.at, args.order, args.p, args.prec, args.prec)
     ctx = make_context(args.p, args.prec)
     bs = branch_series(args.branch, theta, args.at, args.order, ctx, n_cert=args.prec)
-    payload = {
+    return {
         "branch": bs.branch,
         "s0": bs.s0,
         "coefficients": [encode_padic(c) for c in bs.coefficients],
         "N_cert": bs.n_cert,
         "J": bs.nodes_used,
     }
-    _emit(payload)
-    return 0
 
 
-def cmd_verify_fg(args) -> int:
+def cmd_verify_fg(args) -> dict:
     N = max(args.prec + 4, 12)
     F = _field_from_args(args)
     _check_branch(0, F.character(), 0, 2, args.p, N, N)  # the derivative it certifies
     ctx = make_context(args.p, N)
     chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec)
-    payload = {
+    return {
         "D": F.D, "p": args.p, "target": args.prec,
         "lhs_branch_derivative": encode_padic(chk.lhs),
         "rhs_scaled_log_pibar": encode_padic(chk.rhs),
         "residual_valuation": json_valuation(chk.residual_valuation),
         "result": "PASS" if chk.passed else "FAIL",
     }
-    _emit(payload)
-    return 0 if chk.passed else 1
 
 
-def cmd_linvariant(args) -> int:
+def cmd_linvariant(args) -> dict:
     locations = trivial_zero_locations(args.n)  # n < 1 is refused before the count and p^N
     N = max(args.prec + 4, 16)
     F = _curve_field(args.curve, args.p)
@@ -183,7 +171,7 @@ def cmd_linvariant(args) -> int:
     rep = full_report(spec, args.n, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,
-        "unit_root_agreement": rep.agreement_valuation >= args.prec,
+        "unit_root_agreement": rep.agreement_passed,
     }
     payload = {
         "D": spec.field.D, "p": args.p, "n": args.n,
@@ -207,13 +195,11 @@ def cmd_linvariant(args) -> int:
             checks[f"derivative_formula_branch_{i}"] = r.passed
         payload["trivial_zero_formulas"] = formulas
     payload["checks"] = {k: ("PASS" if v else "FAIL") for k, v in sorted(checks.items())}
-    ok = all(checks.values())
-    payload["result"] = "PASS" if ok else "FAIL"
-    _emit(payload)
-    return 0 if ok else 1
+    payload["result"] = "PASS" if all(checks.values()) else "FAIL"
+    return payload
 
 
-def cmd_acceptance(args) -> int:
+def cmd_acceptance(args) -> dict:
     from .acceptance import run_all  # the only command that runs the battery
     results = run_all()
     ok = True
@@ -224,8 +210,7 @@ def cmd_acceptance(args) -> int:
         sys.stderr.write(f"[{status}] {r.name}  ({r.seconds}s)\n")
         rows.append({"name": r.name, "result": status, "seconds": r.seconds,
                      "detail": r.detail})
-    _emit({"criteria": rows, "result": "PASS" if ok else "FAIL"})
-    return 0 if ok else 1
+    return {"criteria": rows, "result": "PASS" if ok else "FAIL"}
 
 
 def _arg(*flags, **kwargs) -> tuple:
@@ -306,14 +291,16 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; never ends the process."""
+    """Run one command, write its payload and return its exit code; never ends the process."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
+        payload = args.fn(args)
+        _emit(payload)  # a value JSON cannot carry is refused before stdout is written
     except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 1 if payload.get("result") == "FAIL" else 0
 
 
 def console_entry() -> None:

@@ -56,14 +56,14 @@ class FGCheck:
 
 class LInvariantReport(namedtuple(
         "LInvariantReport",
-        "l_at_1 l_at_0 l_via_alpha agreement_valuation fg_check formulas",
-        defaults=(None,) * 4)):
+        "l_at_1 l_at_0 l_via_alpha agreement_valuation agreement_passed fg_check formulas",
+        defaults=(None,) * 5)):
     """The L-invariant at s = 1 and at s = 0.
 
     `full_report` also fills in the unit-root value, its agreement
-    valuation, the FGCheck and one TrivialZeroFormulaReport per trivial
-    zero (branch 0, then branch 1; none when n has no trivial zero);
-    `l_invariant_analytic` leaves them None.
+    valuation and whether that reaches the target, the FGCheck and one
+    TrivialZeroFormulaReport per trivial zero (branch 0, then branch 1;
+    none when n has no trivial zero); `l_invariant_analytic` leaves them None.
     """
 
     __slots__ = ()
@@ -81,16 +81,12 @@ def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
     return -2 * iwasawa_log(roots.alpha) / (spec.weight - 1)
 
 
-def _check_target(target: int) -> None:
-    # a residual compared to p^0 or below passes whatever the values are
-    if target < 1:
-        raise ValueError("target must be >= 1")
-
-
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
                              target: int = 6) -> FGCheck:
     """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target."""
-    _check_target(target)
+    # a residual compared to p^0 or below passes whatever the values are
+    if target < 1:
+        raise ValueError("target must be >= 1")
     if target > ctx.N:
         raise ValueError("target precision exceeds the context")
     # certify as much as the context carries, so the residual scales with N;
@@ -122,8 +118,8 @@ def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor,
     """Numeric check of the derivative identity's Dirichlet core at (branch i, s=i).
 
     `full_report` calls it at each trivial zero of Sym^n (n = 2m, m odd,
-    i in {0, 1}) with factors = decompose(spec, n), the L-invariant at
-    s = i and a target it has checked.
+    i in {0, 1}) with the modular factors decompose(spec, n)[1], the L-invariant at
+    s = i and a target that verify_ferrero_greenberg has checked.
     """
     ctx = spec.context
     theta = spec.field.character()
@@ -131,9 +127,8 @@ def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor,
     arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
     resid = (deriv - l_invariant * ctx.from_rational(arch)).min_valuation()
     eplus = e_plus(spec, factors, i)
-    k = spec.weight
-    symbols = tuple(  # factors holds the Dirichlet factor and m modular ones
-        f"Lp[branch {i}]({i + j * (k - 1)}, f_{j})" for j in range(1, len(factors)))
+    symbols = tuple(  # f_j has eta_power 2j, and factors lists j = m down to 1
+        f"Lp[branch {i}]({i + f.shift}, f_{f.eta_power // 2})" for f in reversed(factors))
     note = ("functional equation: the archimedean fraction at s = 1 "
             "reduces to the exact value at s = 0") if i == 1 else None
     return TrivialZeroFormulaReport(
@@ -144,9 +139,9 @@ def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor,
 
 def full_report(spec: CMFormSpec, n: int, target: int = 6) -> LInvariantReport:
     """Everything `cmlinv linvariant` prints: the analytic and unit-root L-invariants
-    with their agreement valuation, the FG check, and the derivative formula at each
-    trivial zero of Sym^n, reading pibar, the unit root and decompose once each."""
-    _check_target(target)
+    with their agreement valuation and its verdict, the FG check, and the derivative
+    formula at each trivial zero of Sym^n, reading pibar, the unit root and decompose
+    once each; every verdict compares a residual valuation to target."""
     locations = trivial_zero_locations(n)
     ctx = spec.context
     # first: it checks the closed form's plan before pi_bar and the unit root
@@ -154,9 +149,10 @@ def full_report(spec: CMFormSpec, n: int, target: int = 6) -> LInvariantReport:
     base = l_invariant_analytic(spec.field, ctx.p, ctx)
     via_alpha = l_invariant_via_alpha(spec)
     agreement = (via_alpha - base.l_at_1).min_valuation()
-    factors = decompose(spec, n) if locations else ()
+    factors = decompose(spec, n)[1] if locations else ()
     l_at = (base.l_at_0, base.l_at_1)
     formulas = tuple(verify_trivial_zero_formula(spec, factors, i, l_at[i], target)
                      for i, _ in locations)
     return base._replace(l_via_alpha=via_alpha, agreement_valuation=agreement,
-                         fg_check=fg, formulas=formulas)
+                         agreement_passed=agreement >= target, fg_check=fg,
+                         formulas=formulas)

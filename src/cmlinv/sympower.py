@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .characters import DirichletCharacter, char_product, trivial_character
+from .characters import DirichletCharacter, char_product
 from .cmform import CMFormSpec, unit_root
 from .kl import _check_branch, branch_series
 from .padic import PadicContext, PadicNumber
@@ -39,41 +39,36 @@ __all__ = [
 
 
 class SymPowerFactor(namedtuple(
-        "SymPowerFactor", "kind character eta_power weight shift twist alpha beta",
-        defaults=(None,) * 7)):
-    """One factor of the decomposed symmetric power.
-
-    kind is "dirichlet" (then only `character` is set) or "modular" (then
-    the Hecke-character power r determines the weight r(k-1) + 1, and the
-    cyclotomic shift, twist character, and Hecke roots of the twisted form
-    are stored explicitly).  Unset fields are None.
-    """
+        "SymPowerFactor", "eta_power weight shift twist alpha beta")):
+    """One modular factor of the decomposed symmetric power: the Hecke-character
+    power r, the weight r(k-1) + 1, and the cyclotomic shift, twist character and
+    Hecke roots of the twisted form."""
 
     __slots__ = ()
 
 
-def decompose(spec: CMFormSpec, n: int) -> tuple[SymPowerFactor, ...]:
-    """The factors of the weight-0-normalized n-th symmetric power, n = 2m or 2m + 1."""
+def decompose(spec: CMFormSpec, n: int
+              ) -> tuple[DirichletCharacter | None, tuple[SymPowerFactor, ...]]:
+    """The Dirichlet factor theta^m (None at odd n) and the modular factors of the
+    weight-0-normalized n-th symmetric power, n = 2m or 2m + 1."""
     ctx = spec.context
     _check_decompose(n, ctx.N)
-    m = n // 2
     theta = spec.field.character()
     psi = spec.nebentypus
     roots = unit_root(spec)
     psi_p = ctx.from_int(psi.value_exact(ctx.p))  # exact: p is prime to psi's modulus
-    factors = [] if n % 2 else [SymPowerFactor(
-        kind="dirichlet", character=theta if m % 2 else trivial_character())]
     # block i holds the Hecke-character power r = n - 2i, and m - i = r // 2:
     # twist psi^(-r//2) theta^i, cyclotomic shift (r // 2)(k - 1)
     k = spec.weight
+    factors = []
     for r in range(n, 0, -2):
         i, j = (n - r) // 2, r // 2
         scale = psi_p ** -j
         factors.append(SymPowerFactor(
-            kind="modular", eta_power=r, weight=r * (k - 1) + 1, shift=j * (k - 1),
+            eta_power=r, weight=r * (k - 1) + 1, shift=j * (k - 1),
             twist=char_product(psi.power(-j), theta.power(i)),
             alpha=scale * roots.alpha**r, beta=scale * roots.beta**r))
-    return tuple(factors)
+    return (None if n % 2 else theta.power(n // 2)), tuple(factors)
 
 
 # The largest n * (N + _DECOMPOSE_OVERHEAD) `decompose` builds, n/2
@@ -91,9 +86,10 @@ def _check_decompose(n: int, N: int) -> None:
     # decompose's refusals, which its callers also run before the count and p^N
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n * (N + _DECOMPOSE_OVERHEAD) > MAX_DECOMPOSE_DIGITS:
-        raise ValueError(f"decompose lists n * (prec + {_DECOMPOSE_OVERHEAD}) "
-                         f"up to {MAX_DECOMPOSE_DIGITS} digits")
+    digits = n * (N + _DECOMPOSE_OVERHEAD)
+    if digits > MAX_DECOMPOSE_DIGITS:
+        raise ValueError(f"decompose lists n * (N + {_DECOMPOSE_OVERHEAD}) up to "
+                         f"{MAX_DECOMPOSE_DIGITS} digits; n = {n} at N = {N} digits is {digits}")
 
 
 # The largest weight `critical_integers` lists, about k integers: with Python 3.11
@@ -164,7 +160,7 @@ def e_plus(spec: CMFormSpec, factors: tuple[SymPowerFactor, ...], i: int) -> Pad
 
         prod_{j=1..m} (1 - p^(i + j(k-1) - 1)/alpha_j)(1 - p^(-i - j(k-1)) beta_j)
 
-    at the trivial twist, over the modular factors of decompose(spec, n).
+    at the trivial twist, over the modular factors decompose(spec, n)[1].
     Defined only at a genuine trivial zero (n = 2m, m odd, i in {0, 1}),
     which the caller names; every factor is p-integral and the product is
     nonzero at working precision.
@@ -175,8 +171,6 @@ def e_plus(spec: CMFormSpec, factors: tuple[SymPowerFactor, ...], i: int) -> Pad
     p = ctx.p
     acc = ctx.one()
     for f in factors:
-        if f.kind != "modular":
-            continue
         acc = acc * (1 - ctx.from_int(p) ** (i + f.shift - 1) / f.alpha)
         acc = acc * (1 - ctx.from_int(p) ** (-i - f.shift) * f.beta)
     if acc.is_zero():

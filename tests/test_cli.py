@@ -545,6 +545,38 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["result"] == "FAIL"
 
 
+def test_linvariant_failure_exits_one(capsys, monkeypatch):
+    # main reads the exit code from the payload the handler returns
+    import cmlinv.cli as cli_mod
+    real = cli_mod.full_report
+    monkeypatch.setattr(cli_mod, "full_report",
+                        lambda *a, **k: real(*a, **k)._replace(agreement_passed=False))
+    code, out = run_cli(capsys, "linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "1")
+    payload = json.loads(out)
+    assert code == 1 and payload["result"] == "FAIL"
+    assert payload["checks"] == {"fg_identity": "PASS", "unit_root_agreement": "FAIL"}
+
+
+def test_acceptance_failure_exits_one(capsys, monkeypatch):
+    import cmlinv.acceptance as acc
+    monkeypatch.setattr(acc, "run_all", lambda: [
+        acc.CriterionResult(name="AC-0", passed=False, detail={}, seconds=0.0)])
+    code, out = run_cli(capsys, "acceptance")
+    assert code == 1 and '"result":"FAIL"' in out
+
+
+def test_payload_json_cannot_carry_exits_two(capsys, monkeypatch):
+    # main writes the payload inside its error handling, so nothing reaches stdout
+    import cmlinv.cli as cli_mod
+    help_, arguments, _ = cli_mod._COMMANDS["critical"]
+    monkeypatch.setitem(cli_mod._COMMANDS, "critical",
+                        (help_, arguments, lambda args: {"x": float("inf")}))
+    code = main(["critical", "--n", "4", "--k", "4"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+
+
 def test_non_split_configuration_exits_two(capsys):
     code = main(["verify-fg", "--D", "-4", "--p", "7"])
     assert code == 2

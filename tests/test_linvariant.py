@@ -167,6 +167,16 @@ def test_unit_root_agreement_fails_on_the_wrong_field(capsys, p):
     assert rep.agreement_valuation == 1 and rep.fg_check.passed
 
 
+def test_agreement_verdict_is_the_reports_own():
+    # full_report compares the agreement valuation to its target, as it does the
+    # FG and formula residuals: the wrong field agrees to one digit only
+    ctx = make_context(29, 32)
+    ap = ap_point_count(cm_curve(-3375), 29)
+    wrong = full_report(cm_spec(quad_field_data(1), 2, trivial_character(), ap, 32, ctx), 1)
+    assert wrong.agreement_valuation == 1 and wrong.agreement_passed is False
+    assert full_report(_spec(13, 16), 2, target=14).agreement_passed is True
+
+
 # --- the family exponential -----------------------------------------------------
 
 def hida_ap(s, F, p, ctx):
@@ -347,7 +357,7 @@ def _records():
     certs = trivial_zero_certificates(spec.field.character(), 5, 8)
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
     return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs,
-            decompose(spec, 2)[0], certs[0], rep, rep.fg_check,
+            decompose(spec, 2)[1][0], certs[0], rep, rep.fg_check,
             rep.formulas[0], run(ac6_critical_containment)]
 
 

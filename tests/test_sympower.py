@@ -12,26 +12,19 @@ from cmlinv.sympower import (MAX_CRITICAL_WEIGHT, critical_integers, decompose, 
 CURVE = (0, -1, 0)
 
 
-def dirichlet_factor(factors):
-    """The factor of kind "dirichlet" in a decomposition, or None (odd n)."""
-    return next((f for f in factors if f.kind == "dirichlet"), None)
-
-
-def frobenius_eigenvalues(spec, factors):
-    """Multiset of Frobenius eigenvalues at p implied by the factor list.
+def frobenius_eigenvalues(spec, decomposition):
+    """Multiset of Frobenius eigenvalues at p implied by decompose's (theta^m, factors).
 
     The twist's value at p is already folded into alpha/beta, so each
     modular factor contributes alpha * p^(-shift) and beta * p^(-shift).
     """
     ctx = spec.context
-    out = []
+    theta_m, factors = decomposition
+    out = [] if theta_m is None else [ctx.from_int(theta_m.value_exact(ctx.p))]
     for f in factors:
-        if f.kind == "dirichlet":
-            out.append(ctx.from_int(f.character.value_exact(ctx.p)))
-        else:
-            scale = ctx.from_int(ctx.p) ** (-f.shift)
-            out.append(f.alpha * scale)
-            out.append(f.beta * scale)
+        scale = ctx.from_int(ctx.p) ** (-f.shift)
+        out.append(f.alpha * scale)
+        out.append(f.beta * scale)
     return out
 
 
@@ -43,14 +36,12 @@ def inspect_interpolation_factors(spec, n):
     themselves.  The trivial character contributes no zero because at
     a = 0 or 1 criticality forces an odd twist, killing chi^(-1)(p).
     """
-    factors = decompose(spec, n)
+    theta_m, factors = decompose(spec, n)
     ctx = spec.context
     p = ctx.p
     out = []
-    dirichlet = dirichlet_factor(factors)
-    if dirichlet is None:
+    if theta_m is None:
         return out
-    theta_m = dirichlet.character
     for (i, a) in ((0, 0), (1, 1)):
         if theta_m.D == 1:
             # criticality at a = 0, 1 for the trivial character needs an odd
@@ -63,8 +54,6 @@ def inspect_interpolation_factors(spec, n):
             continue
         modular_vanishes = False
         for f in factors:
-            if f.kind != "modular":
-                continue
             f1 = 1 - ctx.from_int(p) ** (a + f.shift - 1) / f.alpha
             f2 = 1 - ctx.from_int(p) ** (-a - f.shift) * f.beta
             if f1.is_zero() or f2.is_zero():
@@ -82,11 +71,10 @@ def _spec5(N=16):
 
 def test_sym2_factor_list():
     spec = _spec5()
-    factors = decompose(spec, 2)
-    assert len(factors) == 2
-    dirichlet = dirichlet_factor(factors)
-    assert dirichlet.character.modulus == 4 and dirichlet.character.parity() == -1
-    mod = [f for f in factors if f.kind == "modular"][0]
+    theta_m, factors = decompose(spec, 2)
+    assert len(factors) == 1
+    assert theta_m.modulus == 4 and theta_m.parity() == -1
+    mod = factors[0]
     assert mod.weight == 3 and mod.shift == 1
     alpha = unit_root(spec).alpha
     assert (mod.alpha - alpha**2).is_zero()
@@ -95,22 +83,32 @@ def test_sym2_factor_list():
 
 def test_odd_power_has_no_dirichlet_factor():
     spec = _spec5()
-    assert dirichlet_factor(decompose(spec, 3)) is None
-    assert dirichlet_factor(decompose(spec, 7)) is None
+    assert decompose(spec, 3)[0] is None
+    assert decompose(spec, 7)[0] is None
 
 
 def test_even_power_factor_count():
     spec = _spec5()
     for n in (2, 4, 6, 8):
-        assert len(decompose(spec, n)) == n // 2 + 1, n
+        theta_m, factors = decompose(spec, n)
+        assert theta_m is not None and len(factors) == n // 2, n
 
 
 def test_m_three_keeps_theta():
-    assert dirichlet_factor(decompose(_spec5(), 6)).character.parity() == -1
+    assert decompose(_spec5(), 6)[0].parity() == -1
 
 
 def test_m_even_dirichlet_factor_trivial():
-    assert dirichlet_factor(decompose(_spec5(), 4)).character.D == 1
+    assert decompose(_spec5(), 4)[0].D == 1
+
+
+def test_modular_factors_run_down_from_n():
+    # one factor per Hecke-character power r = n, n - 2, ..., with shift (r // 2)(k - 1)
+    spec = _spec5()
+    for n in range(1, 9):
+        factors = decompose(spec, n)[1]
+        assert [f.eta_power for f in factors] == list(range(n, 0, -2)), n
+        assert [f.shift for f in factors] == [f.eta_power // 2 for f in factors], n
 
 
 def test_frobenius_eigenvalue_oracle():
@@ -136,7 +134,7 @@ def test_weight3_synthetic_decomposition():
     base = unit_root(cm_spec_from_curve(CURVE, ctx))
     spec3 = cm_spec(quad_field_data(1), 3, char_from_kronecker(-4),
                     base.alpha**2 + base.beta**2, 32, ctx)
-    mod = [f for f in decompose(spec3, 2) if f.kind == "modular"][0]
+    mod = decompose(spec3, 2)[1][0]
     assert mod.weight == 5 and mod.shift == 2
     # twist for j=1 at k=3: psi^(-1) theta^0 = theta (psi = theta quadratic)
     assert mod.twist.modulus == 4
@@ -255,7 +253,7 @@ def test_certificates_order_one():
 def test_e_plus_matches_algebraic_simplification():
     spec = _spec5()
     alpha = unit_root(spec).alpha
-    got = e_plus(spec, decompose(spec, 2), 1)
+    got = e_plus(spec, decompose(spec, 2)[1], 1)
     # (1 - 5/alpha^2)(1 - beta^2/25) = (1 - 5 alpha^(-2))(1 - alpha^(-2))
     simplified = (1 - 5 * alpha**-2) * (1 - alpha**-2)
     assert (got - simplified).min_valuation() >= 14
@@ -264,7 +262,7 @@ def test_e_plus_matches_algebraic_simplification():
 
 def test_e_plus_nonzero_and_i_shift():
     spec = _spec5()
-    factors = decompose(spec, 2)
+    factors = decompose(spec, 2)[1]
     v0 = e_plus(spec, factors, 0)
     v1 = e_plus(spec, factors, 1)
     assert not v0.is_zero() and not v1.is_zero()
@@ -274,7 +272,7 @@ def test_e_plus_nonzero_and_i_shift():
 
 def test_e_plus_larger_power():
     spec = _spec5()
-    v = e_plus(spec, decompose(spec, 6), 0)
+    v = e_plus(spec, decompose(spec, 6)[1], 0)
     assert not v.is_zero()
     assert v.valuation() == 0
 
@@ -284,4 +282,4 @@ def test_e_plus_rejects_non_exceptional():
     # the n with no trivial zero get no product: full_report(spec, n).formulas == ()
     # (test_linvariant); a branch other than 0 and 1 is refused here
     with pytest.raises(ValueError, match="branch index"):
-        e_plus(spec, decompose(spec, 2), 2)
+        e_plus(spec, decompose(spec, 2)[1], 2)
