@@ -121,7 +121,7 @@ def ac5_trivial_zero_classification():
     certified = all(cert.c0.min_valuation() >= n_cert and not cert.c1.is_zero()
                     and cert.c1.valuation() < n_cert
                     for cert in trivial_zero_certificates(_curve_field(CURVE, 5).character(),
-                                                          5, n_cert))
+                                                          make_context(5, n_cert)))
     expected_nonempty = {2, 6, 10}
     detail = {}
     ok = True

@@ -19,7 +19,7 @@ import sys
 from .cmform import _curve_field, _curve_spec, unit_root
 from .kl import _check_branch, branch_series
 from .linvariant import full_report, verify_ferrero_greenberg
-from .padic import PadicNumber, _check_precision, json_valuation, make_context
+from .padic import PadicNumber, json_valuation, make_context
 from .quadfield import pi_bar, quad_field_data, quad_field_from_discriminant, split_behavior
 from .sympower import (_check_decompose, critical_integers, decompose,
                        trivial_zero_certificates, trivial_zero_locations)
@@ -89,7 +89,7 @@ def cmd_cmform(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    _check_decompose(args.n, args.prec)  # before the count and p^N
+    _check_decompose(args.n, args.prec)  # restated only to come before the point count
     F = _curve_field(args.curve, args.p)
     spec = _curve_spec(args.curve, F, make_context(args.p, args.prec))[1]
     theta_m, modular = decompose(spec, args.n)
@@ -116,10 +116,8 @@ def cmd_critical(args) -> dict:
 def cmd_trivial_zeros(args) -> dict:
     locations = trivial_zero_locations(args.n)
     theta = _curve_field(args.curve, args.p).character()
-    certs = ()  # no point is counted, and p^N is built only to certify something
-    if args.certificates and locations:
-        certs = trivial_zero_certificates(theta, args.p, args.prec)
-    _check_precision(args.prec)
+    ctx = make_context(args.p, args.prec)
+    certs = trivial_zero_certificates(theta, ctx) if args.certificates and locations else ()
     payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
     if args.certificates:
         payload["certificates"] = [
@@ -132,7 +130,6 @@ def cmd_trivial_zeros(args) -> dict:
 
 def cmd_klp(args) -> dict:
     theta = _field_from_args(args).character()
-    _check_branch(args.branch, theta, args.at, args.order, args.p, args.prec, args.prec)
     ctx = make_context(args.p, args.prec)
     bs = branch_series(args.branch, theta, args.at, args.order, ctx, n_cert=args.prec)
     return {
@@ -147,7 +144,6 @@ def cmd_klp(args) -> dict:
 def cmd_verify_fg(args) -> dict:
     N = max(args.prec + 4, 12)
     F = _field_from_args(args)
-    _check_branch(0, F.character(), 0, 2, args.p, N, N)  # the derivative it certifies
     ctx = make_context(args.p, N)
     chk = verify_ferrero_greenberg(F, args.p, ctx, target=args.prec)
     return {
@@ -160,14 +156,15 @@ def cmd_verify_fg(args) -> dict:
 
 
 def cmd_linvariant(args) -> dict:
-    locations = trivial_zero_locations(args.n)  # n < 1 is refused before the count and p^N
+    locations = trivial_zero_locations(args.n)  # n < 1 is refused before the point count
     N = max(args.prec + 4, 16)
     F = _curve_field(args.curve, args.p)
-    # the derivative full_report certifies; branch 1 at 1 reads the same table at 0
-    _check_branch(0, F.character(), 0, 2, args.p, N, N)
+    ctx = make_context(args.p, N)
+    # full_report's refusals, restated only to come before the point count
+    _check_branch(0, F.character(), 0, 2, ctx, N)  # branch 1 at 1 reads the same g' at 0
     if locations:  # full_report decomposes Sym^n
         _check_decompose(args.n, N)
-    spec = _curve_spec(args.curve, F, make_context(args.p, N))[1]
+    spec = _curve_spec(args.curve, F, ctx)[1]
     rep = full_report(spec, args.n, target=args.prec)
     checks = {
         "fg_identity": rep.fg_check.passed,

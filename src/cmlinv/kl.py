@@ -129,7 +129,7 @@ from operator import mul
 
 from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
                          _smallest_prime_factors, bernoulli_number, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, _check_prime, _log_units, ordp, teichmuller
+from .padic import PadicContext, PadicNumber, _log_units, ordp, teichmuller
 
 __all__ = ["BranchSeries", "kl_value", "branch_series", "branch_derivative"]
 
@@ -369,10 +369,9 @@ class BranchSeries(namedtuple(
         return _from_residue(PadicContext(p, J), r, J)
 
 
-def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int,
-                  N: int, n_cert: int) -> None:
-    # `branch_series`' checks for N digits of p; last, the plans of g at 0 and where it expands
-    _check_prime(p)  # first: the plans divide by p - 2
+def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int,
+                  ctx: PadicContext, n_cert: int) -> None:
+    # `branch_series`' checks at ctx; last, the plans of g at 0 and where it expands
     if i not in (0, 1):
         raise ValueError("branch index must be 0 or 1")
     if s0 not in (0, 1):
@@ -383,12 +382,12 @@ def _check_branch(i: int, theta: DirichletCharacter, s0: int, order: int, p: int
         raise ValueError("n_cert must be >= 1")
     if theta.parity() != -1:
         raise ValueError("theta must be an odd quadratic character")
-    if theta.modulus % p == 0:
+    if theta.modulus % ctx.p == 0:
         raise ValueError("theta must have conductor prime to p")
-    if n_cert > N:
+    if n_cert > ctx.N:
         raise ValueError("cannot certify more digits than the context carries")
     for s in {0, 1 - s0 if i else s0}:
-        _closed_form_plan(theta.D, p, s, order, n_cert)
+        _closed_form_plan(theta.D, ctx.p, s, order, n_cert)
 
 
 def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
@@ -400,7 +399,7 @@ def branch_series(i: int, theta: DirichletCharacter, s0: int, order: int,
     `evaluate` reports.  Raises ValueError, before any table is built, when
     a closed form it reads costs more than MAX_CLOSED_FORM_COST.
     """
-    _check_branch(i, theta, s0, order, ctx.p, ctx.N, n_cert)
+    _check_branch(i, theta, s0, order, ctx, n_cert)
     J = n_cert + order
     at0 = _g_at_zero(theta.D, ctx.p, n_cert, J)  # every call: the g(0) check, once per key
     # branch 1 reads g(1-s), so expand g at 1-s0 (at 0 exactly when s0 == i)

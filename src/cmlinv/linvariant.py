@@ -31,7 +31,7 @@ from .characters import dirichlet_L_nonpositive
 from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
 from .padic import PadicContext, PadicNumber, iwasawa_log
-from .quadfield import QuadFieldData, pi_bar
+from .quadfield import QuadFieldData, _check_split, pi_bar
 from .sympower import SymPowerFactor, decompose, e_plus, trivial_zero_locations
 
 __all__ = [
@@ -83,12 +83,13 @@ def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
 
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
                              target: int = 6) -> FGCheck:
-    """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target."""
+    """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target (split p only)."""
     # a residual compared to p^0 or below passes whatever the values are
     if target < 1:
         raise ValueError("target must be >= 1")
     if target > ctx.N:
         raise ValueError("target precision exceeds the context")
+    _check_split(F, p)  # pi_bar's refusal, before the sum
     # certify as much as the context carries, so the residual scales with N;
     # its plan is checked before pi_bar runs
     lhs = branch_derivative(0, F.character(), 0, ctx, n_cert=ctx.N)

@@ -126,18 +126,18 @@ def _base_p_digits(u: int, p: int, n: int, squares=None) -> list[int]:
 class PadicContext:
     """A fixed odd prime p and a working precision of N p-adic digits.
 
-    `pN` = p^N, the modulus of a unit kept to the full N digits, is
-    computed once here, so arithmetic at full precision never recomputes it.
+    Building one checks p and N and nothing more: p^N, the modulus of a unit
+    kept to the full N digits, is computed on its first use and kept in `_pN`.
     """
 
-    __slots__ = ("p", "N", "pN")
+    __slots__ = ("p", "N", "_pN")
 
     def __init__(self, p: int, N: int = 32):
         _check_prime(p)
         _check_precision(N)
         self.p = p
         self.N = N
-        self.pN = p**N
+        self._pN = None
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.N})"
@@ -149,8 +149,12 @@ class PadicContext:
         return hash((self.p, self.N))
 
     def _modulus(self, rel: int) -> int:
-        # p^rel, read off the context at the full N digits
-        return self.pN if rel == self.N else self.p**rel
+        # p^rel, read off the context at the full N digits: every use of p^N is a call here
+        if rel != self.N:
+            return self.p**rel
+        if self._pN is None:
+            self._pN = self.p**rel
+        return self._pN
 
     def _int_parts(self, n: int) -> tuple:
         # (valuation, unit, abs_prec) of the exact integer n, kept to N digits.
@@ -160,8 +164,9 @@ class PadicContext:
         if n == 0:
             return None, 0, _INF
         v, n = _split_p(n, self.p)
-        if not -self.pN < n < self.pN:
-            n %= self.pN
+        m = self._modulus(self.N)
+        if not -m < n < m:
+            n %= m
         return v, n, v + self.N
 
     # --- element factories ---------------------------------------------
@@ -179,7 +184,7 @@ class PadicContext:
         v, u, a = self._int_parts(n)
         if v is None:
             return self.zero()
-        return _number(self, v, u if u > 0 else u + self.pN, a)
+        return _number(self, v, u if u > 0 else u + self._modulus(self.N), a)
 
     def from_rational(self, q) -> "PadicNumber":
         q = Fraction(q)
@@ -187,7 +192,7 @@ class PadicContext:
             return self.zero()
         vn, num = _split_p(q.numerator, self.p)
         vd, den = _split_p(q.denominator, self.p)
-        v, m = vn - vd, self.pN
+        v, m = vn - vd, self._modulus(self.N)
         return _number(self, v, num * pow(den, -1, m) % m, v + self.N)
 
     def convert(self, x) -> "PadicNumber":

@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .characters import DirichletCharacter, char_product
 from .cmform import CMFormSpec, unit_root
-from .kl import _check_branch, branch_series
+from .kl import branch_series
 from .padic import PadicContext, PadicNumber
 
 __all__ = [
@@ -83,7 +83,7 @@ _DECOMPOSE_OVERHEAD = 50
 
 
 def _check_decompose(n: int, N: int) -> None:
-    # decompose's refusals, which its callers also run before the count and p^N
+    # decompose's refusals, which its callers also run before the point count
     if n < 1:
         raise ValueError("n must be >= 1")
     digits = n * (N + _DECOMPOSE_OVERHEAD)
@@ -136,20 +136,18 @@ def trivial_zero_locations(n: int) -> tuple[tuple[int, int], ...]:
     return ((0, 0), (1, 1)) if n % 4 == 2 else ()
 
 
-def trivial_zero_certificates(theta: DirichletCharacter, p: int,
-                              n_cert: int) -> tuple[TrivialZeroCertificate, ...]:
-    """The order-1 certificates of the two trivial zeroes, from the series of theta's
-    branch i at s = i to n_cert digits: they read theta and p alone, so take no n."""
-    _check_branch(0, theta, 0, 2, p, n_cert, n_cert)  # both read g' at 0: before p^n_cert
-    ctx = PadicContext(p, n_cert)
+def trivial_zero_certificates(theta: DirichletCharacter,
+                              ctx: PadicContext) -> tuple[TrivialZeroCertificate, ...]:
+    """The order-1 certificates of the two trivial zeroes, theta's branch i at s = i to
+    ctx.N digits: they read theta and p alone, so take no n, and both read g' at 0."""
     certs = []
     for i in (0, 1):
-        bs = branch_series(i, theta, i, 2, ctx, n_cert=n_cert)
+        bs = branch_series(i, theta, i, 2, ctx, n_cert=ctx.N)
         c0, c1 = bs.coefficients[0], bs.coefficients[1]
         if c0.min_valuation() < bs.n_cert:
             raise ArithmeticError("predicted trivial zero has a nonvanishing value")
         if c1.is_zero() or c1.valuation() >= bs.n_cert:
-            raise ArithmeticError(f"c1 = 0 mod {p}^{bs.n_cert}, so the predicted "
+            raise ArithmeticError(f"c1 = 0 mod {ctx.p}^{bs.n_cert}, so the predicted "
                                   f"order-1 zero is not certified at N_cert = {bs.n_cert}")
         certs.append(TrivialZeroCertificate(branch=i, c0=c0, c1=c1))
     return tuple(certs)

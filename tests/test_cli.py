@@ -362,7 +362,8 @@ def test_curve_field_and_splitting_are_checked_before_any_work(capsys, monkeypat
 def test_n_prec_and_the_count_ceiling_are_checked_before_any_work(capsys, monkeypatch, argv):
     # n = 0 at p = 999961 counted 10^6 points (1.9-2.0 s) before n was refused, and
     # cmform at p = 10^9 + 9 built p^(10^6) (14.4 s) before the count refused p;
-    # the count now precedes p^N, so the precision is checked before the count
+    # the count's ceiling and the precision are checked before the count, and a
+    # context computes no p^N until something reads it
     calls = _count_point_counts(monkeypatch)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
@@ -411,6 +412,24 @@ def _count_point_counts(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("D, p, prec", [("-4", "7", "1240"), ("-40", "17", "560"),
+                                        ("-3", "5", "1000"), ("-4", "1000039", "4")])
+def test_verify_fg_refuses_an_inert_p_before_any_sum(capsys, monkeypatch, D, p, prec):
+    # the first three summed g' at 0 for 0.5-0.7 s before pi_bar refused p; the last
+    # named the closed form's ceiling, not the split
+    import cmlinv.kl as kl_mod
+    calls, real = [], kl_mod._closed_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(kl_mod, "_closed_form", counted)
+    code = main(["verify-fg", "--D", D, "--p", p, "--prec", prec])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", [])
+    assert captured.err == f"error: p = {p} does not split in Q(sqrt({D}))\n"
+
+
 def test_cmform_counts_the_points_once(capsys, monkeypatch):
     calls = _count_point_counts(monkeypatch)
     code, out = run_cli(capsys, "cmform", "--p", "5", "--curve", "0,-1,0", "--prec", "8")
@@ -423,27 +442,17 @@ def test_cmform_counts_the_points_once(capsys, monkeypatch):
     ("4", ("--certificates",), '{"certificates":[],"n":4,"zeros":[]}\n'),
     ("2", (), '{"n":2,"zeros":[[0,0],[1,1]]}\n'),
 ])
-def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, monkeypatch,
-                                                                    n, flags, out):
-    # 5^(10^7) and the spec took 5-7 s for a payload that reads no p-adic number;
-    # the certificates build their context in sympower, every other command in cli
-    import cmlinv.cli as cli_mod
-    import cmlinv.sympower as sym_mod
-
-    def small_only(real):
-        def build(p, N):
-            if N > 10**6:
-                raise AssertionError(f"built p^N at N = {N}")
-            return real(p, N)
-        return build
-
-    monkeypatch.setattr(sym_mod, "PadicContext", small_only(sym_mod.PadicContext))
-    monkeypatch.setattr(cli_mod, "make_context", small_only(cli_mod.make_context))
+def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, n, flags, out):
+    # the payload reads no p-adic number, so no p^N may be computed: 5^(10^7) alone
+    # takes 5.5-5.8 s.  The context itself is built, and costs nothing
+    t0 = time.perf_counter()
     assert run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", n,
                    *flags, "--prec", "10000000") == (0, out)
+    assert time.perf_counter() - t0 < 0.5
 
 
-@pytest.mark.parametrize("flags", [("--n", "4"), ("--n", "4", "--certificates"), ("--n", "2")])
+@pytest.mark.parametrize("flags", [("--n", "4"), ("--n", "4", "--certificates"), ("--n", "2"),
+                                   ("--n", "2", "--certificates")])
 @pytest.mark.parametrize("curve, prec, err", [
     ("0,-25,0", "8", "error: bad reduction at 5\n"),
     ("0,-1,0", "0", "error: precision N must be a positive integer, got 0\n"),
@@ -589,9 +598,10 @@ def test_missing_field_spec_exits_two(capsys):
 
 @pytest.mark.parametrize("prec", ["0", "-3"])
 def test_klp_rejects_prec_below_one(capsys, prec):
-    code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0",
-                        "--at", "0", "--prec", prec)
-    assert code == 2 and out == ""
+    code = main(["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--prec", prec])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: precision N must be a positive integer, got {prec}\n"
 
 
 @pytest.mark.parametrize("bad", ["0", "-3"])

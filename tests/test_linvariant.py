@@ -354,7 +354,7 @@ def _records():
     # one instance of every record type, built the way the program builds it
     spec = _spec()
     rep = full_report(spec, 2, target=6)
-    certs = trivial_zero_certificates(spec.field.character(), 5, 8)
+    certs = trivial_zero_certificates(spec.field.character(), make_context(5, 8))
     bs = branch_series(0, spec.field.character(), 0, 2, spec.context)
     return [spec.field, pi_bar(spec.field, 5, spec.context), spec, unit_root(spec), bs,
             decompose(spec, 2)[1][0], certs[0], rep, rep.fg_check,

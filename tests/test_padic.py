@@ -5,6 +5,7 @@ import importlib
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,20 @@ def test_make_context_rejects_bad_primes(p):
 def test_make_context_rejects_bad_precision():
     with pytest.raises(ValueError):
         make_context(5, 0)
+
+
+def test_p_to_the_n_is_computed_once_on_first_use():
+    # 5^(10^7) alone takes 5.5-5.8 s, so building the context must not compute it
+    t0 = time.perf_counter()
+    make_context(5, 10**7)
+    assert time.perf_counter() - t0 < 0.01
+    ctx = make_context(5, 64)
+    assert ctx._pN is None
+    x = ctx.from_int(-1)  # the unit p^N - 1, at full precision
+    pN = ctx._pN
+    assert x.unit_int() == 5**64 - 1 and pN == 5**64
+    # later operations at full precision read the kept p^N, not a new power
+    assert (x * x + ctx.from_rational(Fraction(1, 3))).rel_prec == 64 and ctx._pN is pN
 
 
 # --- embeddings and arithmetic ------------------------------------------------

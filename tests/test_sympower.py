@@ -226,7 +226,7 @@ def test_locations_second_prime():
     for n in range(1, 13):
         locs = trivial_zero_locations(n)
         assert bool(locs) == (n in (2, 6, 10)), n
-    for cert in trivial_zero_certificates(spec.field.character(), 13, 8):
+    for cert in trivial_zero_certificates(spec.field.character(), make_context(13, 8)):
         assert cert.c0.min_valuation() >= 8
         assert cert.c1.valuation() < 8
 
@@ -240,7 +240,7 @@ def test_locations_match_interpolation_factor_inspection():
 
 
 def test_certificates_order_one():
-    certs = trivial_zero_certificates(_spec5().field.character(), 5, 8)
+    certs = trivial_zero_certificates(_spec5().field.character(), make_context(5, 8))
     assert len(certs) == 2
     assert [cert.branch for cert in certs] == [0, 1]
     for cert in certs:

@@ -1,0 +1,153 @@
+"""Run one fixed list of cmlinv commands in process and record what each printed.
+
+    PYTHONPATH=src python tools/sweep.py OUT
+
+Each command runs through `cmlinv.cli.main` and writes one JSON line to OUT:
+its argv, its exit status, the sha256 of its stdout and its whole stderr.  Run
+it on two checkouts, each with its own `src` first on PYTHONPATH, and `diff`
+the two files: every line that differs is a command whose output changed.
+The list covers every command, the 13 CM curves with a curve without CM and
+a singular one, primes that split, are inert, ramify or pass a ceiling, the
+symmetric powers 0-6 and the ceiling edges, bad precisions, and every input
+of the CI workflow's timed steps.  It runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+import time
+
+from cmlinv.cli import main
+
+# one model of each j-invariant of a CM curve over Q, with a prime that splits in its
+# field at good reduction and one that is inert there
+CM_CURVES = [
+    ("0,1", 7, 5), ("-15,22", 7, 5), ("-120,506", 7, 5),  # Q(sqrt(-3))
+    ("-1,0", 5, 7), ("0,-1,0", 13, 7), ("-11,-14", 5, 7),  # Q(i)
+    ("-35,-98", 11, 3), ("-2835,-71442", 11, 3),  # Q(sqrt(-7))
+    ("-30,56", 11, 5), ("-264,1694", 5, 7), ("-608,5776", 5, 3),  # d = 2, 11, 19
+    ("-13760,621264", 11, 3), ("-117920,15585808", 17, 3),  # d = 43, 67
+    ("-34790720,78984748304", 41, 3),  # d = 163
+]
+NO_CM, SINGULAR = "-1,1", "-3,2"
+# 2 and 3, and a prime over the count's ceiling that splits in Q(i)
+EXTRA_PRIMES = (2, 3, 1000033)
+FIELDS = (-3, -4, -7, -8, -20, -23, -39, -47, -163, -167)
+FIELD_PRIMES = (2, 3, 5, 7, 13, 29, 41)
+BAD_PRECS = ("0", "-3")
+
+# the inputs of the CI workflow's "Large class numbers finish" step
+CI_INPUTS = [
+    "quadfield --D -1151 --p 3",
+    "quadfield --D -647 --p 29",
+    "quadfield --D -167 --p 29 --prec 4096",
+    "verify-fg --D -40 --p 13 --prec 384",
+    "cmform --p 29 --curve 0,-1,0 --prec 16384",
+    "cmform --p 29 --curve 0,-1,0 --prec 32768",
+    "quadfield --D -167 --p 29 --prec 16384",
+    "trivial-zeros --p 5 --curve 0,-1,0 --n 4 --certificates --prec 10000000",
+    "trivial-zeros --p 999961 --curve 0,-1,0 --n 4",
+    "verify-fg --D -4 --p 1000033 --prec 4",
+    "verify-fg --D -40 --p 13 --prec 2048",
+    "verify-fg --D -4 --p 5 --prec 100000",
+    "klp --p 5 --D -4 --branch 0 --at 0 --order 2 --prec 10000000",
+    "linvariant --p 5 --curve 0,-1,0 --n 2 --prec 100000",
+    "linvariant --p 5 --curve 0,-1,0 --n 2 --prec 10000000",
+    "critical --n 4 --k 100000000",
+    "trivial-zeros --p 5 --curve 0,-1,0 --n 2 --certificates --prec 10000000",
+    "decompose --p 5 --curve 0,-1,0 --n 1000000 --prec 10",
+    "decompose --p 5 --curve 0,-1,0 --n 100000 --prec 1",
+    "trivial-zeros --p 5 --curve=-1,1 --n 2 --certificates",
+    "cmform --p 999983 --curve 0,-1,0",
+    "cmform --p 1000000009 --curve 0,-1,0 --prec 1000000",
+    "decompose --p 999961 --curve 0,-1,0 --n 0",
+    "linvariant --p 5 --curve 0,-1,0 --n 100002",
+    "linvariant --p 5 --curve 0,-1,0 --n 1518 --prec 12",
+]
+
+
+def _curve_commands(curve: str, p: int, ns) -> list[list[str]]:
+    at = ["--p", str(p), f"--curve={curve}"]
+    out = [["cmform", *at]]
+    for n in map(str, ns):
+        out += [["decompose", *at, "--n", n], ["trivial-zeros", *at, "--n", n],
+                ["trivial-zeros", *at, "--n", n, "--certificates"],
+                ["linvariant", *at, "--n", n]]
+    return out
+
+
+def commands() -> list[list[str]]:
+    """The fixed command list, in the order it runs."""
+    out = [["acceptance"]]
+    for curve, split, inert in CM_CURVES:
+        out += _curve_commands(curve, split, range(7))
+        for p in (inert, *EXTRA_PRIMES):
+            out += _curve_commands(curve, p, (2, 4))
+    for curve in (NO_CM, SINGULAR):
+        out += _curve_commands(curve, 5, (2,))
+    for n in ("1514", "1518", "100002"):
+        out += [[command, "--p", "5", "--curve=0,-1,0", "--n", n]
+                for command in ("decompose", "trivial-zeros", "linvariant")]
+    for prec in ("1", *BAD_PRECS):
+        out += [[*argv, "--prec", prec] for argv in _curve_commands("0,-1,0", 5, (2, 4))]
+    for D in map(str, FIELDS):
+        out.append(["quadfield", "--D", D])
+        for p in map(str, FIELD_PRIMES):
+            out += [["quadfield", "--D", D, "--p", p], ["verify-fg", "--D", D, "--p", p]]
+            out += [["klp", "--p", p, "--D", D, "--branch", b, "--at", s, "--order", "3",
+                     "--prec", "4"] for b in "01" for s in "01"]
+    for prec in BAD_PRECS:
+        out += [["quadfield", "--D", "-4", "--p", "5", "--prec", prec],
+                ["verify-fg", "--D", "-4", "--p", "5", "--prec", prec],
+                ["verify-fg", "--D", "-4", "--p", "1000033", "--prec", prec],
+                ["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--prec", prec]]
+    out += [
+        ["quadfield", "--d", "1", "--p", "5", "--conjugate-lift"],
+        ["quadfield", "--d", "163", "--D", "-163"], ["quadfield", "--d", "4"],
+        ["quadfield", "--d", "1", "--D", "-3"], ["quadfield", "--D", "-5"],
+        ["verify-fg", "--d", "2", "--p", "11"], ["verify-fg", "--p", "5"],
+        ["verify-fg", "--D", "-4", "--p", "9"], ["klp", "--p", "9", "--D", "-4",
+                                                "--branch", "0", "--at", "0"],
+        ["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--order", "0"],
+        ["cmform", "--p", "5", "--curve", "1,2,3,4"], ["cmform", "--p", "5", "--curve", "-1,0"],
+        ["critical", "--n", "4", "--k", "2", "--bogus"], ["bogus"],
+    ]
+    # inert primes whose g' at 0 takes 0.5-0.7 s to sum, and one over the closed form's ceiling
+    out += [["verify-fg", "--D", D, "--p", p, "--prec", prec] for D, p, prec in
+            (("-4", "7", "1240"), ("-40", "17", "560"), ("-3", "5", "1000"),
+             ("-4", "1000039", "4"))]
+    out += [["critical", "--n", str(n), "--k", str(k)] for n in range(7) for k in (1, 2, 5, 12)]
+    out += [line.split() for line in CI_INPUTS]
+    return out
+
+
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            status = exc.code
+        except Exception as exc:  # a crash is a result too; the sweep goes on
+            status = f"raised {type(exc).__name__}: {exc}"
+    # acceptance prints each criterion's seconds, which differ from run to run
+    stdout = re.sub(r'"seconds":[-+.\deE]+', '"seconds":0', out.getvalue())
+    stderr = re.sub(r"\([-+.\deE]+s\)", "(0s)", err.getvalue())
+    return {"argv": argv, "exit": status,
+            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(), "stderr": stderr}
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    t0 = time.perf_counter()
+    argvs = commands()
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        for argv in argvs:
+            fh.write(json.dumps(_run(argv), sort_keys=True) + "\n")
+    print(f"{len(argvs)} commands in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
