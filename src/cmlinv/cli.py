@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cmform import _curve_field, _curve_spec, unit_root
@@ -48,6 +49,13 @@ def _curve_arg(s: str) -> tuple[int, ...]:
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("curve must be a4,a6 or a2,a4,a6")
     return parts
+
+
+def _prec_arg(s: str) -> int:
+    N = int(s) if re.fullmatch(r"\s*[+-]?\d+\s*", s) else 0  # not an integer: refused below
+    if N < 1:  # refused for every command, before any work
+        raise argparse.ArgumentTypeError(f"precision must be a positive integer, got {s}")
+    return N
 
 
 def _field_from_args(args):
@@ -116,10 +124,9 @@ def cmd_critical(args) -> dict:
 def cmd_trivial_zeros(args) -> dict:
     locations = trivial_zero_locations(args.n)
     theta = _curve_field(args.curve, args.p).character()
-    ctx = make_context(args.p, args.prec)
-    certs = trivial_zero_certificates(theta, ctx) if args.certificates and locations else ()
     payload = {"n": args.n, "zeros": [list(loc) for loc in locations]}
-    if args.certificates:
+    if args.certificates:  # a context only when there is something to certify
+        certs = locations and trivial_zero_certificates(theta, make_context(args.p, args.prec))
         payload["certificates"] = [
             {"branch": c.branch, "s": c.branch, "order": 1,
              "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
@@ -215,7 +222,7 @@ def _arg(*flags, **kwargs) -> tuple:
 
 
 _P = _arg("--p", type=int, required=True, help="odd prime of the p-adic context")
-_PREC = _arg("--prec", type=int, default=8,
+_PREC = _arg("--prec", type=_prec_arg, default=8,
              help="certified digits / residual target (default 8)")
 _CURVE = _arg("--curve", type=_curve_arg, required=True,
               help="a4,a6 or a2,a4,a6 of y^2 = x^3 + a2 x^2 + a4 x + a6 with CM")

@@ -12,17 +12,32 @@ from pathlib import Path
 import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
-from cmlinv.cmform import MAX_POINT_COUNT_PRIME
 from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
 from cmlinv.sympower import _DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
+TOOLS = Path(__file__).parent.parent / "tools"
+
+
+def _module(directory: Path, name: str):
+    sys.path.insert(0, str(directory))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(directory))
+
+
+WORKLOADS = _module(PERFBENCH, "workloads")
+SWEEP = _module(TOOLS, "sweep")
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     out = capsys.readouterr().out
     return code, out
 
@@ -191,8 +206,6 @@ def test_determinism_byte_identical(capsys):
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("critical_4_4", ["critical", "--n", "4", "--k", "4"]),
-    ("quadfield_d1_p5", ["quadfield", "--d", "1", "--p", "5", "--prec", "8"]),
     ("cmform_p5", ["cmform", "--p", "5", "--curve", "0,-1,0", "--prec", "8"]),
     ("klp_p5_D4_b0", ["klp", "--p", "5", "--D", "-4", "--branch", "0",
                       "--at", "0", "--order", "4", "--prec", "8"]),
@@ -237,38 +250,27 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify-fg", "--D", "-4", "--p", "1000033", "--prec", "4"),
     ("verify-fg", "--D", "-999995", "--p", "101", "--prec", "4"),
     ("klp", "--p", "1000033", "--D", "-4", "--branch", "0", "--at", "0",
      "--order", "2", "--prec", "4"),
-    ("verify-fg", "--D", "-40", "--p", "13", "--prec", "2048"),
-    ("verify-fg", "--D", "-4", "--p", "5", "--prec", "100000"),
     ("klp", "--p", "13", "--D", "-40", "--branch", "0", "--at", "0",
      "--order", "2", "--prec", "4096"),
     ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
      "--order", "2", "--prec", "1000000"),
-    ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
-     "--order", "2", "--prec", "10000000"),
     ("verify-fg", "--D", "-4", "--p", "5", "--prec", "10000000"),
     ("klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
      "--order", "30000000", "--prec", "4"),
-    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "100000"),
     ("klp", "--p", "62501", "--D", "-4", "--branch", "1", "--at", "0",
      "--order", "6", "--prec", "4"),
-    ("linvariant", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--prec", "10000000"),
-    ("trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", "2", "--certificates",
-     "--prec", "10000000"),
 ])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
-    # each ran until killed before the ceiling; the second would first build
-    # a Kronecker row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7; the
-    # next three passed a ceiling blind to operand size, and at 100000 digits
-    # pi_bar alone takes 29 s.  The last seven were checked only after other
-    # work: a search over j and p^N (1.1 s at 10^6 digits, killed at 15 s at
-    # 10^7), a sum over k (order 3 * 10^7), pi_bar and the unit root
-    # (linvariant at 10^5 digits), the table at s0 = 0 before the one at 1
-    # (0.86 s), or p^N and the point count (linvariant at 10^7 digits, 8.6 s;
-    # trivial-zeros --certificates at 10^7 digits, 7.5-8.5 s)
+    # the CI step's inputs run in test_ci_exits_two_inputs_refuse_before_any_work.
+    # Each ran until killed before the ceiling; the first would build a Kronecker
+    # row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7, and klp at (-40, 13)
+    # passed a ceiling blind to operand size.  The last four were checked only after
+    # other work: a search over j and p^N (1.1 s at 10^6 digits, killed at 15 s at
+    # 10^7), a sum over k (order 3 * 10^7), or the table at s0 = 0 before the one at
+    # 1 (0.86 s)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
@@ -287,21 +289,12 @@ def test_closed_form_at_the_cost_ceiling_completes(capsys):
     assert code == 2 and out == ""
 
 
-def test_critical_over_the_weight_ceiling_exits_two(capsys):
-    # 10^8 integers ran past 5 s; 10^7 take 6.3 s and 84 MB of JSON
-    t0 = time.perf_counter()
-    code, out = run_cli(capsys, "critical", "--n", "4", "--k", "100000000")
-    assert time.perf_counter() - t0 < 0.5
-    assert code == 2 and out == ""
-
-
-@pytest.mark.parametrize("n, prec", [("1000000", "10"), ("100000", "10"),
-                                     ("6", "1000000"), ("20", "5001"),
-                                     ("100000", "1"), ("20", "4951")])
+@pytest.mark.parametrize("n, prec", [("100000", "10"), ("6", "1000000"), ("20", "5001"),
+                                     ("20", "4951")])
 def test_decompose_over_the_output_ceiling_exits_two(capsys, n, prec):
-    # n = 10^5 at 10 digits took 2.3 s and wrote 13 MB; 10^6 would need about 1.1 GB.
-    # Each factor costs about 50 digits' worth whatever prec is: n = 10^5 at one
-    # digit took 2.4 s, wrote 11 MB and peaked at 107 MB RSS under an n * prec ceiling
+    # n = 10^5 at 10 digits took 2.3 s and wrote 13 MB.  Each factor costs about
+    # 50 digits' worth whatever prec is (the CI step's n = 10^5 at one digit took
+    # 2.4 s under an n * prec ceiling), so 20 * (4951 + 50) is over it
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "decompose", "--p", "5", "--curve", "0,-1,0",
                         "--n", n, "--prec", prec)
@@ -351,8 +344,6 @@ def test_curve_field_and_splitting_are_checked_before_any_work(capsys, monkeypat
 
 @pytest.mark.parametrize("argv", [
     ("trivial-zeros", "--p", "999961", "--curve", "0,-1,0", "--n", "0"),
-    ("decompose", "--p", "999961", "--curve", "0,-1,0", "--n", "0"),
-    ("cmform", "--p", "1000000009", "--curve", "0,-1,0", "--prec", "1000000"),
     ("trivial-zeros", "--p", "1000000009", "--curve", "0,-1,0", "--n", "2",
      "--prec", "1000000"),
     ("decompose", "--p", "1000000009", "--curve", "0,-1,0", "--n", "2",
@@ -368,9 +359,7 @@ def test_n_prec_and_the_count_ceiling_are_checked_before_any_work(capsys, monkey
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 0.5
-    assert code == 2 and out == ""
-    # a count the ceiling refuses stops before its first point
-    assert all(p > MAX_POINT_COUNT_PRIME for _, p in calls)
+    assert (code, out, calls) == (2, "", [])
 
 
 @pytest.mark.parametrize("p", ["9", "2"])
@@ -444,7 +433,7 @@ def test_cmform_counts_the_points_once(capsys, monkeypatch):
 ])
 def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, n, flags, out):
     # the payload reads no p-adic number, so no p^N may be computed: 5^(10^7) alone
-    # takes 5.5-5.8 s.  The context itself is built, and costs nothing
+    # takes 5.5-5.8 s
     t0 = time.perf_counter()
     assert run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", n,
                    *flags, "--prec", "10000000") == (0, out)
@@ -453,10 +442,7 @@ def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, n, fl
 
 @pytest.mark.parametrize("flags", [("--n", "4"), ("--n", "4", "--certificates"), ("--n", "2"),
                                    ("--n", "2", "--certificates")])
-@pytest.mark.parametrize("curve, prec, err", [
-    ("0,-25,0", "8", "error: bad reduction at 5\n"),
-    ("0,-1,0", "0", "error: precision N must be a positive integer, got 0\n"),
-])
+@pytest.mark.parametrize("curve, prec, err", [("0,-25,0", "8", "error: bad reduction at 5\n")])
 def test_trivial_zeros_without_certificates_keeps_its_refusals(capsys, flags, curve, prec,
                                                                err):
     code = main(["trivial-zeros", "--p", "5", "--curve", curve, "--prec", prec, *flags])
@@ -596,14 +582,6 @@ def test_missing_field_spec_exits_two(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("prec", ["0", "-3"])
-def test_klp_rejects_prec_below_one(capsys, prec):
-    code = main(["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--prec", prec])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: precision N must be a positive integer, got {prec}\n"
-
-
 @pytest.mark.parametrize("bad", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ("verify-fg", "--D", "-4", "--p", "13", "--prec"),
@@ -721,20 +699,40 @@ def test_help_and_usage_match_the_full_parser(capsys, argv):
     assert got_out.out or got_out.err
 
 
-def _workloads():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(PERFBENCH))
-
-
-WORKLOADS = _workloads()
-
-
 @pytest.mark.parametrize("item", WORKLOADS.cli_items(), ids=lambda item: item["ref"])
 def test_cli_reproduces_the_benchmark_references(capsys, item):
     # the benchmark's check: exit code, and stdout byte-identical to the
     # reference (for acceptance, without its seconds fields)
     code, out = run_cli(capsys, *item["argv"])
     assert WORKLOADS.check_cli(item, code, out.encode("ascii"))
+
+
+@pytest.mark.parametrize("argv", [argv for kind, argv in SWEEP.ci_inputs() if kind == "exits_two"],
+                         ids=" ".join)
+def test_ci_exits_two_inputs_refuse_before_any_work(capsys, monkeypatch, argv):
+    # the CI step's `exits_two` lines, read from the workflow: each runs under
+    # `timeout 1` there, and here must refuse before any work, the point count included
+    calls = _count_point_counts(monkeypatch)
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out, calls) == (2, "", [])
+
+
+def test_sweep_runs_every_command_to_an_exit_status(tmp_path):
+    # tools/sweep.py OUT as it is run by hand: no command raises, an exit 2 prints
+    # nothing, a --prec below 1 is one usage error, and the CI step's inputs close
+    # the list
+    out = tmp_path / "sweep.jsonl"
+    subprocess.run([sys.executable, str(TOOLS / "sweep.py"), str(out)], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=120)
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        argv = row["argv"]
+        assert row["exit"] in (0, 1, 2), argv
+        assert row["exit"] != 2 or row["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
+        prec = argv[argv.index("--prec") + 1] if "--prec" in argv else "1"
+        assert int(prec) > 0 or row["exit"] == 2 and row["stderr"].endswith(
+            f": error: argument --prec: precision must be a positive integer, got {prec}\n")
+    ci = [argv for _, argv in SWEEP.ci_inputs()]
+    assert [row["argv"] for row in rows[-len(ci):]] == ci

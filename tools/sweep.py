@@ -8,8 +8,8 @@ it on two checkouts, each with its own `src` first on PYTHONPATH, and `diff`
 the two files: every line that differs is a command whose output changed.
 The list covers every command, the 13 CM curves with a curve without CM and
 a singular one, primes that split, are inert, ramify or pass a ceiling, the
-symmetric powers 0-6 and the ceiling edges, bad precisions, and every input
-of the CI workflow's timed steps.  It runs in a few seconds.
+symmetric powers 0-6 and the ceiling edges, bad precisions, and last the inputs of
+CI's "Large class numbers finish" step, which `ci_inputs()` reads.  It runs in seconds.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import sys
 import time
+from pathlib import Path
 
 from cmlinv.cli import main
 
@@ -41,34 +43,30 @@ FIELDS = (-3, -4, -7, -8, -20, -23, -39, -47, -163, -167)
 FIELD_PRIMES = (2, 3, 5, 7, 13, 29, 41)
 BAD_PRECS = ("0", "-3")
 
-# the inputs of the CI workflow's "Large class numbers finish" step
-CI_INPUTS = [
-    "quadfield --D -1151 --p 3",
-    "quadfield --D -647 --p 29",
-    "quadfield --D -167 --p 29 --prec 4096",
-    "verify-fg --D -40 --p 13 --prec 384",
-    "cmform --p 29 --curve 0,-1,0 --prec 16384",
-    "cmform --p 29 --curve 0,-1,0 --prec 32768",
-    "quadfield --D -167 --p 29 --prec 16384",
-    "trivial-zeros --p 5 --curve 0,-1,0 --n 4 --certificates --prec 10000000",
-    "trivial-zeros --p 999961 --curve 0,-1,0 --n 4",
-    "verify-fg --D -4 --p 1000033 --prec 4",
-    "verify-fg --D -40 --p 13 --prec 2048",
-    "verify-fg --D -4 --p 5 --prec 100000",
-    "klp --p 5 --D -4 --branch 0 --at 0 --order 2 --prec 10000000",
-    "linvariant --p 5 --curve 0,-1,0 --n 2 --prec 100000",
-    "linvariant --p 5 --curve 0,-1,0 --n 2 --prec 10000000",
-    "critical --n 4 --k 100000000",
-    "trivial-zeros --p 5 --curve 0,-1,0 --n 2 --certificates --prec 10000000",
-    "decompose --p 5 --curve 0,-1,0 --n 1000000 --prec 10",
-    "decompose --p 5 --curve 0,-1,0 --n 100000 --prec 1",
-    "trivial-zeros --p 5 --curve=-1,1 --n 2 --certificates",
-    "cmform --p 999983 --curve 0,-1,0",
-    "cmform --p 1000000009 --curve 0,-1,0 --prec 1000000",
-    "decompose --p 999961 --curve 0,-1,0 --n 0",
-    "linvariant --p 5 --curve 0,-1,0 --n 100002",
-    "linvariant --p 5 --curve 0,-1,0 --n 1518 --prec 12",
-]
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def ci_inputs() -> list[tuple[str, list[str]]]:
+    """The inputs of the workflow's "Large class numbers finish" step, in its order:
+    ("timeout", argv) for each `timeout <s> cmlinv <argv>` line and ("exits_two", argv)
+    for each `exits_two <argv>` line, a line ending in a backslash joined to the next.
+    Raises on any other line of the step that names cmlinv."""
+    step = WORKFLOW.read_text(encoding="utf-8").split("- name: Large class numbers finish\n")[1]
+    inputs = []
+    for line in step.split("\n      - ")[0].replace("\\\n", " ").splitlines():
+        words = shlex.split(line)
+        words = words[:words.index("|")] if "|" in words else words  # a pipe reads stdout
+        if words[:1] == ["timeout"] and words[2:3] == ["cmlinv"]:
+            kind, argv = "timeout", words[3:]
+        elif words[:1] == ["exits_two"]:
+            kind, argv = "exits_two", words[1:]
+        else:
+            kind, argv = None, words
+        if kind and not set("$;&<>`").intersection("".join(argv)):  # no redirect, no variable
+            inputs.append((kind, argv))
+        elif (kind or "cmlinv" in line) and words[:1] != ["exits_two()"]:  # its definition
+            raise ValueError(f"{WORKFLOW}: cannot read {line.strip()!r}")
+    return inputs
 
 
 def _curve_commands(curve: str, p: int, ns) -> list[list[str]]:
@@ -79,6 +77,16 @@ def _curve_commands(curve: str, p: int, ns) -> list[list[str]]:
                 ["trivial-zeros", *at, "--n", n, "--certificates"],
                 ["linvariant", *at, "--n", n]]
     return out
+
+
+def _field_commands(D: str, p: str) -> list[list[str]]:
+    return [["quadfield", "--D", D, "--p", p], ["verify-fg", "--D", D, "--p", p]]
+
+
+def _klp_commands(D: str, p: str, orders) -> list[list[str]]:
+    # every branch at every expansion point, without --prec
+    return [["klp", "--p", p, "--D", D, "--branch", b, "--at", s, "--order", order]
+            for order in orders for b in "01" for s in "01"]
 
 
 def commands() -> list[list[str]]:
@@ -98,14 +106,13 @@ def commands() -> list[list[str]]:
     for D in map(str, FIELDS):
         out.append(["quadfield", "--D", D])
         for p in map(str, FIELD_PRIMES):
-            out += [["quadfield", "--D", D, "--p", p], ["verify-fg", "--D", D, "--p", p]]
-            out += [["klp", "--p", p, "--D", D, "--branch", b, "--at", s, "--order", "3",
-                     "--prec", "4"] for b in "01" for s in "01"]
+            out += _field_commands(D, p)
+            out += [[*argv, "--prec", "4"] for argv in _klp_commands(D, p, ("3",))]
     for prec in BAD_PRECS:
-        out += [["quadfield", "--D", "-4", "--p", "5", "--prec", prec],
-                ["verify-fg", "--D", "-4", "--p", "5", "--prec", prec],
-                ["verify-fg", "--D", "-4", "--p", "1000033", "--prec", prec],
-                ["klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0", "--prec", prec]]
+        out += [[*argv.split(), "--prec", prec] for argv in (
+            "quadfield --D -4 --p 5", "verify-fg --D -4 --p 5", "verify-fg --D -4 --p 1000033",
+            "klp --p 5 --D -4 --branch 0 --at 0", "quadfield --D -4 --p 7", "quadfield --D -4",
+            "quadfield --D -4 --p 2", "linvariant --p 40009 --curve 0,-1,0")]
     out += [
         ["quadfield", "--d", "1", "--p", "5", "--conjugate-lift"],
         ["quadfield", "--d", "163", "--D", "-163"], ["quadfield", "--d", "4"],
@@ -122,7 +129,7 @@ def commands() -> list[list[str]]:
             (("-4", "7", "1240"), ("-40", "17", "560"), ("-3", "5", "1000"),
              ("-4", "1000039", "4"))]
     out += [["critical", "--n", str(n), "--k", str(k)] for n in range(7) for k in (1, 2, 5, 12)]
-    out += [line.split() for line in CI_INPUTS]
+    out += [argv for _, argv in ci_inputs()]
     return out
 
 
