@@ -262,9 +262,9 @@ def test_cmform_over_the_point_count_ceiling_exits_two(capsys):
      "--order", "30000000", "--prec", "4"),
     ("klp", "--p", "62501", "--D", "-4", "--branch", "1", "--at", "0",
      "--order", "6", "--prec", "4"),
-])
+], ids=["argv1", "argv2", "argv5", "argv6", "argv8", "argv9", "argv11"])
 def test_closed_form_over_the_cost_ceiling_exits_two(capsys, argv):
-    # the CI step's inputs run in test_ci_exits_two_inputs_refuse_before_any_work.
+    # ids skip the CI step's inputs, run in test_ci_exits_two_inputs_refuse_before_any_work.
     # Each ran until killed before the ceiling; the first would build a Kronecker
     # row of 10^6 entries (0.6 s) and a sign row of 5 * 10^7, and klp at (-40, 13)
     # passed a ceiling blind to operand size.  The last four were checked only after
@@ -349,12 +349,12 @@ def test_curve_field_and_splitting_are_checked_before_any_work(capsys, monkeypat
     ("decompose", "--p", "1000000009", "--curve", "0,-1,0", "--n", "2",
      "--prec", "1000000"),
     ("cmform", "--p", "999961", "--curve", "0,-1,0", "--prec", "0"),
-])
+], ids=["argv0", "argv3", "argv4", "argv5"])
 def test_n_prec_and_the_count_ceiling_are_checked_before_any_work(capsys, monkeypatch, argv):
     # n = 0 at p = 999961 counted 10^6 points (1.9-2.0 s) before n was refused, and
     # cmform at p = 10^9 + 9 built p^(10^6) (14.4 s) before the count refused p;
     # the count's ceiling and the precision are checked before the count, and a
-    # context computes no p^N until something reads it
+    # context computes no p^N until something reads it; ids skip the CI step's inputs
     calls = _count_point_counts(monkeypatch)
     t0 = time.perf_counter()
     code, out = run_cli(capsys, *argv)
