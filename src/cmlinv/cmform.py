@@ -15,7 +15,7 @@ from math import gcd
 
 from .characters import DirichletCharacter, trivial_character
 from .padic import PadicContext, PadicNumber, _check_prime, hensel_lift
-from .quadfield import QuadFieldData, _check_split, quad_field_data
+from .quadfield import QuadFieldData, _check_field_bits, _check_split, quad_field_data
 
 __all__ = [
     "CMFormSpec",
@@ -143,6 +143,7 @@ def _curve_field(curve, p: int) -> QuadFieldData:
 def _curve_spec(curve, F, ctx) -> tuple[int, CMFormSpec]:
     # a_p, then the spec at ctx over F = _curve_field(curve, ctx.p); cm_spec stores no level,
     # and no odd p divides the 32 it checks: good reduction at p is _curve_field's check
+    _check_field_bits(ctx)  # before the point count
     ap = ap_point_count(curve, ctx.p)
     return ap, cm_spec(F, 2, trivial_character(), ap, 32, ctx)
 

@@ -736,3 +736,14 @@ def test_sweep_runs_every_command_to_an_exit_status(tmp_path):
             f": error: argument --prec: precision must be a positive integer, got {prec}\n")
     ci = [argv for _, argv in SWEEP.ci_inputs()]
     assert [row["argv"] for row in rows[-len(ci):]] == ci
+
+
+def test_sweep_rows_do_not_depend_on_the_terminal_width(monkeypatch):
+    # argparse wraps a usage message at COLUMNS: three lines at 40, one at 200
+    argv = ["critical", "--n", "4", "--k", "2", "--bogus"]
+    rows = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        rows.append(SWEEP._run(argv))
+        assert os.environ["COLUMNS"] == columns  # the width is pinned for the command alone
+    assert rows[0] == rows[1]

@@ -1,6 +1,7 @@
 """Field invariants, class numbers two ways, and the split-prime package."""
 
 import time
+from functools import cache
 from math import gcd, isqrt
 
 import pytest
@@ -234,6 +235,34 @@ def test_pibar_coords_pinned(D, p):
     x, y = FIELD_TWOWAY_PIBAR[D, p]
     assert sp.pibar_coords == (x, y)
     assert sp.pi_coords == (x, -y)
+
+
+@cache
+def first_representation(D, p):
+    return next(primitive_norm_representations(quad_field_from_discriminant(D), p, max_count=1))
+
+
+def unit_conjugate(sp, x, y):
+    """Oracle: build both images (x +- y*sqrt(D))/2 in full and keep the unit one."""
+    plus, minus = embed(sp, (x, y)), embed(sp, (x, -y))
+    assert plus.is_unit() != minus.is_unit()
+    return ((x, y), plus) if plus.is_unit() else ((x, -y), minus)
+
+
+@pytest.mark.parametrize("conjugate_lift", (False, True))
+@pytest.mark.parametrize("D,p", sorted(FIELD_TWOWAY_PIBAR))
+def test_pibar_picks_the_unit_conjugate_mod_p(D, p, conjugate_lift):
+    # pi_bar reads the choice off one residue mod p; every sign of the search's
+    # first representation, negative x included, must give the oracle's conjugate
+    F, ctx = quad_field_from_discriminant(D), make_context(p, 16)
+    x0, y0 = first_representation(D, p)
+    for x, y in ((x0, y0), (x0, -y0), (-x0, y0), (-x0, -y0)):
+        sp = pi_bar(F, p, ctx, conjugate_lift=conjugate_lift, representation=(x, y))
+        coords, unit = unit_conjugate(sp, x, y)
+        assert sp.pibar_coords == coords and sp.pi_coords == (coords[0], -coords[1])
+        assert sp.pibar_unit.valuation() == 0
+        assert (sp.pibar_unit.digits(), sp.pibar_unit.abs_prec) == (unit.digits(), unit.abs_prec)
+        assert embed(sp, sp.pi_coords).valuation() == F.h
 
 
 def test_large_class_number_norm_equation():

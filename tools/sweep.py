@@ -18,11 +18,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from cmlinv.cli import main
 
@@ -135,7 +137,10 @@ def commands() -> list[list[str]]:
 
 def _run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps a usage message at COLUMNS: 80, the width with no terminal, for
+    # every command, so the output does not depend on the terminal the sweep runs in
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         try:
             status = main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
