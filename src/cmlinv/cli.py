@@ -72,11 +72,11 @@ def cmd_quadfield(args) -> dict:
     F = _field_from_args(args)
     payload = {"d": F.d, "D": F.D, "h": F.h, "w": F.w}
     if args.p is not None:
+        ctx = make_context(args.p, args.prec)  # p is an odd prime, as for every command
         behavior = split_behavior(F, args.p)
         payload["p"] = args.p
         payload["splitting"] = behavior
         if behavior == "split":
-            ctx = make_context(args.p, args.prec)
             sp = pi_bar(F, args.p, ctx, conjugate_lift=args.conjugate_lift)
             payload["pibar_coords"] = list(sp.pibar_coords)
             payload["pi_coords"] = list(sp.pi_coords)

@@ -141,8 +141,9 @@ def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor,
 def full_report(spec: CMFormSpec, n: int, target: int = 6) -> LInvariantReport:
     """Everything `cmlinv linvariant` prints: the analytic and unit-root L-invariants
     with their agreement valuation and its verdict, the FG check, and the derivative
-    formula at each trivial zero of Sym^n, reading pibar, the unit root and decompose
-    once each; every verdict compares a residual valuation to target."""
+    formula at each trivial zero of Sym^n.  It reads pibar twice (the FG check and the
+    analytic value), the unit root twice (its log and decompose) and decompose once;
+    every verdict compares a residual valuation to target."""
     locations = trivial_zero_locations(n)
     ctx = spec.context
     # first: it checks the closed form's plan before pi_bar and the unit root

@@ -110,8 +110,7 @@ def critical_integers(n: int, k: int) -> list[int]:
     functional equation of a self-dual weight-0 motive demands.
     """
     if n < 2 or n % 2:
-        raise ValueError(
-            "critical integers are tabulated for even symmetric powers only")
+        raise ValueError(f"n must be even and at least 2, got {n}")
     if k < 2:
         raise ValueError("weight must be >= 2")
     if k > MAX_CRITICAL_WEIGHT:

@@ -8,8 +8,9 @@ it on two checkouts, each with its own `src` first on PYTHONPATH, and `diff`
 the two files: every line that differs is a command whose output changed.
 The list covers every command, the 13 CM curves with a curve without CM and
 a singular one, primes that split, are inert, ramify or pass a ceiling, the
-symmetric powers 0-6 and the ceiling edges, bad precisions, and last the inputs of
-CI's "Large class numbers finish" step, which `ci_inputs()` reads.  It runs in seconds.
+symmetric powers 0-6 and the ceiling edges, bad precisions, every refusal whose
+message the tier-1 tests pin, and last the inputs of CI's "Large class numbers
+finish" step, which `ci_inputs()` reads.  It runs in seconds.
 """
 
 from __future__ import annotations
@@ -44,6 +45,46 @@ EXTRA_PRIMES = (2, 3, 1000033)
 FIELDS = (-3, -4, -7, -8, -20, -23, -39, -47, -163, -167)
 FIELD_PRIMES = (2, 3, 5, 7, 13, 29, 41)
 BAD_PRECS = ("0", "-3")
+# refusals that tier-1 pins, one command a line
+PINNED = """\
+cmform --p 5 --curve a,b
+cmform --p 5 --curve 1,,2
+cmform --p 5 --curve 1.5,2
+cmform --p 1000000007 --curve 0,-1,0 --prec 4
+cmform --p 999961 --curve 0,-1,0 --prec 0
+quadfield --D -4 --p 15
+quadfield --D -3 --p 9
+verify-fg --D -999995 --p 101 --prec 4
+verify-fg --D -4 --p 5 --prec 10000000
+klp --p 1000033 --D -4 --branch 0 --at 0 --order 2 --prec 4
+klp --p 13 --D -40 --branch 0 --at 0 --order 2 --prec 4096
+klp --p 5 --D -4 --branch 0 --at 0 --order 2 --prec 1000000
+klp --p 5 --D -4 --branch 0 --at 0 --order 30000000 --prec 4
+klp --p 62501 --D -4 --branch 1 --at 0 --order 6 --prec 4
+klp --p 5 --D -4 --branch 0 --at 0 --nodes 40
+decompose --p 5 --curve 0,-1,0 --n 100000 --prec 10
+decompose --p 5 --curve 0,-1,0 --n 6 --prec 1000000
+decompose --p 5 --curve 0,-1,0 --n 20 --prec 5001
+decompose --p 5 --curve 0,-1,0 --n 20 --prec 4951
+decompose --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
+trivial-zeros --p 999961 --curve 0,-1,0 --n 0
+trivial-zeros --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
+linvariant --p 5 --curve 0,-1,0 --n 100002 --prec 8
+linvariant --p 5 --curve 0,-1,0 --n 2 --k 3
+critical --n 4 --k 4 --frobnicate
+cmform --p 5 --curve 0,-1,0 --level 32
+decompose --p 5 --curve 0,-1,0 --n 2 --level 32
+trivial-zeros --p 5 --curve 0,-1,0 --n 2 --level 32
+linvariant --p 5 --curve 0,-1,0 --level 32
+linvariant --p 5 --curve 0,-1,0 --D -4
+verify-fg --p 5 --D -4 --conjugate-lift
+linvariant --p 5 --curve 0,-1,0 --conjugate-lift
+verify-fg --p 5 --D -4 --out payload.json
+cmform --p 5 --curve 0,-1,0 --d 1
+decompose --p 5 --curve 0,-1,0 --n 2 --d 1
+trivial-zeros --p 5 --curve 0,-1,0 --n 2 --d 1
+linvariant --p 5 --curve 0,-1,0 --d 1
+"""
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -114,7 +155,9 @@ def commands() -> list[list[str]]:
         out += [[*argv.split(), "--prec", prec] for argv in (
             "quadfield --D -4 --p 5", "verify-fg --D -4 --p 5", "verify-fg --D -4 --p 1000033",
             "klp --p 5 --D -4 --branch 0 --at 0", "quadfield --D -4 --p 7", "quadfield --D -4",
-            "quadfield --D -4 --p 2", "linvariant --p 40009 --curve 0,-1,0")]
+            "quadfield --D -4 --p 2", "linvariant --p 40009 --curve 0,-1,0",
+            "verify-fg --D -4 --p 13", "linvariant --p 5 --curve 0,-1,0")]
+        out.append(["linvariant", "--p", "5", "--curve", "0,-1,0", "--n", prec])
     out += [
         ["quadfield", "--d", "1", "--p", "5", "--conjugate-lift"],
         ["quadfield", "--d", "163", "--D", "-163"], ["quadfield", "--d", "4"],
@@ -131,6 +174,19 @@ def commands() -> list[list[str]]:
             (("-4", "7", "1240"), ("-40", "17", "560"), ("-3", "5", "1000"),
              ("-4", "1000039", "4"))]
     out += [["critical", "--n", str(n), "--k", str(k)] for n in range(7) for k in (1, 2, 5, 12)]
+    # the refusals the tier-1 tests pin: no CM or no split at p near the count's ceiling,
+    # bad reduction, fields named twice, p not an odd prime, |D| over its ceiling
+    for curve, p in (("-1,1", 999961), ("0,-1,0", 999983), ("0,-25,0", 5)):
+        out += _curve_commands(curve, p, (2,))
+    out += [[*argv, "--prec", "8"] for argv in _curve_commands("0,-25,0", 5, (2, 4))
+            if argv[0] == "trivial-zeros"]
+    for command in ("quadfield --p 5", "klp --p 5 --branch 0 --at 0", "verify-fg --p 5"):
+        out += [[*command.split(), "--D", D, "--d", d]
+                for D, d in (("-4", "7"), ("-3", "1"), ("-4", "2"), ("-4", "4"), ("-4", "0"))]
+    out += [[*command.split(), "--p", p] for p in ("9", "2")
+            for command in ("klp --D -4 --branch 0 --at 0", "linvariant --curve 0,-1,0")]
+    out.append(["quadfield", "--D", "-" + "9" * 199 + "5"])
+    out += [line.split() for line in PINNED.splitlines()]
     out += [argv for _, argv in ci_inputs()]
     return out
 
@@ -154,12 +210,18 @@ def _run(argv: list[str]) -> dict:
             "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(), "stderr": stderr}
 
 
+def write(path) -> int:
+    """Run every command and write its row to path; return the number of commands."""
+    argvs = commands()
+    with open(path, "w", encoding="utf-8") as fh:
+        for argv in argvs:
+            fh.write(json.dumps(_run(argv), sort_keys=True) + "\n")
+    return len(argvs)
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     t0 = time.perf_counter()
-    argvs = commands()
-    with open(sys.argv[1], "w", encoding="utf-8") as fh:
-        for argv in argvs:
-            fh.write(json.dumps(_run(argv), sort_keys=True) + "\n")
-    print(f"{len(argvs)} commands in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
+    count = write(sys.argv[1])
+    print(f"{count} commands in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
