@@ -59,11 +59,25 @@ phi(F)/2 units and gives the same residues as the full pass.  This
 needs chi even, that is D < 0; for D > 0 the two halves would cancel,
 and `_closed_form` refuses it.
 
-One pass over the half of A below F/2 gives every P_{j,k} for k < K,
+One pass over the half of A below F/2 gives the P_{j,k} it reads,
 all in integers: theta(a) is read from the Kronecker row of D, log_p a
 comes by additivity from the integer series of `iwasawa_log` at the
 primes, and the odd j > 1 are skipped, since B_j = 0 there, so the
-column w_a a^(-j) steps by a^(-2) from j = 2 on.  The factor B_j F^j / j! is formed mod p^T without
+column w_a a^(-j) steps by a^(-2) from j = 2 on.  P_{j,K-1} meets K_{j,0}
+alone, so it is skipped wherever K_{j,0} is 0 mod p^T, as it is for
+every j > 1 - s0: [t^0] j! C(1-s0-t, j) = j! C(1-s0, j) = 0 there.  For
+the table at s0 = 0 with K = 2, which `_g_at_zero` builds for every
+branch derivative, P_{j,1} is then read at j = 0 and 1 only, where
+w_a a^(-j) = theta(a) a^(1-j) is an integer, so
+
+    P_{j,1} = log_p prod_a a^(theta(a) a^(1-j))  mod p^M,
+
+two logs in all instead of one per prime below F/2.  The product at
+j = 0 is formed by parts: with R_b = prod_{a >= b} a^theta(a),
+prod_a a^(theta(a) a) = prod_{1 <= b < F/2} R_b, and R_b = R_a for the
+least unit a >= b, so each unit costs one product into R and one power
+of R to the gap below a; R_1 is the product at j = 1.  The factor
+B_j F^j / j! is formed mod p^T without
 rationals: |D|^j is carried along, the p-free part of j! is inverted one
 factor j / p^v(j) at a time, and the p-power j - v(j!) - [(p-1) | j] is
 counted exactly, the denominator of B_j having one factor p exactly when
@@ -109,9 +123,14 @@ to n_j and the factors B_j F^j / j! grow as n_j^3.  So, in integers,
 
     cost = phi(F)/2 * (kept + 2) * K * (w + 8)^2 + n_j^3 / 16.
 
-Time per unit of cost stays within a factor 3 over |D| from 3 to 163, p
-from 3 to 10^5, 4 to 1500 digits and K from 2 to 9.  Callers check the
-plans of all the tables they read before their first stage.
+The model predates the skip of P_{j,K-1} and the two product logs, so it
+over-counts the tables that read them, the one at s0 = 0 with K = 2 most:
+past j = 1 that table makes one product per unit and kept j, and its logs
+cost about three products per unit in all.  It is kept as it is, so that
+every input it refused before is still refused.  Time per unit of cost
+stays within a factor 3 over |D| from 3 to 163, p from 3 to 10^5, 4 to
+1500 digits and K from 2 to 9.  Callers check the plans of all the
+tables they read before their first stage.
 
 Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly.  Each table
 compares its closed-form constant term with that value and keeps the
@@ -178,11 +197,12 @@ def _logs(units: list, p: int, M: int) -> list:
 
 
 # The largest plan cost.  With Python 3.11 on a 2-vCPU VM, `_closed_form`
-# took 2.2 to 6.5 ns per unit of cost over 16 inputs (fresh processes,
-# Bernoulli table included), so an input at the ceiling takes 0.55 to 1.6 s;
-# `verify-fg --D -40 --p 13 --prec 714` (cost 2.4e8) takes 1.1 s in all, and
-# `--prec 2048` (4.7e9) ran past 20 s.  The largest input of the tests, CI,
-# `acceptance` and the benchmark costs 0.5e8 (`verify-fg --D -40 --p 13 --prec 384`).
+# took 1.3 to 3.5 ns per unit of cost over 16 inputs (fresh processes,
+# Bernoulli table included; 1.6 to 6.0 ns with one log per prime), so an
+# input at the ceiling takes 0.33 to 0.9 s; `verify-fg --D -40 --p 13
+# --prec 714` (cost 2.4e8) takes 0.8 s in all (1.1 s with one log per
+# prime), and `--prec 2048` (4.7e9) ran past 20 s.  The largest input of
+# the tests, CI, `acceptance` and the benchmark is that one.
 MAX_CLOSED_FORM_COST = 25 * 10**7
 
 
@@ -240,8 +260,16 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
             x, y = x * root % p, y * t % m
     col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
     inverses = [pow(a, -1, m) for a in units]
-    lam = [None]  # lam[k] = (log_p a)^k over the units, k >= 1
-    if K > 1:
+    lam, logsum = [None], None  # lam[k] = (log_p a)^k over the units, k >= 1
+    if K == 2 and s0 == 0:
+        # P_{j,1} = log_p prod_a a^(theta(a) a^(1-j)), read at j = 0, 1 only:
+        # R runs through R_a = prod_(b >= a) b^theta(b) (module docstring)
+        R, prod = 1, 1
+        for a, inv, below in zip(units[::-1], inverses[::-1], [0, *units[:-1]][::-1]):
+            R = R * (a if signs[a] > 0 else inv) % m
+            prod = prod * pow(R, a - below, m) % m
+        logsum = _log_units([prod, R], p, M)
+    elif K > 1:
         lam.append(_logs(units, p, M))
         for k in range(2, K):
             lam.append([x * y % m for x, y in zip(lam[-1], lam[1])])
@@ -285,7 +313,12 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
              * inv_fact % mT)
         row = [r * x % mT for x in c]
         for k in range(K):
-            P = sum(col) if k == 0 else sum(map(mul, col, lam[k]))
+            if k == K - 1 and not row[0]:
+                continue  # P_{j,K-1} meets row[0] only
+            if k == 0:
+                P = sum(col)
+            else:
+                P = logsum[j] if logsum else sum(map(mul, col, lam[k]))
             div, inv = facts[k]
             Pk = P % mc // div * inv
             for i in range(K - k):

@@ -523,11 +523,11 @@ def _log_reduction(T: int, p: int) -> tuple[int, int, int, int]:
     return k, n, e, max(1, math.isqrt((T + k + e - 1) // (k + 1) // 2))
 
 
-# Every log at one (p, T) shares the plan: each `_log_value` miss and each
-# `kl._logs` call reads it.  Measured reuse: 16 hits from 16 plans in
-# field-twoway and 7 from 20 in `cmlinv acceptance`, as many as an unbounded
-# cache gets.  A plan at 512 digits of 29 holds about 10 KB, one at 16384
-# digits about 0.6 MB.
+# Every log at one (p, T) shares the plan: each `_log_value` miss, each
+# `kl._logs` call and each pair of product logs of `kl._closed_form` reads it.
+# Measured reuse: 16 hits from 16 plans in field-twoway and 7 from 20 in
+# `cmlinv acceptance`, as many as an unbounded cache gets.  A plan at 512
+# digits of 29 holds about 10 KB, one at 16384 digits about 0.6 MB.
 _LOG_PLANS = 16
 
 

@@ -283,16 +283,6 @@ def test_golden_files(capsys, name, argv):
     assert out == golden
 
 
-def test_unknown_flag_is_an_error(sweep):
-    assert refused(sweep, "critical", "--n", "4", "--k", "4", "--frobnicate").endswith(
-        "error: unrecognized arguments: --frobnicate\n")
-
-
-def test_bad_prime_exits_two(sweep):
-    assert refused(sweep, "verify-fg", "--D", "-4", "--p", "9") == \
-        "error: p must be an odd prime, got 9\n"
-
-
 @pytest.mark.parametrize("D, p", [("-4", "15"), ("-3", "9")])
 def test_quadfield_composite_p_exits_two(sweep, D, p):
     assert refused(sweep, "quadfield", "--D", D, "--p", p) == \

@@ -516,19 +516,29 @@ def test_closed_form_matches_full_modulus_oracle(D, p):
 @pytest.mark.parametrize("D, p", [(-3, 7), (-4, 5)])
 def test_closed_form_visits_half_the_units(monkeypatch, D, p):
     # theta*omega is even, so a and F - a contribute alike: the pass reads
-    # the phi(F)/2 units below F/2 and doubles.  F = 21 is odd, F = 20 even
-    seen = []
-
-    def recorded(units, p, M):
-        seen.append(list(units))
-        return _logs(units, p, M)
-
-    monkeypatch.setattr(kl, "_logs", recorded)
+    # the phi(F)/2 units below F/2 and doubles.  F = 21 is odd, F = 20 even.
+    # At order 2 and s0 = 0 it takes log_p of two products of them; at order 3
+    # it logs each unit
     F = abs(D) * p
     phi = _totient_by_count(F)
-    assert _closed_form(D, p, 0, 2, 6) == _closed_form_at_full_modulus(D, p, 0, 2, 6)
-    assert len(seen) == 1
-    assert len(seen[0]) == phi // 2 and all(2 * a < F for a in seen[0])
+    want = {order: _closed_form_at_full_modulus(D, p, 0, order, 6) for order in (2, 3)}
+    calls = []
+
+    def probe(name):
+        def recorded(units, p, M, f=getattr(kl, name)):
+            calls.append((name, list(units)))
+            return f(units, p, M)
+        return recorded
+
+    for name in ("_logs", "_log_units"):
+        monkeypatch.setattr(kl, name, probe(name))
+    assert _closed_form(D, p, 0, 2, 6) == want[2]
+    assert [(name, len(units)) for name, units in calls] == [("_log_units", 2)]
+    calls.clear()
+    assert _closed_form(D, p, 0, 3, 6) == want[3]
+    logs = [units for name, units in calls if name == "_logs"]
+    assert len(logs) == 1
+    assert len(logs[0]) == phi // 2 and all(2 * a < F for a in logs[0])
 
 
 def test_closed_form_rejects_positive_discriminant():
