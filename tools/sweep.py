@@ -3,15 +3,15 @@
     PYTHONPATH=src python tools/sweep.py OUT
 
 Each command runs through `cmlinv.cli.main` and writes one JSON line to OUT:
-its argv, its exit status, the sha256 of its stdout and its whole stderr.  Run
-it on two checkouts, each with its own `src` first on PYTHONPATH, and `diff`
-the two files: every line that differs is a command whose output changed.
+its argv, its exit status, the sha256 of its stdout and its whole stderr.
+`tests/fixtures/sweep.jsonl` is the golden: this script's file, written in a
+fresh process, which tier-1 compares row by row with its own run.  A change
+that means to alter an output re-runs the script with that path as OUT.
 The list covers every command, the 13 CM curves with a curve without CM and
 a singular one, primes that split, are inert, ramify or pass a ceiling, the
-symmetric powers 0-6 and the ceiling edges, bad precisions, every refusal whose
-message the tier-1 tests pin, and last the inputs of CI's "Large class numbers
-finish" step, which `ci_inputs()` reads.  It runs in seconds.
-"""
+symmetric powers 0-6 and the ceiling edges, bad precisions, every refusal
+whose message the golden pins, and last the inputs of CI's "Large class
+numbers finish" step, which `ci_inputs()` reads.  It runs in seconds."""
 
 from __future__ import annotations
 
@@ -39,21 +39,28 @@ CM_CURVES = [
     ("-13760,621264", 11, 3), ("-117920,15585808", 17, 3),  # d = 43, 67
     ("-34790720,78984748304", 41, 3),  # d = 163
 ]
+# y^2 = x^3 - x + 1 has j = -6912/23, no CM, and the a_5 = -2 of y^2 = x^3 - x
 NO_CM, SINGULAR = "-1,1", "-3,2"
-# 2 and 3, and a prime over the count's ceiling that splits in Q(i)
+# 2 and 3, and a prime over the count's ceiling that splits in Q(i); 3 ramifies in
+# Q(sqrt(-3)), and the split check names it before the plan reads the conductor
 EXTRA_PRIMES = (2, 3, 1000033)
 FIELDS = (-3, -4, -7, -8, -20, -23, -39, -47, -163, -167)
 FIELD_PRIMES = (2, 3, 5, 7, 13, 29, 41)
+# a residual compared to p^0 or below, or no symmetric power, would pass anything
 BAD_PRECS = ("0", "-3")
-# refusals that tier-1 pins, one command a line
+# the rows whose messages and outputs the golden pins, one command a line and a
+# comment line on each group
 PINNED = """\
+# argparse would name the type function for a bare ValueError
 cmform --p 5 --curve a,b
 cmform --p 5 --curve 1,,2
 cmform --p 5 --curve 1.5,2
+# 10^9 + 7 is inert in Q(i), so the split check refuses it before the count's ceiling
 cmform --p 1000000007 --curve 0,-1,0 --prec 4
 cmform --p 999961 --curve 0,-1,0 --prec 0
 quadfield --D -4 --p 15
 quadfield --D -3 --p 9
+# closed forms over MAX_CLOSED_FORM_COST, refused before any table, search or sum
 verify-fg --D -999995 --p 101 --prec 4
 verify-fg --D -4 --p 5 --prec 10000000
 klp --p 1000033 --D -4 --branch 0 --at 0 --order 2 --prec 4
@@ -61,17 +68,28 @@ klp --p 13 --D -40 --branch 0 --at 0 --order 2 --prec 4096
 klp --p 5 --D -4 --branch 0 --at 0 --order 2 --prec 1000000
 klp --p 5 --D -4 --branch 0 --at 0 --order 30000000 --prec 4
 klp --p 62501 --D -4 --branch 1 --at 0 --order 6 --prec 4
+# the whole payload at 256 digits, and one digit over the cost ceiling at (-40, 13)
+verify-fg --D -40 --p 13 --prec 256
+verify-fg --D -40 --p 13 --prec 715
+# klp reports J = N_cert + order and has no --nodes flag
 klp --p 5 --D -4 --branch 0 --at 0 --nodes 40
+# each factor costs about 50 digits whatever N is, so 20 * (4951 + 50) is over the ceiling
 decompose --p 5 --curve 0,-1,0 --n 100000 --prec 10
 decompose --p 5 --curve 0,-1,0 --n 6 --prec 1000000
 decompose --p 5 --curve 0,-1,0 --n 20 --prec 5001
 decompose --p 5 --curve 0,-1,0 --n 20 --prec 4951
+# n, N and the count's ceiling are checked before the count, and no p^N before it is read
 decompose --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
 trivial-zeros --p 999961 --curve 0,-1,0 --n 0
 trivial-zeros --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
+# linvariant's decompose ceiling reads n * (max(N + 4, 16) + 50), not --prec
 linvariant --p 5 --curve 0,-1,0 --n 100002 --prec 8
+# curve specs have weight 2, so linvariant has no --k
 linvariant --p 5 --curve 0,-1,0 --n 2 --k 3
+critical --n 4 --k 4
 critical --n 4 --k 4 --frobnicate
+# the level is always the desk curve's 32; a curve's j names its CM field; only
+# quadfield's labels take the embedding; the payload goes to stdout only
 cmform --p 5 --curve 0,-1,0 --level 32
 decompose --p 5 --curve 0,-1,0 --n 2 --level 32
 trivial-zeros --p 5 --curve 0,-1,0 --n 2 --level 32
@@ -174,8 +192,10 @@ def commands() -> list[list[str]]:
             (("-4", "7", "1240"), ("-40", "17", "560"), ("-3", "5", "1000"),
              ("-4", "1000039", "4"))]
     out += [["critical", "--n", str(n), "--k", str(k)] for n in range(7) for k in (1, 2, 5, 12)]
-    # the refusals the tier-1 tests pin: no CM or no split at p near the count's ceiling,
-    # bad reduction, fields named twice, p not an odd prime, |D| over its ceiling
+    # the refusals the golden pins: no CM or no split at p near the count's ceiling,
+    # bad reduction (5 splits in Q(i) but divides the discriminant of y^2 = x^3 - 25x),
+    # fields named twice (a d that names no field is named so, not as a mismatch), p
+    # not an odd prime (checked before the plan divides by p - 2), |D| over its ceiling
     for curve, p in (("-1,1", 999961), ("0,-1,0", 999983), ("0,-25,0", 5)):
         out += _curve_commands(curve, p, (2,))
     out += [[*argv, "--prec", "8"] for argv in _curve_commands("0,-25,0", 5, (2, 4))
@@ -186,7 +206,7 @@ def commands() -> list[list[str]]:
     out += [[*command.split(), "--p", p] for p in ("9", "2")
             for command in ("klp --D -4 --branch 0 --at 0", "linvariant --curve 0,-1,0")]
     out.append(["quadfield", "--D", "-" + "9" * 199 + "5"])
-    out += [line.split() for line in PINNED.splitlines()]
+    out += [line.split() for line in PINNED.splitlines() if line[0] != "#"]
     out += [argv for _, argv in ci_inputs()]
     return out
 
