@@ -262,6 +262,36 @@ def test_decompose_at_the_output_ceiling_completes(capsys):
     assert code == 0 and len(json.loads(out)["factors"]) == 11
 
 
+# the curve commands as tools/sweep.py writes them: _curve_argv(command, p, curve)
+CURVE_COMMANDS = [("trivial-zeros", "--n", "2", "--certificates"), ("decompose", "--n", "2"),
+                  ("cmform",), ("linvariant", "--n", "2")]
+
+
+def _curve_argv(command, p, curve):
+    return [command[0], "--p", p, f"--curve={curve}", *command[1:]]
+
+
+@pytest.mark.parametrize("command", CURVE_COMMANDS)
+@pytest.mark.parametrize("p, curve, D", [("999961", "-1,1", None), ("999983", "0,-1,0", -4),
+                                         ("3", "0,1", -3)])
+def test_curve_field_and_splitting_are_checked_before_any_work(sweep, command, p, curve, D):
+    # counting 10^6 points takes 2.6-2.8 s, so the field and its splitting come
+    # first; p = 3 is ramified in Q(sqrt(-3)), and the split check names it
+    # before the plan reads theta's conductor
+    assert refused(sweep, *_curve_argv(command, p, curve)) == (
+        "error: the curve has no CM: j = -6912/23\n" if D is None
+        else f"error: p = {p} does not split in Q(sqrt({D}))\n")
+
+
+@pytest.mark.parametrize("p", ["9", "2"])
+@pytest.mark.parametrize("command", [("klp", "--D", "-4", "--branch", "0", "--at", "0"),
+                                     ("verify-fg", "--D", "-4"),
+                                     ("linvariant", "--curve", "0,-1,0")])
+def test_not_an_odd_prime_is_named_before_the_plan(sweep, command, p):
+    # the plan divides by p - 2 and counts phi(|D| p) / 2 units: p is checked first
+    assert refused(sweep, *command, "--p", p) == f"error: p must be an odd prime, got {p}\n"
+
+
 def test_klp_past_forty_nodes(capsys):
     # J = N_cert + order = 44 was over the Newton table's budget of 40
     code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
@@ -299,6 +329,16 @@ def test_trivial_zeros_counts_no_point(capsys, n, out):
         assert run_cli(capsys, "trivial-zeros", "--p", "999961", "--curve", "0,-1,0",
                        "--n", n) == (0, out)
     assert stages == []
+
+
+@pytest.mark.parametrize("n, prec", [("100002", "8"), ("1518", "12")])
+def test_linvariant_over_the_decompose_ceiling_exits_two(sweep, n, prec):
+    # n * (max(prec + 4, 16) + 50) over MAX_DECOMPOSE_DIGITS: n = 30002 took 7.4 s and
+    # printed 887 KB, and n = 100002 ran past 20 s, most of it in e_plus's p^shift
+    cost = int(n) * (max(int(prec) + 4, 16) + _DECOMPOSE_OVERHEAD)
+    assert cost > MAX_DECOMPOSE_DIGITS
+    assert refused(sweep, "linvariant", "--p", "5", "--curve", "0,-1,0", "--n", n, "--prec",
+                   prec).endswith(f"n = {n} at N = 16 digits is {cost}\n")
 
 
 def test_linvariant_at_the_decompose_ceiling_completes(capsys):
