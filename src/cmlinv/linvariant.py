@@ -32,7 +32,8 @@ from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
 from .padic import PadicContext, PadicNumber, iwasawa_log
 from .quadfield import QuadFieldData, _check_split, pi_bar
-from .sympower import SymPowerFactor, decompose, e_plus, trivial_zero_locations
+from .sympower import (SymPowerFactor, _check_decompose, decompose, e_plus,
+                       trivial_zero_locations)
 
 __all__ = [
     "FGCheck",
@@ -84,6 +85,8 @@ def l_invariant_via_alpha(spec: CMFormSpec) -> PadicNumber:
 def verify_ferrero_greenberg(F: QuadFieldData, p: int, ctx: PadicContext,
                              target: int = 6) -> FGCheck:
     """Branch-derivative vs (4/w) log_p(pibar), compared to p^-target (split p only)."""
+    if p != ctx.p:  # pi_bar's refusal, before the sum
+        raise ValueError("context prime and p disagree")
     # a residual compared to p^0 or below passes whatever the values are
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -146,6 +149,8 @@ def full_report(spec: CMFormSpec, n: int, target: int = 6) -> LInvariantReport:
     every verdict compares a residual valuation to target."""
     locations = trivial_zero_locations(n)
     ctx = spec.context
+    if locations:  # decompose's refusal, before any work
+        _check_decompose(n, ctx.N)
     # first: it checks the closed form's plan before pi_bar and the unit root
     fg = verify_ferrero_greenberg(spec.field, ctx.p, ctx, target=target)
     base = l_invariant_analytic(spec.field, ctx.p, ctx)

@@ -1,7 +1,10 @@
 """CLI behavior: every row of tools/sweep.py against its golden, tests/fixtures/sweep.jsonl
-(exit status, stdout and error message of about 1560 commands); payload semantics, the
-readable golden files and the full usage text; and no work before a refusal."""
+(exit status, stdout and error message of about 1520 commands), which is also where the
+readable golden files and the benchmark's references are checked; payload semantics and
+the full usage text; no work before a refusal, and each stage only where its command's
+output reads it."""
 
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -24,16 +27,9 @@ PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TOOLS = Path(__file__).parent.parent / "tools"
 
 
-def _module(directory: Path, name: str):
-    sys.path.insert(0, str(directory))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.remove(str(directory))
-
-
-WORKLOADS = _module(PERFBENCH, "workloads")
-SWEEP = _module(TOOLS, "sweep")
+sys.path.insert(0, str(TOOLS))
+SWEEP = importlib.import_module("sweep")
+sys.path.remove(str(TOOLS))
 
 
 def run_cli(capsys, *argv):
@@ -231,18 +227,12 @@ def test_cmform_subcommand(capsys):
     assert payload["alpha"]["digits"][:2] == [3, 2]  # 13 = 3 + 2*5
 
 
-@pytest.mark.parametrize("name,argv", [
-    ("cmform_p5", ["cmform", "--p", "5", "--curve", "0,-1,0", "--prec", "8"]),
-    ("klp_p5_D4_b0", ["klp", "--p", "5", "--D", "-4", "--branch", "0",
-                      "--at", "0", "--order", "4", "--prec", "8"]),
-    ("trivial_zeros_n2", ["trivial-zeros", "--p", "5", "--curve", "0,-1,0",
-                          "--n", "2", "--certificates", "--prec", "8"]),
-])
-def test_golden_files(capsys, name, argv):
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
+@pytest.mark.parametrize("name, argv", [(name, argv.split())
+                                        for name, argv in SWEEP.READABLE.items()])
+def test_golden_files(name, argv):
     golden = (FIXTURES / f"{name}.json").read_text(encoding="ascii")
-    assert out == golden
+    row = GOLDEN[tuple(argv)]
+    assert (row["exit"], row["stdout_sha256"]) == (0, SWEEP.stdout_sha256(golden))
 
 
 def test_closed_form_at_the_cost_ceiling_completes():
@@ -262,73 +252,11 @@ def test_decompose_at_the_output_ceiling_completes(capsys):
     assert code == 0 and len(json.loads(out)["factors"]) == 11
 
 
-# the curve commands as tools/sweep.py writes them: _curve_argv(command, p, curve)
-CURVE_COMMANDS = [("trivial-zeros", "--n", "2", "--certificates"), ("decompose", "--n", "2"),
-                  ("cmform",), ("linvariant", "--n", "2")]
-
-
-def _curve_argv(command, p, curve):
-    return [command[0], "--p", p, f"--curve={curve}", *command[1:]]
-
-
-@pytest.mark.parametrize("command", CURVE_COMMANDS)
-@pytest.mark.parametrize("p, curve, D", [("999961", "-1,1", None), ("999983", "0,-1,0", -4),
-                                         ("3", "0,1", -3)])
-def test_curve_field_and_splitting_are_checked_before_any_work(sweep, command, p, curve, D):
-    # counting 10^6 points takes 2.6-2.8 s, so the field and its splitting come
-    # first; p = 3 is ramified in Q(sqrt(-3)), and the split check names it
-    # before the plan reads theta's conductor
-    assert refused(sweep, *_curve_argv(command, p, curve)) == (
-        "error: the curve has no CM: j = -6912/23\n" if D is None
-        else f"error: p = {p} does not split in Q(sqrt({D}))\n")
-
-
-@pytest.mark.parametrize("p", ["9", "2"])
-@pytest.mark.parametrize("command", [("klp", "--D", "-4", "--branch", "0", "--at", "0"),
-                                     ("verify-fg", "--D", "-4"),
-                                     ("linvariant", "--curve", "0,-1,0")])
-def test_not_an_odd_prime_is_named_before_the_plan(sweep, command, p):
-    # the plan divides by p - 2 and counts phi(|D| p) / 2 units: p is checked first
-    assert refused(sweep, *command, "--p", p) == f"error: p must be an odd prime, got {p}\n"
-
-
 def test_klp_past_forty_nodes(capsys):
     # J = N_cert + order = 44 was over the Newton table's budget of 40
     code, out = run_cli(capsys, "klp", "--p", "5", "--D", "-4", "--branch", "0", "--at", "0",
                         "--order", "4", "--prec", "40")
     assert code == 0 and json.loads(out)["J"] == 44
-
-
-def test_cmform_counts_the_points_once(capsys):
-    with stage_probe() as stages:
-        code, out = run_cli(capsys, "cmform", "--p", "5", "--curve", "0,-1,0", "--prec", "8")
-    assert code == 0 and stages.count("cmform.ap_point_count") == 1
-    assert out == (FIXTURES / "cmform_p5.json").read_text(encoding="ascii")
-
-
-@pytest.mark.parametrize("n, flags, out", [
-    ("4", (), '{"n":4,"zeros":[]}\n'),
-    ("4", ("--certificates",), '{"certificates":[],"n":4,"zeros":[]}\n'),
-    ("2", (), '{"n":2,"zeros":[[0,0],[1,1]]}\n'),
-])
-def test_trivial_zeros_builds_no_context_when_it_certifies_nothing(capsys, n, flags, out):
-    # the payload reads no p-adic number, so no p^N may be computed: 5^(10^7) alone
-    # takes 5.5-5.8 s
-    with stage_probe() as stages:
-        assert run_cli(capsys, "trivial-zeros", "--p", "5", "--curve", "0,-1,0", "--n", n,
-                       *flags, "--prec", "10000000") == (0, out)
-    assert stages == []
-
-
-@pytest.mark.parametrize("n, out", [("4", '{"n":4,"zeros":[]}\n'),
-                                    ("2", '{"n":2,"zeros":[[0,0],[1,1]]}\n')])
-def test_trivial_zeros_counts_no_point(capsys, n, out):
-    # its payload reads no a_p: counting the 10^6 points at p = 999961 took 1.8-2.5 s
-    # only to refuse what the discriminant and the ceiling already refuse
-    with stage_probe() as stages:
-        assert run_cli(capsys, "trivial-zeros", "--p", "999961", "--curve", "0,-1,0",
-                       "--n", n) == (0, out)
-    assert stages == []
 
 
 @pytest.mark.parametrize("n, prec", [("100002", "8"), ("1518", "12")])
@@ -516,25 +444,20 @@ def test_help_and_usage_match_the_full_parser(capsys, argv):
     assert got_out.out or got_out.err
 
 
-@pytest.mark.parametrize("item", WORKLOADS.cli_items(), ids=lambda item: item["ref"])
-def test_cli_reproduces_the_benchmark_references(capsys, item):
-    # the benchmark's check: exit code, and stdout byte-identical to the
-    # reference (for acceptance, without its seconds fields)
-    code, out = run_cli(capsys, *item["argv"])
-    assert WORKLOADS.check_cli(item, code, out.encode("ascii"))
-
-
-@pytest.mark.parametrize("argv", [argv for kind, argv in SWEEP.ci_inputs() if kind == "exits_two"],
-                         ids=" ".join)
-def test_ci_exits_two_inputs_refuse_before_any_work(sweep, argv):
-    # the CI step's `exits_two` lines, read from the workflow: each runs under
-    # `timeout 1` there, and here must refuse before any work, the point count included
-    assert refused(sweep, *argv).startswith("error: ")
+@pytest.mark.parametrize("item", SWEEP.cli_items(), ids=lambda item: item["ref"])
+def test_cli_reproduces_the_benchmark_references(item):
+    # the benchmark's check, on the command's golden row: its exit status, and stdout
+    # byte-identical to the reference but for acceptance's seconds
+    ref = (PERFBENCH / "reference" / f"{item['ref']}.out").read_text(encoding="ascii")
+    row = GOLDEN[tuple(item["argv"])]
+    assert (row["exit"], row["stdout_sha256"]) == (item["rc"], SWEEP.stdout_sha256(ref))
 
 
 def test_sweep_runs_every_command_to_an_exit_status(sweep):
-    # no command raises, an exit 2 prints nothing, a --prec below 1 is one usage
-    # error, and the CI step's inputs close the list
+    # no command raises or runs twice, an exit 2 prints nothing, a --prec below 1 is
+    # one usage error, and the CI step's inputs close the list
+    runs = collections.Counter(tuple(row["argv"]) for row in sweep)
+    assert not [argv for argv, count in runs.items() if count > 1]
     for row in sweep:
         argv = row["argv"]
         assert row["exit"] in (0, 1, 2), argv
@@ -584,6 +507,22 @@ def test_no_work_before_a_refusal(sweep):
     # the stage probe saw every row: each exit 2 names a bad input before any work
     worked = [row for row in sweep if row["exit"] == 2 and row["stages"]]
     assert [row["stderr"] for row in worked] == [VERDICT], [row["argv"] for row in worked]
+
+
+def _needless_work(row) -> bool:
+    # a curve command's payload reads a_p, counted once; trivial-zeros reads none (10^6
+    # points take 1.8-2.5 s), and a p-adic number only when it prints a certificate,
+    # at --certificates and n = 2 mod 4 (5^(10^7) alone takes 5.5-5.8 s)
+    argv, stages, done = row["argv"], row["stages"], row["exit"] == 0
+    counts = stages.count("cmform.ap_point_count")
+    if argv[0] != "trivial-zeros":
+        return done and argv[0] in ("cmform", "decompose", "linvariant") and counts != 1
+    return counts > 0 or done and stages != [] and not (
+        "--certificates" in argv and int(argv[argv.index("--n") + 1]) % 4 == 2)
+
+
+def test_each_stage_runs_only_where_the_output_reads_it(sweep):
+    assert not [row["argv"] for row in sweep if _needless_work(row)]
 
 
 def test_sweep_rows_do_not_depend_on_the_terminal_width(monkeypatch):

@@ -332,20 +332,38 @@ def test_formula_rejects_non_exceptional():
         assert rep.formulas == () and rep.fg_check.passed, n
 
 
-@pytest.mark.parametrize("target", [0, -3])
-def test_target_below_one_rejected_before_any_work(monkeypatch, target):
+def _no_work(monkeypatch):
     import cmlinv.linvariant as lin
 
-    def no_field_work(*args, **kwargs):
-        raise AssertionError("an L-invariant was computed")
+    def work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+    for name in ("branch_derivative", "pi_bar", "unit_root", "decompose"):
+        monkeypatch.setattr(lin, name, work)
 
-    monkeypatch.setattr(lin, "pi_bar", no_field_work)
+
+@pytest.mark.parametrize("target", [0, -3])
+def test_target_below_one_rejected_before_any_work(monkeypatch, target):
     spec = _spec()
-    checks = [lambda: verify_ferrero_greenberg(spec.field, 5, spec.context, target=target),
-              lambda: full_report(spec, 2, target=target)]
-    for check in checks:
+    _no_work(monkeypatch)
+    for check in (lambda: verify_ferrero_greenberg(spec.field, 5, spec.context, target=target),
+                  lambda: full_report(spec, 2, target=target)):
         with pytest.raises(ValueError, match="target"):
             check()
+
+
+def test_fg_refuses_another_prime_than_the_contexts_before_the_sum(monkeypatch):
+    # 13 splits in Q(i), so only the context's p = 5 tells: g'(0) was summed at 5 first
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match="context prime and p disagree"):
+        verify_ferrero_greenberg(quad_field_data(1), 13, make_context(5, 8))
+
+
+def test_full_report_refuses_n_over_the_decompose_ceiling_before_any_work(monkeypatch):
+    # g'(0), pibar and log alpha were computed before decompose refused
+    spec = _spec()
+    _no_work(monkeypatch)
+    with pytest.raises(ValueError, match="n = 100002 at N = 16 digits"):
+        full_report(spec, 100002)
 
 
 # --- the records ----------------------------------------------------------------

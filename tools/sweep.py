@@ -7,16 +7,18 @@ its argv, its exit status, the sha256 of its stdout and its whole stderr.
 `tests/fixtures/sweep.jsonl` is the golden: this script's file, written in a
 fresh process, which tier-1 compares row by row with its own run.  A change
 that means to alter an output re-runs the script with that path as OUT.
-The list covers every command, the 13 CM curves with a curve without CM and
-a singular one, primes that split, are inert, ramify or pass a ceiling, the
-symmetric powers 0-6 and the ceiling edges, bad precisions, every refusal
-whose message the golden pins, and last the inputs of CI's "Large class
-numbers finish" step, which `ci_inputs()` reads.  It runs in seconds."""
+The list runs each argv once: every command, the 13 CM curves with a curve
+without CM and a singular one, primes that split, are inert, ramify or pass a
+ceiling, the symmetric powers 0-6 and the ceiling edges, bad precisions, every
+refusal whose message the golden pins, the benchmark's commands (`cli_items()`),
+those of the readable goldens in tests/fixtures, and last the inputs of CI's
+"Large class numbers finish" step (`ci_inputs()`).  It runs in seconds."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -82,6 +84,11 @@ decompose --p 5 --curve 0,-1,0 --n 20 --prec 4951
 decompose --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
 trivial-zeros --p 999961 --curve 0,-1,0 --n 0
 trivial-zeros --p 1000000009 --curve 0,-1,0 --n 2 --prec 1000000
+# trivial-zeros reads no a_p, so it counts no point (10^6 points take 1.8-2.5 s), and
+# certifying nothing it reads no p-adic number, so no p^N (5^(10^7) takes 5.5-5.8 s)
+trivial-zeros --p 5 --curve 0,-1,0 --n 2 --prec 10000000
+trivial-zeros --p 5 --curve 0,-1,0 --n 4 --prec 10000000
+trivial-zeros --p 999961 --curve 0,-1,0 --n 2
 # linvariant's decompose ceiling reads n * (max(N + 4, 16) + 50), not --prec
 linvariant --p 5 --curve 0,-1,0 --n 100002 --prec 8
 # curve specs have weight 2, so linvariant has no --k
@@ -104,7 +111,16 @@ trivial-zeros --p 5 --curve 0,-1,0 --n 2 --d 1
 linvariant --p 5 --curve 0,-1,0 --d 1
 """
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+# the readable goldens: tests/fixtures/<name>.json is the command's stdout
+READABLE = {
+    "cmform_p5": "cmform --p 5 --curve 0,-1,0 --prec 8",
+    "klp_p5_D4_b0": "klp --p 5 --D -4 --branch 0 --at 0 --order 4 --prec 8",
+    "trivial_zeros_n2": "trivial-zeros --p 5 --curve 0,-1,0 --n 2 --certificates --prec 8",
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def ci_inputs() -> list[tuple[str, list[str]]]:
@@ -130,6 +146,14 @@ def ci_inputs() -> list[tuple[str, list[str]]]:
     return inputs
 
 
+def cli_items() -> list[dict]:
+    """perfbench/workloads.py's `cli_items()`: each benchmark command's argv, "rc", "ref"."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.cli_items()
+
+
 def _curve_commands(curve: str, p: int, ns) -> list[list[str]]:
     at = ["--p", str(p), f"--curve={curve}"]
     out = [["cmform", *at]]
@@ -151,7 +175,8 @@ def _klp_commands(D: str, p: str, orders) -> list[list[str]]:
 
 
 def commands() -> list[list[str]]:
-    """The fixed command list, in the order it runs."""
+    """The fixed command list, in the order it runs: each argv once, where it is first
+    built, and CI's inputs last."""
     out = [["acceptance"]]
     for curve, split, inert in CM_CURVES:
         out += _curve_commands(curve, split, range(7))
@@ -207,8 +232,18 @@ def commands() -> list[list[str]]:
             for command in ("klp --D -4 --branch 0 --at 0", "linvariant --curve 0,-1,0")]
     out.append(["quadfield", "--D", "-" + "9" * 199 + "5"])
     out += [line.split() for line in PINNED.splitlines() if line[0] != "#"]
-    out += [argv for _, argv in ci_inputs()]
-    return out
+    out += [item["argv"] for item in cli_items()]
+    out += [argv.split() for argv in READABLE.values()]
+    ci = [tuple(argv) for _, argv in ci_inputs()]
+    rest = [argv for argv in dict.fromkeys(map(tuple, out)) if argv not in ci]
+    return [list(argv) for argv in rest + ci]
+
+
+def stdout_sha256(stdout: str) -> str:
+    """The sha256 of stdout with acceptance's seconds, which differ from run to run, read
+    as 0."""
+    stdout = re.sub(r'"seconds":[-+.\deE]+', '"seconds":0', stdout)
+    return hashlib.sha256(stdout.encode()).hexdigest()
 
 
 def _run(argv: list[str]) -> dict:
@@ -224,10 +259,9 @@ def _run(argv: list[str]) -> dict:
         except Exception as exc:  # a crash is a result too; the sweep goes on
             status = f"raised {type(exc).__name__}: {exc}"
     # acceptance prints each criterion's seconds, which differ from run to run
-    stdout = re.sub(r'"seconds":[-+.\deE]+', '"seconds":0', out.getvalue())
     stderr = re.sub(r"\([-+.\deE]+s\)", "(0s)", err.getvalue())
-    return {"argv": argv, "exit": status,
-            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(), "stderr": stderr}
+    return {"argv": argv, "exit": status, "stdout_sha256": stdout_sha256(out.getvalue()),
+            "stderr": stderr}
 
 
 def write(path) -> int:
