@@ -11,8 +11,8 @@ where n = 1 mod p - 1, and there theta*omega^(1-n) = theta.
 Generalized Bernoulli numbers B_{n,chi} = f^{n-1} sum_a chi(a) B_n(a/f)
 (Washington, GTM 83, Prop. 4.1) are computed exactly as
 sum_j C(n,j) B_j f^{j-1} sum_a chi(a) a^{n-j}: one pass over the units
-a mod f sums the integer powers a^k with sign chi(a).  L(a, chi) at
-integers a <= 0 is -B_{1-a,chi}/(1-a).  The trivial character has
+a mod f sums the integer powers a^k with sign chi(a).  L(0, chi) is
+-B_{1,chi}.  The trivial character has
 B_{1,1} = B_1(1) = +1/2, while B_1 = -1/2.  B_n itself is read from a
 table built from the integer tangent numbers (Brent and Harvey, "Fast
 computation of Bernoulli, tangent and secant numbers", 2011).
@@ -34,7 +34,7 @@ __all__ = [
     "char_product",
     "trivial_character",
     "gen_bernoulli",
-    "dirichlet_L_nonpositive",
+    "dirichlet_L_at_zero",
     "bernoulli_number",
 ]
 
@@ -222,9 +222,6 @@ def gen_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
     return Fraction(sum(map(mul, ints, reversed(S))), den)
 
 
-def dirichlet_L_nonpositive(a: int, chi: DirichletCharacter):
-    """L(a, chi) = -B_{1-a,chi}/(1-a) for integers a <= 0."""
-    if a > 0:
-        raise ValueError("only non-positive integers are supported")
-    n = 1 - a
-    return -gen_bernoulli(n, chi) / n
+def dirichlet_L_at_zero(chi: DirichletCharacter) -> Fraction:
+    """L(0, chi) = -B_{1,chi}, exactly."""
+    return -gen_bernoulli(1, chi)

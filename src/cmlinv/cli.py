@@ -129,7 +129,7 @@ def cmd_trivial_zeros(args) -> dict:
         certs = locations and trivial_zero_certificates(theta, make_context(args.p, args.prec))
         payload["certificates"] = [
             {"branch": c.branch, "s": c.branch, "order": 1,
-             "c0": encode_padic(c.c0), "c1": encode_padic(c.c1),
+             "c0": encode_padic(c.coefficients[0]), "c1": encode_padic(c.coefficients[1]),
              "N_cert": args.prec}
             for c in certs]
     return payload

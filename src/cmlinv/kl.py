@@ -148,7 +148,7 @@ from operator import mul
 
 from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
                          _smallest_prime_factors, bernoulli_number, gen_bernoulli)
-from .padic import PadicContext, PadicNumber, _log_units, ordp, teichmuller
+from .padic import PadicContext, PadicNumber, _from_residue, _log_units, ordp, teichmuller
 
 __all__ = ["BranchSeries", "kl_value", "branch_series", "branch_derivative"]
 
@@ -339,11 +339,6 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
             prev = (x - F * prev) % mT // q * inv % mT
             g.append(prev)
     return [x % p**n for x in g]
-
-
-def _from_residue(ctx: PadicContext, r: int, n: int) -> PadicNumber:
-    # r mod p^n as a p-adic number known to absolute precision n
-    return ctx.from_int(r).truncate_abs(n) if r else ctx.inexact_zero(n)
 
 
 # measured reuse: `acceptance` 10 hits from 11 tables, `linvariant` 2 from 1,

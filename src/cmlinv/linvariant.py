@@ -27,7 +27,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import dirichlet_L_nonpositive
+from .characters import dirichlet_L_at_zero
 from .cmform import CMFormSpec, unit_root
 from .kl import branch_derivative
 from .padic import PadicContext, PadicNumber, iwasawa_log
@@ -128,7 +128,7 @@ def verify_trivial_zero_formula(spec: CMFormSpec, factors: tuple[SymPowerFactor,
     ctx = spec.context
     theta = spec.field.character()
     deriv = branch_derivative(i, theta, i, ctx, n_cert=ctx.N)
-    arch = dirichlet_L_nonpositive(0, theta)  # exact 2h/w, with period 1
+    arch = dirichlet_L_at_zero(theta)  # exact 2h/w, with period 1
     resid = (deriv - l_invariant * ctx.from_rational(arch)).min_valuation()
     eplus = e_plus(spec, factors, i)
     symbols = tuple(  # f_j has eta_power 2j, and factors lists j = m down to 1

@@ -142,12 +142,6 @@ class PadicContext:
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.N})"
 
-    def __eq__(self, other):
-        return isinstance(other, PadicContext) and (self.p, self.N) == (other.p, other.N)
-
-    def __hash__(self):
-        return hash((self.p, self.N))
-
     def _modulus(self, rel: int) -> int:
         # p^rel, read off the context at the full N digits: every use of p^N is a call here
         if rel != self.N:
@@ -657,13 +651,16 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """
     if x.is_zero():
         raise ValueError("iwasawa_log of zero")
-    ctx = x.context
-    p, T = ctx.p, x.rel_prec
-    acc = _log_value(x.unit_int(), p, T)
-    if acc == 0:
-        return PadicNumber(ctx, None, 0, T)
-    v, u = _split_p(acc, p)
-    return PadicNumber(ctx, v, u, T)
+    ctx, T = x.context, x.rel_prec
+    return _from_residue(ctx, _log_value(x.unit_int(), ctx.p, T), T)
+
+
+def _from_residue(ctx: PadicContext, r: int, n: int) -> PadicNumber:
+    # r mod p^n, 0 <= r < p^n, as a p-adic number known to absolute precision n
+    if r == 0:
+        return PadicNumber(ctx, None, 0, n)
+    v, u = _split_p(r, ctx.p)
+    return PadicNumber(ctx, v, u, n)
 
 
 def padic_exp(x: PadicNumber) -> PadicNumber:

@@ -23,8 +23,7 @@ from math import isqrt
 
 from .characters import (_kronecker_prime, char_from_kronecker,
                          is_fundamental_discriminant)
-from .padic import (PadicContext, _is_prime, hensel_lift, iwasawa_log,
-                    sqrt_mod_prime, sqrt_unit)
+from .padic import PadicContext, hensel_lift, iwasawa_log, sqrt_mod_prime, sqrt_unit
 
 __all__ = [
     "MAX_ABS_DISCRIMINANT",
@@ -100,9 +99,7 @@ def quad_field_from_discriminant(D: int) -> QuadFieldData:
 
 
 def split_behavior(F: QuadFieldData, p: int) -> str:
-    """'split', 'inert', or 'ramified' at a prime p; p = 2 handled through (D/2)."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+    """'split', 'inert', or 'ramified' at p, read off (D/p): the caller has checked p prime."""
     s = _kronecker_prime(F.D, p)
     return "split" if s == 1 else "inert" if s == -1 else "ramified"
 

@@ -22,12 +22,11 @@ from collections import namedtuple
 
 from .characters import DirichletCharacter, char_product
 from .cmform import CMFormSpec, unit_root
-from .kl import branch_series
+from .kl import BranchSeries, branch_series
 from .padic import PadicContext, PadicNumber
 
 __all__ = [
     "SymPowerFactor",
-    "TrivialZeroCertificate",
     "decompose",
     "MAX_DECOMPOSE_DIGITS",
     "MAX_CRITICAL_WEIGHT",
@@ -120,13 +119,6 @@ def critical_integers(n: int, k: int) -> list[int]:
     return [*range(3 - k - k % 2, 0, 2), *range(2, k, 2)]  # negative odds, positive evens
 
 
-class TrivialZeroCertificate(namedtuple("TrivialZeroCertificate", "branch c0 c1")):
-    """Series coefficients c0 = 0 and c1 != 0 mod p^n_cert of branch `branch` at
-    s = branch: an order-1 zero, certified to the caller's n_cert digits."""
-
-    __slots__ = ()
-
-
 def trivial_zero_locations(n: int) -> tuple[tuple[int, int], ...]:
     """The (branch, s) trivial zeroes of the n-th power: (0, 0) and (1, 1), both of
     order 1, when n = 2m with m odd (theta^m odd); none otherwise."""
@@ -136,19 +128,20 @@ def trivial_zero_locations(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def trivial_zero_certificates(theta: DirichletCharacter,
-                              ctx: PadicContext) -> tuple[TrivialZeroCertificate, ...]:
-    """The order-1 certificates of the two trivial zeroes, theta's branch i at s = i to
-    ctx.N digits: they read theta and p alone, so take no n, and both read g' at 0."""
+                              ctx: PadicContext) -> tuple[BranchSeries, ...]:
+    """The order-1 certificates of the two trivial zeroes: theta's branch series i at
+    s = i to order 2 and ctx.N digits, checked to have coefficients c0 = 0 and c1 != 0
+    mod p^N.  They read theta and p alone, so take no n, and both read g' at 0."""
     certs = []
     for i in (0, 1):
         bs = branch_series(i, theta, i, 2, ctx, n_cert=ctx.N)
-        c0, c1 = bs.coefficients[0], bs.coefficients[1]
+        c0, c1 = bs.coefficients
         if c0.min_valuation() < bs.n_cert:
             raise ArithmeticError("predicted trivial zero has a nonvanishing value")
         if c1.is_zero() or c1.valuation() >= bs.n_cert:
             raise ArithmeticError(f"c1 = 0 mod {ctx.p}^{bs.n_cert}, so the predicted "
                                   f"order-1 zero is not certified at N_cert = {bs.n_cert}")
-        certs.append(TrivialZeroCertificate(branch=i, c0=c0, c1=c1))
+        certs.append(bs)
     return tuple(certs)
 
 

@@ -9,7 +9,7 @@ import pytest
 from cmlinv import characters
 from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
-                               char_teichmuller_power, dirichlet_L_nonpositive,
+                               char_teichmuller_power, dirichlet_L_at_zero,
                                gen_bernoulli, is_fundamental_discriminant,
                                trivial_character)
 from cmlinv.padic import make_context, ordp
@@ -454,20 +454,15 @@ def test_gen_bernoulli_rejects_n_zero():
         gen_bernoulli(0, char_from_kronecker(-4))
 
 
-# --- L-values at non-positive integers -----------------------------------------------------
+# --- L(0, chi) ---------------------------------------------------------------------------
 
 def test_l_at_zero_small():
-    assert dirichlet_L_nonpositive(0, char_from_kronecker(-4)) == Fraction(1, 2)
-    assert dirichlet_L_nonpositive(0, char_from_kronecker(-3)) == Fraction(1, 3)
+    assert dirichlet_L_at_zero(char_from_kronecker(-4)) == Fraction(1, 2)
+    assert dirichlet_L_at_zero(char_from_kronecker(-3)) == Fraction(1, 3)
 
 
 def test_l_zero_equals_class_number_formula():
     for D in FUNDAMENTAL:
         F = quad_field_from_discriminant(D)
-        assert dirichlet_L_nonpositive(0, char_from_kronecker(D)) == \
+        assert dirichlet_L_at_zero(char_from_kronecker(D)) == \
             Fraction(2 * F.h, F.w), D
-
-
-def test_l_rejects_positive_argument():
-    with pytest.raises(ValueError):
-        dirichlet_L_nonpositive(1, char_from_kronecker(-4))

@@ -115,10 +115,9 @@ def refused(sweep, *argv) -> str:
     return rows[0]["stderr"]
 
 
-def test_critical_subcommand(capsys):
-    code, out = run_cli(capsys, "critical", "--n", "4", "--k", "4")
-    assert code == 0
-    assert json.loads(out) == {"C": [-1, 2]}
+def test_critical_subcommand():
+    row = GOLDEN[("critical", "--n", "4", "--k", "4")]
+    assert (row["exit"], row["stdout_sha256"]) == (0, SWEEP.stdout_sha256('{"C":[-1,2]}\n'))
 
 
 def test_trivial_zeros_empty_for_m_even(capsys):
@@ -154,12 +153,17 @@ def test_trivial_zeros_certifies_prec_digits(capsys):
 @pytest.mark.parametrize("p", ["5", "13", "29"])
 def test_one_digit_cannot_certify_the_derivative(capsys, p):
     # c1 = +-(4/w) log_p(pibar) lies in pZ_p, so one digit reads it as 0
-    code = main(["trivial-zeros", "--p", p, "--curve", "0,-1,0", "--n", "2",
-                 "--certificates", "--prec", "1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (f"error: c1 = 0 mod {p}^1, so the predicted order-1 zero "
-                            "is not certified at N_cert = 1\n")
+    argv = ("trivial-zeros", "--p", p, "--curve=0,-1,0", "--n", "2", "--certificates",
+            "--prec", "1")
+    row = GOLDEN.get(argv)
+    if row is None:  # only p = 5 is a sweep row
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        row = {"exit": code, "stdout_sha256": SWEEP.stdout_sha256(captured.out),
+               "stderr": captured.err}
+    assert (row["exit"], row["stdout_sha256"]) == (2, EMPTY)
+    assert row["stderr"] == (f"error: c1 = 0 mod {p}^1, so the predicted order-1 zero "
+                             "is not certified at N_cert = 1\n")
 
 
 def test_negative_first_curve_coefficient_needs_the_equals_form(capsys):

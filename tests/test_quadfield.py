@@ -151,13 +151,6 @@ def test_split_behavior_matches_the_kronecker_oracle():
                 assert split_behavior(F, q) == names[kronecker_symbol(D, q)], (D, q)
 
 
-@pytest.mark.parametrize("D, p", [(-4, 15), (-3, 9), (-4, 1), (-4, 0), (-7, -5), (-4, 561)])
-def test_split_behavior_rejects_composite_p(D, p):
-    # (D/p) of a composite p is a Jacobi symbol and says nothing about splitting
-    with pytest.raises(ValueError):
-        split_behavior(quad_field_from_discriminant(D), p)
-
-
 # --- pi_bar ----------------------------------------------------------------------
 
 def primitive_norm_representations(F, p, max_count=None):

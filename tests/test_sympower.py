@@ -227,8 +227,8 @@ def test_locations_second_prime():
         locs = trivial_zero_locations(n)
         assert bool(locs) == (n in (2, 6, 10)), n
     for cert in trivial_zero_certificates(spec.field.character(), make_context(13, 8)):
-        assert cert.c0.min_valuation() >= 8
-        assert cert.c1.valuation() < 8
+        assert cert.coefficients[0].min_valuation() >= 8
+        assert cert.coefficients[1].valuation() < 8
 
 
 def test_locations_match_interpolation_factor_inspection():
@@ -244,8 +244,8 @@ def test_certificates_order_one():
     assert len(certs) == 2
     assert [cert.branch for cert in certs] == [0, 1]
     for cert in certs:
-        assert cert.c0.min_valuation() >= 8
-        assert cert.c1.valuation() < 8
+        assert cert.coefficients[0].min_valuation() >= 8
+        assert cert.coefficients[1].valuation() < 8
 
 
 # --- interpolation product ----------------------------------------------------------------
