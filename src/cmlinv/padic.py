@@ -39,18 +39,25 @@ __all__ = [
 _INF = math.inf
 
 
+# Miller-Rabin to the bases 2 to 41 is deterministic below psi_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017); bases 2 to 37
+# pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    # proved for n < _PSI13, which `_check_prime` enforces
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _PRIME_BASES:
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin, valid far beyond desk scale
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -64,6 +71,9 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_prime(p) -> None:
+    if isinstance(p, int) and p >= _PSI13:
+        raise ValueError(f"p must be below {_PSI13}, where the primality test is proved, "
+                         f"got {p}")
     if not isinstance(p, int) or p < 3 or not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 

@@ -12,7 +12,9 @@ import sys
 import pytest
 
 from cmlinv import characters, kl
-from cmlinv.acceptance import CRITERIA, TARGET, ac4_interpolation_oracle, run
+from cmlinv.acceptance import (CRITERIA, CURVE_PRIMES, TARGET, ac3_unit_root_identity,
+                               ac4_interpolation_oracle, run)
+from probe import stage_probe
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
@@ -44,17 +46,8 @@ def test_ac4_sees_a_wrong_bernoulli_number(monkeypatch, j):
         assert all(r < TARGET for r in row["held_out_residuals"]), (key, row)
 
 
-def test_ac3_counts_each_point_count_once(monkeypatch):
-    # one a_p per prime feeds both the spec and the detail; patched on cmform and
-    # on acceptance too, so a count reached through either name is seen
-    import cmlinv.acceptance as acc
-    from cmlinv import cmform
-    calls, real = [], cmform.ap_point_count
-
-    def counted(curve, p):
-        calls.append(p)
-        return real(curve, p)
-    monkeypatch.setattr(cmform, "ap_point_count", counted)
-    monkeypatch.setattr(acc, "ap_point_count", counted, raising=False)
-    assert run(acc.ac3_unit_root_identity).passed
-    assert sorted(calls) == sorted(acc.CURVE_PRIMES)  # 4 counts for 4 primes
+def test_ac3_counts_each_point_count_once():
+    # one a_p per prime feeds both the spec and the detail
+    with stage_probe() as stages:
+        assert run(ac3_unit_root_identity).passed
+    assert stages.count("cmform.ap_point_count") == len(CURVE_PRIMES)  # 4 counts for 4 primes

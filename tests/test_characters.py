@@ -1,4 +1,5 @@
-"""Dirichlet characters, generalized Bernoulli numbers, archimedean L-values."""
+"""Dirichlet characters and generalized Bernoulli numbers; L(0, theta_D) = -B_{1,theta_D}
+is checked against 2h/w by the acceptance battery (AC-2)."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -9,11 +10,9 @@ import pytest
 from cmlinv import characters
 from cmlinv.characters import (DirichletCharacter, bernoulli_number,
                                char_from_kronecker, char_product,
-                               char_teichmuller_power, dirichlet_L_at_zero,
-                               gen_bernoulli, is_fundamental_discriminant,
-                               trivial_character)
+                               char_teichmuller_power, gen_bernoulli,
+                               is_fundamental_discriminant, trivial_character)
 from cmlinv.padic import make_context, ordp
-from cmlinv.quadfield import quad_field_from_discriminant
 
 CTX5 = make_context(5, 32)
 
@@ -134,25 +133,6 @@ RAW_CASES = [(-4, 5, 2), (-3, 7, 3), (-8, 5, 2), (5, 7, 3), (-7, 11, 5),
 
 
 # --- Kronecker symbol -----------------------------------------------------------
-
-def test_kronecker_table_minus_four():
-    chi = char_from_kronecker(-4)
-    assert chi.value_exact(1) == 1
-    assert chi.value_exact(3) == -1
-    assert chi.value_exact(2) == 0
-    assert chi.parity() == -1
-
-
-def test_kronecker_minus_three():
-    chi = char_from_kronecker(-3)
-    assert chi.value_exact(1) == 1
-    assert chi.value_exact(2) == -1
-    assert chi.parity() == -1
-
-
-def test_theta_at_split_prime():
-    assert char_from_kronecker(-4).value_exact(5) == 1
-
 
 def test_kronecker_symbol_against_legendre():
     # the symbol at a prime, in the module and in the oracle, against the
@@ -359,17 +339,8 @@ def test_bernoulli_numbers_match_recurrence_oracle(monkeypatch, order):
         assert builds[-1] <= 600
 
 
-def test_b1_for_small_kronecker_characters():
-    assert gen_bernoulli(1, char_from_kronecker(-4)) == Fraction(-1, 2)
-    assert gen_bernoulli(1, char_from_kronecker(-3)) == Fraction(-1, 3)
-
-
 def test_b1_trivial_character_convention():
     assert gen_bernoulli(1, trivial_character()) == Fraction(1, 2)
-
-
-def test_parity_vanishing_exact():
-    assert gen_bernoulli(2, char_from_kronecker(-4)) == 0
 
 
 def test_parity_vanishing_sweep():
@@ -452,17 +423,3 @@ def test_rational_path_against_per_residue_sum():
 def test_gen_bernoulli_rejects_n_zero():
     with pytest.raises(ValueError):
         gen_bernoulli(0, char_from_kronecker(-4))
-
-
-# --- L(0, chi) ---------------------------------------------------------------------------
-
-def test_l_at_zero_small():
-    assert dirichlet_L_at_zero(char_from_kronecker(-4)) == Fraction(1, 2)
-    assert dirichlet_L_at_zero(char_from_kronecker(-3)) == Fraction(1, 3)
-
-
-def test_l_zero_equals_class_number_formula():
-    for D in FUNDAMENTAL:
-        F = quad_field_from_discriminant(D)
-        assert dirichlet_L_at_zero(char_from_kronecker(D)) == \
-            Fraction(2 * F.h, F.w), D

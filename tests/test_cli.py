@@ -5,7 +5,6 @@ the full usage text; no work before a refusal, and each stage only where its com
 output reads it."""
 
 import collections
-import contextlib
 import hashlib
 import importlib
 import json
@@ -18,8 +17,8 @@ import pytest
 
 from cmlinv.cli import _COMMANDS, _build_parser, main
 from cmlinv.kl import MAX_CLOSED_FORM_COST, _closed_form_plan
-from cmlinv.padic import PadicContext
 from cmlinv.sympower import _DECOMPOSE_OVERHEAD, MAX_DECOMPOSE_DIGITS
+from probe import stage_probe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -39,47 +38,6 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr().out
     return code, out
-
-
-# The work primitives, by module.  A command that calls none of them and computes no
-# p^N has done no work.
-WORK = {"cmform": ("ap_point_count",), "kl": ("_g_at_zero", "_closed_form"),
-        "padic": ("_log_value", "_log_units", "hensel_lift"),
-        "characters": ("_bernoulli_table", "_kronecker_row", "gen_bernoulli"),
-        "quadfield": ("_norm_solution",)}
-
-
-def _recorded(stages: list, stage: str, fn):
-    def probe(*args, **kwargs):
-        stages.append(stage)
-        return fn(*args, **kwargs)
-    return probe
-
-
-@contextlib.contextmanager
-def stage_probe():
-    """Yield the list of the work primitives called in the block, in call order, with
-    "p^N" for each context's first p^N.  Every name a cmlinv module binds to a
-    primitive is rebound, so calls through a from-import and cache hits count."""
-    importlib.import_module("cmlinv.acceptance")  # loaded first, so it is rebound too
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cmlinv"]
-    stages, modulus = [], PadicContext._modulus
-
-    def first_modulus(ctx, rel):
-        if rel == ctx.N and ctx._pN is None:
-            stages.append("p^N")
-        return modulus(ctx, rel)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PadicContext, "_modulus", first_modulus)
-        for layer, names in WORK.items():
-            for name in names:
-                real = getattr(sys.modules[f"cmlinv.{layer}"], name)
-                probe = _recorded(stages, f"{layer}.{name}", real)
-                for module in modules:
-                    for attr in [a for a, value in vars(module).items() if value is real]:
-                        mp.setattr(module, attr, probe)
-        yield stages
 
 
 @pytest.fixture(scope="module")

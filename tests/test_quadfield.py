@@ -1,11 +1,11 @@
 """Field invariants, class numbers two ways, and the split-prime package."""
 
-import time
 from functools import cache
 from math import gcd, isqrt
 
 import pytest
 
+from cmlinv import characters
 from cmlinv.characters import is_fundamental_discriminant
 from cmlinv.padic import _is_prime, iwasawa_log, make_context, sqrt_mod_prime
 from cmlinv.quadfield import (MAX_ABS_DISCRIMINANT, _norm_solution, pi_bar,
@@ -58,16 +58,15 @@ def test_rejects_non_squarefree():
             assert quad_field_data(d).d == d
 
 
-def test_discriminant_over_the_ceiling_rejected_fast():
-    # 200 digits: trial division for the squarefree test would never end
+def test_discriminant_over_the_ceiling_rejected_fast(monkeypatch):
+    # 200 digits: trial division for the squarefree test would never end, so the
+    # ceiling is checked before it
+    monkeypatch.setattr(characters, "_prime_factors", lambda n: pytest.fail("trial division"))
     D = -int("9" * 199 + "5")
-    for build, arg in ((quad_field_from_discriminant, D), (quad_field_data, -D)):
-        t0 = time.perf_counter()
+    for build, arg in ((quad_field_from_discriminant, D), (quad_field_data, -D),
+                       (quad_field_from_discriminant, -(MAX_ABS_DISCRIMINANT + 3))):
         with pytest.raises(ValueError, match="at most"):
             build(arg)
-        assert time.perf_counter() - t0 < 0.1
-    with pytest.raises(ValueError, match="at most"):
-        quad_field_from_discriminant(-(MAX_ABS_DISCRIMINANT + 3))
 
 
 def test_discriminant_just_below_the_ceiling_passes():
@@ -259,13 +258,12 @@ def test_pibar_picks_the_unit_conjugate_mod_p(D, p, conjugate_lift):
 
 
 def test_large_class_number_norm_equation():
-    # the search needs about 2 p^(h/2) / sqrt(|D|) steps here: 10^16 and 10^9
+    # the search needs about 2 p^(h/2) / sqrt(|D|) steps here: 10^16 and 10^9; CI's
+    # "Large class numbers finish" step times the two under `timeout 20`
     for D, p, h in ((-647, 29, 23), (-1151, 3, 41)):
         F = quad_field_from_discriminant(D)
         assert F.h == h
-        t0 = time.perf_counter()
         sp = pi_bar(F, p, make_context(p, 64))
-        assert time.perf_counter() - t0 < 1.0, (D, p)
         x, y = sp.pibar_coords
         assert x * x - D * y * y == 4 * p**h
         assert not (x % p == 0 and y % p == 0)

@@ -62,6 +62,8 @@ cmform --p 1000000007 --curve 0,-1,0 --prec 4
 cmform --p 999961 --curve 0,-1,0 --prec 0
 quadfield --D -4 --p 15
 quadfield --D -3 --p 9
+# a strong pseudoprime to every base from 2 to 37, which base 41 shows composite
+quadfield --D -4 --p 318665857834031151167461 --prec 4
 # closed forms over MAX_CLOSED_FORM_COST, refused before any table, search or sum
 verify-fg --D -999995 --p 101 --prec 4
 verify-fg --D -4 --p 5 --prec 10000000
