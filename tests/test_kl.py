@@ -458,13 +458,22 @@ _CF_PAIRS = [(-3, 5), (-3, 7), (-4, 5), (-4, 13), (-7, 3), (-7, 11), (-8, 3), (-
              (-15, 7), (-20, 3), (-23, 13), (-24, 5), (-39, 5), (-40, 13), (-163, 41)]
 
 
+# g'(0)'s table past n = 20, where at p = 3 the factors of the kept j stop
+# falling in valuation one by one
+_DEEP_PAIRS = {(-7, 3), (-8, 3), (-20, 3), (-4, 5), (-3, 7)}
+
+
 @pytest.mark.parametrize("D, p", _CF_PAIRS)
 def test_closed_form_matches_full_modulus_oracle(D, p):
     # 15 pairs x 5 expansion points x 6 orders = 450 keys, the precision
-    # stepping through 1..20 (1..3 for the 6480 units of (-163, 41))
+    # stepping through 1..20 (1..3 for the 6480 units of (-163, 41)), and
+    # order 2 at 0 to 28, 33 and 64 digits for the five pairs above
     keys = [(s0, order) for s0 in (0, 1, 2, -3, 7) for order in (1, 2, 3, 4, 6, 8)]
-    for i, (s0, order) in enumerate(keys):
-        n = 1 + (i * 7) % (3 if p == 41 else 20)
+    cases = [(s0, order, 1 + (i * 7) % (3 if p == 41 else 20))
+             for i, (s0, order) in enumerate(keys)]
+    if (D, p) in _DEEP_PAIRS:
+        cases += [(0, 2, n) for n in (28, 33, 64)]
+    for s0, order, n in cases:
         assert (_closed_form(D, p, s0, order, n)
                 == _closed_form_at_full_modulus(D, p, s0, order, n)), (s0, order, n)
 
