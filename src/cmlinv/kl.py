@@ -65,27 +65,47 @@ comes by additivity from the integer series of `iwasawa_log` at the
 primes, and the odd j > 1 are skipped, since B_j = 0 there, so the
 column w_a a^(-j) steps by a^(-2) from j = 2 on.  P_{j,K-1} meets K_{j,0}
 alone, so it is skipped wherever K_{j,0} is 0 mod p^T, as it is for
-every j > 1 - s0: [t^0] j! C(1-s0-t, j) = j! C(1-s0, j) = 0 there.  For
-the table at s0 = 0 with K = 2, which `_g_at_zero` builds for every
-branch derivative, P_{j,1} is then read at j = 0 and 1 only, where
-w_a a^(-j) = theta(a) a^(1-j) is an integer, so
+every j > 1 - s0: [t^0] j! C(1-s0-t, j) = j! C(1-s0, j) = 0 there.  The
+factor B_j F^j / j! is formed mod p^T without rationals: |D|^j is
+carried along, the p-free part of j! is inverted one factor j / p^v(j)
+at a time, and the p-power j - v(j!) - [(p-1) | j] is counted exactly,
+the denominator of B_j having one factor p exactly when (p-1) | j (von
+Staudt-Clausen; B_j itself comes from the exact table).  Then
+g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 =
+sum chi(a) = 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of
+the log; otherwise g_0 = h_0 / (F (s0-1)) and
+g_m = (h_m - F g_{m-1}) / (F (s0-1)), with K = order.
 
-    P_{j,1} = log_p prod_a a^(theta(a) a^(1-j))  mod p^M,
+g'(0)'s table.  The table at s0 = 0 with K = 2, which `_g_at_zero`
+builds for every branch derivative, has a sum of its own.  For j >= 2,
+C(1-t, j) j! = (1-t)(-t) prod_{1 <= i <= j-2} (-t-i) has no constant
+term and [t^1] -(-1)^j (j-2)!, so, B_1 F = -F/2 and the odd j > 1 gone,
+
+    h_0 = P_{0,0} + B_1 F P_{1,0},
+    h_1 = -P_{0,1} - B_1 F (P_{1,0} + P_{1,1})
+          - sum_{even j >= 2} B_j F^j / (j (j-1)) P_{j,0}.
+
+P_{j,1} is read at j = 0 and 1 only, where w_a a^(-j) = theta(a) a^(1-j)
+is an integer, so
+
+    P_{j,1} = log_p prod_a a^(theta(a) a^(1-j))  mod p^T,
 
 two logs in all instead of one per prime below F/2.  The product at
 j = 0 is formed by parts: with R_b = prod_{a >= b} a^theta(a),
 prod_a a^(theta(a) a) = prod_{1 <= b < F/2} R_b, and R_b = R_a for the
 least unit a >= b, so each unit costs one product into R and one power
-of R to the gap below a; R_1 is the product at j = 1.  The factor
-B_j F^j / j! is formed mod p^T without
-rationals: |D|^j is carried along, the p-free part of j! is inverted one
-factor j / p^v(j) at a time, and the p-power j - v(j!) - [(p-1) | j] is
-counted exactly, the denominator of B_j having one factor p exactly when
-(p-1) | j (von Staudt-Clausen; B_j itself comes from the exact table).
-Then g = H / (F (s0 - 1 + t)): at s0 = 1 the pole cancels (h_0 =
-sum chi(a) = 0) and g_m = h_{m+1}/F, which takes K = order + 1 powers of
-the log; otherwise g_0 = h_0 / (F (s0-1)) and
-g_m = (h_m - F g_{m-1}) / (F (s0-1)), with K = order.
+of R to the gap below a; R_1 is the product at j = 1.  With B_j = N/Q,
+
+    B_j F^j / (j (j-1)) = p^u_j N |D|^j / (Q/p^[(p-1)|j] * j (j-1)/p^v(j (j-1))),
+    u_j = j - [(p-1) | j] - v(j (j-1)),
+
+one inverse per even j, and the factor carries exactly p^u_j times the
+p-part of N.  So term j is skipped where u_j >= T and otherwise needs
+P_{j,0} only mod p^(T - u_j).  u_j is not monotone (at p = 3, u_26 = 25
+and u_28 = 24), and the column steps through every even j, so it is
+kept mod p^(T - min_{j' >= j} u_j'), the suffix minimum, re-reduced
+whenever that modulus has fallen by a quarter; the sum stops where the
+suffix minimum reaches T.
 
 Bounds (`_closed_form_plan`).  v(F) = 1, j! [t^i] C(1-s0-t, j) is an
 integer, v(j!) <= floor((j-1)/(p-1)), and v(B_j) >= -1 with equality
@@ -94,23 +114,51 @@ only where (p-1) | j (von Staudt-Clausen), so for j - 1 = q(p-1) + r >= 0
     v(K_{j,i}) >= kappa(j) = j - [(p-1) | j] - floor((j-1)/(p-1))
                            = q(p-2) + r + 1 - [r = p-2]    (0 <= r < p-1),
 
-which never decreases in j and stays put only where (p-1) | j.
+which never decreases in j and stays put only where (p-1) | j.  The
+binomial gives a second bound: with y = 1 - s0 and j >= 1,
+
+    v([t^i] C(y-t, j)) >= -(i+1) lambda_j,   lambda_j = floor(log_p(j + |y|)).
+
+Proof: with x_m = y - m for m < j, j consecutive integers,
+[t^i] C(y-t, j) = (-1)^i e_{j-i}(x) / j!, and |x_m| < j + |y|, so
+v(x_m) <= lambda_j wherever x_m != 0.  If no x_m is 0,
+e_{j-i}(x) = (prod x) e_i(1/x) and (prod x)/j! = C(y, j) is an integer,
+so v >= -i lambda_j.  Otherwise x_y = 0 (0 <= y < j): e_j(x) = 0, and
+for i >= 1 every term of e_{j-i} holding x_y vanishes, so
+e_{j-i}(x) = (prod_{m != y} x_m) e_{i-1}(1/x_m : m != y), where
+|prod_{m != y} x_m| / j! = y! (j-1-y)! / j! = 1 / (j C(j-1, y)).  v(j) <=
+lambda_j, and v(C(j-1, y)), the number of carries in adding y and
+j-1-y in base p (Kummer), is at most lambda_j, since j - 1 has at most
+lambda_j + 1 digits and no carry leaves the top one; so
+v >= -2 lambda_j - (i-1) lambda_j.  Hence, for i < K,
+
+    v(K_{j,i}) >= j - [(p-1) | j] - K lambda_j.
+
 v(log_p a) >= 1 makes P_{j,k} a multiple of p^k, so P_{j,k} / k! is an
 exact division that costs v(k!) digits.  For g_m mod p^n, H is needed
 mod p^T with T = n + 1 + order * v(s0 - 1) (the 1/F digit and the
-divisions by s0 - 1; at s0 = 1 only the 1/F digit).  The least j with
-kappa(j) = T is n_j = q(p-1) + r + 1, (q, r) = divmod(T - 1, p - 2); the
-terms j >= n_j are dropped, and P is summed mod p^M, M = T + v((K-1)!) =
-T + sum_i floor((K-1)/p^i) (Legendre).
+divisions by s0 - 1; at s0 = 1 only the 1/F digit).  The terms j >= n_j
+are dropped, n_j found without a loop over j.  kappa first reaches T at
+q(p-1) + r + 1, (q, r) = divmod(T - 1, p - 2).  Below a cut c, with
+lambda = lambda_(c-1) and c' = T + K lambda + [(p-1) | T + K lambda],
+every j in [c', c) has j - [(p-1) | j] - K lambda_j >= T: j = c' meets
+T, or T + 1 where (p-1) | T + K lambda, and each later j adds one and
+loses at most one.  So n_j starts at kappa's cut and moves to c' while
+c' is lower.  Each move lowers lambda, or the next c' is the same, so it
+takes O(log) steps; where it stops, n_j - 1 is under T on both bounds,
+so no j-by-j search can drop more.  P is summed mod p^M, M = T +
+v((K-1)!) = T + sum_i floor((K-1)/p^i) (Legendre).
 
-Working modulus in j.  The integer K_{j,i} mod p^T is a multiple of
-p^kappa(j), so K_{j,i} P_{j,k} / k! mod p^T needs P_{j,k} / k! only mod
-p^(T - kappa(j)), hence P_{j,k} only mod p^(M - kappa(j)): M - T >= v(k!)
-digits go to the division, and M - kappa(j) > M - T >= v(k!) keeps P a
-multiple of p^v(k!), so the division stays exact.  Since kappa(j) < T
-for every kept j, M - kappa(j) >= 1.  The column, the step a^(-2) and
-the log powers enter P only, so they are kept mod p^Mc for some
-Mc >= M - kappa(j), and re-reduced to Mc = M - kappa(j) whenever that
+Working modulus in j.  With lambda = lambda_(n_j - 1), b(j) =
+max(kappa(j), j - [(p-1) | j] - K lambda) <= v(K_{j,i}) for every kept
+j; b never decreases over the j the pass visits, and b(j) < T.  The
+integer K_{j,i} mod p^T is a multiple of p^b(j), so K_{j,i} P_{j,k} / k!
+mod p^T needs P_{j,k} / k! only mod p^(T - b(j)), hence P_{j,k} only mod
+p^(M - b(j)): M - T >= v(k!) digits go to the division, and M - b(j) >
+M - T >= v(k!) keeps P a multiple of p^v(k!), so the division stays
+exact, and its quotient is reduced mod the same power.  The column, the
+step a^(-2) and the log powers enter P only, so they are kept mod p^Mc
+for some Mc >= M - b(j), and re-reduced to Mc = M - b(j) whenever that
 modulus has fallen by a quarter: the products shrink with j, at the
 cost of one reduction pass per quarter.
 
@@ -123,14 +171,13 @@ to n_j and the factors B_j F^j / j! grow as n_j^3.  So, in integers,
 
     cost = phi(F)/2 * (kept + 2) * K * (w + 8)^2 + n_j^3 / 16.
 
-The model predates the skip of P_{j,K-1} and the two product logs, so it
+The model predates the skip of P_{j,K-1} and g'(0)'s own sum, so it
 over-counts the tables that read them, the one at s0 = 0 with K = 2 most:
 past j = 1 that table makes one product per unit and kept j, and its logs
-cost about three products per unit in all.  It is kept as it is, so that
-every input it refused before is still refused.  Time per unit of cost
-stays within a factor 3 over |D| from 3 to 163, p from 3 to 10^5, 4 to
-1500 digits and K from 2 to 9.  Callers check the plans of all the
-tables they read before their first stage.
+cost about three products per unit in all.  It reads the one cut n_j.
+Time per unit of cost stays within a factor 4 over |D| from 3 to 163, p
+from 3 to 10^5, 4 to 1500 digits and K from 2 to 9.  Callers check the
+plans of all the tables they read before their first stage.
 
 Run-time check.  g(0) = -(1 - theta(p)) B_{1,theta} exactly.  Each table
 compares its closed-form constant term with that value and keeps the
@@ -144,6 +191,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
@@ -209,6 +257,14 @@ MAX_CLOSED_FORM_COST = 25 * 10**7
 ClosedFormPlan = namedtuple("ClosedFormPlan", "T K M n_j cost")
 
 
+def _log_floor(x: int, p: int) -> int:
+    # floor(log_p x) for x >= 1, in integers
+    e = 0
+    while (x := x // p):
+        e += 1
+    return e
+
+
 def _closed_form_plan(D: int, p: int, s0: int, order: int, n: int) -> ClosedFormPlan:
     """(T, K, M, n_j, cost) of `_closed_form(D, p, s0, order, n)`, with no loop over j or k.
 
@@ -220,6 +276,14 @@ def _closed_form_plan(D: int, p: int, s0: int, order: int, n: int) -> ClosedForm
     T = n + 1 + order * (ordp(s0 - 1, p) if s0 != 1 else 0)
     q, r = divmod(T - 1, p - 2)
     n_j = q * (p - 1) + r + 1  # the least j with kappa(j) = T
+    # down to c = T + K lambda + [(p-1) | T + K lambda], lambda = lambda_(n_j - 1),
+    # while c is lower: O(log) steps (module docstring)
+    while True:
+        c = T + K * _log_floor(n_j - 1 + abs(1 - s0), p)
+        c += c % (p - 1) == 0
+        if c >= n_j:
+            break
+        n_j = c
     M, k = T, K - 1  # M = T + v((K-1)!) by Legendre's formula
     while (k := k // p) > 0:
         M += k
@@ -260,16 +324,72 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
             x, y = x * root % p, y * t % m
     col = [signs[a] * pow(a, 1 - s0, m) * omega[a % p] % m for a in units]
     inverses = [pow(a, -1, m) for a in units]
-    lam, logsum = [None], None  # lam[k] = (log_p a)^k over the units, k >= 1
     if K == 2 and s0 == 0:
-        # P_{j,1} = log_p prod_a a^(theta(a) a^(1-j)), read at j = 0, 1 only:
-        # R runs through R_a = prod_(b >= a) b^theta(b) (module docstring)
-        R, prod = 1, 1
-        for a, inv, below in zip(units[::-1], inverses[::-1], [0, *units[:-1]][::-1]):
-            R = R * (a if signs[a] > 0 else inv) % m
-            prod = prod * pow(R, a - below, m) % m
-        logsum = _log_units([prod, R], p, M)
-    elif K > 1:
+        h = _derivative_sums(units, signs, col, inverses, A, p, T, n_j)
+    else:
+        h = _taylor_sums(units, col, inverses, A, p, s0, K, T, M, n_j)
+    h = [2 * x % mT for x in h]  # the units above F/2
+
+    # divide by F = |D| p: exactly by the p-power, by inverting the rest
+    if s0 == 1:
+        if h[0]:
+            raise ArithmeticError("the pole of g at s = 1 does not cancel")
+        inv = pow(A, -1, mT)
+        g = [x // p * inv for x in h[1:]]
+    else:
+        v = ordp(s0 - 1, p)
+        inv, q = pow(A * ((s0 - 1) // p**v), -1, mT), p ** (1 + v)
+        g, prev = [], 0
+        for x in h:
+            prev = (x - F * prev) % mT // q * inv % mT
+            g.append(prev)
+    return [x % p**n for x in g]
+
+
+def _derivative_sums(units: list, signs: list, col: list, inverses: list,
+                     A: int, p: int, T: int, n_j: int) -> list:
+    # h_0 and h_1 mod p^T of the table at s0 = 0 with K = 2, where M = T and
+    # col = theta(a) a: its own sum (module docstring)
+    m = p**T
+    # P_{j,1} = log_p prod_a a^(theta(a) a^(1-j)), read at j = 0, 1 only:
+    # R runs through R_a = prod_(b >= a) b^theta(b) (module docstring)
+    R, prod = 1, 1
+    for a, inv, below in zip(units[::-1], inverses[::-1], [0, *units[:-1]][::-1]):
+        R = R * (a if signs[a] > 0 else inv) % m
+        prod = prod * pow(R, a - below, m) % m
+    log0, log1 = _log_units([prod, R], p, T)
+    B1F = -A * p * pow(2, -1, m)  # B_1 F
+    P1 = sum(signs[a] for a in units)  # P_{1,0}
+    h0 = sum(col) + B1F * P1
+    h1 = -log0 - B1F * (P1 + log1)
+    # B_j F^j / (j (j-1)) carries p^u_j, and the column w_a a^(-j) is kept mod
+    # p^(T - the least u over the j still to come) (module docstring)
+    evens = range(2, n_j, 2)
+    u = [j - (j % (p - 1) == 0) - ordp(j * (j - 1), p) for j in evens]
+    lows = list(accumulate(u[::-1], min))[::-1]
+    Mc, mc, step, A2, Aj = T, m, [x * x % m for x in inverses], A * A % m, 1
+    for j, uj, low in zip(evens, u, lows):
+        if low >= T:
+            break  # no later term reaches p^T
+        Aj = Aj * A2 % m
+        if 4 * (T - low) <= 3 * Mc:
+            Mc, mc = T - low, p ** (T - low)
+            col, step = [x % mc for x in col], [x % mc for x in step]
+        col = [x * y % mc for x, y in zip(col, step)]  # theta(a) a^(1-j)
+        if uj < T:
+            B, wq = bernoulli_number(j), j % (p - 1) == 0
+            v = j - wq - uj  # v(j (j-1))
+            den = B.denominator // p**wq * (j * (j - 1) // p**v)
+            h1 -= B.numerator * Aj * p**uj * pow(den, -1, m) % m * (sum(col) % mc)
+    return [h0, h1]
+
+
+def _taylor_sums(units: list, col: list, inverses: list, A: int, p: int, s0: int,
+                 K: int, T: int, M: int, n_j: int) -> list:
+    # h_0 .. h_(K-1) mod p^T from col = w_a, one j at a time (module docstring)
+    m, mT = p**M, p**T
+    lam = [None]  # lam[k] = (log_p a)^k over the units, k >= 1
+    if K > 1:
         lam.append(_logs(units, p, M))
         for k in range(2, K):
             lam.append([x * y % m for x, y in zip(lam[-1], lam[1])])
@@ -284,8 +404,9 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     c = [1] + [0] * (K - 1)  # j! C(1-s0-t, j) in t, truncated to K terms
     # A^j, v(j!) and the inverse of j!/p^v(j!), all mod p^T
     Aj, vfact, inv_fact = 1, 0, 1
-    # col, step and lam are kept mod p^Mc, Mc >= M - kappa(j)
+    # col, step and lam are kept mod p^Mc, Mc >= M - b(j) (module docstring)
     Mc, mc, step = M, m, inverses
+    K_lambda = K * _log_floor(n_j - 1 + abs(1 - s0), p)
     for j in range(n_j):
         if j:
             c = [((2 - s0 - j) * c[i] - (c[i - 1] if i else 0)) % mT for i in range(K)]
@@ -295,7 +416,7 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
             inv_fact = inv_fact * pow(j // p**w, -1, mT) % mT
         if j > 1 and j % 2:
             continue  # B_j = 0
-        Mj = M - _kappa(j, p)
+        Mj = M - max(_kappa(j, p), j - (j % (p - 1) == 0) - K_lambda)
         if 4 * Mj <= 3 * Mc:  # fallen by a quarter: re-reduce
             Mc, mc = Mj, p**Mj
             col, step = [x % mc for x in col], [x % mc for x in step]
@@ -315,30 +436,12 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
         for k in range(K):
             if k == K - 1 and not row[0]:
                 continue  # P_{j,K-1} meets row[0] only
-            if k == 0:
-                P = sum(col)
-            else:
-                P = logsum[j] if logsum else sum(map(mul, col, lam[k]))
+            P = sum(col) if k == 0 else sum(map(mul, col, lam[k]))
             div, inv = facts[k]
-            Pk = P % mc // div * inv
+            Pk = P % mc // div * inv % mc  # row[i] carries p^b(j)
             for i in range(K - k):
                 h[i + k] += row[i] * Pk
-    h = [2 * x % mT for x in h]  # the units above F/2
-
-    # divide by F = |D| p: exactly by the p-power, by inverting the rest
-    if s0 == 1:
-        if h[0]:
-            raise ArithmeticError("the pole of g at s = 1 does not cancel")
-        inv = pow(A, -1, mT)
-        g = [x // p * inv for x in h[1:]]
-    else:
-        v = ordp(s0 - 1, p)
-        inv, q = pow(A * ((s0 - 1) // p**v), -1, mT), p ** (1 + v)
-        g, prev = [], 0
-        for x in h:
-            prev = (x - F * prev) % mT // q * inv % mT
-            g.append(prev)
-    return [x % p**n for x in g]
+    return h
 
 
 # measured reuse: `acceptance` 10 hits from 11 tables, `linvariant` 2 from 1,

@@ -11,11 +11,13 @@ import pytest
 from cmlinv.padic import PadicContext
 
 # The work primitives, by module.  A block that calls none of them and computes no
-# p^N has done no work.
-WORK = {"cmform": ("ap_point_count",), "kl": ("_g_at_zero", "_closed_form"),
+# p^N has done no work.  Each pipeline stage calls one of them once: pi_bar one
+# quadfield._norm_solution, each Hecke root pair one cmform.unit_root, and each
+# decomposition one sympower.decompose.
+WORK = {"cmform": ("ap_point_count", "unit_root"), "kl": ("_g_at_zero", "_closed_form"),
         "padic": ("_log_value", "_log_units", "hensel_lift"),
         "characters": ("_bernoulli_table", "_kronecker_row", "gen_bernoulli"),
-        "quadfield": ("_norm_solution",)}
+        "quadfield": ("_norm_solution",), "sympower": ("decompose",)}
 
 
 def _recorded(stages: list, stage: str, fn):

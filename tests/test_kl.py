@@ -218,11 +218,13 @@ def test_u_at_integers_matches_exact_rational():
 
 
 def test_evaluate_at_huge_integer_is_cheap():
-    # the closed form reads s only through ord_p(s - 1) and s mod p - 1, so at
-    # s = 10^12 it costs what it costs at 0; 10^12 = 0 mod 5^12 and g(0) = 0
+    # the plan reads s only through ord_p(s - 1), s mod p - 1 and
+    # floor(log_p(n_j + |1 - s|)), so at s = 10^12 it keeps at most the j below
+    # kappa's cut, the cut of every s; 10^12 = 0 mod 5^12 and g(0) = 0
     bs = branch_series(0, THETA4, 0, 2, CTX5, n_cert=8)
     J = bs.nodes_used
-    assert _closed_form_plan(-4, 5, 10**12, 1, J) == _closed_form_plan(-4, 5, 0, 1, J)
+    far, zero = _closed_form_plan(-4, 5, 10**12, 1, J), _closed_form_plan(-4, 5, 0, 1, J)
+    assert far[:3] == zero[:3] and zero.n_j <= far.n_j <= _first_j_past(far.T, 5)
     assert bs.evaluate(10**12).min_valuation() >= J
 
 
@@ -371,6 +373,18 @@ def _first_j_past(T, p):
     return j
 
 
+def _log_floor_by_powers(x, p):
+    # floor(log_p x) for 1 <= x < p^64, the largest e with p^e <= x
+    return max(e for e in range(64) if p**e <= x)
+
+
+def _term_bound(j, p, K, y):
+    # v(B_j F^j [t^i] C(y-t, j)) for every i < K is at least kappa(j) and at
+    # least j - [(p-1) | j] - K floor(log_p(j + |y|))
+    return max(_kappa(j, p),
+               j - (j % (p - 1) == 0) - K * _log_floor_by_powers(j + abs(y), p))
+
+
 @lru_cache(maxsize=None)
 def _totient_by_count(F):
     return sum(math.gcd(a, F) == 1 for a in range(1, F))
@@ -378,7 +392,8 @@ def _totient_by_count(F):
 
 def _plan_by_search(D, p, s0, order, n):
     # (T, K, M, n_j, cost) of the closed form the long way: the module
-    # docstring's bounds step by step, phi(F) by counting, the kept j listed
+    # docstring's bounds step by step, n_j walked down from kappa's cut one j
+    # at a time, phi(F) by counting, the kept j listed
     F = abs(D) * p
     d = s0 - 1
     v = ordp(d, p) if d else 0
@@ -386,6 +401,8 @@ def _plan_by_search(D, p, s0, order, n):
     T = n + 1 + order * v
     M = T + sum(ordp(k, p) for k in range(2, K))
     n_j = _first_j_past(T, p)
+    while _term_bound(n_j - 1, p, K, -d) >= T:
+        n_j -= 1
     units = _totient_by_count(F) // 2
     kept = sum(1 for j in range(n_j) if j < 2 or j % 2 == 0)
     words = M * p.bit_length() // 64 + 1
@@ -394,12 +411,14 @@ def _plan_by_search(D, p, s0, order, n):
 
 def _closed_form_at_full_modulus(D, p, s0, order, n):
     # the closed form with every column mod p^M and B_j F^j / j! as an exact
-    # Fraction inverted mod p^M; theta(a) from the character itself, omega(a)
-    # lifted for each residue on its own
+    # Fraction inverted mod p^M, summed to kappa's cut, so the terms the plan
+    # drops below it are summed too; theta(a) from the character itself,
+    # omega(a) lifted for each residue on its own
     F = abs(D) * p
     d = s0 - 1
     v = ordp(d, p) if d else 0
-    T, K, M, n_j, _ = _plan_by_search(D, p, s0, order, n)
+    T, K, M, _, _ = _plan_by_search(D, p, s0, order, n)
+    n_j = _first_j_past(T, p)
     m, mT = p**M, p**T
     theta = DirichletCharacter(D)
     signs = [theta.value_exact(a) if a % p else 0 for a in range(F)]
@@ -518,9 +537,11 @@ def test_closed_form_cost_counts_half_the_units_and_the_kept_j():
     cost = 96 * (8 + 2) * 2 * (1 + 8) ** 2 + 14**3 // 16
     assert _closed_form_plan(-40, 13, 0, 2, 12) == (13, 2, 13, 14, cost)
     # (-4, 5): phi(20)/2 = 4 units; T = 2 keeps j = 0, 1 in one word, and
-    # T = 64 keeps j = 0, 1 and the 42 even j < 85 on 64 * 3 bits, 3 + 1 words
+    # T = 64 keeps j = 0, 1 and the 32 even j < 66 on 64 * 3 bits, 3 + 1 words:
+    # kappa reaches 64 at j = 85, but floor(log_5(65 + 1)) = 2, so every
+    # j >= 64 + 2 has j - [4 | j] - 2 >= 64
     assert _closed_form_plan(-4, 5, 0, 1, 1).cost == 4 * (2 + 2) * (1 + 8) ** 2
-    assert _closed_form_plan(-4, 5, 0, 1, 63).cost == 4 * (44 + 2) * (4 + 8) ** 2 + 85**3 // 16
+    assert _closed_form_plan(-4, 5, 0, 1, 63).cost == 4 * (34 + 2) * (4 + 8) ** 2 + 66**3 // 16
 
 
 _PLAN_GRID = [(D, p) for D in (-3, -4, -7, -40, -163) for p in (3, 5, 7, 13, 41, 101)
@@ -564,44 +585,59 @@ def test_closed_form_bounds_cover_every_term():
     # v(K_{j,i}) >= T, every kept K_{j,i} has v >= kappa(j) >= 0, and every
     # kept P_{j,k}/k! loses v(k!) <= M - T digits; v(F^j) = j for every
     # F = |D| p.  So P_{j,k} mod p^(M - kappa(j)) gives P_{j,k}/k! mod
-    # p^(T - kappa(j)), all that K_{j,i} P_{j,k}/k! mod p^T needs
+    # p^(T - kappa(j)), all that K_{j,i} P_{j,k}/k! mod p^T needs.  The cut
+    # also reads v([t^i] C(y-t, j)) >= -(i+1) floor(log_p(j + |y|)), checked
+    # on every exact coefficient for eight y = 1 - s0
     for p in (3, 5, 7, 13):
-        n_cut = {K: _closed_form_plan(-4, p, 0, K, 128).n_j for K in range(1, 10)}
-        top = max(n_cut.values()) + 2 * p
+        top = _first_j_past(128 + 1 + 8 * 2, p) + 2 * p  # past kappa's cut for every T
         # B_j p^j / j! carries p^(j - v(j!) - [(p-1) | j]) times the p-part
-        # of the numerator of B_j: the count the sum uses is exact
+        # of the numerator of B_j, and g'(0)'s factor B_j p^j / (j (j-1)) carries
+        # p^u_j, u_j = j - [(p-1) | j] - v(j (j-1)): the counts the sums use are exact
         fact = 1
         for j in range(top):
             fact *= j or 1
             b = bernoulli_number(j)
             if b:
-                u = j - ordp(fact, p) - (j > 0 and j % (p - 1) == 0)
+                wq = j > 0 and j % (p - 1) == 0
+                u = j - ordp(fact, p) - wq
                 assert _v(b * p**j / fact, p) == u + ordp(b.numerator, p), (p, j)
                 assert u >= _kappa(j, p), (p, j)
-        sharp = 0  # cases where the last kept term lies below p^T
-        for s0 in (0, 1, 2, -24):
-            # vals[j][i] = v(B_j p^j [t^i] C(1-s0-t, j)), None for a zero term
-            vals, c, fact = [], [Fraction(1)] + [Fraction(0)] * 8, 1
+            if b and j > 1:
+                u = j - wq - ordp(j * (j - 1), p)
+                assert _v(b * p**j / (j * (j - 1)), p) == u + ordp(b.numerator, p), (p, j)
+        sharp = 0  # cases where the new bound sets the cut and the last kept term lies below p^T
+        for s0 in (0, 1, 2, -24, 3, -3, 7, 26):
+            y = 1 - s0
+            # vals[j][i] = v(B_j p^j [t^i] C(y-t, j)), None for a zero term;
+            # c[i] = j! [t^i] C(y-t, j), an integer
+            vals, c, vfact = [], [1] + [0] * 8, 0
             for j in range(top):
                 if j:
-                    c = [(1 - s0 - (j - 1)) * c[i] - (c[i - 1] if i else 0) for i in range(9)]
-                    fact *= j
-                vals.append([_v(bernoulli_number(j) * p**j * x / fact, p) for x in c])
+                    c = [(y - (j - 1)) * c[i] - (c[i - 1] if i else 0) for i in range(9)]
+                    vfact += ordp(j, p)
+                if s0 == 0 and j > 1:  # j! C(1-t, j) = -(-1)^j (j-2)! t + O(t^2)
+                    assert c[:2] == [0, -(-1) ** j * math.factorial(j - 2)], j
+                lam = _log_floor_by_powers(j + abs(y), p) if j else 0  # C(y-t, 0) = 1
+                vc = [ordp(x, p) - vfact if x else None for x in c]
+                assert all(v >= -(i + 1) * lam for i, v in enumerate(vc) if v is not None), \
+                    (p, y, j)
+                b = _v(bernoulli_number(j), p)
+                vals.append([None if b is None or v is None else b + j + v for v in vc])
             for j, row in enumerate(vals):
                 assert all(v >= _kappa(j, p) for v in row if v is not None), (p, s0, j)
-            for K in range(1, 10):
+            for order in range(1, 9):
                 for n_cert in (*range(1, 40), 64, 100, 128):
-                    T, _, M, n_j, _ = _closed_form_plan(-4, p, 0, K, n_cert)
+                    T, K, M, n_j, _ = _closed_form_plan(-4, p, s0, order, n_cert)
                     assert all(ordp(math.factorial(k), p) <= M - T
                                for k in range(1, K)), (p, K, T)
                     assert all(_kappa(j, p) < T for j in range(n_j)), (p, K, T)
                     kept = [v for row in vals[:n_j] for v in row[:K] if v is not None]
                     assert min(kept, default=0) >= 0, (p, s0, K, T)
-                    dropped = [v for row in vals[n_j:n_j + 2 * p] for v in row[:K]
-                               if v is not None]
+                    dropped = [v for row in vals[n_j:_first_j_past(T, p) + 2 * p]
+                               for v in row[:K] if v is not None]
                     assert min(dropped, default=T) >= T, (p, s0, K, T)
                     last = [v for v in vals[n_j - 1][:K] if v is not None]
-                    sharp += min(last, default=T) < T
+                    sharp += n_j < _first_j_past(T, p) and min(last, default=T) < T
         # the cut is sharp: one term fewer would lose a digit somewhere
         assert sharp, p
 
