@@ -202,6 +202,14 @@ def bernoulli_number(n: int) -> Fraction:
     return table[n]
 
 
+def _bernoulli_upto(n: int) -> None:
+    # the table to B_n at least, rebuilt to exactly n when shorter: a caller that
+    # reads a whole table to n pays for that table alone, never for one doubled past it
+    global _bernoulli
+    if n >= len(_bernoulli):
+        _bernoulli = _bernoulli_table(n)
+
+
 def gen_bernoulli(n: int, chi: DirichletCharacter) -> Fraction:
     """Generalized Bernoulli number B_{n,chi}, exact."""
     if n < 1:

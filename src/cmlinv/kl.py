@@ -194,7 +194,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .characters import (DirichletCharacter, _kronecker_row, _prime_factors,
+from .characters import (DirichletCharacter, _bernoulli_upto, _kronecker_row, _prime_factors,
                          _smallest_prime_factors, bernoulli_number, gen_bernoulli)
 from .padic import PadicContext, PadicNumber, _from_residue, _log_units, ordp, teichmuller
 
@@ -245,12 +245,14 @@ def _logs(units: list, p: int, M: int) -> list:
 
 
 # The largest plan cost.  With Python 3.11 on a 2-vCPU VM, `_closed_form`
-# took 1.3 to 3.5 ns per unit of cost over 16 inputs (fresh processes,
-# Bernoulli table included; 1.6 to 6.0 ns with one log per prime), so an
-# input at the ceiling takes 0.33 to 0.9 s; `verify-fg --D -40 --p 13
-# --prec 714` (cost 2.4e8) takes 0.8 s in all (1.1 s with one log per
-# prime), and `--prec 2048` (4.7e9) ran past 20 s.  The largest input of
-# the tests, CI, `acceptance` and the benchmark is that one.
+# took 1.7 to 5.2 ns per unit of cost over 16 inputs (fresh processes,
+# Bernoulli table included), the most on inputs under 0.1 s.  At the ceiling
+# the six `verify-fg` inputs of ROADMAP's frontier table take 0.5 to 0.8 s
+# in all, and tables of order 3 to 9 at |D| = 3 to 7, few units and many
+# j, take 0.8 to 1.2 s.  `verify-fg --D -40 --p 13 --prec 746` (cost
+# 2.48e8) takes about 0.6 s, and the closed form for `--prec 2048` (4.3e9)
+# took 9.7 s.  The largest input of the tests, CI, `acceptance` and the
+# benchmark is that one at 746.
 MAX_CLOSED_FORM_COST = 25 * 10**7
 
 
@@ -306,7 +308,7 @@ def _closed_form(D: int, p: int, s0: int, order: int, n: int) -> list:
     T, K, M, n_j, _ = _closed_form_plan(D, p, s0, order, n)
     A = -D
     F = A * p
-    bernoulli_number(n_j - 1)  # the table in one build, not doubled past n_j
+    _bernoulli_upto(n_j - 1)  # the table in one build to n_j, as the plan counts it
     m, mT = p**M, p**T
 
     theta = _kronecker_row(D)  # theta(a) for a mod |D|, 0 off the units

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmlinv import kl
+from cmlinv import characters, kl
 from cmlinv.characters import (DirichletCharacter, bernoulli_number, char_from_kronecker,
                                is_fundamental_discriminant, trivial_character)
 from cmlinv.kl import (MAX_CLOSED_FORM_COST, _closed_form, _closed_form_plan, _g_at_zero,
@@ -523,6 +523,19 @@ def test_closed_form_visits_half_the_units(monkeypatch, D, p):
     logs = [units for name, units in calls if name == "_logs"]
     assert len(logs) == 1
     assert len(logs[0]) == phi // 2 and all(2 * a < F for a in logs[0])
+
+
+def test_each_closed_form_builds_the_bernoulli_numbers_to_its_own_cut(monkeypatch):
+    # to 100 digits at (-4, 5), g at 0 keeps j < 105 and g at 1 (one more log
+    # power) j < 107: the second table extends B_j to 106, as its plan counts,
+    # not to twice the first table
+    monkeypatch.setattr(characters, "_bernoulli", (Fraction(1),))
+    cuts = []
+    for s0 in (0, 1):
+        cuts.append(_closed_form_plan(-4, 5, s0, 2, 100).n_j)
+        _closed_form(-4, 5, s0, 2, 100)
+        assert len(characters._bernoulli) == cuts[-1], s0
+    assert cuts == [105, 107]
 
 
 def test_closed_form_rejects_positive_discriminant():
